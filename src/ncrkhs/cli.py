@@ -168,7 +168,7 @@ def _cmd_check_ncfun(args, tol):
 
 
 def _cmd_check_kernel(args, tol):
-    kernel = decode_kernel(_load(args.kernel, "kernel"), "kernel")
+    kernel = decode_kernel(_load(args.kernel, "kernel"), "kernel", tol)
     samples = kernels.draw_kernel_axiom_samples(
         kernel, rng_from_seed(args.seed), n_samples=args.samples, sizes=_sizes(args),
         sampler=args.sampler if args.sampler != "auto" else None, tol=tol,
@@ -185,7 +185,7 @@ def _cmd_check_kernel(args, tol):
 
 
 def _cmd_cp_certify(args, tol):
-    kernel = decode_kernel(_load(args.kernel, "kernel"), "kernel")
+    kernel = decode_kernel(_load(args.kernel, "kernel"), "kernel", tol)
     if args.reduced:
         cert = kernels.cp_certificate_similarity_reduced(
             kernel, n_points=args.points, sizes=_sizes(args), seed=args.seed, tol=tol,
@@ -202,7 +202,7 @@ def _cmd_cp_certify(args, tol):
 
 
 def _cmd_kolmogorov(args, tol):
-    kernel = decode_kernel(_load(args.kernel, "kernel"), "kernel")
+    kernel = decode_kernel(_load(args.kernel, "kernel"), "kernel", tol)
     rng = rng_from_seed(args.seed)
     sizes = kernels._clamp_sizes(kernel, "nilpotent", _sizes(args))
     points = [nilpotent_tuple(rng, kernel.d, sizes[i % len(sizes)]) for i in range(args.points)]
@@ -219,18 +219,18 @@ def _cmd_kolmogorov(args, tol):
 
 
 def _cmd_kernel_from_basis(args, tol):
-    model = decode_model(_load(args.model, "model"), "model")
+    model = decode_model(_load(args.model, "model"), "model", tol)
     return {"status": "ok", "kernel": encode_kernel(model.kernel())}, EXIT_OK
 
 
 def _cmd_bergman(args, tol):
-    model = decode_model(_load(args.model, "model"), "model")
+    model = decode_model(_load(args.model, "model"), "model", tol)
     kernel = rkhs.bergman_kernel(model)
     return {"status": "ok", "kernel": encode_kernel(kernel)}, EXIT_OK
 
 
 def _cmd_lifted_norm(args, tol):
-    kernel = decode_kernel(_load(args.kernel, "kernel"), "kernel")
+    kernel = decode_kernel(_load(args.kernel, "kernel"), "kernel", tol)
     if not isinstance(kernel, kernels.KolmogorovKernel):
         raise InputError("lifted-norm needs a kernel in kolmogorov form")
     data = _load(args.target, "target")
@@ -247,8 +247,8 @@ def _cmd_lifted_norm(args, tol):
 
 
 def _cmd_multiplier_check(args, tol):
-    source = decode_kernel(_load(args.source, "source"), "source")
-    target = decode_kernel(_load(args.target, "target"), "target")
+    source = decode_kernel(_load(args.source, "source"), "source", tol)
+    target = decode_kernel(_load(args.target, "target"), "target", tol)
     s = decode_series(_load(args.s, "s"), "s")
     mult = multipliers.Multiplier(s, source, target)
     cert = multipliers.contractivity_certificate(
@@ -300,8 +300,8 @@ def _cmd_brangesian(args, tol):
 
 
 def _cmd_containment(args, tol):
-    kprime = decode_kernel(_load(args.kprime, "kprime"), "kprime")
-    kernel = decode_kernel(_load(args.k, "k"), "k")
+    kprime = decode_kernel(_load(args.kprime, "kprime"), "kprime", tol)
+    kernel = decode_kernel(_load(args.k, "k"), "k", tol)
     cert, _ = multipliers.contractive_containment(
         kprime, kernel, n_points=args.points, sizes=_sizes(args), n_rows=args.rows,
         seed=args.seed, tol=tol, sampler=args.sampler if args.sampler != "auto" else None,
@@ -312,7 +312,7 @@ def _cmd_containment(args, tol):
 
 
 def _cmd_formal_factor(args, tol):
-    kernel = decode_formal_kernel(_load(args.kernel, "kernel"), "kernel")
+    kernel = decode_formal_kernel(_load(args.kernel, "kernel"), "kernel", tol)
     fact = formal.formal_kolmogorov_truncated(kernel, args.level, tol)
     payload = {
         "status": "ok",
@@ -324,7 +324,7 @@ def _cmd_formal_factor(args, tol):
 
 
 def _cmd_formal_positivity(args, tol):
-    kernel = decode_formal_kernel(_load(args.kernel, "kernel"), "kernel")
+    kernel = decode_formal_kernel(_load(args.kernel, "kernel"), "kernel", tol)
     passed_m, min_eig_m = formal.is_formal_positive_truncated(kernel, args.level, tol)
     cert = formal.nilpotent_positivity_check(kernel, seed=args.seed, tol=tol)
     agree = bool(passed_m == cert.passed)
@@ -340,7 +340,7 @@ def _cmd_formal_positivity(args, tol):
 
 
 def _cmd_stinespring(args, tol):
-    phi = decode_cp_map(_load(args.map, "map"), "map")
+    phi = decode_cp_map(_load(args.map, "map"), "map", tol)
     dilation = cpmaps.stinespring(phi, tol)
     payload = {
         "status": "ok",
@@ -353,7 +353,7 @@ def _cmd_stinespring(args, tol):
 
 
 def _cmd_cb_norm(args, tol):
-    phi = decode_cp_map(_load(args.map, "map"), "map")
+    phi = decode_cp_map(_load(args.map, "map"), "map", tol)
     norm = cpmaps.cb_norm_cp(phi, tol)
     rng = rng_from_seed(args.seed)
     from .sampling import complex_gaussian
@@ -371,7 +371,7 @@ def _cmd_cb_norm(args, tol):
 
 
 def _cmd_effros_ruan(args, tol):
-    phi = decode_cp_map(_load(args.map, "map"), "map")
+    phi = decode_cp_map(_load(args.map, "map"), "map", tol)
     bound = cpmaps.effros_ruan_lower_bound(phi, n_samples=args.samples, seed=args.seed)
     return {"status": "ok", "seed": args.seed, "lower_bound": bound}, EXIT_OK
 

@@ -9,8 +9,8 @@ reversal of the stored tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -282,9 +282,14 @@ def words_up_to(d: int, max_len: int) -> list[Word]:
 
 @dataclass(frozen=True)
 class MatrixTuple:
-    """A point Z: d square complex matrices sharing size n x n."""
+    """A point Z: d square complex matrices sharing size n x n.
+
+    A point also remembers values computed at it (see :meth:`cached`), so a
+    function sampled at the same point many times is evaluated once.
+    """
 
     coords: tuple[np.ndarray, ...]
+    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coords) < 1:
@@ -312,6 +317,20 @@ class MatrixTuple:
 
     def scaled(self, t: float) -> "MatrixTuple":
         return MatrixTuple(tuple(t * c for c in self.coords))
+
+    def cached(self, key, compute: Callable[[], np.ndarray]) -> np.ndarray:
+        """``compute()`` for this point, computed once per ``key`` object.
+
+        Entries are keyed by identity and keep ``key`` alive, so its id cannot
+        be reused while the point lives, and equal but distinct keys never
+        share an entry.  The value is returned read-only.
+        """
+        entry = self._values.get(id(key))
+        if entry is None:
+            value = compute()
+            value.setflags(write=False)
+            entry = self._values[id(key)] = (key, value)
+        return entry[1]
 
 
 def word_eval(w: Iterable[int], z: MatrixTuple) -> np.ndarray:

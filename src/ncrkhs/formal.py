@@ -49,6 +49,7 @@ class FormalKernel:
     y_dim: int
     moments: Mapping[tuple, np.ndarray]
     max_len: int
+    tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
         if self.max_len < 0:
@@ -67,7 +68,7 @@ class FormalKernel:
         for (wa, wb), c in ordered.items():
             other = ordered.get((wb, wa))
             mirror = other if other is not None else np.zeros_like(c)
-            if frobenius(c - mirror.conj().T) > 1e-10 * scale:
+            if frobenius(c - mirror.conj().T) > self.tol.eq_rel * scale:
                 raise InputError(f"formal kernel is not Hermitian at pair {(wa, wb)}")
 
     def moment(self, wa, wb) -> np.ndarray:
@@ -187,7 +188,7 @@ def functional_from_formal(kernel: FormalKernel, tol: Tolerances = DEFAULT_TOL) 
 
 def formal_from_functional(kernel: MomentKernel) -> FormalKernel:
     """Inverse of :func:`functional_from_formal` (same data, formal reading)."""
-    return FormalKernel(kernel.d, kernel.y_dim, dict(kernel.moments), kernel.max_len)
+    return FormalKernel(kernel.d, kernel.y_dim, dict(kernel.moments), kernel.max_len, kernel.tol)
 
 
 def functional_from_series(f: NcSeries, tol: Tolerances = DEFAULT_TOL):

@@ -24,8 +24,10 @@ from .core import (
     InputError,
     MatrixTuple,
     MissingPair,
+    NotNilpotent,
     NotPsd,
     Tolerances,
+    TruncationRefused,
     Word,
     as_cmatrix,
     direct_sum,
@@ -37,6 +39,7 @@ from .core import (
     rel_err,
     spec_norm,
     validate_word,
+    word_eval,
     word_key,
     words_up_to,
 )
@@ -53,11 +56,8 @@ from .series import (
     AxiomReport,
     NcSeries,
     evaluate,
-    is_jointly_nilpotent,
     nilpotency_order,
 )
-
-from .core import TruncationRefused
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +179,16 @@ class MomentKernel(KernelBase):
             # words of length >= order vanish at the point, so the stored
             # support is the whole kernel there iff order <= max_len + 1
             for point in (z, w):
-                if not is_jointly_nilpotent(point, self.tol) or \
-                        nilpotency_order(point, self.tol) > self.max_len + 1:
+                try:
+                    covered = nilpotency_order(point, self.tol) <= self.max_len + 1
+                except NotNilpotent:
+                    covered = False
+                if not covered:
                     raise TruncationRefused(
                         "moment-form evaluation is a truncation at this point; "
                         "pass allow_truncation=True to accept it"
                     )
         out = np.zeros((z.n * self.y_dim, w.n * self.y_dim), dtype=np.complex128)
-        from .core import word_eval
-
         evz = {wa: word_eval(wa, z) for wa in {key[0] for key in self.moments}}
         evw = {wb: word_eval(wb, w) for wb in {key[1] for key in self.moments}}
         for (wa, wb), c in self.moments.items():

@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import InputError, MatrixTuple, as_cmatrix, validate_word
+from .core import DEFAULT_TOL, InputError, MatrixTuple, Tolerances, as_cmatrix, validate_word
 from .cpmaps import CpMap
 from .formal import FormalKernel
 from .kernels import (
@@ -235,7 +235,7 @@ def encode_kernel(kernel: KernelBase) -> dict:
     raise InputError(f"kernel of type {type(kernel).__name__} has no file form")
 
 
-def decode_kernel(data, where: str = "kernel") -> KernelBase:
+def decode_kernel(data, where: str = "kernel", tol: Tolerances = DEFAULT_TOL) -> KernelBase:
     if not isinstance(data, dict) or "form" not in data:
         raise InputError(f"{where}: expected an object with a 'form' field")
     form = data["form"]
@@ -247,7 +247,7 @@ def decode_kernel(data, where: str = "kernel") -> KernelBase:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{where}: malformed moment kernel") from exc
         moments = _decode_moment_table(data.get("moments", []), d, f"{where}.moments")
-        return MomentKernel(d, y_dim, moments, max_len)
+        return MomentKernel(d, y_dim, moments, max_len, tol)
     if form == "kolmogorov":
         algebra = decode_algebra(data.get("algebra"), f"{where}.algebra")
         h = decode_series(data.get("h"), f"{where}.h")
@@ -257,7 +257,7 @@ def decode_kernel(data, where: str = "kernel") -> KernelBase:
         algebra = decode_algebra(data.get("algebra"), f"{where}.algebra")
         basis = [decode_series(b, f"{where}.basis[{i}]") for i, b in enumerate(data.get("basis", []))]
         gram = decode_matrix(data.get("gram"), f"{where}.gram")
-        return GramBasisKernel(algebra, basis, gram)
+        return GramBasisKernel(algebra, basis, gram, tol)
     raise InputError(f"{where}: unknown kernel form {form!r}")
 
 
@@ -272,7 +272,8 @@ def encode_formal_kernel(kernel: FormalKernel) -> dict:
     }
 
 
-def decode_formal_kernel(data, where: str = "formal kernel") -> FormalKernel:
+def decode_formal_kernel(data, where: str = "formal kernel",
+                         tol: Tolerances = DEFAULT_TOL) -> FormalKernel:
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected an object")
     try:
@@ -282,7 +283,7 @@ def decode_formal_kernel(data, where: str = "formal kernel") -> FormalKernel:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{where}: malformed formal kernel") from exc
     moments = _decode_moment_table(data.get("moments", []), d, f"{where}.moments")
-    return FormalKernel(d, y_dim, moments, max_len)
+    return FormalKernel(d, y_dim, moments, max_len, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +299,7 @@ def encode_model(m: RkhsModel) -> dict:
     }
 
 
-def decode_model(data, where: str = "model") -> RkhsModel:
+def decode_model(data, where: str = "model", tol: Tolerances = DEFAULT_TOL) -> RkhsModel:
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected an object with algebra/basis/gram")
     algebra = decode_algebra(data.get("algebra"), f"{where}.algebra")
@@ -306,7 +307,7 @@ def decode_model(data, where: str = "model") -> RkhsModel:
     if not basis:
         raise InputError(f"{where}: model needs a nonempty basis")
     gram = decode_matrix(data.get("gram"), f"{where}.gram")
-    return RkhsModel(algebra, basis, gram)
+    return RkhsModel(algebra, basis, gram, tol)
 
 
 def encode_cp_map(phi: CpMap) -> dict:
@@ -319,7 +320,7 @@ def encode_cp_map(phi: CpMap) -> dict:
     }
 
 
-def decode_cp_map(data, where: str = "map") -> CpMap:
+def decode_cp_map(data, where: str = "map", tol: Tolerances = DEFAULT_TOL) -> CpMap:
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected an object with k/m/units")
     try:
@@ -335,4 +336,4 @@ def decode_cp_map(data, where: str = "map") -> CpMap:
         for p in range(k)
         for q in range(k)
     }
-    return CpMap(k, m, units)
+    return CpMap(k, m, units, tol)

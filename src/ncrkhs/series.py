@@ -3,7 +3,15 @@
 A series ``f(z) = sum_w f_w z^w`` is a finitely supported map from stored
 words to ``out_dim x in_dim`` coefficient matrices.  Evaluation at a point
 ``Z`` of size n returns the ``(n*out_dim) x (n*in_dim)`` matrix
-``sum_w word_eval(w, Z) (x) f_w`` with the point index outermost.
+``sum_w Z^w (x) f_w`` with the point index outermost.
+
+Evaluation streams along shared word prefixes: the support is walked in
+lexicographic order, i.e. depth-first over its prefix trie, with a stack of
+the prefix products ``Z^{w[:k]}``, so every trie node costs one ``n x n``
+product and at most ``degree + 1`` products are held at a time.  The point
+keeps each finished value (:meth:`MatrixTuple.cached`), so a series is
+evaluated once per point however often a kernel or certificate asks for it;
+returned values are read-only.
 """
 
 from __future__ import annotations
@@ -31,7 +39,6 @@ from .core import (
     rel_err,
     spec_norm,
     validate_word,
-    word_eval,
     word_key,
     words_up_to,
 )
@@ -145,13 +152,29 @@ def linear_combination(series: Sequence[NcSeries], coeffs: Sequence[complex]) ->
 
 
 def evaluate(f: NcSeries, z: MatrixTuple) -> np.ndarray:
-    """sum_w word_eval(w, Z) (x) f_w, an (n p) x (n q) matrix."""
+    """sum_w Z^w (x) f_w, a read-only (n p) x (n q) matrix, computed once per (f, Z)."""
     if z.d != f.d:
         raise DimMismatch(f"series over {f.d} variables evaluated at a {z.d}-tuple")
-    out = np.zeros((z.n * f.out_dim, z.n * f.in_dim), dtype=np.complex128)
-    for w, c in f.terms.items():
-        out += kron(word_eval(w, z), c)
-    return out
+    return z.cached(f, lambda: _stream(f, z))
+
+
+def _stream(f: NcSeries, z: MatrixTuple) -> np.ndarray:
+    """Depth-first walk of the support's prefix trie, accumulating Z^w (x) f_w."""
+    n = z.n
+    # out[a, s, b, t] = sum_w Z^w[a, b] f_w[s, t] is the Kronecker layout
+    out = np.zeros((n, f.out_dim, n, f.in_dim), dtype=np.complex128)
+    prefix = [np.eye(n, dtype=np.complex128)]  # prefix[k] = Z^{prev[:k]}
+    prev: Word = EMPTY_WORD
+    for w in sorted(f.terms):
+        shared = 0
+        while shared < min(len(prev), len(w)) and prev[shared] == w[shared]:
+            shared += 1
+        del prefix[shared + 1:]
+        for letter in w[shared:]:
+            prefix.append(prefix[-1] @ z.coords[letter - 1])
+        out += prefix[-1][:, None, :, None] * f.terms[w][None, :, None, :]
+        prev = w
+    return out.reshape(n * f.out_dim, n * f.in_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +275,8 @@ def is_jointly_nilpotent(z: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> bool:
 def evaluate_on_nilpotent(f: NcSeries, z: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Exact evaluation on a jointly nilpotent tuple: only words of length < L survive."""
     order = nilpotency_order(z, tol)
-    return evaluate(truncate(f, order - 1), z)
+    # truncate only when words go, so the point keeps the value under f itself
+    return evaluate(f if f.degree < order else truncate(f, order - 1), z)
 
 
 # ---------------------------------------------------------------------------

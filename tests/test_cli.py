@@ -266,3 +266,49 @@ def test_in_process_determinism(tmp_path, capsys):
         main(["cp-certify", "--kernel", kernel_path, "--seed", "9"])
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _asymmetric_table(formal: bool) -> dict:
+    """d = 1 table [[1, 0.1], [0.1 + 1e-9, 1]]: positive, Hermitian only to 1e-9."""
+    entries = {((), ()): 1.0, ((1,), (1,)): 1.0, ((), (1,)): 0.1, ((1,), ()): 0.1 + 1e-9}
+    table = {
+        "form": "moment", "d": 1, "y_dim": 1, "max_len": 1,
+        "moments": [
+            {"row_word": list(a), "col_word": list(b), "coeff": encode_matrix(np.array([[c]]))}
+            for (a, b), c in entries.items()
+        ],
+    }
+    if formal:
+        table["formal"] = True
+    return table
+
+
+def _asymmetric_model() -> dict:
+    rng = rng_from_seed(5)
+    basis = [NcSeries(2, 1, 1, {w: complex_gaussian(rng, 1, 1)}) for w in [(), (1,), (2, 1)]]
+    gram = np.eye(3, dtype=complex)
+    gram[0, 1] = 0.1
+    gram[1, 0] = 0.1 + 1e-9
+    return {
+        "algebra": {"kind": "scalar", "k": 1, "r": 1}, "y_dim": 1,
+        "basis": [encode_series(f) for f in basis], "gram": encode_matrix(gram),
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["cp-certify", "--seed", "3", "--kernel"], lambda: _asymmetric_table(False)),
+        (["formal-factor", "--L", "1", "--kernel"], lambda: _asymmetric_table(True)),
+        (["kernel-from-basis", "--model"], _asymmetric_model),
+    ],
+    ids=["moment-kernel", "formal-kernel", "model"],
+)
+def test_tol_eq_applies_while_parsing(tmp_path, capsys, argv, payload):
+    path = write(tmp_path, "in.json", payload())
+    code, out = run(capsys, argv + [path])
+    assert code == 2
+    assert "Hermitian" in out["error"]
+    code, out = run(capsys, argv + [path, "--tol-eq", "1e-6"])
+    assert code == 0
+    assert out["status"] == "ok"

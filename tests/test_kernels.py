@@ -9,6 +9,7 @@ from ncrkhs.core import (
     TruncationRefused,
     zero_tuple,
 )
+from ncrkhs import kernels
 from ncrkhs.kernels import (
     AlgebraSpec,
     CallableKernel,
@@ -74,6 +75,25 @@ def test_moment_kernel_refuses_truncation():
         kernel.evaluate(invertible, invertible, np.eye(2))
     # accepted explicitly
     kernel.evaluate(invertible, invertible, np.eye(2), allow_truncation=True)
+
+
+def test_moment_kernel_tests_each_point_once(monkeypatch):
+    calls = []
+    order = kernels.nilpotency_order
+
+    def counted(point, tol):
+        calls.append(point)
+        return order(point, tol)
+
+    monkeypatch.setattr(kernels, "nilpotency_order", counted)
+    kernel = szego_kernel(1, max_len=3)
+    kernel.evaluate(JORDAN, zero_tuple(1, 3), np.zeros((2, 3)))
+    assert len(calls) == 2
+    calls.clear()
+    invertible = MatrixTuple((np.eye(2) * 0.5,))
+    with pytest.raises(TruncationRefused, match="pass allow_truncation=True"):
+        kernel.evaluate(JORDAN, invertible, np.eye(2))
+    assert len(calls) == 2
 
 
 def test_moment_kernel_rejects_non_hermitian_table():
