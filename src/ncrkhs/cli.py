@@ -33,14 +33,20 @@ from .core import (
     NotInTarget,
     NotNilpotent,
     NotPsd,
-    NotSigmaClosed,
     SamplerUnavailable,
     ShapeMismatch,
     Tolerances,
     TruncationRefused,
     TruncationTooShort,
 )
-from .sampling import nilpotent_tuple, random_similarity, rng_from_seed, sample_tuple
+from .sampling import (
+    complex_gaussian,
+    nilpotent_tuple,
+    random_psd,
+    random_similarity,
+    rng_from_seed,
+    sample_tuple,
+)
 from .serialize import (
     decode_cp_map,
     decode_formal_kernel,
@@ -71,7 +77,6 @@ _INPUT_ERRORS = (
     TruncationRefused,
     TruncationTooShort,
     SamplerUnavailable,
-    NotSigmaClosed,
     NotInTarget,
 )
 
@@ -104,6 +109,13 @@ def _certificate_payload(cert) -> dict:
         if cert.witness is not None:
             payload["witness_vector"] = encode_matrix(np.asarray(cert.witness).reshape(-1, 1))
     return payload
+
+
+def _certificate_result(cert) -> tuple[dict, int]:
+    """A certificate as a handler result: the status, its payload and the exit code."""
+    payload = {"status": "ok" if cert.passed else "certificate_failed"}
+    payload.update(_certificate_payload(cert))
+    return payload, EXIT_OK if cert.passed else EXIT_CERT
 
 
 def _sizes(args) -> tuple[int, ...]:
@@ -171,7 +183,7 @@ def _cmd_check_kernel(args, tol):
     kernel = decode_kernel(_load(args.kernel, "kernel"), "kernel", tol)
     samples = kernels.draw_kernel_axiom_samples(
         kernel, rng_from_seed(args.seed), n_samples=args.samples, sizes=_sizes(args),
-        sampler=args.sampler if args.sampler != "auto" else None, tol=tol,
+        sampler=args.sampler, tol=tol,
     )
     report = kernels.check_kernel_axioms(kernel, samples, tol)
     payload = {
@@ -189,16 +201,14 @@ def _cmd_cp_certify(args, tol):
     if args.reduced:
         cert = kernels.cp_certificate_similarity_reduced(
             kernel, n_points=args.points, sizes=_sizes(args), seed=args.seed, tol=tol,
-            sampler=args.sampler if args.sampler != "auto" else None,
+            sampler=args.sampler,
         )
     else:
         cert = kernels.cp_certificate(
             kernel, n_points=args.points, sizes=_sizes(args), n_rows=args.rows,
-            seed=args.seed, tol=tol, sampler=args.sampler if args.sampler != "auto" else None,
+            seed=args.seed, tol=tol, sampler=args.sampler,
         )
-    payload = {"status": "ok" if cert.passed else "certificate_failed"}
-    payload.update(_certificate_payload(cert))
-    return payload, EXIT_OK if cert.passed else EXIT_CERT
+    return _certificate_result(cert)
 
 
 def _cmd_kolmogorov(args, tol):
@@ -253,11 +263,9 @@ def _cmd_multiplier_check(args, tol):
     mult = multipliers.Multiplier(s, source, target)
     cert = multipliers.contractivity_certificate(
         mult, n_points=args.points, sizes=_sizes(args), n_rows=args.rows, seed=args.seed, tol=tol,
-        sampler=args.sampler if args.sampler != "auto" else None,
+        sampler=args.sampler,
     )
-    payload = {"status": "ok" if cert.passed else "certificate_failed"}
-    payload.update(_certificate_payload(cert))
-    return payload, EXIT_OK if cert.passed else EXIT_CERT
+    return _certificate_result(cert)
 
 
 def _cmd_brangesian(args, tol):
@@ -274,8 +282,6 @@ def _cmd_brangesian(args, tol):
     identity_violation = 0.0
     margin = 0.0
     overlap = dec.feasible_perturbation_basis()
-    from .sampling import complex_gaussian
-
     for _ in range(args.vectors):
         h = complex_gaussian(rng, n, 1)[:, 0]
         k_part, h_part = dec.decompose(h)
@@ -304,11 +310,9 @@ def _cmd_containment(args, tol):
     kernel = decode_kernel(_load(args.k, "k"), "k", tol)
     cert, _ = multipliers.contractive_containment(
         kprime, kernel, n_points=args.points, sizes=_sizes(args), n_rows=args.rows,
-        seed=args.seed, tol=tol, sampler=args.sampler if args.sampler != "auto" else None,
+        seed=args.seed, tol=tol, sampler=args.sampler,
     )
-    payload = {"status": "ok" if cert.passed else "certificate_failed"}
-    payload.update(_certificate_payload(cert))
-    return payload, EXIT_OK if cert.passed else EXIT_CERT
+    return _certificate_result(cert)
 
 
 def _cmd_formal_factor(args, tol):
@@ -356,13 +360,9 @@ def _cmd_cb_norm(args, tol):
     phi = decode_cp_map(_load(args.map, "map"), "map", tol)
     norm = cpmaps.cb_norm_cp(phi, tol)
     rng = rng_from_seed(args.seed)
-    from .sampling import complex_gaussian
-
     ratio = 0.0
     for _ in range(args.samples):
-        n_amp = int(rng.integers(1, 5))
-        root = complex_gaussian(rng, n_amp * phi.k, n_amp * phi.k)
-        p = root @ root.conj().T
+        p = random_psd(rng, int(rng.integers(1, 5)) * phi.k)
         top = np.linalg.norm(p, 2)
         if top > 0:
             ratio = max(ratio, float(np.linalg.norm(phi.apply_amplified(p / top), 2)))

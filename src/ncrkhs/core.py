@@ -104,10 +104,6 @@ class NotCp(NcrkhsError):
         super().__init__(f"Choi matrix has negative eigenvalue {min_eig:.6e}")
 
 
-class NotSigmaClosed(NcrkhsError):
-    """Basis span is not closed under the algebra action."""
-
-
 class Infeasible(NcrkhsError):
     """Linear system is inconsistent beyond tolerance."""
 
@@ -224,6 +220,35 @@ def psd_factor(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
+@dataclass(frozen=True)
+class PsdVerdict:
+    """Outcome of the PSD-floor test over a family of matrices."""
+
+    passed: bool
+    min_eig: float
+    witness: np.ndarray | None
+
+
+def psd_verdict(mats: Iterable[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> PsdVerdict:
+    """PSD-floor test of each (m + m*)/2: smallest eigenvalue >= -psd_floor * max(1, ||m||_2).
+
+    The matrix whose smallest eigenvalue is lowest relative to its own scale
+    decides the verdict and gives ``min_eig``; on a failure the witness is
+    its eigenvector for that eigenvalue.
+    """
+    worst = None
+    for m in mats:
+        vals, vecs = np.linalg.eigh(hermitize(m))
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        if worst is None or float(vals[0]) / scale < worst[0] / worst[1]:
+            worst = (float(vals[0]), scale, vecs[:, 0])
+    if worst is None:
+        raise InputError("the PSD test needs at least one matrix")
+    min_eig, scale, vec = worst
+    passed = bool(min_eig >= -tol.psd_floor * scale)
+    return PsdVerdict(passed, min_eig, None if passed else vec)
+
+
 def direct_sum_matrices(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Block-diagonal direct sum of matrices."""
     mats = [np.asarray(m, dtype=np.complex128) for m in mats]
@@ -253,10 +278,6 @@ def validate_word(w: Iterable[int], d: int) -> Word:
 def word_transpose(w: Word) -> Word:
     """Reversal of the stored sequence."""
     return tuple(reversed(w))
-
-
-def word_concat(u: Word, w: Word) -> Word:
-    return tuple(u) + tuple(w)
 
 
 def word_key(w: Word) -> tuple[int, Word]:

@@ -25,10 +25,11 @@ from .core import (
     frozen,
     hermitize,
     kron,
+    psd_verdict,
     rel_err,
     spec_norm,
 )
-from .sampling import complex_gaussian, rng_from_seed
+from .sampling import complex_gaussian, random_psd, rng_from_seed
 
 
 class CpMap:
@@ -122,10 +123,8 @@ def choi(phi: CpMap) -> np.ndarray:
 
 def is_cp(phi: CpMap, tol: Tolerances | None = None) -> tuple[bool, float]:
     """Choi positivity: at finite dimension equivalent to complete positivity."""
-    tol = tol or phi.tol
-    vals = np.linalg.eigvalsh(hermitize(choi(phi)))
-    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 0.0)
-    return bool(vals[0] >= -tol.psd_floor * scale), float(vals[0])
+    verdict = psd_verdict([choi(phi)], tol or phi.tol)
+    return verdict.passed, verdict.min_eig
 
 
 @dataclass(frozen=True)
@@ -204,25 +203,12 @@ def sampled_amplified_positivity(
     Always includes the maximally entangled argument at N = k, which maps to
     the Choi matrix, so the verdict matches :func:`is_cp`.
     """
-    tol = tol or phi.tol
     rng = rng_from_seed(seed)
-    min_rel = np.inf
-    worst_eig = 0.0
-
-    def record(value):
-        nonlocal min_rel, worst_eig
-        vals = np.linalg.eigvalsh(hermitize(value))
-        scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 0.0)
-        if float(vals[0]) / scale < min_rel:
-            min_rel = float(vals[0]) / scale
-            worst_eig = float(vals[0])
-
-    record(phi.apply_amplified(max_entangled_argument(phi.k)))
+    arguments = [max_entangled_argument(phi.k)]
     for _ in range(n_samples):
-        n_amp = int(rng.integers(1, max_amp + 1))
-        root = complex_gaussian(rng, n_amp * phi.k, n_amp * phi.k)
-        record(phi.apply_amplified(root @ root.conj().T))
-    return bool(min_rel >= -tol.psd_floor), worst_eig
+        arguments.append(random_psd(rng, int(rng.integers(1, max_amp + 1)) * phi.k))
+    verdict = psd_verdict((phi.apply_amplified(p) for p in arguments), tol or phi.tol)
+    return verdict.passed, verdict.min_eig
 
 
 def effros_ruan_lower_bound(

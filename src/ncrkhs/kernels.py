@@ -36,6 +36,7 @@ from .core import (
     hermitize,
     kron,
     psd_factor,
+    psd_verdict,
     rel_err,
     spec_norm,
     validate_word,
@@ -46,8 +47,8 @@ from .core import (
 from .sampling import (
     GAUSSIAN,
     NILPOTENT,
-    complex_gaussian,
     random_algebra_matrix,
+    random_psd,
     random_similarity,
     rng_from_seed,
     sample_tuple,
@@ -133,9 +134,12 @@ class KernelBase:
 class MomentKernel(KernelBase):
     """Kernel given by its word moments: K(Z,W)(P) = sum Z^a P (W^b)* (x) K_{a,b}.
 
-    Restricted to the scalar algebra.  Exact on jointly nilpotent points whose
-    nilpotency order is covered by ``max_len``; elsewhere evaluation is a
-    truncation and must be requested explicitly.
+    The finitely supported Hermitian table K_{a,b} is read two ways: formally,
+    as a kernel over the free monoid (see :mod:`ncrkhs.formal`), and
+    functionally, through :meth:`evaluate`.  Restricted to the scalar algebra.
+    Evaluation is exact on jointly nilpotent points whose nilpotency order is
+    covered by ``max_len``; elsewhere it is a truncation and must be
+    requested explicitly.
     """
 
     def __init__(self, d: int, y_dim: int, moments: Mapping[tuple, np.ndarray],
@@ -213,10 +217,6 @@ class KolmogorovKernel(KernelBase):
         self.y_dim = h.out_dim
         self.default_sampler = GAUSSIAN
 
-    @property
-    def state_dim(self) -> int:
-        return self.algebra.rep_dim * self.s
-
     def evaluate(self, z, w, p, allow_truncation: bool = False):
         p = self._check_points(z, w, p)
         hz = evaluate(self.h, z)
@@ -225,30 +225,38 @@ class KolmogorovKernel(KernelBase):
         return hz @ amp @ hw.conj().T
 
 
+def checked_gram(algebra: AlgebraSpec, basis: Sequence[NcSeries], gram,
+                 tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """The gramian of a basis of series, checked Hermitian and positive definite.
+
+    The basis must be nonempty, share d and out_dim, and have in_dim = k.
+    """
+    if not basis:
+        raise InputError("a gram basis needs at least one basis function")
+    for f in basis:
+        if f.d != basis[0].d or f.out_dim != basis[0].out_dim or f.in_dim != algebra.k:
+            raise DimMismatch("basis functions must share d, out_dim and have in_dim = k")
+    gram = as_cmatrix(gram, len(basis), len(basis))
+    if frobenius(gram - gram.conj().T) > tol.eq_rel * max(1.0, frobenius(gram)):
+        raise InputError("gram matrix must be Hermitian")
+    low = float(np.linalg.eigvalsh(hermitize(gram))[0])
+    if low <= tol.psd_floor * max(1.0, spec_norm(gram)):
+        raise NotPsd(low, tol.psd_floor * max(1.0, spec_norm(gram)))
+    return gram
+
+
 class GramBasisKernel(KernelBase):
     """K(Z,W)(P) = sum_{ij} (G^{-1})_{ij} f_i(Z) P f_j(W)* for a finite basis."""
 
     def __init__(self, algebra: AlgebraSpec, basis: Sequence[NcSeries], gram: np.ndarray,
                  tol: Tolerances = DEFAULT_TOL):
-        if not basis:
-            raise InputError("gram-basis kernel needs at least one basis function")
-        d = basis[0].d
-        y = basis[0].out_dim
-        for f in basis:
-            if f.d != d or f.out_dim != y or f.in_dim != algebra.k:
-                raise DimMismatch("basis functions must share d, out_dim and have in_dim = k")
-        gram = as_cmatrix(gram, len(basis), len(basis))
-        if frobenius(gram - gram.conj().T) > tol.eq_rel * max(1.0, frobenius(gram)):
-            raise InputError("gram matrix must be Hermitian")
-        low = float(np.linalg.eigvalsh(hermitize(gram))[0])
-        if low <= tol.psd_floor * max(1.0, spec_norm(gram)):
-            raise NotPsd(low, tol.psd_floor * max(1.0, spec_norm(gram)))
+        gram = checked_gram(algebra, basis, gram, tol)
         self.algebra = algebra
         self.basis = list(basis)
         self.gram = frozen(gram)
         self.gram_inv = frozen(np.linalg.inv(gram))
-        self.d = d
-        self.y_dim = y
+        self.d = basis[0].d
+        self.y_dim = basis[0].out_dim
         self.default_sampler = GAUSSIAN
         self.tol = tol
 
@@ -353,7 +361,7 @@ def draw_kernel_axiom_samples(
 ) -> KernelAxiomSamples:
     """Random points, exact intertwiners (similarities and embeddings), and arguments."""
     rng = rng_from_seed(rng)
-    sampler = sampler or kernel.default_sampler
+    sampler = _resolve_sampler(kernel, sampler)
     sizes = _clamp_sizes(kernel, sampler, sizes)
     k = kernel.algebra.k
     samples = KernelAxiomSamples()
@@ -463,6 +471,11 @@ def _resolve_sampler(kernel: KernelBase, sampler: str | None) -> str:
     return sampler
 
 
+def _check_n_points(n_points: int) -> None:
+    if n_points < 1:
+        raise InputError(f"a certificate needs at least one sample point, got {n_points}")
+
+
 def _clamp_sizes(kernel: KernelBase, sampler: str, sizes: Sequence[int]) -> tuple[int, ...]:
     # the domain of a truncated moment kernel is nilpotents of covered order
     if sampler == NILPOTENT and isinstance(kernel, MomentKernel):
@@ -485,6 +498,7 @@ def cp_certificate(
     Assembles the Hermitian block matrix M_{ij} = K(Z_i, Z_j)(P_i* P_j) and
     eigenchecks it against the relative PSD floor.
     """
+    _check_n_points(n_points)
     rng = rng_from_seed(seed)
     sampler = _resolve_sampler(kernel, sampler)
     sizes = _clamp_sizes(kernel, sampler, sizes)
@@ -496,10 +510,7 @@ def cp_certificate(
         for i, zi in enumerate(points)
     ]
     m = np.block(blocks)
-    vals, vecs = np.linalg.eigh(hermitize(m))
-    min_eig = float(vals[0])
-    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 0.0)
-    passed = min_eig >= -tol.psd_floor * scale
+    verdict = psd_verdict([m], tol)
     description = {
         "sampler": sampler,
         "sizes": [z.n for z in points],
@@ -507,8 +518,9 @@ def cp_certificate(
         "gram_dim": m.shape[0],
         "reduced": False,
     }
-    witness = None if passed else vecs[:, 0]
-    return CpCertificate(passed, min_eig, description, seed, witness, tuple(points))
+    return CpCertificate(
+        verdict.passed, verdict.min_eig, description, seed, verdict.witness, tuple(points)
+    )
 
 
 def cp_certificate_similarity_reduced(
@@ -527,6 +539,7 @@ def cp_certificate_similarity_reduced(
     diagonal identity-argument test carries the same force as the full
     sampled test; the axioms are re-checked here unless disabled.
     """
+    _check_n_points(n_points)
     rng = rng_from_seed(seed)
     sampler = _resolve_sampler(kernel, sampler)
     sizes = _clamp_sizes(kernel, sampler, sizes)
@@ -539,25 +552,13 @@ def cp_certificate_similarity_reduced(
                 {"sampler": sampler, "sizes": list(sizes), "reduced": True, "axioms_failed": True},
                 seed,
             )
-    min_eig = np.inf
-    witness = None
-    worst_scale = 1.0
-    sampled = []
-    for i in range(n_points):
-        n = int(sizes[i % len(sizes)])
-        z = sample_tuple(rng, sampler, kernel.d, n)
-        sampled.append(z)
-        value = kernel.evaluate(z, z, kernel.algebra.unit(n), allow_truncation)
-        vals, vecs = np.linalg.eigh(hermitize(value))
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if float(vals[0]) / scale < min_eig / worst_scale:
-            min_eig = float(vals[0])
-            worst_scale = scale
-            witness = vecs[:, 0]
-    passed = min_eig >= -tol.psd_floor * worst_scale
+    sampled = [sample_tuple(rng, sampler, kernel.d, int(sizes[i % len(sizes)])) for i in range(n_points)]
+    verdict = psd_verdict(
+        (kernel.evaluate(z, z, kernel.algebra.unit(z.n), allow_truncation) for z in sampled), tol
+    )
     description = {"sampler": sampler, "sizes": [z.n for z in sampled], "reduced": True}
     return CpCertificate(
-        passed, float(min_eig), description, seed, None if passed else witness, tuple(sampled)
+        verdict.passed, verdict.min_eig, description, seed, verdict.witness, tuple(sampled)
     )
 
 
@@ -721,8 +722,7 @@ def cb_norm_report(
     norm_id = spec_norm(kernel.evaluate(z, z, kernel.algebra.unit(z.n), allow_truncation))
     best = 0.0
     for _ in range(n_samples):
-        r = complex_gaussian(rng, z.n * k, z.n * k)
-        p = r @ r.conj().T
+        p = random_psd(rng, z.n * k)
         top = spec_norm(p)
         if top > 0:
             p = p / top

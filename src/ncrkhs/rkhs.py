@@ -27,18 +27,13 @@ from .core import (
     Infeasible,
     InputError,
     MatrixTuple,
-    NotPsd,
-    NotSigmaClosed,
     Tolerances,
     as_cmatrix,
-    frobenius,
     frozen,
-    hermitize,
     kron,
     rel_err,
-    spec_norm,
 )
-from .kernels import AlgebraSpec, GramBasisKernel, KolmogorovKernel, amplify
+from .kernels import AlgebraSpec, GramBasisKernel, KolmogorovKernel, amplify, checked_gram
 from .series import AxiomReport, NcSeries, evaluate
 
 
@@ -63,20 +58,7 @@ class RkhsModel:
         gram: np.ndarray,
         tol: Tolerances = DEFAULT_TOL,
     ):
-        if not basis:
-            raise InputError("model needs at least one basis function")
-        d = basis[0].d
-        y = basis[0].out_dim
-        for f in basis:
-            if f.d != d or f.out_dim != y or f.in_dim != algebra.k:
-                raise DimMismatch("basis functions must share d, out_dim and have in_dim = k")
-        gram = as_cmatrix(gram, len(basis), len(basis))
-        if frobenius(gram - gram.conj().T) > tol.eq_rel * max(1.0, frobenius(gram)):
-            raise InputError("gram matrix must be Hermitian")
-        low = float(np.linalg.eigvalsh(hermitize(gram))[0])
-        if low <= tol.psd_floor * max(1.0, spec_norm(gram)):
-            raise NotPsd(low, tol.psd_floor * max(1.0, spec_norm(gram)))
-
+        gram = checked_gram(algebra, basis, gram, tol)
         stacked = _stacked_coefficients(basis)
         svals = np.linalg.svd(stacked, compute_uv=False)
         if svals[-1] <= tol.eq_rel * max(1.0, svals[0]):
@@ -85,13 +67,11 @@ class RkhsModel:
         self.algebra = algebra
         self.basis = list(basis)
         self.gram = frozen(gram)
-        self.d = d
-        self.y_dim = y
+        self.d = basis[0].d
+        self.y_dim = basis[0].out_dim
         self.tol = tol
         self.gram_full = frozen(kron(gram, np.eye(algebra.k)))
         self.gram_full_inv = frozen(np.linalg.inv(self.gram_full))
-        if algebra.k > 1:
-            self._check_sigma_closure()
 
     # -- structure ---------------------------------------------------------
 
@@ -107,42 +87,8 @@ class RkhsModel:
     def slice_index(self, i: int, c: int) -> int:
         return i * self.algebra.k + c
 
-    def basis_element(self, i: int, c: int = 0) -> np.ndarray:
-        e = np.zeros(self.dim, dtype=np.complex128)
-        e[self.slice_index(i, c)] = 1.0
-        return e
-
     def kernel(self) -> GramBasisKernel:
         return GramBasisKernel(self.algebra, self.basis, self.gram, self.tol)
-
-    def _check_sigma_closure(self):
-        # For matrix units e_{pq} the slice action lands back in the slice
-        # span by construction; verify by least squares on coefficients and
-        # reject if a residual survives (shape or data inconsistencies).
-        k = self.algebra.k
-        words = sorted({w for f in self.basis for w in f.support}, key=lambda w: (len(w), w))
-        if not words:
-            words = [()]
-        cols = []
-        for f in self.basis:
-            for c in range(k):
-                cols.append(np.concatenate([f.coefficient(w)[:, c] for w in words]))
-        span = np.array(cols).T
-        for p in range(k):
-            for q in range(k):
-                unit = np.zeros((k, k), dtype=np.complex128)
-                unit[p, q] = 1.0
-                for f in self.basis:
-                    for c in range(k):
-                        target = np.concatenate(
-                            [(f.coefficient(w) @ unit)[:, c] for w in words]
-                        )
-                        sol, *_ = np.linalg.lstsq(span, target, rcond=None)
-                        residual = np.linalg.norm(span @ sol - target)
-                        if residual > self.tol.eq_rel * max(1.0, np.linalg.norm(target)) * 100:
-                            raise NotSigmaClosed(
-                                f"action of unit ({p + 1},{q + 1}) leaves the basis span"
-                            )
 
     # -- elements ----------------------------------------------------------
 

@@ -24,19 +24,9 @@ def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
-def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = complex_gaussian(rng, n, n)
-    return (a + a.conj().T) / 2.0
-
-
 def random_psd(rng: np.random.Generator, n: int, rank: int | None = None) -> np.ndarray:
     r = complex_gaussian(rng, n, rank if rank is not None else n)
     return r @ r.conj().T
-
-
-def random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = complex_gaussian(rng, n, 1)[:, 0]
-    return v / np.linalg.norm(v)
 
 
 def nilpotent_tuple(rng: np.random.Generator, d: int, n: int) -> MatrixTuple:

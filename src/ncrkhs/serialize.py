@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import DEFAULT_TOL, InputError, MatrixTuple, Tolerances, as_cmatrix, validate_word
 from .cpmaps import CpMap
-from .formal import FormalKernel
 from .kernels import (
     FULL_MATRIX,
     SCALAR,
@@ -198,15 +197,22 @@ def _encode_moment_table(moments) -> list[dict]:
     ]
 
 
-def _decode_moment_table(data, d: int, where: str) -> dict:
+def _decode_moment_kernel(data, where: str, tol: Tolerances) -> MomentKernel:
+    try:
+        d = int(data["d"])
+        y_dim = int(data["y_dim"])
+        max_len = int(data["max_len"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{where}: malformed moment kernel") from exc
     moments = {}
-    for i, item in enumerate(data):
-        wa = decode_word(item.get("row_word"), d, f"{where}[{i}].row_word")
-        wb = decode_word(item.get("col_word"), d, f"{where}[{i}].col_word")
+    for i, item in enumerate(data.get("moments", [])):
+        at = f"{where}.moments[{i}]"
+        wa = decode_word(item.get("row_word"), d, f"{at}.row_word")
+        wb = decode_word(item.get("col_word"), d, f"{at}.col_word")
         if (wa, wb) in moments:
-            raise InputError(f"{where}[{i}]: duplicate moment pair")
-        moments[(wa, wb)] = decode_matrix(item.get("coeff"), f"{where}[{i}].coeff")
-    return moments
+            raise InputError(f"{at}: duplicate moment pair")
+        moments[(wa, wb)] = decode_matrix(item.get("coeff"), f"{at}.coeff")
+    return MomentKernel(d, y_dim, moments, max_len, tol)
 
 
 def encode_kernel(kernel: KernelBase) -> dict:
@@ -240,14 +246,7 @@ def decode_kernel(data, where: str = "kernel", tol: Tolerances = DEFAULT_TOL) ->
         raise InputError(f"{where}: expected an object with a 'form' field")
     form = data["form"]
     if form == "moment":
-        try:
-            d = int(data["d"])
-            y_dim = int(data["y_dim"])
-            max_len = int(data["max_len"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{where}: malformed moment kernel") from exc
-        moments = _decode_moment_table(data.get("moments", []), d, f"{where}.moments")
-        return MomentKernel(d, y_dim, moments, max_len, tol)
+        return _decode_moment_kernel(data, where, tol)
     if form == "kolmogorov":
         algebra = decode_algebra(data.get("algebra"), f"{where}.algebra")
         h = decode_series(data.get("h"), f"{where}.h")
@@ -261,29 +260,15 @@ def decode_kernel(data, where: str = "kernel", tol: Tolerances = DEFAULT_TOL) ->
     raise InputError(f"{where}: unknown kernel form {form!r}")
 
 
-def encode_formal_kernel(kernel: FormalKernel) -> dict:
-    return {
-        "formal": True,
-        "form": "moment",
-        "d": kernel.d,
-        "y_dim": kernel.y_dim,
-        "max_len": kernel.max_len,
-        "moments": _encode_moment_table(kernel.moments),
-    }
+def encode_formal_kernel(kernel: MomentKernel) -> dict:
+    """The moment form of :func:`encode_kernel`, marked ``"formal": true``."""
+    return {"formal": True, **encode_kernel(kernel)}
 
 
 def decode_formal_kernel(data, where: str = "formal kernel",
-                         tol: Tolerances = DEFAULT_TOL) -> FormalKernel:
-    if not isinstance(data, dict):
-        raise InputError(f"{where}: expected an object")
-    try:
-        d = int(data["d"])
-        y_dim = int(data["y_dim"])
-        max_len = int(data["max_len"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{where}: malformed formal kernel") from exc
-    moments = _decode_moment_table(data.get("moments", []), d, f"{where}.moments")
-    return FormalKernel(d, y_dim, moments, max_len, tol)
+                         tol: Tolerances = DEFAULT_TOL) -> MomentKernel:
+    """A moment table read as a formal kernel; the "form" and "formal" fields are optional."""
+    return _decode_moment_kernel(data, where, tol)
 
 
 # ---------------------------------------------------------------------------

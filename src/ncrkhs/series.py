@@ -264,14 +264,6 @@ def nilpotency_order(z: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> int:
     raise NotNilpotent(f"tuple of size {z.n} has nonvanishing products of length {z.n}")
 
 
-def is_jointly_nilpotent(z: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> bool:
-    try:
-        nilpotency_order(z, tol)
-        return True
-    except NotNilpotent:
-        return False
-
-
 def evaluate_on_nilpotent(f: NcSeries, z: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Exact evaluation on a jointly nilpotent tuple: only words of length < L survive."""
     order = nilpotency_order(z, tol)

@@ -22,15 +22,14 @@ from ncrkhs.cpmaps import (
     stinespring,
 )
 from ncrkhs.formal import (
-    FormalKernel,
-    formal_kernel_from_factor,
-    functional_from_series,
     is_formal_positive_truncated,
     nilpotent_positivity_check,
 )
 from ncrkhs.kernels import (
     AlgebraSpec,
     KolmogorovKernel,
+    MomentKernel as FormalKernel,
+    moment_kernel_from_factor as formal_kernel_from_factor,
     check_kernel_axioms,
     cp_certificate,
     draw_kernel_axiom_samples,
@@ -66,6 +65,7 @@ from ncrkhs.series import (
     check_respects_intertwinings,
     evaluate,
     extract_taylor_coefficients,
+    functional_evaluator as functional_from_series,
 )
 from ncrkhs.serialize import (
     dumps_canonical,
@@ -398,7 +398,7 @@ def _cli_fixture_files(tmp_path):
     v, _ = np.linalg.qr(complex_gaussian(rng, 4, 4))
     a = u * np.array([0.9, 0.4, 0.0, 0.0]) @ v.conj().T
     put("contraction.json", {"a": encode_matrix(a)})
-    from ncrkhs.formal import szego_formal_kernel
+    from ncrkhs.kernels import szego_kernel as szego_formal_kernel
 
     put("formal.json", encode_formal_kernel(szego_formal_kernel(1, 2)))
     phi = CpMap.from_kraus([complex_gaussian(rng, 2, 2) for _ in range(2)])

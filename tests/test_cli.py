@@ -5,8 +5,8 @@ import pytest
 
 from ncrkhs.cli import main
 from ncrkhs.cpmaps import CpMap
-from ncrkhs.formal import FormalKernel, szego_formal_kernel
 from ncrkhs.kernels import AlgebraSpec, KolmogorovKernel, MomentKernel, szego_kernel
+from ncrkhs.kernels import MomentKernel as FormalKernel, szego_kernel as szego_formal_kernel
 from ncrkhs.rkhs import RkhsModel
 from ncrkhs.sampling import complex_gaussian, rng_from_seed
 from ncrkhs.serialize import (
@@ -293,6 +293,28 @@ def _asymmetric_model() -> dict:
         "algebra": {"kind": "scalar", "k": 1, "r": 1}, "y_dim": 1,
         "basis": [encode_series(f) for f in basis], "gram": encode_matrix(gram),
     }
+
+
+@pytest.mark.parametrize("points", ["0", "-1"], ids=["zero", "negative"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["cp-certify", "--kernel", "{k}"],
+        ["cp-certify", "--reduced", "--kernel", "{k}"],
+        ["multiplier-check", "--source", "{k}", "--target", "{k}", "--s", "{s}"],
+        ["containment", "--kprime", "{k}", "--k", "{k}"],
+    ],
+    ids=["cp-certify", "cp-certify-reduced", "multiplier-check", "containment"],
+)
+def test_no_sample_points_is_input_error(tmp_path, capsys, command, points):
+    files = {
+        "k": write(tmp_path, "k.json", encode_kernel(szego_kernel(1, 3))),
+        "s": write(tmp_path, "s.json", encode_series(NcSeries.constant(1, [[0.5]]))),
+    }
+    argv = [arg.format(**files) for arg in command] + ["--points", points, "--seed", "1"]
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert out["status"] == "input_error"
 
 
 @pytest.mark.parametrize(

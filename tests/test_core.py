@@ -4,6 +4,7 @@ import pytest
 from ncrkhs.core import (
     DEFAULT_TOL,
     DimMismatch,
+    InputError,
     LetterOutOfRange,
     MatrixTuple,
     NonSquare,
@@ -13,6 +14,7 @@ from ncrkhs.core import (
     kron,
     min_eig_hermitian,
     psd_factor,
+    psd_verdict,
     word_eval,
     word_transpose,
     words_up_to,
@@ -105,6 +107,31 @@ def test_psd_factor_random_round_trips():
         f = psd_factor(m)
         err = np.linalg.norm(m - f @ f.conj().T)
         assert err <= DEFAULT_TOL.eq_rel * max(1.0, np.linalg.norm(m))
+
+
+def test_psd_verdict_worst_relative_to_scale():
+    rng = rng_from_seed(12)
+    u, _ = np.linalg.qr(complex_gaussian(rng, 2, 2))
+    big = np.diag([-3.0, 100.0])                   # most negative, but -0.03 of its scale
+    small = u @ np.diag([-0.5, 1.0]) @ u.conj().T  # -0.5 of its scale
+    verdict = psd_verdict([big, small, np.eye(2)])
+    assert not verdict.passed
+    assert verdict.min_eig == pytest.approx(-0.5)
+    w = verdict.witness
+    np.testing.assert_allclose(small @ w, -0.5 * w, atol=1e-12)
+    assert np.linalg.norm(w) == pytest.approx(1.0)
+
+
+def test_psd_verdict_pass_boundary_and_empty():
+    tol = Tolerances(psd_floor=0.25)
+    # the floor is -psd_floor * max(1, ||m||_2) = -0.25 * 2
+    at_floor = psd_verdict([np.diag([-0.5, 2.0])], tol)
+    assert at_floor.passed and at_floor.witness is None
+    assert at_floor.min_eig == -0.5
+    assert not psd_verdict([np.diag([-0.5000001, 2.0])], tol).passed
+    assert psd_verdict([np.eye(3), random_psd(rng_from_seed(13), 4)]).witness is None
+    with pytest.raises(InputError):
+        psd_verdict([])
 
 
 def test_word_transpose_and_range():

@@ -3,22 +3,21 @@ import pytest
 
 from ncrkhs.core import ShapeMismatch, TruncationTooShort
 from ncrkhs.formal import (
-    FormalKernel,
-    convolve,
     convolve_truncated,
-    formal_from_functional,
-    formal_kernel_from_factor,
     formal_kolmogorov_truncated,
-    functional_from_formal,
-    functional_from_series,
     is_formal_positive_truncated,
     moment_matrix,
     nilpotent_positivity_check,
-    szego_formal_kernel,
 )
-from ncrkhs.kernels import szego_kernel
+from ncrkhs.kernels import (
+    MomentKernel as FormalKernel,
+    moment_kernel_from_factor as formal_kernel_from_factor,
+    szego_kernel as szego_formal_kernel,
+)
 from ncrkhs.sampling import complex_gaussian, rng_from_seed
 from ncrkhs.series import NcSeries, extract_taylor_coefficients
+from ncrkhs.series import functional_evaluator as functional_from_series
+from ncrkhs.series import multiply as convolve
 from ncrkhs.core import zero_tuple
 
 
@@ -134,22 +133,6 @@ def test_formal_kolmogorov_round_trip_random():
         assert fact.reconstruction_error <= 1e-10
 
 
-def test_functional_from_formal_matches_szego():
-    formal = szego_formal_kernel(1, 3)
-    functional = functional_from_formal(formal)
-    reference = szego_kernel(1, 3)
-    z = MatrixTupleJordan()
-    np.testing.assert_allclose(
-        functional.evaluate(z, z, np.eye(2)), reference.evaluate(z, z, np.eye(2))
-    )
-
-
-def MatrixTupleJordan():
-    from ncrkhs.core import MatrixTuple
-
-    return MatrixTuple((np.array([[0.0, 1.0], [0.0, 0.0]]),))
-
-
 def test_formal_functional_round_trip_series():
     rng = rng_from_seed(6)
     f = random_series(rng, 2, 2, 2, max_len=4, n_terms=6)
@@ -165,12 +148,6 @@ def test_zero_series_zero_evaluator():
     ev = functional_from_series(NcSeries.zero(2, 2, 2))
     z = zero_tuple(2, 3)
     assert np.all(ev(z) == 0)
-
-
-def test_formal_from_functional_round_trip():
-    formal = szego_formal_kernel(2, 2)
-    back = formal_from_functional(functional_from_formal(formal))
-    assert back.moments.keys() == formal.moments.keys()
 
 
 def test_nilpotent_positivity_agreement():

@@ -175,6 +175,16 @@ def test_kernel_axioms_pass_for_all_forms():
         assert report.passed, report.max_violation
 
 
+def test_axiom_samples_resolve_auto_sampler():
+    kernel = szego_kernel(2, max_len=3)
+    auto = draw_kernel_axiom_samples(kernel, rng_from_seed(8), n_samples=2, sampler="auto")
+    default = draw_kernel_axiom_samples(kernel, rng_from_seed(8), n_samples=2)
+    for (z, _, _), (z0, _, _) in zip(auto.hermitian, default.hermitian):
+        for a, b in zip(z.coords, z0.coords):
+            np.testing.assert_array_equal(a, b)
+    assert check_kernel_axioms(kernel, auto).passed
+
+
 def test_matrix_algebra_kernels_axioms_and_cp():
     # A = C^{2x2} with multiplicity r = 2: Kolmogorov and Gram forms
     rng = rng_from_seed(30)

@@ -3,8 +3,8 @@ import pytest
 
 from ncrkhs.core import InputError, MatrixTuple
 from ncrkhs.cpmaps import CpMap
-from ncrkhs.formal import szego_formal_kernel
 from ncrkhs.kernels import AlgebraSpec, GramBasisKernel, KolmogorovKernel, szego_kernel
+from ncrkhs.kernels import szego_kernel as szego_formal_kernel
 from ncrkhs.rkhs import RkhsModel
 from ncrkhs.sampling import complex_gaussian, rng_from_seed
 from ncrkhs.serialize import (
@@ -82,11 +82,20 @@ def test_kernel_round_trips_all_forms():
     assert len(back.basis) == 2
 
 
-def test_formal_kernel_round_trip_marks_formal():
+def _without_form(payload):
+    return {key: value for key, value in payload.items() if key != "form"}
+
+
+@pytest.mark.parametrize(
+    "decode, strip",
+    [(decode_formal_kernel, dict), (decode_kernel, dict), (decode_formal_kernel, _without_form)],
+    ids=["formal-file", "formal-file-as-kernel", "no-form-field"],
+)
+def test_formal_kernel_round_trip_marks_formal(decode, strip):
     kernel = szego_formal_kernel(2, 2)
     payload = encode_formal_kernel(kernel)
     assert payload["formal"] is True
-    back = decode_formal_kernel(payload)
+    back = decode(strip(payload))
     assert back.moments.keys() == kernel.moments.keys()
 
 
