@@ -53,6 +53,7 @@ from .serialize import (
     decode_kernel,
     decode_matrix,
     decode_model,
+    decode_objects,
     decode_series,
     decode_tuple,
     dumps_canonical,
@@ -156,6 +157,7 @@ def _cmd_extract_coeffs(args, tol):
 
 def _cmd_check_ncfun(args, tol):
     f = decode_series(_load(args.series, "series"), "series")
+    kernels._check_positive(args.samples, "sample")
     rng = rng_from_seed(args.seed)
     pairs = []
     triples = []
@@ -247,7 +249,7 @@ def _cmd_lifted_norm(args, tol):
     if not isinstance(data, dict) or "samples" not in data:
         raise InputError("target: expected an object with a 'samples' array")
     targets = []
-    for i, item in enumerate(data["samples"]):
+    for i, item in enumerate(decode_objects(data["samples"], "target.samples")):
         z = decode_tuple(item.get("point"), f"target.samples[{i}].point")
         u = decode_matrix(item.get("u"), f"target.samples[{i}].u")
         value = decode_matrix(item.get("value"), f"target.samples[{i}].value").reshape(-1)

@@ -250,7 +250,8 @@ class CpMapRkhs:
 
     Elements are spanned by the functions psi_{(p,q),y}: u -> phi(u e_pq) y,
     indexed by the k^2 matrix units with Y-valued weights; the gramian blocks
-    are G[(pq),(rs)] = phi(e_rs* e_pq), PSD exactly when phi is cp.
+    are G[(pq),(rs)] = phi(e_pq* e_rs), so G = I_k (x) choi(phi), PSD exactly
+    when phi is cp.
     """
 
     def __init__(self, phi: CpMap, tol: Tolerances | None = None):
@@ -263,17 +264,7 @@ class CpMapRkhs:
         k, m = phi.k, phi.m
         self.n_units = k * k
         self.dim = k * k * m
-        gram = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for p in range(k):
-            for q in range(k):
-                for r_ in range(k):
-                    for s in range(k):
-                        # row block carries the starred unit: e_pq* e_rs = delta_pr e_qs
-                        block = phi.unit_values[(q, s)] if p == r_ else np.zeros((m, m))
-                        a = (p * k + q) * m
-                        b = (r_ * k + s) * m
-                        gram[a:a + m, b:b + m] = block
-        self.gram = frozen(gram)
+        self.gram = frozen(kron(np.eye(k), choi(phi)))
 
     def _coerce(self, coeffs) -> np.ndarray:
         c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
@@ -303,12 +294,7 @@ class CpMapRkhs:
         y = np.asarray(y, dtype=np.complex128).reshape(-1)
         if y.shape[0] != self.phi.m:
             raise DimMismatch("y must lie in Y")
-        k, m = self.phi.k, self.phi.m
-        out = np.zeros(self.dim, dtype=np.complex128)
-        for p in range(k):
-            for q in range(k):
-                out[(p * k + q) * m:(p * k + q + 1) * m] = v[p, q] * y
-        return out
+        return kron(v.reshape(-1), y)
 
     def reproducing_violation(self, coeffs, v, y) -> float:
         """|<f(v*), y> - <f, K_{v,y}>| relative to the left side."""

@@ -21,10 +21,8 @@ from .core import (
     MatrixTuple,
     Tolerances,
     TruncationTooShort,
-    frobenius,
     psd_factor,
     psd_verdict,
-    rel_err,
     words_up_to,
 )
 from .kernels import CpCertificate, MomentKernel
@@ -54,13 +52,13 @@ def moment_matrix(kernel: MomentKernel, max_len: int) -> np.ndarray:
         raise TruncationTooShort(
             f"moment matrix at L={max_len} exceeds stored truncation {kernel.max_len}"
         )
-    words = words_up_to(kernel.d, max_len)
+    index = {w: i for i, w in enumerate(words_up_to(kernel.d, max_len))}
     y = kernel.y_dim
-    out = np.zeros((len(words) * y, len(words) * y), dtype=np.complex128)
-    for i, wa in enumerate(words):
-        for j, wb in enumerate(words):
-            out[i * y:(i + 1) * y, j * y:(j + 1) * y] = kernel.moment(wa, wb)
-    return out
+    out = np.zeros((len(index), y, len(index), y), dtype=np.complex128)
+    for (wa, wb), c in kernel.moments.items():
+        if wa in index and wb in index:
+            out[index[wa], :, index[wb], :] = c
+    return out.reshape(len(index) * y, len(index) * y)
 
 
 def is_formal_positive_truncated(
@@ -98,12 +96,11 @@ def formal_kolmogorov_truncated(
         if np.linalg.norm(block) > 0.0:
             terms[w] = block
     h = NcSeries(kernel.d, y, max(rank, 1), terms if rank else {})
-    err = 0.0
-    for i, wa in enumerate(words):
-        for j, wb in enumerate(words):
-            got = h.coefficient(wa) @ h.coefficient(wb).conj().T if rank else np.zeros((y, y))
-            err = max(err, rel_err(frobenius(kernel.moment(wa, wb) - got),
-                                   frobenius(kernel.moment(wa, wb))))
+    # blockwise ||(M - F F*)_{ab}|| / max(1, ||M_{ab}||), maximized over word pairs
+    blocks = (len(words), y, len(words), y)
+    diff = np.linalg.norm((m - f @ f.conj().T).reshape(blocks), axis=(1, 3))
+    scale = np.maximum(1.0, np.linalg.norm(m.reshape(blocks), axis=(1, 3)))
+    err = float(np.max(diff / scale))
     return FormalFactorization(h, rank, err)
 
 

@@ -171,12 +171,6 @@ class MomentKernel(KernelBase):
             if frobenius(c - mirror.conj().T) > self.tol.eq_rel * scale:
                 raise InputError(f"moment table is not Hermitian at pair {(wa, wb)}")
 
-    def moment(self, wa, wb) -> np.ndarray:
-        c = self.moments.get((validate_word(wa, self.d), validate_word(wb, self.d)))
-        if c is None:
-            return np.zeros((self.y_dim, self.y_dim), dtype=np.complex128)
-        return c
-
     def evaluate(self, z, w, p, allow_truncation: bool = False):
         p = self._check_points(z, w, p)
         if not allow_truncation:
@@ -360,6 +354,7 @@ def draw_kernel_axiom_samples(
     tol: Tolerances = DEFAULT_TOL,
 ) -> KernelAxiomSamples:
     """Random points, exact intertwiners (similarities and embeddings), and arguments."""
+    _check_positive(n_samples, "sample")
     rng = rng_from_seed(rng)
     sampler = _resolve_sampler(kernel, sampler)
     sizes = _clamp_sizes(kernel, sampler, sizes)
@@ -471,9 +466,9 @@ def _resolve_sampler(kernel: KernelBase, sampler: str | None) -> str:
     return sampler
 
 
-def _check_n_points(n_points: int) -> None:
-    if n_points < 1:
-        raise InputError(f"a certificate needs at least one sample point, got {n_points}")
+def _check_positive(count: int, what: str) -> None:
+    if count < 1:
+        raise InputError(f"a certificate needs at least one {what}, got {count}")
 
 
 def _clamp_sizes(kernel: KernelBase, sampler: str, sizes: Sequence[int]) -> tuple[int, ...]:
@@ -498,7 +493,8 @@ def cp_certificate(
     Assembles the Hermitian block matrix M_{ij} = K(Z_i, Z_j)(P_i* P_j) and
     eigenchecks it against the relative PSD floor.
     """
-    _check_n_points(n_points)
+    _check_positive(n_points, "sample point")
+    _check_positive(n_rows, "row")
     rng = rng_from_seed(seed)
     sampler = _resolve_sampler(kernel, sampler)
     sizes = _clamp_sizes(kernel, sampler, sizes)
@@ -539,7 +535,7 @@ def cp_certificate_similarity_reduced(
     diagonal identity-argument test carries the same force as the full
     sampled test; the axioms are re-checked here unless disabled.
     """
-    _check_n_points(n_points)
+    _check_positive(n_points, "sample point")
     rng = rng_from_seed(seed)
     sampler = _resolve_sampler(kernel, sampler)
     sizes = _clamp_sizes(kernel, sampler, sizes)
@@ -592,30 +588,25 @@ def kolmogorov_at_sample(
 ) -> KolmogorovSample:
     """Factor the sampled kernel through a finite state space.
 
-    Builds the PSD matrix over index triples (point, row, unit) with Y-blocks
-    G[(i,r,t),(j,s,u)] = [K(Z_i, Z_j)(e_t e_u*)]_{r,s}, factors it as F F*,
-    and reshapes the row blocks into per-point factor values.
+    The PSD matrix over index triples (point, row, unit) has Y-blocks
+    G[(i,r,t),(j,s,u)] = [K(Z_i, Z_j)(e_t e_u*)]_{r,s}.  Block (i, j) is one
+    kernel value K(Z_i (x) I_{n_i}, Z_j (x) I_{n_j})(vec(I) vec(I)*): the
+    argument's (t, u) block over the ampliation is e_t e_u*, so the direct-sum
+    and similarity axioms give G in this row order.  G is factored as F F*,
+    and each point's rows reshape into its factor value.
     """
     if kernel.algebra.k != 1:
         raise InputError("kolmogorov_at_sample requires a scalar coefficient algebra")
-    y = kernel.y_dim
     points = tuple(points)
-    triples = [(i, r, t) for i, z in enumerate(points) for r in range(z.n) for t in range(z.n)]
-    unit_values: dict[tuple[int, int], np.ndarray] = {}
-    for i, zi in enumerate(points):
-        for j, zj in enumerate(points):
-            for t in range(zi.n):
-                for u in range(zj.n):
-                    e = np.zeros((zi.n, zj.n), dtype=np.complex128)
-                    e[t, u] = 1.0
-                    unit_values[(i, j, t, u)] = kernel.evaluate(zi, zj, e, allow_truncation)
-
-    dim = len(triples) * y
-    gram = np.zeros((dim, dim), dtype=np.complex128)
-    for a, (i, r, t) in enumerate(triples):
-        for b, (j, s, u) in enumerate(triples):
-            block = unit_values[(i, j, t, u)][r * y:(r + 1) * y, s * y:(s + 1) * y]
-            gram[a * y:(a + 1) * y, b * y:(b + 1) * y] = block
+    if not points:
+        raise InputError("kolmogorov_at_sample needs at least one sample point")
+    y = kernel.y_dim
+    amplified = [MatrixTuple(tuple(kron(c, np.eye(z.n)) for c in z.coords)) for z in points]
+    units = [np.eye(z.n, dtype=np.complex128).reshape(-1) for z in points]
+    gram = np.block([
+        [kernel.evaluate(ai, aj, np.outer(ui, uj), allow_truncation) for aj, uj in zip(amplified, units)]
+        for ai, ui in zip(amplified, units)
+    ])
 
     f = psd_factor(gram, tol)
     rank = f.shape[1]
@@ -625,13 +616,9 @@ def kolmogorov_at_sample(
     offset = 0
     for z in points:
         n = z.n
-        h = np.zeros((n * y, n * rank), dtype=np.complex128)
-        for r in range(n):
-            for t in range(n):
-                row = offset + (r * n + t)
-                h[r * y:(r + 1) * y, t * rank:(t + 1) * rank] = f[row * y:(row + 1) * y, :]
-        factors.append(h)
-        offset += n * n
+        rows = f[offset:offset + n * n * y].reshape(n, n, y, rank)  # (r, t, y, rank)
+        factors.append(rows.transpose(0, 2, 1, 3).reshape(n * y, n * rank))
+        offset += n * n * y
     return KolmogorovSample(points, tuple(factors), rank, gram_error)
 
 

@@ -16,8 +16,6 @@ adjoint relation ``sigma(a)* = sigma(a*)`` holds exactly for the gramian
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (

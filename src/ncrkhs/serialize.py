@@ -104,6 +104,16 @@ def decode_matrix(data, where: str = "matrix") -> np.ndarray:
     return as_cmatrix(np.array(values, dtype=np.complex128).reshape(rows, cols))
 
 
+def decode_objects(data, where: str) -> list[dict]:
+    """A JSON array whose entries are all objects."""
+    if not isinstance(data, list):
+        raise InputError(f"{where}: expected an array")
+    for i, item in enumerate(data):
+        if not isinstance(item, dict):
+            raise InputError(f"{where}[{i}]: expected an object")
+    return data
+
+
 def encode_word(w) -> list[int]:
     return [int(l) for l in w]
 
@@ -128,7 +138,8 @@ def encode_tuple(z: MatrixTuple) -> dict:
 def decode_tuple(data, where: str = "point") -> MatrixTuple:
     if not isinstance(data, dict) or "coords" not in data:
         raise InputError(f"{where}: expected an object with d/n/coords")
-    coords = [decode_matrix(c, f"{where}.coords[{i}]") for i, c in enumerate(data["coords"])]
+    coords = [decode_matrix(c, f"{where}.coords[{i}]")
+              for i, c in enumerate(decode_objects(data["coords"], f"{where}.coords"))]
     z = MatrixTuple(tuple(coords))
     if "d" in data and int(data["d"]) != z.d:
         raise InputError(f"{where}: declared d={data['d']} but {z.d} coordinates given")
@@ -163,7 +174,7 @@ def decode_series(data, where: str = "series") -> NcSeries:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{where}: malformed series object") from exc
     terms = {}
-    for i, item in enumerate(raw_terms):
+    for i, item in enumerate(decode_objects(raw_terms, f"{where}.terms")):
         word = decode_word(item.get("word"), d, f"{where}.terms[{i}].word")
         if word in terms:
             raise InputError(f"{where}.terms[{i}]: duplicate word {list(word)}")
@@ -205,7 +216,7 @@ def _decode_moment_kernel(data, where: str, tol: Tolerances) -> MomentKernel:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{where}: malformed moment kernel") from exc
     moments = {}
-    for i, item in enumerate(data.get("moments", [])):
+    for i, item in enumerate(decode_objects(data.get("moments", []), f"{where}.moments")):
         at = f"{where}.moments[{i}]"
         wa = decode_word(item.get("row_word"), d, f"{at}.row_word")
         wb = decode_word(item.get("col_word"), d, f"{at}.col_word")
@@ -254,7 +265,8 @@ def decode_kernel(data, where: str = "kernel", tol: Tolerances = DEFAULT_TOL) ->
         return KolmogorovKernel(algebra, h, s)
     if form == "gram_basis":
         algebra = decode_algebra(data.get("algebra"), f"{where}.algebra")
-        basis = [decode_series(b, f"{where}.basis[{i}]") for i, b in enumerate(data.get("basis", []))]
+        basis = [decode_series(b, f"{where}.basis[{i}]")
+                 for i, b in enumerate(decode_objects(data.get("basis", []), f"{where}.basis"))]
         gram = decode_matrix(data.get("gram"), f"{where}.gram")
         return GramBasisKernel(algebra, basis, gram, tol)
     raise InputError(f"{where}: unknown kernel form {form!r}")
@@ -288,7 +300,8 @@ def decode_model(data, where: str = "model", tol: Tolerances = DEFAULT_TOL) -> R
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected an object with algebra/basis/gram")
     algebra = decode_algebra(data.get("algebra"), f"{where}.algebra")
-    basis = [decode_series(b, f"{where}.basis[{i}]") for i, b in enumerate(data.get("basis", []))]
+    basis = [decode_series(b, f"{where}.basis[{i}]")
+             for i, b in enumerate(decode_objects(data.get("basis", []), f"{where}.basis"))]
     if not basis:
         raise InputError(f"{where}: model needs a nonempty basis")
     gram = decode_matrix(data.get("gram"), f"{where}.gram")
@@ -314,7 +327,7 @@ def decode_cp_map(data, where: str = "map", tol: Tolerances = DEFAULT_TOL) -> Cp
         rows = data["units"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{where}: malformed cp-map object") from exc
-    if not isinstance(rows, list) or len(rows) != k or any(len(r) != k for r in rows):
+    if not isinstance(rows, list) or len(rows) != k or any(not isinstance(r, list) or len(r) != k for r in rows):
         raise InputError(f"{where}: units must be a {k} x {k} grid of matrices")
     units = {
         (p, q): decode_matrix(rows[p][q], f"{where}.units[{p}][{q}]")

@@ -12,6 +12,11 @@ product and at most ``degree + 1`` products are held at a time.  The point
 keeps each finished value (:meth:`MatrixTuple.cached`), so a series is
 evaluated once per point however often a kernel or certificate asks for it;
 returned values are read-only.
+
+The joint nilpotency order (:func:`nilpotency_order`) follows the descending
+flag ``V_{L+1} = sum_j Z_j V_L`` through one ``n x (d n)`` factor per length,
+so it costs O(d n^4) however many words there are; a jointly nilpotent tuple
+is one that is simultaneously strictly upper-triangularizable.
 """
 
 from __future__ import annotations
@@ -249,18 +254,22 @@ def check_respects_intertwinings(
 def nilpotency_order(z: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> int:
     """Smallest L with all length-L coordinate products numerically zero.
 
+    Works on the point scaled by ``max(1, max ||Z_j||_2)`` through one factor
+    ``b`` with ``b b* = sum_{|w|=L} Z^w Z^w*`` there: a step is ``b -> [Z_1 b, ...,
+    Z_d b]``, and a thin SVD recompresses ``b`` to n columns without changing
+    ``b b*``.  L is the order once ``||b||_F <= eq_rel``, at O(d n^3) per step.
     Bounded above by the matrix size; raises :class:`NotNilpotent` otherwise.
     """
     scale = max(1.0, max(spec_norm(c) for c in z.coords))
-    products = [np.eye(z.n, dtype=np.complex128)]
-    for length in range(1, z.n + 1):
-        floor = tol.eq_rel * scale ** length
-        products = [c @ p for c in z.coords for p in products]
-        if all(frobenius(p) <= floor for p in products):
+    coords = [c / scale for c in z.coords]
+    b = np.eye(z.n, dtype=np.complex128)
+    # a 0 x 0 point has order 1, like the zero tuple
+    for length in range(1, max(z.n, 1) + 1):
+        b = np.hstack([c @ b for c in coords])
+        if frobenius(b) <= tol.eq_rel:
             return length
-        products = [p for p in products if frobenius(p) > floor]
-    if all(frobenius(c) <= tol.eq_rel * scale for c in z.coords):
-        return 1
+        u, s, _ = np.linalg.svd(b, full_matrices=False)
+        b = u * s
     raise NotNilpotent(f"tuple of size {z.n} has nonvanishing products of length {z.n}")
 
 

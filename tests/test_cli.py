@@ -295,24 +295,71 @@ def _asymmetric_model() -> dict:
     }
 
 
-@pytest.mark.parametrize("points", ["0", "-1"], ids=["zero", "negative"])
+_POINT_COMMANDS = {
+    "cp-certify": ["cp-certify", "--kernel", "{k}"],
+    "cp-certify-reduced": ["cp-certify", "--reduced", "--kernel", "{k}"],
+    "multiplier-check": ["multiplier-check", "--source", "{k}", "--target", "{k}", "--s", "{s}"],
+    "containment": ["containment", "--kprime", "{k}", "--k", "{k}"],
+}
+
+
 @pytest.mark.parametrize(
     "command",
     [
-        ["cp-certify", "--kernel", "{k}"],
-        ["cp-certify", "--reduced", "--kernel", "{k}"],
-        ["multiplier-check", "--source", "{k}", "--target", "{k}", "--s", "{s}"],
-        ["containment", "--kprime", "{k}", "--k", "{k}"],
+        pytest.param(command + ["--points", points], id=f"{name}-{label}")
+        for name, command in _POINT_COMMANDS.items()
+        for label, points in (("zero", "0"), ("negative", "-1"))
+    ]
+    + [
+        pytest.param(["cp-certify", "--kernel", "{k}", "--rows", "0"], id="cp-certify-rows-zero"),
+        pytest.param(["cp-certify", "--kernel", "{k}", "--rows", "-1"], id="cp-certify-rows-negative"),
+        pytest.param(["check-kernel", "--kernel", "{k}", "--samples", "0"], id="check-kernel-samples-zero"),
+        pytest.param(["check-ncfun", "--series", "{s}", "--samples", "0"], id="check-ncfun-samples-zero"),
+        pytest.param(["kolmogorov", "--kernel", "{k}", "--points", "0"], id="kolmogorov-zero"),
     ],
-    ids=["cp-certify", "cp-certify-reduced", "multiplier-check", "containment"],
 )
-def test_no_sample_points_is_input_error(tmp_path, capsys, command, points):
+def test_no_sample_points_is_input_error(tmp_path, capsys, command):
     files = {
         "k": write(tmp_path, "k.json", encode_kernel(szego_kernel(1, 3))),
         "s": write(tmp_path, "s.json", encode_series(NcSeries.constant(1, [[0.5]]))),
     }
-    argv = [arg.format(**files) for arg in command] + ["--points", points, "--seed", "1"]
+    argv = [arg.format(**files) for arg in command] + ["--seed", "1"]
     code, out = run(capsys, argv)
+    assert code == 2
+    assert out["status"] == "input_error"
+
+
+_SERIES = {"d": 1, "p": 1, "q": 1, "terms": []}
+_POINT = {"d": 1, "n": 1, "coords": [{"rows": 1, "cols": 1, "data": [[0.0, 0.0]]}]}
+_MOMENTS = {"form": "moment", "d": 1, "y_dim": 1, "max_len": 1, "moments": []}
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        (["eval", "--series", "{a}", "--point", "{b}"], [{**_SERIES, "terms": [1]}, _POINT]),
+        (["eval", "--series", "{a}", "--point", "{b}"], [{**_SERIES, "terms": 3}, _POINT]),
+        (["eval", "--series", "{a}", "--point", "{b}"], [_SERIES, {**_POINT, "coords": 2}]),
+        (["cp-certify", "--seed", "1", "--kernel", "{a}"], [{**_MOMENTS, "moments": [1]}]),
+        (["cp-certify", "--seed", "1", "--kernel", "{a}"], [{**_MOMENTS, "moments": 5}]),
+        (["formal-factor", "--L", "1", "--kernel", "{a}"], [{**_MOMENTS, "moments": [1]}]),
+        (["kernel-from-basis", "--model", "{a}"], [{"basis": 5, "gram": _POINT["coords"][0]}]),
+        (["stinespring", "--map", "{a}"], [{"k": 2, "m": 1, "units": [1, 2]}]),
+        (["lifted-norm", "--kernel", "{a}", "--target", "{b}"], ["kolmogorov", {"samples": [1]}]),
+        (["lifted-norm", "--kernel", "{a}", "--target", "{b}"], ["kolmogorov", {"samples": 5}]),
+    ],
+    ids=[
+        "terms-entry", "terms-array", "coords-array", "moments-entry", "moments-array",
+        "formal-moments-entry", "basis-array", "units-row", "samples-entry", "samples-array",
+    ],
+)
+def test_wrong_json_entry_type_is_input_error(tmp_path, capsys, command, files):
+    kolmogorov = encode_kernel(KolmogorovKernel(AlgebraSpec(), NcSeries.constant(1, [[1.0]])))
+    paths = {
+        name: write(tmp_path, f"{name}.json", kolmogorov if payload == "kolmogorov" else payload)
+        for name, payload in zip("ab", files)
+    }
+    code, out = run(capsys, [arg.format(**paths) for arg in command])
     assert code == 2
     assert out["status"] == "input_error"
 

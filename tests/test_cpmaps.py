@@ -239,3 +239,24 @@ def test_star_preservation_report():
     units[(0, 1)] = np.eye(2)
     bad = CpMap(2, 2, units)
     assert not bad.is_star_preserving()[0]
+
+
+@pytest.mark.parametrize("k, m", [(1, 1), (1, 3), (2, 2), (3, 2)])
+def test_rkhs_gram_and_kernel_element_match_unit_definitions(k, m):
+    rng = rng_from_seed(40 + 3 * k + m)
+    phi = random_kraus_map(rng, k, m, 2)
+    model = rkhs_of_cp_map(phi)
+    v = complex_gaussian(rng, k, k)
+    y = complex_gaussian(rng, m, 1)[:, 0]
+    gram = np.zeros((k * k * m, k * k * m), dtype=complex)
+    element = np.zeros(k * k * m, dtype=complex)
+    for p in range(k):
+        for q in range(k):
+            a = (p * k + q) * m
+            element[a:a + m] = v[p, q] * y
+            for s in range(k):
+                # e_pq* e_ps = e_qs, and e_pq* e_rs = 0 for r != p
+                b = (p * k + s) * m
+                gram[a:a + m, b:b + m] = phi.unit_values[(q, s)]
+    np.testing.assert_array_equal(np.asarray(model.gram), gram)
+    np.testing.assert_array_equal(model.kernel_element(v, y), element)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncrkhs.core import ShapeMismatch, TruncationTooShort
+from ncrkhs.core import ShapeMismatch, TruncationTooShort, words_up_to
 from ncrkhs.formal import (
     convolve_truncated,
     formal_kolmogorov_truncated,
@@ -131,6 +131,31 @@ def test_formal_kolmogorov_round_trip_random():
         kernel = formal_kernel_from_factor(h, 2)
         fact = formal_kolmogorov_truncated(kernel, 2)
         assert fact.reconstruction_error <= 1e-10
+
+
+def test_formal_kolmogorov_error_is_blockwise_with_clipped_eigenvalue():
+    # H H* minus a negative eigenvalue within the PSD floor: the factor clips it,
+    # so the reconstruction error is small but not zero
+    rng = rng_from_seed(8)
+    words = words_up_to(2, 2)
+    y = 2
+    h = complex_gaussian(rng, len(words) * y, 2)
+    u = complex_gaussian(rng, len(words) * y, 1)
+    m = h @ h.conj().T - 1e-10 * (u @ u.conj().T)
+    moments = {
+        (wa, wb): m[i * y:(i + 1) * y, j * y:(j + 1) * y]
+        for i, wa in enumerate(words) for j, wb in enumerate(words)
+    }
+    kernel = FormalKernel(2, y, moments, 2)
+    fact = formal_kolmogorov_truncated(kernel, 2)
+    assert fact.rank == 2
+    want = max(
+        np.linalg.norm(c - fact.h.coefficient(wa) @ fact.h.coefficient(wb).conj().T) / max(1.0, np.linalg.norm(c))
+        for (wa, wb), c in moments.items()
+    )
+    assert 1e-12 < want < 1e-8
+    # both sides round O(1) entries of M - H H*
+    assert abs(fact.reconstruction_error - want) <= 1e-13
 
 
 def test_formal_functional_round_trip_series():

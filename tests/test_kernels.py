@@ -7,6 +7,7 @@ from ncrkhs.core import (
     NotPsd,
     MissingPair,
     TruncationRefused,
+    psd_factor,
     zero_tuple,
 )
 from ncrkhs import kernels
@@ -410,3 +411,67 @@ def test_cp_kernel_norm_bound_on_psd_arguments():
         p = r @ r.conj().T
         lhs = np.linalg.norm(kernel.evaluate(z, z, p), 2)
         assert lhs <= norm_id * np.linalg.norm(p, 2) + 1e-10
+
+
+def unit_evaluation_sample(kernel, points):
+    """Rank, factors and Gram error of a sample from (sum n_i^2)^2 unit-argument evaluations."""
+    y = kernel.y_dim
+    triples = [(i, r, t) for i, z in enumerate(points) for r in range(z.n) for t in range(z.n)]
+    gram = np.zeros((len(triples) * y, len(triples) * y), dtype=complex)
+    for a, (i, r, t) in enumerate(triples):
+        for b, (j, s, u) in enumerate(triples):
+            e = np.zeros((points[i].n, points[j].n), dtype=complex)
+            e[t, u] = 1.0
+            value = kernel.evaluate(points[i], points[j], e)
+            gram[a * y:(a + 1) * y, b * y:(b + 1) * y] = value[r * y:(r + 1) * y, s * y:(s + 1) * y]
+    f = psd_factor(gram)
+    factors, offset = [], 0
+    for z in points:
+        h = np.zeros((z.n * y, z.n * f.shape[1]), dtype=complex)
+        for r in range(z.n):
+            for t in range(z.n):
+                row = offset + r * z.n + t
+                h[r * y:(r + 1) * y, t * f.shape[1]:(t + 1) * f.shape[1]] = f[row * y:(row + 1) * y]
+        factors.append(h)
+        offset += z.n * z.n
+    return f.shape[1], factors, np.linalg.norm(gram - f @ f.conj().T) / max(1.0, np.linalg.norm(gram))
+
+
+def test_kolmogorov_at_sample_matches_unit_evaluations():
+    rng = rng_from_seed(31)
+    h = random_scalar_factor(rng, 2, 2, 3)
+    basis = [random_scalar_factor(rng, 2, 2, 1) for _ in range(3)]
+    forms = [
+        moment_kernel_from_factor(h, max_len=3),
+        KolmogorovKernel(AlgebraSpec(), h, s=3),
+        GramBasisKernel(AlgebraSpec(), basis, np.eye(3) + 0.2 * np.ones((3, 3))),
+    ]
+    for kernel in forms:
+        points = [nilpotent_tuple(rng, 2, n) for n in (1, 3, 2)]
+        sample = kolmogorov_at_sample(kernel, points)
+        rank, factors, gram_error = unit_evaluation_sample(kernel, points)
+        assert kernel.y_dim == 2
+        assert sample.rank == rank
+        assert sample.gram_error <= 1e-12 and gram_error <= 1e-12
+        for i, zi in enumerate(points):
+            for j, zj in enumerate(points):
+                p = complex_gaussian(rng, zi.n, zj.n)
+                want = factors[i] @ np.kron(p, np.eye(rank)) @ factors[j].conj().T
+                got = sample.reconstruct(i, j, p)
+                assert np.linalg.norm(want - got) <= 1e-10 * max(1.0, np.linalg.norm(want))
+
+
+def test_kolmogorov_at_sample_evaluates_once_per_point_pair():
+    kernel = KolmogorovKernel(AlgebraSpec(), random_scalar_factor(rng_from_seed(32), 2, 2, 2), s=2)
+    calls = []
+    evaluate = kernel.evaluate
+    kernel.evaluate = lambda *args: calls.append(args) or evaluate(*args)
+    rng = rng_from_seed(33)
+    points = [nilpotent_tuple(rng, 2, n) for n in (2, 3, 1, 2)]
+    kolmogorov_at_sample(kernel, points)
+    assert len(calls) == len(points) ** 2
+
+
+def test_kolmogorov_at_sample_needs_a_point():
+    with pytest.raises(InputError):
+        kolmogorov_at_sample(szego_kernel(1, max_len=2), [])
