@@ -21,6 +21,7 @@ import numpy as np
 
 from . import cpmaps, formal, kernels, multipliers, rkhs, series
 from .core import (
+    DEFAULT_TOL,
     DimMismatch,
     Infeasible,
     InputError,
@@ -200,6 +201,7 @@ def _cmd_check_kernel(args, tol):
 
 def _cmd_cp_certify(args, tol):
     kernel = decode_kernel(_load(args.kernel, "kernel"), "kernel", tol)
+    kernels._check_positive(args.rows, "row")
     if args.reduced:
         cert = kernels.cp_certificate_similarity_reduced(
             kernel, n_points=args.points, sizes=_sizes(args), seed=args.seed, tol=tol,
@@ -364,7 +366,7 @@ def _cmd_cb_norm(args, tol):
     rng = rng_from_seed(args.seed)
     ratio = 0.0
     for _ in range(args.samples):
-        p = random_psd(rng, int(rng.integers(1, 5)) * phi.k)
+        p = random_psd(rng, int(rng.integers(1, cpmaps.MAX_AMP + 1)) * phi.k)
         top = np.linalg.norm(p, 2)
         if top > 0:
             ratio = max(ratio, float(np.linalg.norm(phi.apply_amplified(p / top), 2)))
@@ -383,8 +385,8 @@ def _cmd_effros_ruan(args, tol):
 # ---------------------------------------------------------------------------
 
 def _add_common(sub, seed_required: bool):
-    sub.add_argument("--tol-eq", type=float, default=1e-10, help="relative equality threshold")
-    sub.add_argument("--tol-psd", type=float, default=1e-9, help="relative PSD floor")
+    sub.add_argument("--tol-eq", type=float, default=DEFAULT_TOL.eq_rel, help="relative equality threshold")
+    sub.add_argument("--tol-psd", type=float, default=DEFAULT_TOL.psd_floor, help="relative PSD floor")
     sub.add_argument("--out", default=None, help="write the JSON payload to this file")
     if seed_required:
         sub.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
@@ -440,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("cp-certify", help="sampled complete-positivity certificate")
     sub.add_argument("--kernel", required=True)
-    sub.add_argument("--reduced", action="store_true", help="similarity-reduced diagonal test")
+    sub.add_argument("--reduced", action="store_true", help="similarity-reduced diagonal test (ignores --rows)")
     _add_sampling(sub)
     _add_common(sub, seed_required=True)
     sub.set_defaults(handler=_cmd_cp_certify)

@@ -1,16 +1,19 @@
 """Completely positive maps between matrix algebras: Choi matrices, Stinespring
 dilations, cb norms and the singleton reproducing kernel model.
 
-A linear map phi: C^{k x k} -> C^{m x m} is stored by its values on matrix
-units.  Complete positivity is decided through the Choi matrix, which at
-finite dimension is equivalent to positivity of all amplifications; the
-dilation is built from an eigenfactorization of the Choi matrix and realizes
+A linear map phi: C^{k x k} -> C^{m x m} is stored as its Choi blocks, a
+read-only ``(k, m, k, m)`` array with ``[p, :, q, :] = phi(e_pq)`` that
+reshapes to the Choi matrix; applying phi is one contraction with it.
+Complete positivity is decided through the Choi matrix, which at finite
+dimension is equivalent to positivity of all amplifications; the dilation is
+built from an eigenfactorization of the Choi matrix and realizes
 sigma(a) = a (x) I_r with multiplicity r equal to the Choi rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -21,7 +24,6 @@ from .core import (
     NotCp,
     Tolerances,
     as_cmatrix,
-    frobenius,
     frozen,
     hermitize,
     kron,
@@ -33,7 +35,10 @@ from .sampling import complex_gaussian, random_psd, rng_from_seed
 
 
 class CpMap:
-    """Linear map C^{k x k} -> C^{m x m} given by its values on matrix units."""
+    """Linear map C^{k x k} -> C^{m x m}, read from a k x k grid of its unit values.
+
+    ``unit_values`` is a read-only ``{(p, q): phi(e_pq)}`` view of ``choi_blocks``.
+    """
 
     def __init__(self, k: int, m: int, unit_values, tol: Tolerances = DEFAULT_TOL):
         if k < 1 or m < 1:
@@ -41,46 +46,37 @@ class CpMap:
         self.k = int(k)
         self.m = int(m)
         self.tol = tol
-        values = {}
+        blocks = np.empty((k, m, k, m), dtype=np.complex128)
         for p in range(k):
             for q in range(k):
                 try:
                     block = unit_values[p][q] if not isinstance(unit_values, dict) else unit_values[(p, q)]
                 except (KeyError, IndexError) as exc:
                     raise InputError(f"missing unit value for ({p + 1},{q + 1})") from exc
-                values[(p, q)] = frozen(as_cmatrix(block, m, m))
-        self.unit_values = values
+                blocks[p, :, q, :] = as_cmatrix(block, m, m)
+        blocks.setflags(write=False)
+        self.choi_blocks = blocks
+        self.unit_values = MappingProxyType({(p, q): blocks[p, :, q, :] for p in range(k) for q in range(k)})
 
     @staticmethod
     def from_kraus(ops, k: int | None = None, m: int | None = None,
                    tol: Tolerances = DEFAULT_TOL) -> "CpMap":
         """phi(a) = sum_j A_j a A_j*; completely positive by construction."""
         mats = [as_cmatrix(op) for op in ops]
-        if not mats:
-            if k is None or m is None:
-                raise InputError("empty Kraus family needs explicit sizes")
-        else:
-            m_, k_ = mats[0].shape
-            k = k_ if k is None else k
-            m = m_ if m is None else m
-            for op in mats:
-                if op.shape != (m, k):
-                    raise DimMismatch("all Kraus operators must be m x k")
-        units = {}
-        for p in range(k):
-            for q in range(k):
-                e = np.zeros((k, k), dtype=np.complex128)
-                e[p, q] = 1.0
-                units[(p, q)] = sum((op @ e @ op.conj().T for op in mats),
-                                    np.zeros((m, m), dtype=np.complex128))
-        return CpMap(k, m, units, tol)
+        if not mats and (k is None or m is None):
+            raise InputError("empty Kraus family needs explicit sizes")
+        m = mats[0].shape[0] if m is None else m
+        k = mats[0].shape[1] if k is None else k
+        if any(op.shape != (m, k) for op in mats):
+            raise DimMismatch("all Kraus operators must be m x k")
+        # the Choi matrix is K K* with K[(p, a), j] = (A_j)_{a p}
+        factor = np.array(mats, dtype=np.complex128).reshape(-1, m, k).transpose(2, 1, 0).reshape(k * m, -1)
+        c = factor @ factor.conj().T
+        return CpMap(k, m, c.reshape(k, m, k, m).transpose(0, 2, 1, 3), tol)
 
     def apply(self, a) -> np.ndarray:
         a = as_cmatrix(a, self.k, self.k)
-        out = np.zeros((self.m, self.m), dtype=np.complex128)
-        for (p, q), block in self.unit_values.items():
-            out += a[p, q] * block
-        return out
+        return np.einsum("pq,paqb->ab", a, self.choi_blocks)
 
     def apply_amplified(self, p_mat) -> np.ndarray:
         """(id_N (x) phi)(P) for an encoded P in A^{N x N'}, blockwise."""
@@ -89,12 +85,8 @@ class CpMap:
             raise DimMismatch("amplified argument must consist of k x k blocks")
         rows = p_mat.shape[0] // self.k
         cols = p_mat.shape[1] // self.k
-        out = np.zeros((rows * self.m, cols * self.m), dtype=np.complex128)
-        for i in range(rows):
-            for j in range(cols):
-                block = p_mat[i * self.k:(i + 1) * self.k, j * self.k:(j + 1) * self.k]
-                out[i * self.m:(i + 1) * self.m, j * self.m:(j + 1) * self.m] = self.apply(block)
-        return out
+        out = np.einsum("ipjq,paqb->iajb", p_mat.reshape(rows, self.k, cols, self.k), self.choi_blocks)
+        return out.reshape(rows * self.m, cols * self.m)
 
     def unit_value(self) -> np.ndarray:
         """phi(1)."""
@@ -102,23 +94,20 @@ class CpMap:
 
     def is_star_preserving(self) -> tuple[bool, float]:
         """Whether phi(e_pq)* = phi(e_qp), with the worst deviation."""
-        worst = 0.0
-        for (p, q), block in self.unit_values.items():
-            worst = max(worst, frobenius(block.conj().T - self.unit_values[(q, p)]))
-        scale = max(1.0, max(frobenius(b) for b in self.unit_values.values()))
+        # block (q, p) of C* - C is phi(e_pq)* - phi(e_qp)
+        c = choi(self)
+        blocks = (self.k, self.m, self.k, self.m)
+        worst = float(np.max(np.linalg.norm((c.conj().T - c).reshape(blocks), axis=(1, 3))))
+        scale = max(1.0, float(np.max(np.linalg.norm(self.choi_blocks, axis=(1, 3)))))
         return worst <= self.tol.eq_rel * scale, worst
 
     def scaled(self, t: complex) -> "CpMap":
-        return CpMap(self.k, self.m, {key: t * val for key, val in self.unit_values.items()}, self.tol)
+        return CpMap(self.k, self.m, t * self.choi_blocks.transpose(0, 2, 1, 3), self.tol)
 
 
 def choi(phi: CpMap) -> np.ndarray:
     """Block matrix with (p, q) block phi(e_pq): sum e_pq (x) phi(e_pq)."""
-    k, m = phi.k, phi.m
-    out = np.zeros((k * m, k * m), dtype=np.complex128)
-    for (p, q), block in phi.unit_values.items():
-        out[p * m:(p + 1) * m, q * m:(q + 1) * m] = block
-    return out
+    return phi.choi_blocks.reshape(phi.k * phi.m, phi.k * phi.m)
 
 
 def is_cp(phi: CpMap, tol: Tolerances | None = None) -> tuple[bool, float]:
@@ -137,11 +126,9 @@ class StinespringDilation:
     reconstruction_error: float
 
     def sigma(self, a) -> np.ndarray:
-        return kron(a, np.eye(self.r)) if self.r else np.zeros((0, 0), dtype=np.complex128)
+        return kron(a, np.eye(self.r))
 
     def reconstruct(self, a) -> np.ndarray:
-        if self.r == 0:
-            return np.zeros((self.h.shape[0], self.h.shape[0]), dtype=np.complex128)
         return self.h @ self.sigma(a) @ self.h.conj().T
 
 
@@ -157,25 +144,19 @@ def stinespring(phi: CpMap, tol: Tolerances | None = None) -> StinespringDilatio
 
     tol = tol or phi.tol
     k, m = phi.k, phi.m
+    c = choi(phi)
     try:
-        factor = psd_factor(choi(phi), tol)
+        factor = psd_factor(c, tol)
     except NotPsd as err:
         raise NotCp(err.min_eig) from err
     r = factor.shape[1]
-    kraus = [factor[:, j].reshape(k, m).T for j in range(r)]
-    h = np.zeros((m, k * r), dtype=np.complex128)
-    for ell, a_op in enumerate(kraus):
-        for p in range(k):
-            h[:, p * r + ell] = a_op[:, p]
-    worst = 0.0
-    dilation = StinespringDilation(h, r, k * r, 0.0)
-    for p in range(k):
-        for q in range(k):
-            e = np.zeros((k, k), dtype=np.complex128)
-            e[p, q] = 1.0
-            diff = frobenius(phi.unit_values[(p, q)] - dilation.reconstruct(e))
-            worst = max(worst, rel_err(diff, frobenius(phi.unit_values[(p, q)])))
-    return StinespringDilation(h, r, k * r, worst)
+    # Kraus operator l is A_l[a, p] = factor[(p, a), l]; H[a, (p, l)] = A_l[a, p]
+    h = factor.reshape(k, m, r).transpose(1, 0, 2).reshape(m, k * r)
+    # H (e_pq (x) I_r) H* is block (p, q) of F F*
+    blocks = (k, m, k, m)
+    diff = np.linalg.norm((c - factor @ factor.conj().T).reshape(blocks), axis=(1, 3))
+    scale = np.maximum(1.0, np.linalg.norm(c.reshape(blocks), axis=(1, 3)))
+    return StinespringDilation(h, r, k * r, float(np.max(diff / scale)))
 
 
 def cb_norm_cp(phi: CpMap, tol: Tolerances | None = None) -> float:
@@ -188,17 +169,20 @@ def cb_norm_cp(phi: CpMap, tol: Tolerances | None = None) -> float:
 
 def max_entangled_argument(k: int) -> np.ndarray:
     """The PSD matrix sum e_pq (x) e_pq in A^{k x k}; (id (x) phi) maps it to the Choi matrix."""
-    v = np.zeros(k * k, dtype=np.complex128)
-    for p in range(k):
-        v[p * k + p] = 1.0
+    v = np.eye(k, dtype=np.complex128).reshape(-1)
     return np.outer(v, v.conj())
 
 
+# largest ampliation N sampled by sampled_amplified_positivity
+MAX_AMP = 4
+# longest sequence sampled by effros_ruan_lower_bound
+SEQ_LEN = 3
+
+
 def sampled_amplified_positivity(
-    phi: CpMap, n_samples: int = 10, max_amp: int = 4, seed=0,
-    tol: Tolerances | None = None,
+    phi: CpMap, n_samples: int = 10, seed=0, tol: Tolerances | None = None,
 ) -> tuple[bool, float]:
-    """Eigencheck (id_N (x) phi)(P) on sampled PSD P, N <= max_amp.
+    """Eigencheck (id_N (x) phi)(P) on sampled PSD P, N <= MAX_AMP.
 
     Always includes the maximally entangled argument at N = k, which maps to
     the Choi matrix, so the verdict matches :func:`is_cp`.
@@ -206,15 +190,15 @@ def sampled_amplified_positivity(
     rng = rng_from_seed(seed)
     arguments = [max_entangled_argument(phi.k)]
     for _ in range(n_samples):
-        arguments.append(random_psd(rng, int(rng.integers(1, max_amp + 1)) * phi.k))
+        arguments.append(random_psd(rng, int(rng.integers(1, MAX_AMP + 1)) * phi.k))
     verdict = psd_verdict((phi.apply_amplified(p) for p in arguments), tol or phi.tol)
     return verdict.passed, verdict.min_eig
 
 
 def effros_ruan_lower_bound(
-    phi: CpMap, n_samples: int = 30, seq_len: int = 3, seed=0,
+    phi: CpMap, n_samples: int = 30, seed=0,
 ) -> float:
-    """Sampled lower bound on the cb norm from finite sequences.
+    """Sampled lower bound on the cb norm from finite sequences of length <= SEQ_LEN.
 
     For a sequence x_1, ..., x_N the stacked column (id (x) phi)(col(x_i)) has
     norm at most ||phi||_cb ||sum x_i* x_i||^{1/2}; maximizing the sampled
@@ -224,7 +208,7 @@ def effros_ruan_lower_bound(
     rng = rng_from_seed(seed)
     sequences = [[np.eye(phi.k, dtype=np.complex128)]]
     for _ in range(n_samples):
-        length = int(rng.integers(1, seq_len + 1))
+        length = int(rng.integers(1, SEQ_LEN + 1))
         sequences.append([complex_gaussian(rng, phi.k, phi.k) for _ in range(length)])
     best = 0.0
     for xs in sequences:
@@ -277,16 +261,11 @@ class CpMapRkhs:
 
     def evaluate(self, coeffs, u) -> np.ndarray:
         """Value f(u) in Y of the element with the given unit weights."""
-        c = self._coerce(coeffs)
         k, m = self.phi.k, self.phi.m
+        c = self._coerce(coeffs).reshape(k, k, m)
         u = as_cmatrix(u, k, k)
-        out = np.zeros(m, dtype=np.complex128)
-        for p in range(k):
-            for q in range(k):
-                e = np.zeros((k, k), dtype=np.complex128)
-                e[p, q] = 1.0
-                out += self.phi.apply(u @ e) @ c[(p * k + q) * m:(p * k + q + 1) * m]
-        return out
+        # phi(u e_pq) = sum_r u_rp phi(e_rq)
+        return np.einsum("rp,raqb,pqb->a", u, self.phi.choi_blocks, c)
 
     def kernel_element(self, v, y) -> np.ndarray:
         """Coefficients of K_{v,y} = sum_pq v_pq psi_{(pq),y} (the linearity relation)."""

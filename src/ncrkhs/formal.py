@@ -108,12 +108,15 @@ def formal_kolmogorov_truncated(
 # nilpotent-point positivity with the shift-tuple witness
 # ---------------------------------------------------------------------------
 
+# scales of the truncated free shift added to every nilpotent positivity check
+SHIFT_SCALES = (1.0, 2.0, 4.0)
+
+
 def nilpotent_positivity_check(
     kernel: MomentKernel,
     seed=0,
     n_points: int = 3,
     sizes=None,
-    shift_scales=(1.0, 2.0, 4.0),
     tol: Tolerances = DEFAULT_TOL,
 ) -> CpCertificate:
     """Eigencheck K(Z,Z)(I) over sampled nilpotent points plus scaled shift tuples.
@@ -136,13 +139,13 @@ def nilpotent_positivity_check(
         nilpotent_tuple(rng, kernel.d, int(sizes[i % len(sizes)])) for i in range(n_points)
     ]
     shift = truncated_shift_tuple(kernel.d, kernel.max_len)
-    points.extend(shift.scaled(float(t)) for t in shift_scales)
+    points.extend(shift.scaled(float(t)) for t in SHIFT_SCALES)
 
     verdict = psd_verdict((kernel.evaluate(z, z, np.eye(z.n)) for z in points), tol)
     description = {
         "sampler": "nilpotent+shift",
         "sizes": [z.n for z in points],
-        "shift_scales": list(shift_scales),
+        "shift_scales": list(SHIFT_SCALES),
     }
     return CpCertificate(
         verdict.passed, verdict.min_eig, description, seed, verdict.witness, tuple(points)

@@ -219,54 +219,47 @@ class KolmogorovKernel(KernelBase):
         return hz @ amp @ hw.conj().T
 
 
-def checked_gram(algebra: AlgebraSpec, basis: Sequence[NcSeries], gram,
-                 tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """The gramian of a basis of series, checked Hermitian and positive definite.
-
-    The basis must be nonempty, share d and out_dim, and have in_dim = k.
-    """
-    if not basis:
-        raise InputError("a gram basis needs at least one basis function")
-    for f in basis:
-        if f.d != basis[0].d or f.out_dim != basis[0].out_dim or f.in_dim != algebra.k:
-            raise DimMismatch("basis functions must share d, out_dim and have in_dim = k")
-    gram = as_cmatrix(gram, len(basis), len(basis))
-    if frobenius(gram - gram.conj().T) > tol.eq_rel * max(1.0, frobenius(gram)):
-        raise InputError("gram matrix must be Hermitian")
-    low = float(np.linalg.eigvalsh(hermitize(gram))[0])
-    if low <= tol.psd_floor * max(1.0, spec_norm(gram)):
-        raise NotPsd(low, tol.psd_floor * max(1.0, spec_norm(gram)))
-    return gram
-
-
 class GramBasisKernel(KernelBase):
-    """K(Z,W)(P) = sum_{ij} (G^{-1})_{ij} f_i(Z) P f_j(W)* for a finite basis."""
+    """K(Z,W)(P) = sum_{ij} (G^{-1})_{ij} f_i(Z) P f_j(W)* for a finite basis.
+
+    The basis (nonempty, in_dim = k) is held as one series ``stacked`` = F
+    whose coefficient column ``i*k + c`` is column ``c`` of ``f_i``, so
+    K(Z,W)(P) = F(Z) M F(W)* with M[(b,i,c),(b',i',c')] = P[(b,c),(b',c')] (G^{-1})_{ii'}.
+    """
 
     def __init__(self, algebra: AlgebraSpec, basis: Sequence[NcSeries], gram: np.ndarray,
                  tol: Tolerances = DEFAULT_TOL):
-        gram = checked_gram(algebra, basis, gram, tol)
+        if not basis:
+            raise InputError("a gram basis needs at least one basis function")
+        for f in basis:
+            if f.d != basis[0].d or f.out_dim != basis[0].out_dim or f.in_dim != algebra.k:
+                raise DimMismatch("basis functions must share d, out_dim and have in_dim = k")
+        gram = as_cmatrix(gram, len(basis), len(basis))
+        if frobenius(gram - gram.conj().T) > tol.eq_rel * max(1.0, frobenius(gram)):
+            raise InputError("gram matrix must be Hermitian")
+        low = float(np.linalg.eigvalsh(hermitize(gram))[0])
+        if low <= tol.psd_floor * max(1.0, spec_norm(gram)):
+            raise NotPsd(low, tol.psd_floor * max(1.0, spec_norm(gram)))
         self.algebra = algebra
         self.basis = list(basis)
-        self.gram = frozen(gram)
-        self.gram_inv = frozen(np.linalg.inv(gram))
         self.d = basis[0].d
         self.y_dim = basis[0].out_dim
+        words = {w for f in basis for w in f.support}
+        self.stacked = NcSeries(self.d, self.y_dim, len(basis) * algebra.k, {
+            w: np.hstack([f.coefficient(w) for f in basis]) for w in words
+        })
+        self.gram = frozen(gram)
+        self.gram_inv = frozen(np.linalg.inv(gram))
         self.default_sampler = GAUSSIAN
         self.tol = tol
 
     def evaluate(self, z, w, p, allow_truncation: bool = False):
         p = self._check_points(z, w, p)
-        evals_z = [evaluate(f, z) for f in self.basis]
-        evals_w = [evaluate(f, w) for f in self.basis]
-        out = np.zeros((z.n * self.y_dim, w.n * self.y_dim), dtype=np.complex128)
-        for i, fz in enumerate(evals_z):
-            # (G^{-1})_{ij} scales f_i(Z) P f_j(W)*, so the stacked W-side factor
-            # carries the conjugated coefficients
-            acc = np.zeros_like(evals_w[0])
-            for j, fw in enumerate(evals_w):
-                acc += np.conj(self.gram_inv[i, j]) * fw
-            out += fz @ p @ acc.conj().T
-        return out
+        k = self.algebra.k
+        fz = evaluate(self.stacked, z)
+        fw = evaluate(self.stacked, w)
+        mixed = np.einsum("bcBC,iI->bicBIC", p.reshape(z.n, k, w.n, k), self.gram_inv)
+        return fz @ mixed.reshape(fz.shape[1], fw.shape[1]) @ fw.conj().T
 
 
 class CallableKernel(KernelBase):
@@ -327,11 +320,11 @@ class KernelElement:
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
 
-    def evaluate(self, z: MatrixTuple, u: np.ndarray, allow_truncation: bool = False) -> np.ndarray:
+    def evaluate(self, z: MatrixTuple, u: np.ndarray) -> np.ndarray:
         """K_{W,v,y}(Z) u = K(Z,W)(u v) y."""
         k = self.kernel.algebra.k
         u = as_cmatrix(u, z.n * k, k)
-        return self.kernel.evaluate(z, self.w, u @ self.v, allow_truncation) @ self.y
+        return self.kernel.evaluate(z, self.w, u @ self.v) @ self.y
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +383,6 @@ def check_kernel_axioms(
     kernel: KernelBase,
     samples: KernelAxiomSamples,
     tol: Tolerances = DEFAULT_TOL,
-    allow_truncation: bool = False,
 ) -> AxiomReport:
     """Hermitian symmetry, direct sums and intertwining-respect on given samples."""
     k = kernel.algebra.k
@@ -405,14 +397,14 @@ def check_kernel_axioms(
             witness = (tag, payload)
 
     for z, w, p in samples.hermitian:
-        lhs = kernel.evaluate(z, w, p, allow_truncation).conj().T
-        rhs = kernel.evaluate(w, z, p.conj().T, allow_truncation)
+        lhs = kernel.evaluate(z, w, p).conj().T
+        rhs = kernel.evaluate(w, z, p.conj().T)
         track(rel_err(frobenius(lhs - rhs), frobenius(lhs)), "hermitian", (z, w, p))
 
     for z, zt, w, wt, p_full in samples.direct_sums:
         zz = direct_sum([z, zt])
         ww = direct_sum([w, wt])
-        lhs = kernel.evaluate(zz, ww, p_full, allow_truncation)
+        lhs = kernel.evaluate(zz, ww, p_full)
         nk, mk = z.n * k, w.n * k
         p11 = p_full[:nk, :mk]
         p12 = p_full[:nk, mk:]
@@ -420,8 +412,8 @@ def check_kernel_axioms(
         p22 = p_full[nk:, mk:]
         rhs = np.block(
             [
-                [kernel.evaluate(z, w, p11, allow_truncation), kernel.evaluate(z, wt, p12, allow_truncation)],
-                [kernel.evaluate(zt, w, p21, allow_truncation), kernel.evaluate(zt, wt, p22, allow_truncation)],
+                [kernel.evaluate(z, w, p11), kernel.evaluate(z, wt, p12)],
+                [kernel.evaluate(zt, w, p21), kernel.evaluate(zt, wt, p22)],
             ]
         )
         track(rel_err(frobenius(lhs - rhs), frobenius(lhs)), "direct_sum", (z, zt, w, wt))
@@ -435,9 +427,9 @@ def check_kernel_axioms(
                 bound = tol.eq_rel * max(1.0, spec_norm(c) * spec_norm(point.coords[j])) * 100
                 if gap > bound:
                     raise BadIntertwiner(f"intertwiner fails on coordinate {j + 1} (gap {gap:.3e})")
-        lhs = kron(alpha, np.eye(y)) @ kernel.evaluate(z, w, p, allow_truncation) @ kron(beta, np.eye(y)).conj().T
+        lhs = kron(alpha, np.eye(y)) @ kernel.evaluate(z, w, p) @ kron(beta, np.eye(y)).conj().T
         moved = kron(alpha, np.eye(k)) @ p @ kron(beta, np.eye(k)).conj().T
-        rhs = kernel.evaluate(zt, wt, moved, allow_truncation)
+        rhs = kernel.evaluate(zt, wt, moved)
         track(rel_err(frobenius(lhs - rhs), frobenius(lhs)), "intertwining", (z, zt, w, wt))
 
     passed = worst <= tol.eq_rel
@@ -486,7 +478,6 @@ def cp_certificate(
     seed=0,
     tol: Tolerances = DEFAULT_TOL,
     sampler: str | None = None,
-    allow_truncation: bool = False,
 ) -> CpCertificate:
     """Sampled test of sum_{ij} b_i* K(Z_i, Z_j)(P_i* P_j) b_j >= 0.
 
@@ -502,7 +493,7 @@ def cp_certificate(
     points = [sample_tuple(rng, sampler, kernel.d, int(sizes[i % len(sizes)])) for i in range(n_points)]
     rows = [random_algebra_matrix(rng, k, n_rows, z.n) for z in points]
     blocks = [
-        [kernel.evaluate(zi, zj, rows[i].conj().T @ rows[j], allow_truncation) for j, zj in enumerate(points)]
+        [kernel.evaluate(zi, zj, rows[i].conj().T @ rows[j]) for j, zj in enumerate(points)]
         for i, zi in enumerate(points)
     ]
     m = np.block(blocks)
@@ -526,7 +517,6 @@ def cp_certificate_similarity_reduced(
     seed=0,
     tol: Tolerances = DEFAULT_TOL,
     sampler: str | None = None,
-    allow_truncation: bool = False,
     check_axioms: bool = True,
 ) -> CpCertificate:
     """Reduced test K(Z, Z)(1) >= 0 on a similarity-invariant sampled domain.
@@ -541,7 +531,7 @@ def cp_certificate_similarity_reduced(
     sizes = _clamp_sizes(kernel, sampler, sizes)
     if check_axioms:
         axioms = draw_kernel_axiom_samples(kernel, rng, n_samples=2, sizes=sizes, sampler=sampler, tol=tol)
-        report = check_kernel_axioms(kernel, axioms, tol, allow_truncation)
+        report = check_kernel_axioms(kernel, axioms, tol)
         if not report.passed:
             return CpCertificate(
                 False, -report.max_violation,
@@ -550,7 +540,7 @@ def cp_certificate_similarity_reduced(
             )
     sampled = [sample_tuple(rng, sampler, kernel.d, int(sizes[i % len(sizes)])) for i in range(n_points)]
     verdict = psd_verdict(
-        (kernel.evaluate(z, z, kernel.algebra.unit(z.n), allow_truncation) for z in sampled), tol
+        (kernel.evaluate(z, z, kernel.algebra.unit(z.n)) for z in sampled), tol
     )
     description = {"sampler": sampler, "sizes": [z.n for z in sampled], "reduced": True}
     return CpCertificate(
@@ -573,10 +563,6 @@ class KolmogorovSample:
 
     def reconstruct(self, i: int, j: int, p: np.ndarray) -> np.ndarray:
         p = as_cmatrix(p, self.points[i].n, self.points[j].n)
-        if self.rank == 0:
-            return np.zeros(
-                (self.factors[i].shape[0], self.factors[j].shape[0]), dtype=np.complex128
-            )
         return self.factors[i] @ kron(p, np.eye(self.rank)) @ self.factors[j].conj().T
 
 
@@ -584,7 +570,6 @@ def kolmogorov_at_sample(
     kernel: KernelBase,
     points: Sequence[MatrixTuple],
     tol: Tolerances = DEFAULT_TOL,
-    allow_truncation: bool = False,
 ) -> KolmogorovSample:
     """Factor the sampled kernel through a finite state space.
 
@@ -604,7 +589,7 @@ def kolmogorov_at_sample(
     amplified = [MatrixTuple(tuple(kron(c, np.eye(z.n)) for c in z.coords)) for z in points]
     units = [np.eye(z.n, dtype=np.complex128).reshape(-1) for z in points]
     gram = np.block([
-        [kernel.evaluate(ai, aj, np.outer(ui, uj), allow_truncation) for aj, uj in zip(amplified, units)]
+        [kernel.evaluate(ai, aj, np.outer(ui, uj)) for aj, uj in zip(amplified, units)]
         for ai, ui in zip(amplified, units)
     ])
 
@@ -697,7 +682,6 @@ def cb_norm_report(
     n_samples: int = 20,
     seed=0,
     tol: Tolerances = DEFAULT_TOL,
-    allow_truncation: bool = False,
 ) -> CbNormReport:
     """||K(Z,Z)(I)|| and the largest sampled ||K(Z,Z)(P)|| over PSD P with ||P|| <= 1.
 
@@ -706,12 +690,12 @@ def cb_norm_report(
     """
     rng = rng_from_seed(seed)
     k = kernel.algebra.k
-    norm_id = spec_norm(kernel.evaluate(z, z, kernel.algebra.unit(z.n), allow_truncation))
+    norm_id = spec_norm(kernel.evaluate(z, z, kernel.algebra.unit(z.n)))
     best = 0.0
     for _ in range(n_samples):
         p = random_psd(rng, z.n * k)
         top = spec_norm(p)
         if top > 0:
             p = p / top
-        best = max(best, spec_norm(kernel.evaluate(z, z, p, allow_truncation)))
+        best = max(best, spec_norm(kernel.evaluate(z, z, p)))
     return CbNormReport(norm_id, best)

@@ -22,6 +22,7 @@ from .core import (
     Tolerances,
     as_cmatrix,
     hermitize,
+    word_key,
 )
 from .kernels import (
     CallableKernel,
@@ -31,7 +32,7 @@ from .kernels import (
     cp_certificate,
 )
 from .rkhs import RkhsModel
-from .series import NcSeries, column_slice, evaluate, linear_combination, multiply
+from .series import NcSeries, evaluate, multiply
 
 
 @dataclass(frozen=True)
@@ -54,21 +55,22 @@ class Multiplier:
             raise DimMismatch("source and target kernels must share the coefficient algebra")
 
 
-def _element_slice_series(model: RkhsModel, coeffs) -> list[NcSeries]:
-    """The k column-slice series of a model element."""
-    c = model._coerce(coeffs)
+def _element_slice_series(model: RkhsModel, coeffs) -> NcSeries:
+    """A model element as one out_dim x k series whose column c is its slice c.
+
+    It is F D for the stacked basis F and D[(i, c'), c] = c_{(i, c)} delta_{c' c}.
+    """
     k = model.algebra.k
-    slices = []
-    for col in range(k):
-        parts = [column_slice(f, col) for f in model.basis]
-        weights = [c[model.slice_index(i, col)] for i in range(model.n_basis)]
-        slices.append(linear_combination(parts, weights))
-    return slices
+    c = model._coerce(coeffs).reshape(model.n_basis, k)
+    weights = (c[:, :, None] * np.eye(k)).reshape(model.dim, k)
+    return multiply(model.stacked, NcSeries.constant(model.d, weights))
 
 
 def apply_multiplier_series(mult: Multiplier, source_model: RkhsModel, coeffs) -> list[NcSeries]:
     """Slice series of M_S f, computed by series multiplication."""
-    return [multiply(mult.s, sl) for sl in _element_slice_series(source_model, coeffs)]
+    image = multiply(mult.s, _element_slice_series(source_model, coeffs))
+    return [NcSeries(image.d, image.out_dim, 1, {w: c[:, [col]] for w, c in image.terms.items()})
+            for col in range(image.in_dim)]
 
 
 @dataclass(frozen=True)
@@ -92,49 +94,37 @@ def apply_multiplier(
     With one, represents the image in the target basis by least squares,
     reporting the residual; raises :class:`NotInTarget` when one survives.
     """
-    image = apply_multiplier_series(mult, source_model, coeffs)
     if target_model is None:
-        return image
-    return _represent_in_model(image, target_model, tol)
+        return apply_multiplier_series(mult, source_model, coeffs)
+    image = multiply(mult.s, _element_slice_series(source_model, coeffs))
+    rep = _represent_in_model(image, target_model, tol)
+    return Represented(rep.coefficients.sum(axis=1), rep.residual)
 
 
-def _represent_in_model(slices: list[NcSeries], model: RkhsModel, tol: Tolerances) -> Represented:
+def _represent_in_model(image: NcSeries, model: RkhsModel, tol: Tolerances) -> Represented:
+    """Model coefficients, one column each, of the columns (i, c) of an out_dim x (N k) series.
+
+    Column (i, c) is slice c of a function f_i and may expand only over the
+    model's (j, c) slices, which word by word are the columns of its stacked basis.
+    """
     k = model.algebra.k
-    if len(slices) != k:
-        raise DimMismatch("slice count does not match the target algebra")
-    words = sorted(
-        {w for f in model.basis for w in f.support} | {w for s in slices for w in s.support},
-        key=lambda w: (len(w), w),
-    )
-    columns = []
-    for i in range(model.n_basis):
-        for col in range(k):
-            sl = column_slice(model.basis[i], col)
-            columns.append(np.concatenate([sl.coefficient(w).reshape(-1) for w in words]))
-    span = np.array(columns).T
-
-    target_vecs = []
-    for col in range(k):
-        target_vecs.append(np.concatenate([slices[col].coefficient(w).reshape(-1) for w in words]))
-
-    # the (i, col) slice of the image expands only over (j, col) slices of the
-    # target, but solving jointly over the full span is equivalent and simpler
-    out = np.zeros(model.dim, dtype=np.complex128)
-    scale = max(1.0, max((np.linalg.norm(t) for t in target_vecs), default=1.0))
-    worst = 0.0
-    for col in range(k):
-        sol, *_ = np.linalg.lstsq(span, target_vecs[col], rcond=None)
-        residual = float(np.linalg.norm(span @ sol - target_vecs[col]))
-        if residual > tol.eq_rel * scale * 100:
-            raise NotInTarget(residual)
-        worst = max(worst, residual)
-        for i in range(model.n_basis):
-            for c2 in range(k):
-                if c2 == col:
-                    out[model.slice_index(i, col)] += sol[i * k + c2]
-                elif abs(sol[i * k + c2]) > tol.eq_rel * scale * 100:
-                    raise NotInTarget(abs(sol[i * k + c2]), "image mixes slice slots")
-    return Represented(out, worst)
+    if image.in_dim % k or image.out_dim != model.y_dim:
+        raise DimMismatch(f"a {image.out_dim}x{image.in_dim} image does not fit the target model's slices")
+    words = sorted(set(model.stacked.support) | set(image.support), key=word_key)
+    span = np.vstack([model.stacked.coefficient(w) for w in words])
+    targets = np.vstack([image.coefficient(w) for w in words])
+    sol, *_ = np.linalg.lstsq(span, targets, rcond=None)
+    residuals = np.linalg.norm(span @ sol - targets, axis=0)
+    bound = tol.eq_rel * max(1.0, float(np.max(np.linalg.norm(targets, axis=0)))) * 100
+    if np.any(residuals > bound):
+        raise NotInTarget(float(residuals[np.argmax(residuals > bound)]))
+    # sol[(j, c'), (i, c)] expands slice c of f_i over model slice (j, c')
+    same_slot = np.eye(k)[:, None, :]
+    sol = sol.reshape(model.n_basis, k, -1, k)
+    mixing = np.abs(sol * (1.0 - same_slot))
+    if np.any(mixing > bound):
+        raise NotInTarget(float(mixing.max()), "image mixes slice slots")
+    return Represented((sol * same_slot).reshape(model.dim, -1), float(np.max(residuals)))
 
 
 def multiplier_matrix(
@@ -143,13 +133,12 @@ def multiplier_matrix(
     target_model: RkhsModel,
     tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Coefficient matrix of M_S: source slices -> target slices."""
-    cols = []
-    for idx in range(source_model.dim):
-        e = np.zeros(source_model.dim, dtype=np.complex128)
-        e[idx] = 1.0
-        cols.append(apply_multiplier(mult, source_model, e, target_model, tol).coefficients)
-    return np.array(cols).T
+    """Coefficient matrix of M_S: source slices -> target slices.
+
+    Column (i, c) of S F is M_S applied to the source slice (i, c), whose
+    only nonzero slice is c, so one solve represents every source slice.
+    """
+    return _represent_in_model(multiply(mult.s, source_model.stacked), target_model, tol).coefficients
 
 
 def dbr_kernel(mult: Multiplier) -> CallableKernel:

@@ -7,6 +7,9 @@ are indexed by (basis, column) slice pairs: the slice ``(i, c)`` is the
 function ``(W, u) -> f_i(W) u e_c``, which is genuinely Y-valued.  The full
 element space has dimension ``S * k`` with gramian ``G (x) I_k``; for the
 scalar algebra (k = 1) this is the usual coefficient space of the basis.
+The basis is held as one stacked series ``F`` (``y_dim x S k``) whose
+coefficient column ``i k + c`` is slice ``(i, c)``, so one evaluation
+``F(W)`` serves point evaluation, elements and the kernel.
 
 The algebra acts on slices by mixing the column index, so the slice span is
 closed under the action and ``sigma(a) = I_S (x) a`` in coefficients; the
@@ -31,19 +34,8 @@ from .core import (
     kron,
     rel_err,
 )
-from .kernels import AlgebraSpec, GramBasisKernel, KolmogorovKernel, amplify, checked_gram
+from .kernels import AlgebraSpec, GramBasisKernel, KolmogorovKernel, amplify
 from .series import AxiomReport, NcSeries, evaluate
-
-
-def _stacked_coefficients(basis: list[NcSeries]) -> np.ndarray:
-    """Rows are the flattened coefficient lists of the basis over the support union."""
-    words = sorted({w for f in basis for w in f.support}, key=lambda w: (len(w), w))
-    if not words:
-        words = [()]
-    rows = []
-    for f in basis:
-        rows.append(np.concatenate([f.coefficient(w).reshape(-1) for w in words]))
-    return np.array(rows)
 
 
 class RkhsModel:
@@ -56,20 +48,25 @@ class RkhsModel:
         gram: np.ndarray,
         tol: Tolerances = DEFAULT_TOL,
     ):
-        gram = checked_gram(algebra, basis, gram, tol)
-        stacked = _stacked_coefficients(basis)
-        svals = np.linalg.svd(stacked, compute_uv=False)
+        kernel = GramBasisKernel(algebra, basis, gram, tol)
+        # row i lists the coefficients of f_i word by word
+        n, y, k = len(basis), kernel.y_dim, algebra.k
+        coeffs = np.array(list(kernel.stacked.terms.values()) or [np.zeros((y, n * k))])
+        rows = coeffs.reshape(-1, y, n, k).transpose(2, 0, 1, 3).reshape(n, -1)
+        svals = np.linalg.svd(rows, compute_uv=False)
         if svals[-1] <= tol.eq_rel * max(1.0, svals[0]):
             raise DependentBasis("basis coefficient lists are linearly dependent")
 
         self.algebra = algebra
-        self.basis = list(basis)
-        self.gram = frozen(gram)
-        self.d = basis[0].d
-        self.y_dim = basis[0].out_dim
+        self.basis = kernel.basis
+        self.stacked = kernel.stacked
+        self.gram = kernel.gram
+        self.d = kernel.d
+        self.y_dim = kernel.y_dim
         self.tol = tol
-        self.gram_full = frozen(kron(gram, np.eye(algebra.k)))
+        self.gram_full = frozen(kron(self.gram, np.eye(k)))
         self.gram_full_inv = frozen(np.linalg.inv(self.gram_full))
+        self._kernel = kernel
 
     # -- structure ---------------------------------------------------------
 
@@ -86,7 +83,7 @@ class RkhsModel:
         return i * self.algebra.k + c
 
     def kernel(self) -> GramBasisKernel:
-        return GramBasisKernel(self.algebra, self.basis, self.gram, self.tol)
+        return self._kernel
 
     # -- elements ----------------------------------------------------------
 
@@ -110,30 +107,19 @@ class RkhsModel:
 
         Scalar algebra: the (n y) x n matrix  sum_i c_i f_i(w).  Matrix
         algebra: the stack of k column-slice value matrices, shape
-        (k, n y, n k).
+        (k, n y, n k), where slice c is  sum_i c_{(i, c)} f_i(w).
         """
-        c = self._coerce(coeffs)
+        c = self._coerce(coeffs).reshape(self.n_basis, self.algebra.k)
         k = self.algebra.k
-        evals = [evaluate(f, w) for f in self.basis]
-        slices = np.zeros((k,) + evals[0].shape, dtype=np.complex128)
-        for i, ev in enumerate(evals):
-            for col in range(k):
-                slices[col] += c[self.slice_index(i, col)] * ev
+        values = evaluate(self.stacked, w).reshape(w.n * self.y_dim, w.n, self.n_basis, k)
+        slices = np.einsum("rbic,ij->jrbc", values, c).reshape(k, w.n * self.y_dim, w.n * k)
         if k == 1:
             return slices[0]
         return slices
 
     def apply_element(self, coeffs, w: MatrixTuple, u) -> np.ndarray:
         """The Y^n vector  f(W)(u)  for u a column over the algebra."""
-        c = self._coerce(coeffs)
-        k = self.algebra.k
-        u = as_cmatrix(u, w.n * k, k)
-        out = np.zeros(w.n * self.y_dim, dtype=np.complex128)
-        for i, f in enumerate(self.basis):
-            applied = evaluate(f, w) @ u  # (n y) x k
-            for col in range(k):
-                out += c[self.slice_index(i, col)] * applied[:, col]
-        return out
+        return point_evaluation(self, w, u) @ self._coerce(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +134,10 @@ def point_evaluation(m: RkhsModel, w: MatrixTuple, u) -> np.ndarray:
     """
     k = m.algebra.k
     u = as_cmatrix(u, w.n * k, k)
-    e = np.zeros((w.n * m.y_dim, m.dim), dtype=np.complex128)
-    for i, f in enumerate(m.basis):
-        applied = evaluate(f, w) @ u
-        for col in range(k):
-            e[:, m.slice_index(i, col)] = applied[:, col]
-    return e
+    rows = w.n * m.y_dim
+    # f_i(W) is the column block i of F(W); bring i into the rows, apply u once
+    values = evaluate(m.stacked, w).reshape(rows, w.n, m.n_basis, k).transpose(0, 2, 1, 3)
+    return (values.reshape(rows * m.n_basis, w.n * k) @ u).reshape(rows, m.dim)
 
 
 def kernel_element_coefficients(m: RkhsModel, w: MatrixTuple, v, y) -> np.ndarray:

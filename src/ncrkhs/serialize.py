@@ -78,6 +78,15 @@ def decode_complex(data, where: str = "scalar") -> complex:
         raise InputError(f"{where}: non-numeric complex scalar") from exc
 
 
+def decode_int(data: dict, key: str, where: str, default: int | None = None) -> int:
+    """The integer field ``key`` of a JSON object, or ``default`` when it is absent."""
+    value = data.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{where}: field {key!r} must be an integer, got {value!r}") from exc
+
+
 def encode_matrix(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim == 1:
@@ -92,12 +101,11 @@ def encode_matrix(m: np.ndarray) -> dict:
 def decode_matrix(data, where: str = "matrix") -> np.ndarray:
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected an object with rows/cols/data")
-    try:
-        rows = int(data["rows"])
-        cols = int(data["cols"])
-        entries = data["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{where}: malformed matrix object") from exc
+    rows = decode_int(data, "rows", where)
+    cols = decode_int(data, "cols", where)
+    if rows < 0 or cols < 0:
+        raise InputError(f"{where}: rows and cols must be >= 0")
+    entries = data.get("data")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise InputError(f"{where}: data must hold rows*cols = {rows * cols} entries")
     values = [decode_complex(e, where) for e in entries]
@@ -123,7 +131,7 @@ def decode_word(data, d: int, where: str = "word"):
         raise InputError(f"{where}: a word is an array of integers")
     try:
         return validate_word([int(l) for l in data], d)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{where}: non-integer letter") from exc
 
 
@@ -141,9 +149,9 @@ def decode_tuple(data, where: str = "point") -> MatrixTuple:
     coords = [decode_matrix(c, f"{where}.coords[{i}]")
               for i, c in enumerate(decode_objects(data["coords"], f"{where}.coords"))]
     z = MatrixTuple(tuple(coords))
-    if "d" in data and int(data["d"]) != z.d:
+    if decode_int(data, "d", where, z.d) != z.d:
         raise InputError(f"{where}: declared d={data['d']} but {z.d} coordinates given")
-    if "n" in data and int(data["n"]) != z.n:
+    if decode_int(data, "n", where, z.n) != z.n:
         raise InputError(f"{where}: declared n={data['n']} but coordinates are {z.n}x{z.n}")
     return z
 
@@ -166,15 +174,11 @@ def encode_series(f: NcSeries) -> dict:
 def decode_series(data, where: str = "series") -> NcSeries:
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected an object with d/p/q/terms")
-    try:
-        d = int(data["d"])
-        p = int(data["p"])
-        q = int(data["q"])
-        raw_terms = data["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{where}: malformed series object") from exc
+    d = decode_int(data, "d", where)
+    p = decode_int(data, "p", where)
+    q = decode_int(data, "q", where)
     terms = {}
-    for i, item in enumerate(decode_objects(raw_terms, f"{where}.terms")):
+    for i, item in enumerate(decode_objects(data.get("terms"), f"{where}.terms")):
         word = decode_word(item.get("word"), d, f"{where}.terms[{i}].word")
         if word in terms:
             raise InputError(f"{where}.terms[{i}]: duplicate word {list(word)}")
@@ -198,7 +202,7 @@ def decode_algebra(data, where: str = "algebra") -> AlgebraSpec:
     kind = data.get("kind", SCALAR)
     if kind not in (SCALAR, FULL_MATRIX):
         raise InputError(f"{where}: unknown algebra kind {kind!r}")
-    return AlgebraSpec(kind, int(data.get("k", 1)), int(data.get("r", 1)))
+    return AlgebraSpec(kind, decode_int(data, "k", where, 1), decode_int(data, "r", where, 1))
 
 
 def _encode_moment_table(moments) -> list[dict]:
@@ -209,12 +213,11 @@ def _encode_moment_table(moments) -> list[dict]:
 
 
 def _decode_moment_kernel(data, where: str, tol: Tolerances) -> MomentKernel:
-    try:
-        d = int(data["d"])
-        y_dim = int(data["y_dim"])
-        max_len = int(data["max_len"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{where}: malformed moment kernel") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{where}: expected an object with d/y_dim/max_len/moments")
+    d = decode_int(data, "d", where)
+    y_dim = decode_int(data, "y_dim", where)
+    max_len = decode_int(data, "max_len", where)
     moments = {}
     for i, item in enumerate(decode_objects(data.get("moments", []), f"{where}.moments")):
         at = f"{where}.moments[{i}]"
@@ -261,7 +264,7 @@ def decode_kernel(data, where: str = "kernel", tol: Tolerances = DEFAULT_TOL) ->
     if form == "kolmogorov":
         algebra = decode_algebra(data.get("algebra"), f"{where}.algebra")
         h = decode_series(data.get("h"), f"{where}.h")
-        s = int(data.get("s", max(1, h.in_dim // max(1, algebra.rep_dim))))
+        s = decode_int(data, "s", where, max(1, h.in_dim // max(1, algebra.rep_dim)))
         return KolmogorovKernel(algebra, h, s)
     if form == "gram_basis":
         algebra = decode_algebra(data.get("algebra"), f"{where}.algebra")
@@ -321,12 +324,9 @@ def encode_cp_map(phi: CpMap) -> dict:
 def decode_cp_map(data, where: str = "map", tol: Tolerances = DEFAULT_TOL) -> CpMap:
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected an object with k/m/units")
-    try:
-        k = int(data["k"])
-        m = int(data["m"])
-        rows = data["units"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{where}: malformed cp-map object") from exc
+    k = decode_int(data, "k", where)
+    m = decode_int(data, "m", where)
+    rows = data.get("units")
     if not isinstance(rows, list) or len(rows) != k or any(not isinstance(r, list) or len(r) != k for r in rows):
         raise InputError(f"{where}: units must be a {k} x {k} grid of matrices")
     units = {

@@ -121,11 +121,6 @@ def truncate(f: NcSeries, max_len: int) -> NcSeries:
     return NcSeries(f.d, f.out_dim, f.in_dim, {w: c for w, c in f.terms.items() if len(w) <= max_len})
 
 
-def column_slice(f: NcSeries, col: int) -> NcSeries:
-    """Series of the col-th coefficient column (0-based), shape out_dim x 1."""
-    return NcSeries(f.d, f.out_dim, 1, {w: c[:, col:col + 1] for w, c in f.terms.items()})
-
-
 def multiply(f: NcSeries, g: NcSeries) -> NcSeries:
     """Noncommutative product: coefficient on a word is the sum over its splittings.
 

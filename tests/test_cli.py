@@ -313,6 +313,8 @@ _POINT_COMMANDS = {
     + [
         pytest.param(["cp-certify", "--kernel", "{k}", "--rows", "0"], id="cp-certify-rows-zero"),
         pytest.param(["cp-certify", "--kernel", "{k}", "--rows", "-1"], id="cp-certify-rows-negative"),
+        pytest.param(["cp-certify", "--reduced", "--kernel", "{k}", "--rows", "-5"],
+                     id="cp-certify-reduced-rows-negative"),
         pytest.param(["check-kernel", "--kernel", "{k}", "--samples", "0"], id="check-kernel-samples-zero"),
         pytest.param(["check-ncfun", "--series", "{s}", "--samples", "0"], id="check-ncfun-samples-zero"),
         pytest.param(["kolmogorov", "--kernel", "{k}", "--points", "0"], id="kolmogorov-zero"),
@@ -332,6 +334,7 @@ def test_no_sample_points_is_input_error(tmp_path, capsys, command):
 _SERIES = {"d": 1, "p": 1, "q": 1, "terms": []}
 _POINT = {"d": 1, "n": 1, "coords": [{"rows": 1, "cols": 1, "data": [[0.0, 0.0]]}]}
 _MOMENTS = {"form": "moment", "d": 1, "y_dim": 1, "max_len": 1, "moments": []}
+_KOLMOGOROV = encode_kernel(KolmogorovKernel(AlgebraSpec(), NcSeries.constant(1, [[1.0]])))
 
 
 @pytest.mark.parametrize(
@@ -347,10 +350,20 @@ _MOMENTS = {"form": "moment", "d": 1, "y_dim": 1, "max_len": 1, "moments": []}
         (["stinespring", "--map", "{a}"], [{"k": 2, "m": 1, "units": [1, 2]}]),
         (["lifted-norm", "--kernel", "{a}", "--target", "{b}"], ["kolmogorov", {"samples": [1]}]),
         (["lifted-norm", "--kernel", "{a}", "--target", "{b}"], ["kolmogorov", {"samples": 5}]),
+        (["eval", "--series", "{a}", "--point", "{b}"], [_SERIES, {**_POINT, "d": "x"}]),
+        (["eval", "--series", "{a}", "--point", "{b}"], [_SERIES, {**_POINT, "n": [1]}]),
+        (["eval", "--series", "{a}", "--point", "{b}"],
+         [_SERIES, {**_POINT, "coords": [{"rows": -1, "cols": -1, "data": [[0.0, 0.0]]}]}]),
+        (["kernel-from-basis", "--model", "{a}"], [{"algebra": {"k": "x"}, "basis": []}]),
+        (["kernel-from-basis", "--model", "{a}"], [{"algebra": {"r": None}, "basis": []}]),
+        (["cp-certify", "--seed", "1", "--kernel", "{a}"], [{**_KOLMOGOROV, "s": "x"}]),
+        (["formal-factor", "--L", "1", "--kernel", "{a}"], [None]),
     ],
     ids=[
         "terms-entry", "terms-array", "coords-array", "moments-entry", "moments-array",
         "formal-moments-entry", "basis-array", "units-row", "samples-entry", "samples-array",
+        "point-d-field", "point-n-field", "matrix-negative-rows", "algebra-k-field",
+        "algebra-r-field", "kolmogorov-s-field", "formal-null",
     ],
 )
 def test_wrong_json_entry_type_is_input_error(tmp_path, capsys, command, files):

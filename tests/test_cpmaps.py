@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncrkhs.core import NotCp
+from ncrkhs.core import NotCp, psd_factor
 from ncrkhs.cpmaps import (
     CpMap,
     cb_norm_cp,
@@ -260,3 +260,78 @@ def test_rkhs_gram_and_kernel_element_match_unit_definitions(k, m):
                 gram[a:a + m, b:b + m] = phi.unit_values[(q, s)]
     np.testing.assert_array_equal(np.asarray(model.gram), gram)
     np.testing.assert_array_equal(model.kernel_element(v, y), element)
+
+
+# ---------------------------------------------------------------------------
+# Choi-block identities against per-unit loops
+# ---------------------------------------------------------------------------
+
+def _close(got, want):
+    return np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+
+
+def _unit(k, p, q):
+    e = np.zeros((k, k), dtype=complex)
+    e[p, q] = 1.0
+    return e
+
+
+def _reference_apply(phi, a):
+    return sum(a[p, q] * phi.unit_values[(p, q)] for p in range(phi.k) for q in range(phi.k))
+
+
+def _reference_apply_amplified(phi, p_mat):
+    k, m = phi.k, phi.m
+    rows, cols = p_mat.shape[0] // k, p_mat.shape[1] // k
+    out = np.zeros((rows * m, cols * m), dtype=complex)
+    for i in range(rows):
+        for j in range(cols):
+            block = p_mat[i * k:(i + 1) * k, j * k:(j + 1) * k]
+            out[i * m:(i + 1) * m, j * m:(j + 1) * m] = _reference_apply(phi, block)
+    return out
+
+
+def _reference_choi(phi):
+    return sum(np.kron(_unit(phi.k, p, q), phi.unit_values[(p, q)])
+               for p in range(phi.k) for q in range(phi.k))
+
+
+@pytest.mark.parametrize("k, m", [(1, 3), (2, 2), (3, 2)])
+def test_choi_blocks_match_per_unit_loops(k, m):
+    rng = rng_from_seed(60 + 3 * k + m)
+    kraus = [complex_gaussian(rng, m, k) for _ in range(2)]
+    phi = CpMap.from_kraus(kraus)
+    for p in range(k):
+        for q in range(k):
+            want = sum(a @ _unit(k, p, q) @ a.conj().T for a in kraus)
+            assert _close(phi.unit_values[(p, q)], want)
+    general = CpMap(k, m, {(p, q): complex_gaussian(rng, m, m) for p in range(k) for q in range(k)})
+    for f in (phi, general):
+        a = complex_gaussian(rng, k, k)
+        p_mat = complex_gaussian(rng, 2 * k, 3 * k)
+        assert _close(f.apply(a), _reference_apply(f, a))
+        assert _close(f.apply_amplified(p_mat), _reference_apply_amplified(f, p_mat))
+        np.testing.assert_array_equal(choi(f), _reference_choi(f))
+
+    model = rkhs_of_cp_map(phi)
+    coeffs = complex_gaussian(rng, model.dim, 1)[:, 0]
+    u = complex_gaussian(rng, k, k)
+    want = sum(phi.apply(u @ _unit(k, p, q)) @ coeffs[(p * k + q) * m:(p * k + q + 1) * m]
+               for p in range(k) for q in range(k))
+    assert _close(model.evaluate(coeffs, u), want)
+
+
+@pytest.mark.parametrize("k, m", [(1, 3), (2, 2), (3, 2)])
+def test_stinespring_h_is_the_kraus_arrangement(k, m):
+    rng = rng_from_seed(80 + 3 * k + m)
+    phi = random_kraus_map(rng, k, m, 3)
+    factor = psd_factor(choi(phi), phi.tol)
+    r = factor.shape[1]
+    h = np.zeros((m, k * r), dtype=complex)
+    for ell in range(r):
+        a_op = factor[:, ell].reshape(k, m).T
+        for p in range(k):
+            h[:, p * r + ell] = a_op[:, p]
+    dil = stinespring(phi)
+    np.testing.assert_array_equal(dil.h, h)
+    assert dil.reconstruction_error <= 1e-12

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncrkhs.core import NotContraction, NotInTarget
+from ncrkhs.core import DimMismatch, NotContraction, NotInTarget
 from ncrkhs.kernels import AlgebraSpec, KolmogorovKernel, szego_kernel
 from ncrkhs.multipliers import (
     Multiplier,
@@ -72,6 +72,10 @@ def test_apply_multiplier_not_in_target():
     coeffs[-1] = 1.0  # z^2 -> z^3, outside the degree-2 span
     with pytest.raises(NotInTarget):
         apply_multiplier(shift, model, coeffs, model)
+
+    wide = RkhsModel(AlgebraSpec(), [NcSeries.constant(1, [[1.0], [0.0]])], np.eye(1))
+    with pytest.raises(DimMismatch):
+        apply_multiplier(shift, model, coeffs, wide)
 
 
 def test_dbr_kernel_special_cases():

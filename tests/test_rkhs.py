@@ -14,7 +14,7 @@ from ncrkhs.rkhs import (
     sigma_action,
     sigma_matrix,
 )
-from ncrkhs.sampling import complex_gaussian, nilpotent_tuple, random_psd, rng_from_seed
+from ncrkhs.sampling import complex_gaussian, nilpotent_tuple, random_psd, rng_from_seed, sample_tuple
 from ncrkhs.series import NcSeries, evaluate
 
 
@@ -273,3 +273,67 @@ def test_prop_norm_bound_on_elements():
         value = m.apply_element(c, w, u)
         bound = m.norm(c) * np.linalg.norm(kernel.evaluate(w, w, np.eye(w.n)), 2) ** 0.5
         assert np.linalg.norm(value) <= bound + 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the stacked basis against per-basis loops
+# ---------------------------------------------------------------------------
+
+def _close(got, want):
+    return np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+
+
+def _reference_gram_kernel(m, z, w, p):
+    gram_inv = np.linalg.inv(np.asarray(m.gram))
+    out = 0
+    for i, fi in enumerate(m.basis):
+        for j, fj in enumerate(m.basis):
+            out = out + gram_inv[i, j] * evaluate(fi, z) @ p @ evaluate(fj, w).conj().T
+    return out
+
+
+def _reference_point_evaluation(m, w, u):
+    k = m.algebra.k
+    e = np.zeros((w.n * m.y_dim, m.dim), dtype=complex)
+    for i, f in enumerate(m.basis):
+        applied = evaluate(f, w) @ u
+        for col in range(k):
+            e[:, m.slice_index(i, col)] = applied[:, col]
+    return e
+
+
+def _reference_apply_element(m, c, w, u):
+    out = np.zeros(w.n * m.y_dim, dtype=complex)
+    for i, f in enumerate(m.basis):
+        applied = evaluate(f, w) @ u
+        for col in range(m.algebra.k):
+            out += c[m.slice_index(i, col)] * applied[:, col]
+    return out
+
+
+def _reference_evaluate_element(m, c, w):
+    k = m.algebra.k
+    slices = [sum(c[m.slice_index(i, col)] * evaluate(f, w) for i, f in enumerate(m.basis))
+              for col in range(k)]
+    return slices[0] if k == 1 else np.array(slices)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_stacked_basis_matches_per_basis_loops(k):
+    rng = rng_from_seed(70 + k)
+    d, y_dim = 2, 2
+    supports = [[(), (1,)], [(2,), (1, 2)], [(), (2, 1), (1, 1, 2)]]
+    basis = [NcSeries(d, y_dim, k, {w: complex_gaussian(rng, y_dim, k) for w in words})
+             for words in supports]
+    algebra = AlgebraSpec(FULL_MATRIX, k) if k > 1 else AlgebraSpec()
+    m = RkhsModel(algebra, basis, random_psd(rng, 3) + np.eye(3))
+    z = sample_tuple(rng, "gaussian", d, 2)
+    w = sample_tuple(rng, "gaussian", d, 3)
+    p = complex_gaussian(rng, 2 * k, 3 * k)
+    u = complex_gaussian(rng, 3 * k, k)
+    c = complex_gaussian(rng, m.dim, 1)[:, 0]
+
+    assert _close(m.kernel().evaluate(z, w, p), _reference_gram_kernel(m, z, w, p))
+    assert _close(point_evaluation(m, w, u), _reference_point_evaluation(m, w, u))
+    assert _close(m.apply_element(c, w, u), _reference_apply_element(m, c, w, u))
+    assert _close(m.evaluate_element(c, w), _reference_evaluate_element(m, c, w))

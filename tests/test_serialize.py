@@ -9,12 +9,14 @@ from ncrkhs.rkhs import RkhsModel
 from ncrkhs.sampling import complex_gaussian, rng_from_seed
 from ncrkhs.serialize import (
     decode_cp_map,
+    decode_int,
     decode_formal_kernel,
     decode_kernel,
     decode_matrix,
     decode_model,
     decode_series,
     decode_tuple,
+    decode_word,
     dumps_canonical,
     encode_cp_map,
     encode_formal_kernel,
@@ -118,3 +120,14 @@ def test_dumps_canonical_floats():
     assert dumps_canonical({"a": 1.0, "b": [0.0, -0.0]}) == '{"a":1,"b":[0,0]}'
     assert dumps_canonical(1 / 3) == "0.33333333333333331"
     assert dumps_canonical({"z": True, "a": None}) == '{"z":true,"a":null}'
+
+
+@pytest.mark.parametrize("value", ["x", None, [1], float("inf"), float("nan")])
+def test_non_integer_fields_and_letters_raise_input_error(value):
+    with pytest.raises(InputError):
+        decode_int({"k": value}, "k", "obj")
+    with pytest.raises(InputError):
+        decode_word([value], 2)
+    assert decode_int({}, "k", "obj", 3) == 3
+    with pytest.raises(InputError):
+        decode_int({}, "k", "obj")
