@@ -524,8 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict, args) -> None:
-    text = dumps_canonical(payload)
+def _emit(text: str, args) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -533,12 +532,15 @@ def _emit(payload: dict, args) -> None:
         sys.stdout.write(text + "\n")
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _outcome(args) -> tuple[str, str, int]:
+    """The payload text, status and exit code of a run; library errors become typed payloads.
+
+    The payload is encoded inside the ``try``, so a value that overflowed to
+    NaN or Infinity (which JSON cannot carry) is an input error too.
+    """
     try:
-        tol = _tolerances(args)
-        payload, code = args.handler(args, tol)
+        payload, code = args.handler(args, _tolerances(args))
+        return dumps_canonical(payload), payload.get("status", "ok"), code
     except _INPUT_ERRORS as err:
         payload, code = {"status": "input_error", "error": str(err)}, EXIT_INPUT
     except (NotCp, NotPsd, NotContraction) as err:
@@ -550,8 +552,14 @@ def main(argv=None) -> int:
         payload, code = {"status": "infeasible", "error": str(err), "residual": err.residual}, EXIT_INFEASIBLE
     except NcrkhsError as err:
         payload, code = {"status": "input_error", "error": str(err)}, EXIT_INPUT
-    _emit(payload, args)
-    status = payload.get("status", "ok")
+    return dumps_canonical(payload), payload["status"], code
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    text, status, code = _outcome(args)
+    _emit(text, args)
     print(f"ncrkhs {args.command}: {status}", file=sys.stderr)
     return code
 

@@ -211,6 +211,7 @@ def psd_factor(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise NonSquare(f"psd_factor needs a square matrix, got shape {m.shape}")
     if m.size == 0:
         return np.zeros((0, 0), dtype=np.complex128)
+    _require_finite(m)
     vals, vecs = np.linalg.eigh(hermitize(m))
     norm = float(np.max(np.abs(vals)))
     floor = tol.psd_floor * max(1.0, norm)
@@ -218,6 +219,12 @@ def psd_factor(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise NotPsd(float(vals[0]), floor)
     keep = vals > tol.psd_floor * norm
     return vecs[:, keep] * np.sqrt(vals[keep])
+
+
+def _require_finite(m: np.ndarray) -> None:
+    # an eigensolver fails or returns garbage on NaN/Inf, which come from overflow
+    if not np.all(np.isfinite(m)):
+        raise InputError("the PSD test met non-finite entries (the computation overflowed)")
 
 
 @dataclass(frozen=True)
@@ -238,6 +245,7 @@ def psd_verdict(mats: Iterable[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> Ps
     """
     worst = None
     for m in mats:
+        _require_finite(m)
         vals, vecs = np.linalg.eigh(hermitize(m))
         scale = max(1.0, float(np.max(np.abs(vals))))
         if worst is None or float(vals[0]) / scale < worst[0] / worst[1]:
@@ -339,17 +347,18 @@ class MatrixTuple:
     def scaled(self, t: float) -> "MatrixTuple":
         return MatrixTuple(tuple(t * c for c in self.coords))
 
-    def cached(self, key, compute: Callable[[], np.ndarray]) -> np.ndarray:
+    def cached(self, key, compute: Callable[[], object]):
         """``compute()`` for this point, computed once per ``key`` object.
 
         Entries are keyed by identity and keep ``key`` alive, so its id cannot
         be reused while the point lives, and equal but distinct keys never
-        share an entry.  The value is returned read-only.
+        share an entry.  Array values are returned read-only.
         """
         entry = self._values.get(id(key))
         if entry is None:
             value = compute()
-            value.setflags(write=False)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
             entry = self._values[id(key)] = (key, value)
         return entry[1]
 

@@ -47,17 +47,22 @@ def convolve_truncated(f: NcSeries, g: NcSeries, max_len: int) -> tuple[NcSeries
 # ---------------------------------------------------------------------------
 
 def moment_matrix(kernel: MomentKernel, max_len: int) -> np.ndarray:
-    """Hermitian block matrix of K_{a,b} over words of length <= max_len (graded lex)."""
+    """Hermitian block matrix of K_{a,b} over words of length <= max_len (graded lex).
+
+    It is the kernel's middle matrix C, placed at its words among all words.
+    """
     if max_len > kernel.max_len:
         raise TruncationTooShort(
             f"moment matrix at L={max_len} exceeds stored truncation {kernel.max_len}"
         )
     index = {w: i for i, w in enumerate(words_up_to(kernel.d, max_len))}
     y = kernel.y_dim
+    # the kernel's words are graded lex too, so those of length <= max_len come first
+    kept = [index[w] for w in kernel.words if len(w) <= max_len]
+    m = len(kernel.words)
+    middle = kernel.middle.reshape(m, y, m, y)[:len(kept), :, :len(kept), :]
     out = np.zeros((len(index), y, len(index), y), dtype=np.complex128)
-    for (wa, wb), c in kernel.moments.items():
-        if wa in index and wb in index:
-            out[index[wa], :, index[wb], :] = c
+    out[np.ix_(kept, range(y), kept, range(y))] = middle
     return out.reshape(len(index) * y, len(index) * y)
 
 

@@ -5,6 +5,24 @@ n, m and an algebra argument ``P in A^{n x m}``.  Elements of ``A^{n x m}``
 for ``A = C^{k x k}`` are encoded as ``(n*k) x (m*k)`` block matrices, and a
 unital *-representation acts blockwise as ``a -> a (x) I_mult``.
 
+Every stored form is one factored form ``K(Z,W)(P) = F(Z) (P (x) C) F(W)*``
+(the Kolmogorov decomposition), with a factor series F and a middle matrix
+C fixed at construction:
+
+    form        F                                        C
+    moment      word indicator of the stored words a     moment matrix [K_{a,b}]
+                (coefficient e_a^T (x) I_y)
+    Kolmogorov  H                                        I_{r s}
+    Gram basis  stacked basis, columns ordered (c, i)    G^{-1}
+
+A de Branges-Rovnyak kernel K - S K' S* is ``[F, S F'] (C (+) -C') [...]*``
+and a difference K - K' is ``[F, F'] (C (+) -C') [...]*``.  A certificate's
+block matrix ``[K(Z_i, Z_j)(X_i X_j*)]_{ij}`` is one product per factor,
+``A (I (x) C) A*`` with ``A = vstack_i F(Z_i)(X_i (x) I)``: N factor values
+instead of N^2 kernel values.  C is positive semidefinite for the Kolmogorov
+and Gram forms, so their sampled certificates pass by construction; only
+moment tables, de Branges-Rovnyak kernels and difference kernels can fail.
+
 Positivity is certified on seeded samples: a pass is evidence, not proof,
 except on nilpotent domains where exhaustively truncated moment kernels are
 evaluated exactly.
@@ -40,7 +58,6 @@ from .core import (
     rel_err,
     spec_norm,
     validate_word,
-    word_eval,
     word_key,
     words_up_to,
 )
@@ -56,7 +73,8 @@ from .sampling import (
 from .series import (
     AxiomReport,
     NcSeries,
-    evaluate,
+    WordIndicator,
+    factor_value,
     nilpotency_order,
 )
 
@@ -124,6 +142,16 @@ class KernelBase:
                  allow_truncation: bool = False) -> np.ndarray:
         raise NotImplementedError
 
+    def block_matrix(self, points: Sequence[MatrixTuple], args: Sequence[np.ndarray]) -> np.ndarray:
+        """The block matrix [K(Z_i, Z_j)(X_i X_j*)]_{ij}, one kernel value per block.
+
+        ``args[i]`` is an encoded (n_i k) x (r k) matrix over the algebra.
+        """
+        return np.block([
+            [self.evaluate(zi, zj, xi @ xj.conj().T) for zj, xj in zip(points, args)]
+            for zi, xi in zip(points, args)
+        ])
+
     def _check_points(self, z: MatrixTuple, w: MatrixTuple, p: np.ndarray) -> np.ndarray:
         if z.d != self.d or w.d != self.d:
             raise DimMismatch(f"kernel over {self.d} variables evaluated at {z.d}/{w.d}-tuples")
@@ -131,26 +159,86 @@ class KernelBase:
         return as_cmatrix(p, z.n * k, w.n * k)
 
 
-class MomentKernel(KernelBase):
+class FactoredKernel(KernelBase):
+    """K(Z,W)(P) = sum_t F_t(Z) (P (x) C_t) F_t(W)* over factor/middle pairs (F_t, C_t).
+
+    A factor F has y_dim rows and k*D coefficient columns ordered (c, alpha),
+    algebra index outermost, for a D x D middle matrix C; so the columns of
+    F(Z) run over (point, c, alpha) and P acts on (point, c), C on alpha.
+    ``P (x) C`` is never formed: P and C are applied as two matrix products.
+    Factor values come from :func:`ncrkhs.series.factor_value`, once per point.
+    """
+
+    def __init__(self, d: int, y_dim: int, algebra: AlgebraSpec, terms, default_sampler: str = GAUSSIAN):
+        self.d = int(d)
+        self.y_dim = int(y_dim)
+        self.algebra = algebra
+        self.default_sampler = default_sampler
+        # a factor without columns contributes nothing
+        self.terms = tuple((f, frozen(c)) for f, c in terms if c.shape[0])
+
+    def _check_domain(self, z: MatrixTuple) -> None:
+        """Raise :class:`TruncationRefused` where K is only a truncation; no-op here."""
+
+    def _weighted(self, f, c: np.ndarray, z: MatrixTuple, x: np.ndarray) -> np.ndarray:
+        """F(Z)(X (x) I_D): X acts on the (point, algebra) column index of F(Z)."""
+        rows = z.n * self.y_dim
+        value = factor_value(f, z).reshape(rows, z.n * self.algebra.k, c.shape[0])
+        return np.matmul(x.T, value).reshape(rows, -1)
+
+    def evaluate(self, z, w, p, allow_truncation: bool = False):
+        p = self._check_points(z, w, p)
+        if not allow_truncation:
+            self._check_domain(z)
+            self._check_domain(w)
+        out = np.zeros((z.n * self.y_dim, w.n * self.y_dim), dtype=np.complex128)
+        for f, c in self.terms:
+            left = _times_middle(self._weighted(f, c, z, p), c)
+            out += left @ factor_value(f, w).conj().T
+        return out
+
+    def block_matrix(self, points, args):
+        """One product per term: A (I (x) C) A* with A = vstack_i F(Z_i)(X_i (x) I_D)."""
+        for z in points:
+            self._check_domain(z)
+        size = sum(z.n for z in points) * self.y_dim
+        out = np.zeros((size, size), dtype=np.complex128)
+        for f, c in self.terms:
+            a = np.vstack([self._weighted(f, c, z, x) for z, x in zip(points, args)])
+            out += _times_middle(a, c) @ a.conj().T
+        return out
+
+
+def _times_middle(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a (I (x) C): C acts on the innermost column index of ``a``."""
+    return (a.reshape(-1, c.shape[0]) @ c).reshape(a.shape)
+
+
+def _order_or_none(z: MatrixTuple, tol: Tolerances) -> int | None:
+    try:
+        return nilpotency_order(z, tol)
+    except NotNilpotent:
+        return None
+
+
+class MomentKernel(FactoredKernel):
     """Kernel given by its word moments: K(Z,W)(P) = sum Z^a P (W^b)* (x) K_{a,b}.
 
     The finitely supported Hermitian table K_{a,b} is read two ways: formally,
     as a kernel over the free monoid (see :mod:`ncrkhs.formal`), and
     functionally, through :meth:`evaluate`.  Restricted to the scalar algebra.
-    Evaluation is exact on jointly nilpotent points whose nilpotency order is
-    covered by ``max_len``; elsewhere it is a truncation and must be
-    requested explicitly.
+    ``words`` are the words the table stores (graded lex) and ``middle`` is
+    the moment matrix [K_{a,b}] over them, the C of the factored form whose
+    factor is their word indicator.  Evaluation is exact on jointly nilpotent
+    points whose nilpotency order is covered by ``max_len``; elsewhere it is
+    a truncation and must be requested explicitly.
     """
 
     def __init__(self, d: int, y_dim: int, moments: Mapping[tuple, np.ndarray],
                  max_len: int, tol: Tolerances = DEFAULT_TOL):
         if max_len < 0:
             raise InputError("max_len must be >= 0")
-        self.d = int(d)
-        self.y_dim = int(y_dim)
         self.max_len = int(max_len)
-        self.algebra = AlgebraSpec(SCALAR)
-        self.default_sampler = NILPOTENT
         self.tol = tol
         clean: dict[tuple[Word, Word], np.ndarray] = {}
         for (wa, wb), c in moments.items():
@@ -161,41 +249,45 @@ class MomentKernel(KernelBase):
                 raise InputError(f"duplicate moment pair {key}")
             clean[key] = frozen(as_cmatrix(c, y_dim, y_dim))
         self.moments = dict(sorted(clean.items(), key=lambda kv: (word_key(kv[0][0]), word_key(kv[0][1]))))
-        self._validate_hermitian()
+        self.words = tuple(sorted({w for pair in self.moments for w in pair}, key=word_key))
+        index = {w: i for i, w in enumerate(self.words)}
+        m = len(self.words)
+        table = np.zeros((m, y_dim, m, y_dim), dtype=np.complex128)
+        if self.moments:
+            rows = [index[wa] for wa, _ in self.moments]
+            cols = [index[wb] for _, wb in self.moments]
+            table[rows, :, cols, :] = np.array(list(self.moments.values()))
+        self._validate_hermitian(table)
+        self.middle = frozen(table.reshape(m * y_dim, m * y_dim))
+        super().__init__(d, y_dim, AlgebraSpec(SCALAR), [(WordIndicator(int(d), int(y_dim), self.words), self.middle)],
+                         NILPOTENT)
 
-    def _validate_hermitian(self):
-        scale = max([1.0] + [frobenius(c) for c in self.moments.values()])
-        for (wa, wb), c in self.moments.items():
-            other = self.moments.get((wb, wa))
-            mirror = other if other is not None else np.zeros_like(c)
-            if frobenius(c - mirror.conj().T) > self.tol.eq_rel * scale:
-                raise InputError(f"moment table is not Hermitian at pair {(wa, wb)}")
+    def _validate_hermitian(self, table: np.ndarray) -> None:
+        # blockwise ||K_ab - K_ba*|| against the largest moment
+        gap = np.linalg.norm(table - table.transpose(2, 3, 0, 1).conj(), axis=(1, 3))
+        scale = max(1.0, float(np.max(np.linalg.norm(table, axis=(1, 3)), initial=0.0)))
+        bad = np.argwhere(gap > self.tol.eq_rel * scale)
+        if bad.size:
+            a, b = bad[0]
+            raise InputError(f"moment table is not Hermitian at pair {(self.words[a], self.words[b])}")
 
-    def evaluate(self, z, w, p, allow_truncation: bool = False):
-        p = self._check_points(z, w, p)
-        if not allow_truncation:
-            # words of length >= order vanish at the point, so the stored
-            # support is the whole kernel there iff order <= max_len + 1
-            for point in (z, w):
-                try:
-                    covered = nilpotency_order(point, self.tol) <= self.max_len + 1
-                except NotNilpotent:
-                    covered = False
-                if not covered:
-                    raise TruncationRefused(
-                        "moment-form evaluation is a truncation at this point; "
-                        "pass allow_truncation=True to accept it"
-                    )
-        out = np.zeros((z.n * self.y_dim, w.n * self.y_dim), dtype=np.complex128)
-        evz = {wa: word_eval(wa, z) for wa in {key[0] for key in self.moments}}
-        evw = {wb: word_eval(wb, w) for wb in {key[1] for key in self.moments}}
-        for (wa, wb), c in self.moments.items():
-            out += kron(evz[wa] @ p @ evw[wb].conj().T, c)
-        return out
+    def _check_domain(self, z):
+        # words of length >= order vanish at the point, so the stored support
+        # is the whole kernel there iff order <= max_len + 1; the point keeps
+        # its order, so each point is tested once per tolerance
+        order = z.cached(self.tol, lambda: _order_or_none(z, self.tol))
+        if order is None or order > self.max_len + 1:
+            raise TruncationRefused(
+                "moment-form evaluation is a truncation at this point; "
+                "pass allow_truncation=True to accept it"
+            )
+
+    # each form keeps evaluate in its own class body (perfbench/tracer.py times it there)
+    evaluate = FactoredKernel.evaluate
 
 
-class KolmogorovKernel(KernelBase):
-    """K(Z,W)(P) = H(Z) (id (x) sigma)(P) H(W)* with sigma(a) = a (x) I_{r s}."""
+class KolmogorovKernel(FactoredKernel):
+    """K(Z,W)(P) = H(Z) (id (x) sigma)(P) H(W)* with sigma(a) = a (x) I_{r s}: F = H, C = I_{rs}."""
 
     def __init__(self, algebra: AlgebraSpec, h: NcSeries, s: int = 1):
         if s < 1:
@@ -204,27 +296,20 @@ class KolmogorovKernel(KernelBase):
             raise DimMismatch(
                 f"factor in_dim {h.in_dim} != k*r*s = {algebra.rep_dim * s}"
             )
-        self.algebra = algebra
         self.h = h
         self.s = int(s)
-        self.d = h.d
-        self.y_dim = h.out_dim
-        self.default_sampler = GAUSSIAN
+        super().__init__(h.d, h.out_dim, algebra, [(h, np.eye(algebra.r * self.s))], GAUSSIAN)
 
-    def evaluate(self, z, w, p, allow_truncation: bool = False):
-        p = self._check_points(z, w, p)
-        hz = evaluate(self.h, z)
-        hw = evaluate(self.h, w)
-        amp = amplify(p, self.algebra.k, self.algebra.r * self.s)
-        return hz @ amp @ hw.conj().T
+    evaluate = FactoredKernel.evaluate
 
 
-class GramBasisKernel(KernelBase):
+class GramBasisKernel(FactoredKernel):
     """K(Z,W)(P) = sum_{ij} (G^{-1})_{ij} f_i(Z) P f_j(W)* for a finite basis.
 
-    The basis (nonempty, in_dim = k) is held as one series ``stacked`` = F
-    whose coefficient column ``i*k + c`` is column ``c`` of ``f_i``, so
-    K(Z,W)(P) = F(Z) M F(W)* with M[(b,i,c),(b',i',c')] = P[(b,c),(b',c')] (G^{-1})_{ii'}.
+    The basis (nonempty, in_dim = k) is held as one series ``stacked`` whose
+    coefficient column ``i*k + c`` is column ``c`` of ``f_i``.  The factor is
+    ``stacked`` with its columns reordered once to ``(c, i)`` (the same
+    series when k = 1), and the middle matrix is C = G^{-1}.
     """
 
     def __init__(self, algebra: AlgebraSpec, basis: Sequence[NcSeries], gram: np.ndarray,
@@ -240,30 +325,26 @@ class GramBasisKernel(KernelBase):
         low = float(np.linalg.eigvalsh(hermitize(gram))[0])
         if low <= tol.psd_floor * max(1.0, spec_norm(gram)):
             raise NotPsd(low, tol.psd_floor * max(1.0, spec_norm(gram)))
-        self.algebra = algebra
         self.basis = list(basis)
-        self.d = basis[0].d
-        self.y_dim = basis[0].out_dim
+        d, y, k, size = basis[0].d, basis[0].out_dim, algebra.k, len(basis)
         words = {w for f in basis for w in f.support}
-        self.stacked = NcSeries(self.d, self.y_dim, len(basis) * algebra.k, {
+        self.stacked = NcSeries(d, y, size * k, {
             w: np.hstack([f.coefficient(w) for f in basis]) for w in words
         })
         self.gram = frozen(gram)
         self.gram_inv = frozen(np.linalg.inv(gram))
-        self.default_sampler = GAUSSIAN
         self.tol = tol
+        factor = self.stacked
+        if k > 1:
+            order = np.arange(size * k).reshape(size, k).T.reshape(-1)
+            factor = NcSeries(d, y, size * k, {w: c[:, order] for w, c in self.stacked.terms.items()})
+        super().__init__(d, y, algebra, [(factor, self.gram_inv)], GAUSSIAN)
 
-    def evaluate(self, z, w, p, allow_truncation: bool = False):
-        p = self._check_points(z, w, p)
-        k = self.algebra.k
-        fz = evaluate(self.stacked, z)
-        fw = evaluate(self.stacked, w)
-        mixed = np.einsum("bcBC,iI->bicBIC", p.reshape(z.n, k, w.n, k), self.gram_inv)
-        return fz @ mixed.reshape(fz.shape[1], fw.shape[1]) @ fw.conj().T
+    evaluate = FactoredKernel.evaluate
 
 
 class CallableKernel(KernelBase):
-    """Kernel defined by an arbitrary evaluator (differences, de Branges-Rovnyak)."""
+    """Kernel defined by an arbitrary evaluator; certificates assemble it block by block."""
 
     def __init__(self, d: int, y_dim: int, algebra: AlgebraSpec,
                  fn: Callable[[MatrixTuple, MatrixTuple, np.ndarray], np.ndarray],
@@ -481,8 +562,9 @@ def cp_certificate(
 ) -> CpCertificate:
     """Sampled test of sum_{ij} b_i* K(Z_i, Z_j)(P_i* P_j) b_j >= 0.
 
-    Assembles the Hermitian block matrix M_{ij} = K(Z_i, Z_j)(P_i* P_j) and
-    eigenchecks it against the relative PSD floor.
+    Assembles the Hermitian block matrix M_{ij} = K(Z_i, Z_j)(P_i* P_j) with
+    :meth:`KernelBase.block_matrix` and eigenchecks it against the relative
+    PSD floor.
     """
     _check_positive(n_points, "sample point")
     _check_positive(n_rows, "row")
@@ -492,11 +574,7 @@ def cp_certificate(
     k = kernel.algebra.k
     points = [sample_tuple(rng, sampler, kernel.d, int(sizes[i % len(sizes)])) for i in range(n_points)]
     rows = [random_algebra_matrix(rng, k, n_rows, z.n) for z in points]
-    blocks = [
-        [kernel.evaluate(zi, zj, rows[i].conj().T @ rows[j]) for j, zj in enumerate(points)]
-        for i, zi in enumerate(points)
-    ]
-    m = np.block(blocks)
+    m = kernel.block_matrix(points, [r.conj().T for r in rows])
     verdict = psd_verdict([m], tol)
     description = {
         "sampler": sampler,
@@ -577,8 +655,9 @@ def kolmogorov_at_sample(
     G[(i,r,t),(j,s,u)] = [K(Z_i, Z_j)(e_t e_u*)]_{r,s}.  Block (i, j) is one
     kernel value K(Z_i (x) I_{n_i}, Z_j (x) I_{n_j})(vec(I) vec(I)*): the
     argument's (t, u) block over the ampliation is e_t e_u*, so the direct-sum
-    and similarity axioms give G in this row order.  G is factored as F F*,
-    and each point's rows reshape into its factor value.
+    and similarity axioms give G in this row order; :meth:`KernelBase.block_matrix`
+    assembles it.  G is factored as F F*, and each point's rows reshape into
+    its factor value.
     """
     if kernel.algebra.k != 1:
         raise InputError("kolmogorov_at_sample requires a scalar coefficient algebra")
@@ -587,11 +666,8 @@ def kolmogorov_at_sample(
         raise InputError("kolmogorov_at_sample needs at least one sample point")
     y = kernel.y_dim
     amplified = [MatrixTuple(tuple(kron(c, np.eye(z.n)) for c in z.coords)) for z in points]
-    units = [np.eye(z.n, dtype=np.complex128).reshape(-1) for z in points]
-    gram = np.block([
-        [kernel.evaluate(ai, aj, np.outer(ui, uj)) for aj, uj in zip(amplified, units)]
-        for ai, ui in zip(amplified, units)
-    ])
+    units = [np.eye(z.n, dtype=np.complex128).reshape(-1, 1) for z in points]
+    gram = kernel.block_matrix(amplified, units)
 
     f = psd_factor(gram, tol)
     rank = f.shape[1]

@@ -27,12 +27,14 @@ from .core import (
 from .kernels import (
     CallableKernel,
     CpCertificate,
+    FactoredKernel,
     KernelBase,
     KernelElement,
     cp_certificate,
 )
 from .rkhs import RkhsModel
-from .series import NcSeries, evaluate, multiply
+from .sampling import NILPOTENT
+from .series import NcSeries, WordIndicator, evaluate, multiply
 
 
 @dataclass(frozen=True)
@@ -141,21 +143,34 @@ def multiplier_matrix(
     return _represent_in_model(multiply(mult.s, source_model.stacked), target_model, tol).coefficients
 
 
-def dbr_kernel(mult: Multiplier) -> CallableKernel:
-    """The kernel K(Z,W)(P) - S(Z) K'(Z,W)(P) S(W)*."""
-    s = mult.s
-    source, target = mult.source, mult.target
+def _minus(kernel: KernelBase, other: KernelBase, s: NcSeries | None = None) -> KernelBase:
+    """K - S K' S* (K - K' without S), in factored form when both kernels are.
+
+    The factored form is [F, S F'] (C (+) -C') [F, S F']*, with S F' by series
+    multiplication; any other kernel is combined value by value.
+    """
+    sampler = kernel.default_sampler
+    if NILPOTENT in (kernel.default_sampler, other.default_sampler):
+        sampler = NILPOTENT
+    if isinstance(kernel, FactoredKernel) and isinstance(other, FactoredKernel):
+        moved = [
+            (f if s is None else multiply(s, f.as_series() if isinstance(f, WordIndicator) else f), -c)
+            for f, c in other.terms
+        ]
+        return FactoredKernel(kernel.d, kernel.y_dim, kernel.algebra, kernel.terms + tuple(moved), sampler)
 
     def fn(z: MatrixTuple, w: MatrixTuple, p: np.ndarray) -> np.ndarray:
-        sz = evaluate(s, z)
-        sw = evaluate(s, w)
-        inner = source.evaluate(z, w, p, allow_truncation=True)
-        return target.evaluate(z, w, p, allow_truncation=True) - sz @ inner @ sw.conj().T
+        inner = other.evaluate(z, w, p, allow_truncation=True)
+        if s is not None:
+            inner = evaluate(s, z) @ inner @ evaluate(s, w).conj().T
+        return kernel.evaluate(z, w, p, allow_truncation=True) - inner
 
-    sampler = target.default_sampler
-    if source.default_sampler == "nilpotent" or target.default_sampler == "nilpotent":
-        sampler = "nilpotent"
-    return CallableKernel(target.d, target.y_dim, target.algebra, fn, default_sampler=sampler)
+    return CallableKernel(kernel.d, kernel.y_dim, kernel.algebra, fn, default_sampler=sampler)
+
+
+def dbr_kernel(mult: Multiplier) -> KernelBase:
+    """The kernel K(Z,W)(P) - S(Z) K'(Z,W)(P) S(W)*."""
+    return _minus(mult.target, mult.source, mult.s)
 
 
 def contractivity_certificate(
@@ -322,22 +337,13 @@ def brangesian_complement(a, gram_src=None, gram_tgt=None,
 # contractive containment
 # ---------------------------------------------------------------------------
 
-def difference_kernel(kprime: KernelBase, kernel: KernelBase) -> CallableKernel:
+def difference_kernel(kprime: KernelBase, kernel: KernelBase) -> KernelBase:
     """K'' = K - K', the complement kernel of a contractive containment."""
     if kprime.y_dim != kernel.y_dim or kprime.algebra != kernel.algebra:
         raise DimMismatch("kernels must share coefficient dimension and algebra")
     if kprime.d != kernel.d:
         raise DimMismatch("kernels must share the variable count")
-
-    def fn(z, w, p):
-        return kernel.evaluate(z, w, p, allow_truncation=True) - kprime.evaluate(
-            z, w, p, allow_truncation=True
-        )
-
-    sampler = kernel.default_sampler
-    if "nilpotent" in (kprime.default_sampler, kernel.default_sampler):
-        sampler = "nilpotent"
-    return CallableKernel(kernel.d, kernel.y_dim, kernel.algebra, fn, default_sampler=sampler)
+    return _minus(kernel, kprime)
 
 
 def contractive_containment(
@@ -349,7 +355,7 @@ def contractive_containment(
     seed=0,
     tol: Tolerances = DEFAULT_TOL,
     sampler: str | None = None,
-) -> tuple[CpCertificate, CallableKernel]:
+) -> tuple[CpCertificate, KernelBase]:
     """Certificate that H(K') embeds contractively in H(K): cp test of K - K'.
 
     On a pass the returned difference kernel is the Brangesian complement

@@ -9,6 +9,7 @@ and seeds produce byte-identical payloads.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -35,6 +36,9 @@ from .series import NcSeries
 def _render_float(x: float) -> str:
     if x == 0.0:
         return "0"
+    if not math.isfinite(x):
+        # JSON has no NaN or Infinity; such a value comes from overflow
+        raise InputError(f"cannot encode the non-finite number {x} (the computation overflowed)")
     return format(float(x), ".17g")
 
 
@@ -78,13 +82,24 @@ def decode_complex(data, where: str = "scalar") -> complex:
         raise InputError(f"{where}: non-numeric complex scalar") from exc
 
 
+def _integral(value) -> int | None:
+    """``value`` as an int when it is an integral number (not a boolean), else None."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    return None
+
+
 def decode_int(data: dict, key: str, where: str, default: int | None = None) -> int:
     """The integer field ``key`` of a JSON object, or ``default`` when it is absent."""
     value = data.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{where}: field {key!r} must be an integer, got {value!r}") from exc
+    number = _integral(value)
+    if number is None:
+        raise InputError(f"{where}: field {key!r} must be an integer, got {value!r}")
+    return number
 
 
 def encode_matrix(m: np.ndarray) -> dict:
@@ -129,10 +144,10 @@ def encode_word(w) -> list[int]:
 def decode_word(data, d: int, where: str = "word"):
     if not isinstance(data, list):
         raise InputError(f"{where}: a word is an array of integers")
-    try:
-        return validate_word([int(l) for l in data], d)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{where}: non-integer letter") from exc
+    letters = [_integral(l) for l in data]
+    if None in letters:
+        raise InputError(f"{where}: non-integer letter")
+    return validate_word(letters, d)
 
 
 def encode_tuple(z: MatrixTuple) -> dict:

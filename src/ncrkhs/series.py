@@ -11,7 +11,9 @@ the prefix products ``Z^{w[:k]}``, so every trie node costs one ``n x n``
 product and at most ``degree + 1`` products are held at a time.  The point
 keeps each finished value (:meth:`MatrixTuple.cached`), so a series is
 evaluated once per point however often a kernel or certificate asks for it;
-returned values are read-only.
+returned values are read-only.  The same walk gives the value of a
+:class:`WordIndicator` (a moment table's factor), writing each ``Z^w`` into
+its own column block instead of summing one-hot coefficients.
 
 The joint nilpotency order (:func:`nilpotency_order`) follows the descending
 flag ``V_{L+1} = sum_j Z_j V_L`` through one ``n x (d n)`` factor per length,
@@ -158,23 +160,73 @@ def evaluate(f: NcSeries, z: MatrixTuple) -> np.ndarray:
     return z.cached(f, lambda: _stream(f, z))
 
 
-def _stream(f: NcSeries, z: MatrixTuple) -> np.ndarray:
-    """Depth-first walk of the support's prefix trie, accumulating Z^w (x) f_w."""
-    n = z.n
-    # out[a, s, b, t] = sum_w Z^w[a, b] f_w[s, t] is the Kronecker layout
-    out = np.zeros((n, f.out_dim, n, f.in_dim), dtype=np.complex128)
-    prefix = [np.eye(n, dtype=np.complex128)]  # prefix[k] = Z^{prev[:k]}
+def _powers(words, z: MatrixTuple):
+    """(w, Z^w) for each word, in lexicographic order: a depth-first walk of the prefix trie."""
+    prefix = [np.eye(z.n, dtype=np.complex128)]  # prefix[k] = Z^{prev[:k]}
     prev: Word = EMPTY_WORD
-    for w in sorted(f.terms):
+    for w in sorted(words):
         shared = 0
         while shared < min(len(prev), len(w)) and prev[shared] == w[shared]:
             shared += 1
         del prefix[shared + 1:]
         for letter in w[shared:]:
             prefix.append(prefix[-1] @ z.coords[letter - 1])
-        out += prefix[-1][:, None, :, None] * f.terms[w][None, :, None, :]
+        yield w, prefix[-1]
         prev = w
+
+
+def _stream(f: NcSeries, z: MatrixTuple) -> np.ndarray:
+    """Accumulate Z^w (x) f_w along the prefix trie of the support."""
+    n = z.n
+    # out[a, s, b, t] = sum_w Z^w[a, b] f_w[s, t] is the Kronecker layout
+    out = np.zeros((n, f.out_dim, n, f.in_dim), dtype=np.complex128)
+    for w, power in _powers(f.terms, z):
+        out += power[:, None, :, None] * f.terms[w][None, :, None, :]
     return out.reshape(n * f.out_dim, n * f.in_dim)
+
+
+@dataclass(frozen=True, eq=False)
+class WordIndicator:
+    """The series sum_a z^a (e_a^T (x) I_y) over distinct ``words``.
+
+    Its value at Z is the block row ``[Z^a (x) I_y]_a``, one column block per
+    word in the given order, so a word-indexed table of y x y blocks acts on
+    it as a middle matrix.  :func:`factor_value` writes each ``Z^a`` into its
+    block instead of summing one-hot coefficients.
+    """
+
+    d: int
+    y_dim: int
+    words: tuple[Word, ...]
+
+    def as_series(self) -> NcSeries:
+        """The same function as an :class:`NcSeries` (one-hot coefficients)."""
+        m = len(self.words)
+        eye = np.eye(m * self.y_dim, dtype=np.complex128)
+        return NcSeries(self.d, self.y_dim, m * self.y_dim, {
+            w: eye[i * self.y_dim:(i + 1) * self.y_dim] for i, w in enumerate(self.words)
+        })
+
+
+def factor_value(f: NcSeries | WordIndicator, z: MatrixTuple) -> np.ndarray:
+    """The value of a kernel factor at Z, read-only and computed once per (f, Z)."""
+    if isinstance(f, NcSeries):
+        return evaluate(f, z)
+    if z.d != f.d:
+        raise DimMismatch(f"series over {f.d} variables evaluated at a {z.d}-tuple")
+    return z.cached(f, lambda: _word_blocks(f, z))
+
+
+def _word_blocks(f: WordIndicator, z: MatrixTuple) -> np.ndarray:
+    n, y = z.n, f.y_dim
+    column = {w: i for i, w in enumerate(f.words)}
+    blocks = np.empty((n, n, len(f.words)), dtype=np.complex128)  # [a, b, word]
+    for w, power in _powers(f.words, z):
+        blocks[:, :, column[w]] = power
+    if y == 1:
+        return blocks.reshape(n, n * len(f.words))
+    out = blocks[:, None, :, :, None] * np.eye(y)[None, :, None, None, :]
+    return out.reshape(n * y, n * len(f.words) * y)
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,10 @@ _MOMENTS = {"form": "moment", "d": 1, "y_dim": 1, "max_len": 1, "moments": []}
 _KOLMOGOROV = encode_kernel(KolmogorovKernel(AlgebraSpec(), NcSeries.constant(1, [[1.0]])))
 
 
+def _series_with_word(word):
+    return {**_SERIES, "terms": [{"word": word, "coeff": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}]}
+
+
 @pytest.mark.parametrize(
     "command, files",
     [
@@ -358,12 +362,22 @@ _KOLMOGOROV = encode_kernel(KolmogorovKernel(AlgebraSpec(), NcSeries.constant(1,
         (["kernel-from-basis", "--model", "{a}"], [{"algebra": {"r": None}, "basis": []}]),
         (["cp-certify", "--seed", "1", "--kernel", "{a}"], [{**_KOLMOGOROV, "s": "x"}]),
         (["formal-factor", "--L", "1", "--kernel", "{a}"], [None]),
+        (["eval", "--series", "{a}", "--point", "{b}"], [_SERIES, {**_POINT, "n": 1.7}]),
+        (["eval", "--series", "{a}", "--point", "{b}"],
+         [_SERIES, {**_POINT, "coords": [{"rows": 1.9, "cols": 1, "data": [[0.0, 0.0]]}]}]),
+        (["eval", "--series", "{a}", "--point", "{b}"], [_series_with_word([1.6]), _POINT]),
+        (["eval", "--series", "{a}", "--point", "{b}"],
+         [_series_with_word([1.6]), {"d": 1, "n": 1.7, "coords": [{"rows": 1.9, "cols": 1, "data": [[0.5, 0.0]]}]}]),
+        (["eval", "--series", "{a}", "--point", "{b}"], [_SERIES, {**_POINT, "d": True}]),
+        (["eval", "--series", "{a}", "--point", "{b}"], [_series_with_word([True]), _POINT]),
     ],
     ids=[
         "terms-entry", "terms-array", "coords-array", "moments-entry", "moments-array",
         "formal-moments-entry", "basis-array", "units-row", "samples-entry", "samples-array",
         "point-d-field", "point-n-field", "matrix-negative-rows", "algebra-k-field",
-        "algebra-r-field", "kolmogorov-s-field", "formal-null",
+        "algebra-r-field", "kolmogorov-s-field", "formal-null", "point-n-fraction",
+        "matrix-rows-fraction", "word-letter-fraction", "all-fractional", "point-d-boolean",
+        "word-letter-boolean",
     ],
 )
 def test_wrong_json_entry_type_is_input_error(tmp_path, capsys, command, files):
@@ -394,3 +408,31 @@ def test_tol_eq_applies_while_parsing(tmp_path, capsys, argv, payload):
     code, out = run(capsys, argv + [path, "--tol-eq", "1e-6"])
     assert code == 0
     assert out["status"] == "ok"
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} in the payload")
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["eval", "--series", "{a}", "--point", "{b}"],
+         [NcSeries.monomial(1, (1, 1), [[1.0]]), MatrixTuple((np.full((2, 2), 1e200),))]),
+        (["cp-certify", "--seed", "1", "--sampler", "gaussian", "--kernel", "{a}"],
+         [KolmogorovKernel(AlgebraSpec(), NcSeries.monomial(1, (1, 1), [[1e200]]))]),
+        (["kolmogorov", "--seed", "1", "--kernel", "{a}"],
+         [KolmogorovKernel(AlgebraSpec(), NcSeries.monomial(1, (1, 1), [[1e200]]))]),
+    ],
+    ids=["eval", "cp-certify", "kolmogorov"],
+)
+def test_overflow_is_a_typed_input_error(tmp_path, capsys, argv, files):
+    encoders = {NcSeries: encode_series, MatrixTuple: encode_tuple, KolmogorovKernel: encode_kernel}
+    paths = {name: write(tmp_path, f"{name}.json", encoders[type(obj)](obj)) for name, obj in zip("ab", files)}
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    out = json.loads(captured.out, parse_constant=_reject_constant)
+    assert out["status"] == "input_error"
+    assert "overflow" in out["error"]

@@ -134,6 +134,16 @@ def test_psd_verdict_pass_boundary_and_empty():
         psd_verdict([])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_psd_tests_reject_non_finite_entries(bad):
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        psd_factor(m)
+    with pytest.raises(InputError, match="non-finite"):
+        psd_verdict([np.eye(2), m])
+
+
 def test_word_transpose_and_range():
     assert word_transpose((2, 1)) == (1, 2)
     z = zero_tuple(1, 2)

@@ -88,13 +88,15 @@ def test_moment_kernel_tests_each_point_once(monkeypatch):
 
     monkeypatch.setattr(kernels, "nilpotency_order", counted)
     kernel = szego_kernel(1, max_len=3)
-    kernel.evaluate(JORDAN, zero_tuple(1, 3), np.zeros((2, 3)))
+    # a fresh point: the module's JORDAN keeps the order other tests found
+    jordan = MatrixTuple((J2,))
+    kernel.evaluate(jordan, zero_tuple(1, 3), np.zeros((2, 3)))
     assert len(calls) == 2
     calls.clear()
     invertible = MatrixTuple((np.eye(2) * 0.5,))
     with pytest.raises(TruncationRefused, match="pass allow_truncation=True"):
-        kernel.evaluate(JORDAN, invertible, np.eye(2))
-    assert len(calls) == 2
+        kernel.evaluate(jordan, invertible, np.eye(2))
+    assert calls == [invertible]
 
 
 def test_moment_kernel_rejects_non_hermitian_table():
@@ -462,10 +464,11 @@ def test_kolmogorov_at_sample_matches_unit_evaluations():
 
 
 def test_kolmogorov_at_sample_evaluates_once_per_point_pair():
-    kernel = KolmogorovKernel(AlgebraSpec(), random_scalar_factor(rng_from_seed(32), 2, 2, 2), s=2)
+    # an arbitrary evaluator is assembled block by block; factored kernels make no kernel call
+    base = KolmogorovKernel(AlgebraSpec(), random_scalar_factor(rng_from_seed(32), 2, 2, 2), s=2)
     calls = []
-    evaluate = kernel.evaluate
-    kernel.evaluate = lambda *args: calls.append(args) or evaluate(*args)
+    kernel = CallableKernel(base.d, base.y_dim, base.algebra,
+                            lambda *args: calls.append(args) or base.evaluate(*args))
     rng = rng_from_seed(33)
     points = [nilpotent_tuple(rng, 2, n) for n in (2, 3, 1, 2)]
     kolmogorov_at_sample(kernel, points)

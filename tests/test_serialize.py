@@ -122,12 +122,14 @@ def test_dumps_canonical_floats():
     assert dumps_canonical({"z": True, "a": None}) == '{"z":true,"a":null}'
 
 
-@pytest.mark.parametrize("value", ["x", None, [1], float("inf"), float("nan")])
+@pytest.mark.parametrize("value", ["x", None, [1], float("inf"), float("nan"), 1.7, -0.5, True, False, "2"])
 def test_non_integer_fields_and_letters_raise_input_error(value):
     with pytest.raises(InputError):
         decode_int({"k": value}, "k", "obj")
     with pytest.raises(InputError):
         decode_word([value], 2)
     assert decode_int({}, "k", "obj", 3) == 3
+    assert decode_int({"k": 2.0}, "k", "obj") == 2
+    assert decode_word([2.0, 1], 2) == (2, 1)
     with pytest.raises(InputError):
         decode_int({}, "k", "obj")
