@@ -84,6 +84,8 @@ def decode_complex(data, where: str = "scalar") -> complex:
 
 def _integral(value) -> int | None:
     """``value`` as an int when it is an integral number (not a boolean), else None."""
+    if type(value) is int:
+        return value
     if isinstance(value, (bool, np.bool_)):
         return None
     if isinstance(value, (int, np.integer)):
@@ -144,7 +146,7 @@ def encode_word(w) -> list[int]:
 def decode_word(data, d: int, where: str = "word"):
     if not isinstance(data, list):
         raise InputError(f"{where}: a word is an array of integers")
-    letters = [_integral(l) for l in data]
+    letters = [l if type(l) is int else _integral(l) for l in data]
     if None in letters:
         raise InputError(f"{where}: non-integer letter")
     return validate_word(letters, d)
