@@ -169,7 +169,7 @@ class FactoredKernel(KernelBase):
     Factor values come from :func:`ncrkhs.series.factor_value`, once per point.
     """
 
-    def __init__(self, d: int, y_dim: int, algebra: AlgebraSpec, terms, default_sampler: str = GAUSSIAN):
+    def __init__(self, d: int, y_dim: int, algebra: AlgebraSpec, terms, default_sampler: str):
         self.d = int(d)
         self.y_dim = int(y_dim)
         self.algebra = algebra
