@@ -259,8 +259,8 @@ class MomentKernel(FactoredKernel):
             table[rows, :, cols, :] = np.array(list(self.moments.values()))
         self._validate_hermitian(table)
         self.middle = frozen(table.reshape(m * y_dim, m * y_dim))
-        super().__init__(d, y_dim, AlgebraSpec(SCALAR), [(WordIndicator(int(d), int(y_dim), self.words), self.middle)],
-                         NILPOTENT)
+        factor = WordIndicator(int(d), int(y_dim), self.words)
+        super().__init__(d, y_dim, AlgebraSpec(SCALAR), [(factor, self.middle)], NILPOTENT)
 
     def _validate_hermitian(self, table: np.ndarray) -> None:
         # blockwise ||K_ab - K_ba*|| against the largest moment
