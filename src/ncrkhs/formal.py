@@ -140,13 +140,20 @@ def nilpotent_positivity_check(
                 f"sampled size {n} can exceed nilpotency coverage max_len+1={kernel.max_len + 1}"
             )
     rng = rng_from_seed(seed)
-    points: list[MatrixTuple] = [
-        nilpotent_tuple(rng, kernel.d, int(sizes[i % len(sizes)])) for i in range(n_points)
-    ]
+    sampled = [nilpotent_tuple(rng, kernel.d, int(sizes[i % len(sizes)])) for i in range(n_points)]
     shift = truncated_shift_tuple(kernel.d, kernel.max_len)
-    points.extend(shift.scaled(float(t)) for t in SHIFT_SCALES)
 
-    verdict = psd_verdict((kernel.evaluate(z, z, np.eye(z.n)) for z in points), tol)
+    def unit_values():
+        for z in sampled:
+            yield kernel.evaluate(z, z, np.eye(z.n))
+        # a scaled shift keeps its factor value (n x n*N for the table's N words),
+        # so each is made where it is evaluated and dropped before the next
+        for t in SHIFT_SCALES:
+            z = shift.scaled(float(t))
+            yield kernel.evaluate(z, z, np.eye(z.n))
+
+    verdict = psd_verdict(unit_values(), tol)
+    points = sampled + [shift.scaled(float(t)) for t in SHIFT_SCALES]
     description = {
         "sampler": "nilpotent+shift",
         "sizes": [z.n for z in points],
