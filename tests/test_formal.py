@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -202,3 +204,25 @@ def test_nilpotent_positivity_truncation_guard():
 def test_zero_kernel_passes():
     kernel = FormalKernel(2, 1, {}, 2)
     assert nilpotent_positivity_check(kernel, seed=0).passed
+
+
+def test_positivity_check_holds_one_shift_value_at_a_time(monkeypatch):
+    # a scaled shift's factor value is n x n*N for N words; the check must not keep all three
+    from ncrkhs import series
+
+    kernel = szego_formal_kernel(2, 3)
+    size = len(words_up_to(2, 3))
+    blocks = series._word_blocks
+    evaluated, alive = [], []
+
+    def counted(f, z):
+        if z.n == size:
+            alive.append(sum(ref() is not None for ref in evaluated))
+            evaluated.append(weakref.ref(z))
+        return blocks(f, z)
+
+    monkeypatch.setattr(series, "_word_blocks", counted)
+    cert = nilpotent_positivity_check(kernel, seed=1)
+    assert cert.passed
+    assert alive == [0, 0, 0]
+    assert [z.n for z in cert.points[-3:]] == [size] * 3
