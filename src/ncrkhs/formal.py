@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    MatrixTuple,
     Tolerances,
     TruncationTooShort,
     psd_factor,
