@@ -14,6 +14,7 @@ domains with exhaustive truncation).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -535,12 +536,12 @@ def _emit(text: str, args) -> None:
 def _outcome(args) -> tuple[str, str, int]:
     """The payload text, status and exit code of a run; library errors become typed payloads.
 
-    The payload is encoded inside the ``try``, so a value that overflowed to
-    NaN or Infinity (which JSON cannot carry) is an input error too.
+    A payload that cannot be encoded, because a value in it (a result, or an
+    error's ``min_eig`` or ``residual``) overflowed to NaN or Infinity, which
+    JSON cannot carry, is an input error too.
     """
     try:
         payload, code = args.handler(args, _tolerances(args))
-        return dumps_canonical(payload), payload.get("status", "ok"), code
     except _INPUT_ERRORS as err:
         payload, code = {"status": "input_error", "error": str(err)}, EXIT_INPUT
     except (NotCp, NotPsd, NotContraction) as err:
@@ -552,12 +553,23 @@ def _outcome(args) -> tuple[str, str, int]:
         payload, code = {"status": "infeasible", "error": str(err), "residual": err.residual}, EXIT_INFEASIBLE
     except NcrkhsError as err:
         payload, code = {"status": "input_error", "error": str(err)}, EXIT_INPUT
-    return dumps_canonical(payload), payload["status"], code
+    try:
+        return dumps_canonical(payload), payload.get("status", "ok"), code
+    except InputError as err:
+        return dumps_canonical({"status": "input_error", "error": str(err)}), "input_error", EXIT_INPUT
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call in a process and shared by every later one.
+
+    Parsing leaves it unchanged and gives each call a fresh namespace.
+    """
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     text, status, code = _outcome(args)
     _emit(text, args)
     print(f"ncrkhs {args.command}: {status}", file=sys.stderr)

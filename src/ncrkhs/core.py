@@ -160,6 +160,34 @@ def as_cmatrix(data, rows: int | None = None, cols: int | None = None) -> np.nda
     return m
 
 
+def _stacked(mats) -> np.ndarray | None:
+    """``mats`` converted together to one finite complex128 array, or None where that fails."""
+    try:
+        block = np.array(mats, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return block if np.isfinite(block).all() else None
+
+
+def sorted_table(keys: Sequence, mats: Sequence, rows: int, cols: int, sort_key) -> dict:
+    """``{key: as_cmatrix(mat, rows, cols)}`` ordered by ``sort_key``.
+
+    The matrices are converted and checked as one stacked array, and each
+    value is a read-only view into it.  Only when that check fails is each
+    matrix checked on its own, in the order given, so that the first bad
+    one raises its own :func:`as_cmatrix` error.
+    """
+    block = _stacked(mats)
+    if block is None or block.shape != (len(mats), rows, cols):
+        checked = [as_cmatrix(m, rows, cols) for m in mats]
+        block = np.array(checked, dtype=np.complex128).reshape(len(mats), rows, cols)
+    order = sorted(range(len(keys)), key=lambda i: sort_key(keys[i]))
+    if order != list(range(len(order))):
+        block = block[order]
+    block.setflags(write=False)
+    return {keys[i]: m for i, m in zip(order, block)}
+
+
 def frozen(m: np.ndarray) -> np.ndarray:
     out = np.array(m, dtype=np.complex128, copy=True)
     out.setflags(write=False)
@@ -211,7 +239,7 @@ def psd_factor(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise NonSquare(f"psd_factor needs a square matrix, got shape {m.shape}")
     if m.size == 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    _require_finite(m)
+    require_finite(m, "the PSD test")
     vals, vecs = np.linalg.eigh(hermitize(m))
     norm = float(np.max(np.abs(vals)))
     floor = tol.psd_floor * max(1.0, norm)
@@ -221,10 +249,13 @@ def psd_factor(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
-def _require_finite(m: np.ndarray) -> None:
-    # an eigensolver fails or returns garbage on NaN/Inf, which come from overflow
+def require_finite(m: np.ndarray, what: str) -> None:
+    """Raise :class:`InputError` on NaN or Infinity, which here come from overflow.
+
+    An eigensolver fails or returns garbage on them, and JSON cannot carry them.
+    """
     if not np.all(np.isfinite(m)):
-        raise InputError("the PSD test met non-finite entries (the computation overflowed)")
+        raise InputError(f"{what} met non-finite entries (the computation overflowed)")
 
 
 @dataclass(frozen=True)
@@ -245,7 +276,7 @@ def psd_verdict(mats: Iterable[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> Ps
     """
     worst = None
     for m in mats:
-        _require_finite(m)
+        require_finite(m, "the PSD test")
         vals, vecs = np.linalg.eigh(hermitize(m))
         scale = max(1.0, float(np.max(np.abs(vals))))
         if worst is None or float(vals[0]) / scale < worst[0] / worst[1]:
@@ -323,12 +354,17 @@ class MatrixTuple:
     def __post_init__(self):
         if len(self.coords) < 1:
             raise InputError("a matrix tuple needs at least one coordinate")
-        coords = tuple(frozen(as_cmatrix(c)) for c in self.coords)
-        n = coords[0].shape[0]
-        for c in coords:
-            if c.shape != (n, n):
-                raise DimMismatch("all coordinates must be square of the same size")
-        object.__setattr__(self, "coords", coords)
+        # one check of the stacked coordinates; each coordinate is a view into it
+        block = _stacked(self.coords)
+        if block is None or block.ndim != 3 or block.shape[1] != block.shape[2]:
+            coords = [as_cmatrix(c) for c in self.coords]
+            n = coords[0].shape[0]
+            for c in coords:
+                if c.shape != (n, n):
+                    raise DimMismatch("all coordinates must be square of the same size")
+            block = np.array(coords)
+        block.setflags(write=False)
+        object.__setattr__(self, "coords", tuple(block))
 
     @property
     def d(self) -> int:

@@ -29,6 +29,7 @@ from .core import (
     kron,
     psd_verdict,
     rel_err,
+    require_finite,
     spec_norm,
 )
 from .sampling import complex_gaussian, random_psd, rng_from_seed
@@ -221,6 +222,7 @@ def effros_ruan_lower_bound(
         den_norm = spec_norm(den)
         if den_norm <= 0:
             continue
+        require_finite(num, "the Effros-Ruan bound")
         best = max(best, float(np.sqrt(max(0.0, np.linalg.eigvalsh(hermitize(num))[-1]) / den_norm)))
     return best
 

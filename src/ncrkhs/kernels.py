@@ -56,6 +56,7 @@ from .core import (
     psd_factor,
     psd_verdict,
     rel_err,
+    sorted_table,
     spec_norm,
     validate_word,
     word_key,
@@ -240,15 +241,16 @@ class MomentKernel(FactoredKernel):
             raise InputError("max_len must be >= 0")
         self.max_len = int(max_len)
         self.tol = tol
-        clean: dict[tuple[Word, Word], np.ndarray] = {}
-        for (wa, wb), c in moments.items():
+        keys: dict[tuple[Word, Word], None] = {}
+        for wa, wb in moments:
             key = (validate_word(wa, d), validate_word(wb, d))
             if max(len(key[0]), len(key[1])) > max_len:
                 raise InputError(f"moment word pair {key} exceeds max_len={max_len}")
-            if key in clean:
+            if key in keys:
                 raise InputError(f"duplicate moment pair {key}")
-            clean[key] = frozen(as_cmatrix(c, y_dim, y_dim))
-        self.moments = dict(sorted(clean.items(), key=lambda kv: (word_key(kv[0][0]), word_key(kv[0][1]))))
+            keys[key] = None
+        self.moments = sorted_table(list(keys), list(moments.values()), y_dim, y_dim,
+                                    lambda key: (word_key(key[0]), word_key(key[1])))
         self.words = tuple(sorted({w for pair in self.moments for w in pair}, key=word_key))
         index = {w: i for i, w in enumerate(self.words)}
         m = len(self.words)

@@ -78,6 +78,8 @@ def decode_complex(data, where: str = "scalar") -> complex:
         raise InputError(f"{where}: complex scalar must be a two-element [re, im] array")
     try:
         return complex(float(data[0]), float(data[1]))
+    except OverflowError as exc:
+        raise InputError(f"{where}: complex scalar overflows double precision") from exc
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: non-numeric complex scalar") from exc
 
@@ -125,8 +127,17 @@ def decode_matrix(data, where: str = "matrix") -> np.ndarray:
     entries = data.get("data")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise InputError(f"{where}: data must hold rows*cols = {rows * cols} entries")
-    values = [decode_complex(e, where) for e in entries]
-    return as_cmatrix(np.array(values, dtype=np.complex128).reshape(rows, cols))
+    # numeric [re, im] pairs are converted and checked as one array; the
+    # per-entry walk runs only to name what is wrong
+    try:
+        pairs = np.array(entries)
+    except (ValueError, OverflowError):
+        pairs = None
+    if (pairs is None or pairs.dtype.kind not in "biuf" or pairs.shape != (rows * cols, 2)
+            or not np.isfinite(pairs).all()):
+        values = [decode_complex(e, where) for e in entries]
+        return as_cmatrix(np.array(values, dtype=np.complex128).reshape(rows, cols))
+    return pairs.astype(np.float64, copy=False).view(np.complex128).reshape(rows, cols)
 
 
 def decode_objects(data, where: str) -> list[dict]:

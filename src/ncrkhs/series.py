@@ -41,9 +41,9 @@ from .core import (
     Word,
     as_cmatrix,
     frobenius,
-    frozen,
     kron,
     rel_err,
+    sorted_table,
     spec_norm,
     validate_word,
     word_key,
@@ -65,13 +65,14 @@ class NcSeries:
             raise InputError("d must be >= 1")
         if self.out_dim < 1 or self.in_dim < 1:
             raise InputError("coefficient dimensions must be >= 1")
-        clean: dict[Word, np.ndarray] = {}
-        for w, c in self.terms.items():
+        words: dict[Word, None] = {}
+        for w in self.terms:
             word = validate_word(w, self.d)
-            if word in clean:
+            if word in words:
                 raise InputError(f"duplicate word {word}")
-            clean[word] = frozen(as_cmatrix(c, self.out_dim, self.in_dim))
-        object.__setattr__(self, "terms", dict(sorted(clean.items(), key=lambda kv: word_key(kv[0]))))
+            words[word] = None
+        terms = sorted_table(list(words), list(self.terms.values()), self.out_dim, self.in_dim, word_key)
+        object.__setattr__(self, "terms", terms)
 
     def coefficient(self, w) -> np.ndarray:
         word = validate_word(w, self.d)

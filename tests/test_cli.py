@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
+from ncrkhs import cli
 from ncrkhs.cli import main
 from ncrkhs.cpmaps import CpMap
 from ncrkhs.kernels import AlgebraSpec, KolmogorovKernel, MomentKernel, szego_kernel
@@ -20,7 +22,7 @@ from ncrkhs.serialize import (
     encode_tuple,
 )
 from ncrkhs.series import NcSeries
-from ncrkhs.core import MatrixTuple, zero_tuple
+from ncrkhs.core import Infeasible, MatrixTuple, NotCp, NotPsd, zero_tuple
 
 
 def write(tmp_path, name, payload):
@@ -414,6 +416,17 @@ def _reject_constant(name):
     raise ValueError(f"bare {name} in the payload")
 
 
+def _point_with_entries(entries):
+    """A one-coordinate point file whose square matrix holds the given [re, im] entries as written."""
+    n = int(round(len(entries) ** 0.5))
+    return {"d": 1, "n": n, "coords": [{"rows": n, "cols": n, "data": entries}]}
+
+
+# every unit entry is 1e308: phi(1) is finite, but its Choi test and the
+# Effros-Ruan products overflow to NaN/Infinity
+_OVERFLOWING_MAP = CpMap(1, 2, {(0, 0): np.full((2, 2), 1e308)})
+
+
 @pytest.mark.parametrize(
     "argv, files",
     [
@@ -423,11 +436,19 @@ def _reject_constant(name):
          [KolmogorovKernel(AlgebraSpec(), NcSeries.monomial(1, (1, 1), [[1e200]]))]),
         (["kolmogorov", "--seed", "1", "--kernel", "{a}"],
          [KolmogorovKernel(AlgebraSpec(), NcSeries.monomial(1, (1, 1), [[1e200]]))]),
+        (["eval", "--series", "{a}", "--point", "{b}"],
+         [NcSeries.constant(1, [[1.0]]), _point_with_entries([[10 ** 400, 0]])]),
+        (["eval", "--series", "{a}", "--point", "{b}"],
+         [NcSeries.constant(1, [[1.0]]), _point_with_entries([[0.5, 0.0], [0, 0], [1, 0], [0.5, -(10 ** 400)]])]),
+        (["cb-norm", "--seed", "1", "--map", "{a}"], [_OVERFLOWING_MAP]),
+        (["effros-ruan", "--seed", "1", "--map", "{a}"], [_OVERFLOWING_MAP]),
     ],
-    ids=["eval", "cp-certify", "kolmogorov"],
+    ids=["eval", "cp-certify", "kolmogorov", "huge-integer-entry", "huge-integer-among-floats",
+         "cb-norm-nan-min-eig", "effros-ruan"],
 )
 def test_overflow_is_a_typed_input_error(tmp_path, capsys, argv, files):
-    encoders = {NcSeries: encode_series, MatrixTuple: encode_tuple, KolmogorovKernel: encode_kernel}
+    encoders = {NcSeries: encode_series, MatrixTuple: encode_tuple, KolmogorovKernel: encode_kernel,
+                CpMap: encode_cp_map, dict: dict}
     paths = {name: write(tmp_path, f"{name}.json", encoders[type(obj)](obj)) for name, obj in zip("ab", files)}
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
@@ -436,3 +457,57 @@ def test_overflow_is_a_typed_input_error(tmp_path, capsys, argv, files):
     out = json.loads(captured.out, parse_constant=_reject_constant)
     assert out["status"] == "input_error"
     assert "overflow" in out["error"]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [NotCp(float("nan")), NotPsd(float("-inf"), 1e-9), Infeasible(float("nan"))],
+    ids=["not-cp", "not-psd", "infeasible"],
+)
+def test_non_finite_error_field_is_an_input_error(error):
+    def handler(args, tol):
+        raise error
+
+    args = argparse.Namespace(handler=handler, tol_eq=1e-10, tol_psd=1e-9)
+    text, status, code = cli._outcome(args)
+    assert (status, code) == ("input_error", 2)
+    out = json.loads(text, parse_constant=_reject_constant)
+    assert out["status"] == "input_error"
+    assert "overflow" in out["error"]
+
+
+def test_shared_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
+    kernel_path = write(tmp_path, "szego.json", encode_kernel(szego_kernel(2, 2)))
+    series_path = write(tmp_path, "f.json", encode_series(NcSeries.monomial(1, (1,), [[2.0]])))
+    point_path = write(tmp_path, "z.json", encode_tuple(MatrixTuple((np.array([[0.0, 1.0], [0.0, 0.0]]),))))
+    out_path = tmp_path / "value.json"
+    namespaces = []
+    outcome = cli._outcome
+    monkeypatch.setattr(cli, "_outcome", lambda args: (namespaces.append(vars(args).copy()), outcome(args))[1])
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: (built.append(1), build())[1])
+
+    certify = ["cp-certify", "--kernel", kernel_path, "--seed", "5", "--rows", "3", "--sampler", "nilpotent"]
+    assert main(certify) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as rejected:
+        main(["eval", "--series", series_path, "--point", point_path, "--rows", "3"])
+    assert rejected.value.code == 2
+    capsys.readouterr()
+    assert main(["eval", "--series", series_path, "--point", point_path, "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out_path.read_text())["status"] == "ok"
+    assert main(["cp-certify", "--kernel", kernel_path, "--seed", "5", "--rows", "3", "--sampler", "nilpotent"]) == 0
+    assert capsys.readouterr().out == first
+
+    # the rejected argv reaches no handler; the parser is built at most once
+    assert [ns["command"] for ns in namespaces] == ["cp-certify", "eval", "cp-certify"]
+    assert len(built) <= 1
+    assert cli._parser() is cli._parser()
+    first_certify, evaluation, second_certify = namespaces
+    assert not {"rows", "sampler", "points", "sizes", "reduced", "kernel"} & evaluation.keys()
+    assert evaluation["out"] == str(out_path)
+    assert second_certify["out"] is None
+    assert not {"series", "point"} & second_certify.keys()
+    assert first_certify == second_certify

@@ -10,6 +10,7 @@ from ncrkhs.core import (
     NonSquare,
     NotPsd,
     Tolerances,
+    as_cmatrix,
     direct_sum,
     kron,
     min_eig_hermitian,
@@ -214,3 +215,42 @@ def test_words_up_to_graded_lex():
 def test_tolerances_validate():
     with pytest.raises(Exception):
         Tolerances(eq_rel=0.0)
+
+
+def _reference_coords(coords):
+    """The per-coordinate check: each a finite matrix, then all square of one size."""
+    mats = tuple(as_cmatrix(c) for c in coords)
+    n = mats[0].shape[0]
+    if any(c.shape != (n, n) for c in mats):
+        raise DimMismatch("all coordinates must be square of the same size")
+    return mats
+
+
+_COORDS = {
+    "square": (np.eye(2), [[0, 1], [0, 0]]),
+    "complex-and-int": ([[1j]], [[2]], np.array([[3]], dtype=np.int64)),
+    "empty-matrices": (np.zeros((0, 0)), np.zeros((0, 0))),
+    "non-square": (np.ones((2, 3)), np.ones((2, 3))),
+    "different-sizes": (np.eye(2), np.eye(3)),
+    "non-finite": (np.eye(2), [[np.nan, 0], [0, 1]]),
+    # a non-finite coordinate is reported before a size mismatch, as each coordinate is read first
+    "different-sizes-then-non-finite": (np.eye(2), np.eye(3), [[np.inf]]),
+    "one-dimensional": (np.eye(2), [1.0, 2.0]),
+    "non-numeric": (np.eye(1), [["x"]]),
+}
+
+
+@pytest.mark.parametrize("coords", _COORDS.values(), ids=_COORDS.keys())
+def test_matrix_tuple_matches_per_coordinate_reference(coords):
+    try:
+        want = _reference_coords(coords)
+    except Exception as exc:  # the tuple must raise the same type and message
+        with pytest.raises(type(exc)) as got:
+            MatrixTuple(coords)
+        assert str(got.value) == str(exc)
+        return
+    z = MatrixTuple(coords)
+    assert len(z.coords) == len(want)
+    for got, c in zip(z.coords, want):
+        assert got.dtype == c.dtype and got.shape == c.shape and got.tobytes() == c.tobytes()
+        assert not got.flags.writeable

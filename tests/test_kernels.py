@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ncrkhs.core import (
+    DimMismatch,
     InputError,
     MatrixTuple,
     NotPsd,
@@ -478,3 +479,24 @@ def test_kolmogorov_at_sample_evaluates_once_per_point_pair():
 def test_kolmogorov_at_sample_needs_a_point():
     with pytest.raises(InputError):
         kolmogorov_at_sample(szego_kernel(1, max_len=2), [])
+
+
+@pytest.mark.parametrize(
+    "moments, error",
+    [
+        ({((1,), ()): [[0.5]], ((), ()): [[1.0]], ((), (1,)): [[0.5]]}, None),
+        ({((), ()): [[1.0]], ((), (1,)): [[np.nan]], ((1,), ()): [[1.0, 2.0]]},
+         (InputError, "matrix has non-finite entries")),
+        ({((1,), ()): [[1.0, 2.0]], ((), ()): [[np.nan]]}, (DimMismatch, "expected 1 columns, got 2")),
+    ],
+    ids=["unsorted", "non-finite-first", "wrong-shape-first"],
+)
+def test_moment_table_is_checked_in_the_order_given(moments, error):
+    if error is not None:
+        with pytest.raises(error[0], match=error[1]):
+            MomentKernel(1, 1, moments, 1)
+        return
+    kernel = MomentKernel(1, 1, moments, 1)
+    assert list(kernel.moments) == [((), ()), ((), (1,)), ((1,), ())]
+    assert [complex(c[0, 0]) for c in kernel.moments.values()] == [1.0, 0.5, 0.5]
+    assert all(not c.flags.writeable for c in kernel.moments.values())

@@ -4,10 +4,14 @@ import pytest
 from ncrkhs.core import (
     DEFAULT_TOL,
     InconsistentEvaluator,
+    InputError,
     MatrixTuple,
     NotNilpotent,
+    as_cmatrix,
     direct_sum,
     kron,
+    validate_word,
+    word_key,
     zero_tuple,
 )
 from ncrkhs.sampling import complex_gaussian, nilpotent_tuple, random_similarity, rng_from_seed
@@ -236,3 +240,53 @@ def test_series_algebra_helpers():
     np.testing.assert_allclose(
         evaluate(add(f, scale(g, 2.0)), z), evaluate(f, z) + 2.0 * evaluate(g, z)
     )
+
+
+def _reference_terms(d, p, q, terms):
+    """The per-coefficient check: each word, then its coefficient, in the order given."""
+    clean = {}
+    for w, c in terms.items():
+        word = validate_word(w, d)
+        if word in clean:
+            raise InputError(f"duplicate word {word}")
+        clean[word] = as_cmatrix(c, p, q)
+    return dict(sorted(clean.items(), key=lambda kv: word_key(kv[0])))
+
+
+_NAN_COLUMN = np.array([[np.nan], [0.0]])
+
+_TERMS = {
+    "sorted": {(): [[1.0], [2.0]], (1,): [[0.5j], [-1]], (2, 1): np.array([[3], [4]])},
+    "unsorted": {(2, 1): [[1.0], [2.0]], (): [[0.5j], [-1]], (1,): np.array([[3], [4]])},
+    "empty": {},
+    "wrong-shape": {(): [[1.0], [2.0]], (1,): [[1.0, 2.0]]},
+    "one-dimensional": {(): [1.0, 2.0]},
+    "non-finite": {(1,): [[1.0], [np.inf]], (): [[1.0], [2.0]]},
+    # the first bad coefficient in the order given decides the error, not the first in word order
+    "non-finite-before-wrong-shape": {(2,): _NAN_COLUMN, (): [[1.0]], (1,): [[1.0], [2.0]]},
+    "wrong-shape-before-non-finite": {(2,): [[1.0]], (): _NAN_COLUMN},
+    "non-numeric": {(): [["x"], [1.0]]},
+}
+
+
+@pytest.mark.parametrize("terms", _TERMS.values(), ids=_TERMS.keys())
+def test_series_terms_match_per_coefficient_reference(terms):
+    try:
+        want = _reference_terms(2, 2, 1, terms)
+    except Exception as exc:  # the series must raise the same type and message
+        with pytest.raises(type(exc)) as got:
+            NcSeries(2, 2, 1, terms)
+        assert str(got.value) == str(exc)
+        return
+    got = NcSeries(2, 2, 1, terms).terms
+    assert list(got) == list(want)
+    for w, c in want.items():
+        assert got[w].dtype == c.dtype and got[w].shape == c.shape and got[w].tobytes() == c.tobytes()
+        assert not got[w].flags.writeable
+
+
+def test_series_coefficients_do_not_alias_their_input():
+    coeff = np.array([[1.0], [2.0]])
+    f = NcSeries(1, 2, 1, {(): coeff})
+    coeff[0, 0] = 5.0
+    assert f.terms[()][0, 0] == 1.0
