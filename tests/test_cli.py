@@ -481,12 +481,19 @@ def test_shared_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
     series_path = write(tmp_path, "f.json", encode_series(NcSeries.monomial(1, (1,), [[2.0]])))
     point_path = write(tmp_path, "z.json", encode_tuple(MatrixTuple((np.array([[0.0, 1.0], [0.0, 0.0]]),))))
     out_path = tmp_path / "value.json"
-    namespaces = []
-    outcome = cli._outcome
-    monkeypatch.setattr(cli, "_outcome", lambda args: (namespaces.append(vars(args).copy()), outcome(args))[1])
-    built = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: (built.append(1), build())[1])
+    namespaces, built = [], []
+    outcome, build = cli._outcome, cli.build_parser
+
+    def recording_outcome(args):
+        namespaces.append(vars(args).copy())
+        return outcome(args)
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_outcome", recording_outcome)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
 
     certify = ["cp-certify", "--kernel", kernel_path, "--seed", "5", "--rows", "3", "--sampler", "nilpotent"]
     assert main(certify) == 0
@@ -498,7 +505,7 @@ def test_shared_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
     assert main(["eval", "--series", series_path, "--point", point_path, "--out", str(out_path)]) == 0
     assert capsys.readouterr().out == ""
     assert json.loads(out_path.read_text())["status"] == "ok"
-    assert main(["cp-certify", "--kernel", kernel_path, "--seed", "5", "--rows", "3", "--sampler", "nilpotent"]) == 0
+    assert main(certify) == 0
     assert capsys.readouterr().out == first
 
     # the rejected argv reaches no handler; the parser is built at most once
