@@ -518,3 +518,119 @@ def test_shared_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
     assert second_certify["out"] is None
     assert not {"series", "point"} & second_certify.keys()
     assert first_certify == second_certify
+
+
+# The option surface of every subcommand: (option strings, dest, type, default,
+# required, choices), with type "flag" for an option that takes no value.
+_TOL_OUT = [
+    (("--tol-eq",), "tol_eq", float, 1e-10, False, None),
+    (("--tol-psd",), "tol_psd", float, 1e-09, False, None),
+    (("--out",), "out", None, None, False, None),
+]
+_SEED = [(("--seed",), "seed", int, None, True, None)]
+_SAMPLERS = ["auto", "nilpotent", "gaussian"]
+_SAMPLING = [
+    (("--points",), "points", int, 4, False, None),
+    (("--sizes",), "sizes", None, "1,2,3", False, None),
+    (("--rows",), "rows", int, 2, False, None),
+    (("--sampler",), "sampler", None, "auto", False, _SAMPLERS),
+]
+_OPTION_SURFACE = {
+    "eval": [
+        (("--series",), "series", None, None, True, None),
+        (("--point",), "point", None, None, True, None),
+        *_TOL_OUT,
+    ],
+    "nilp-eval": [
+        (("--series",), "series", None, None, True, None),
+        (("--point",), "point", None, None, True, None),
+        *_TOL_OUT,
+    ],
+    "extract-coeffs": [
+        (("--series",), "series", None, None, True, None),
+        (("--max-len",), "max_len", int, 3, False, None),
+        *_TOL_OUT,
+    ],
+    "check-ncfun": [
+        (("--series",), "series", None, None, True, None),
+        (("--samples",), "samples", int, 5, False, None),
+        (("--max-size",), "max_size", int, 3, False, None),
+        (("--sampler",), "sampler", None, "gaussian", False, ["nilpotent", "gaussian"]),
+        *_TOL_OUT, *_SEED,
+    ],
+    "check-kernel": [
+        (("--kernel",), "kernel", None, None, True, None),
+        (("--samples",), "samples", int, 3, False, None),
+        (("--sizes",), "sizes", None, "2,3", False, None),
+        (("--sampler",), "sampler", None, "auto", False, _SAMPLERS),
+        *_TOL_OUT, *_SEED,
+    ],
+    "cp-certify": [
+        (("--kernel",), "kernel", None, None, True, None),
+        (("--reduced",), "reduced", "flag", False, False, None),
+        *_SAMPLING, *_TOL_OUT, *_SEED,
+    ],
+    "kolmogorov": [
+        (("--kernel",), "kernel", None, None, True, None),
+        (("--points",), "points", int, 2, False, None),
+        (("--sizes",), "sizes", None, "2,3", False, None),
+        *_TOL_OUT, *_SEED,
+    ],
+    "kernel-from-basis": [(("--model",), "model", None, None, True, None), *_TOL_OUT],
+    "bergman": [(("--model",), "model", None, None, True, None), *_TOL_OUT],
+    "lifted-norm": [
+        (("--kernel",), "kernel", None, None, True, None),
+        (("--target",), "target", None, None, True, None),
+        *_TOL_OUT,
+    ],
+    "multiplier-check": [
+        (("--source",), "source", None, None, True, None),
+        (("--target",), "target", None, None, True, None),
+        (("--s",), "s", None, None, True, None),
+        *_SAMPLING, *_TOL_OUT, *_SEED,
+    ],
+    "brangesian": [
+        (("--contraction",), "contraction", None, None, True, None),
+        (("--vectors",), "vectors", int, 20, False, None),
+        (("--splits",), "splits", int, 50, False, None),
+        *_TOL_OUT, *_SEED,
+    ],
+    "containment": [
+        (("--kprime",), "kprime", None, None, True, None),
+        (("--k",), "k", None, None, True, None),
+        *_SAMPLING, *_TOL_OUT, *_SEED,
+    ],
+    "formal-factor": [
+        (("--kernel",), "kernel", None, None, True, None),
+        (("--L",), "level", int, None, True, None),
+        *_TOL_OUT,
+    ],
+    "formal-positivity": [
+        (("--kernel",), "kernel", None, None, True, None),
+        (("--L",), "level", int, None, True, None),
+        *_TOL_OUT, *_SEED,
+    ],
+    "stinespring": [(("--map",), "map", None, None, True, None), *_TOL_OUT],
+    "cb-norm": [
+        (("--map",), "map", None, None, True, None),
+        (("--samples",), "samples", int, 10, False, None),
+        *_TOL_OUT, *_SEED,
+    ],
+    "effros-ruan": [
+        (("--map",), "map", None, None, True, None),
+        (("--samples",), "samples", int, 30, False, None),
+        *_TOL_OUT, *_SEED,
+    ],
+}
+
+
+def test_subcommand_options_are_pinned():
+    parser = cli.build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(subs.choices) == sorted(_OPTION_SURFACE)
+    for name, sub in subs.choices.items():
+        got = sorted(
+            (tuple(a.option_strings), a.dest, "flag" if a.nargs == 0 else a.type, a.default, a.required, a.choices)
+            for a in sub._actions if not isinstance(a, argparse._HelpAction)
+        )
+        assert got == sorted(_OPTION_SURFACE[name]), name
