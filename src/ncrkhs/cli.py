@@ -1,6 +1,7 @@
 """Batch command-line surface: JSON in, one JSON document out, stable exit codes.
 
-Exit codes: 0 = ok, 2 = malformed input, 3 = failed certificate, 4 = infeasible.
+The exit code follows the payload's ``status`` (see ``EXIT_CODES``): 0 = ok,
+2 = malformed input, 3 = failed certificate, 4 = infeasible.
 Every randomized subcommand requires --seed; identical inputs and seed produce
 byte-identical payloads (floats at 17 significant digits).  The human-readable
 summary goes to stderr; stdout carries exactly one JSON document (or nothing
@@ -23,23 +24,14 @@ import numpy as np
 from . import cpmaps, formal, kernels, multipliers, rkhs, series
 from .core import (
     DEFAULT_TOL,
-    DimMismatch,
     Infeasible,
     InputError,
-    LetterOutOfRange,
     MatrixTuple,
     NcrkhsError,
-    NonSquare,
     NotContraction,
     NotCp,
-    NotInTarget,
-    NotNilpotent,
     NotPsd,
-    SamplerUnavailable,
-    ShapeMismatch,
     Tolerances,
-    TruncationRefused,
-    TruncationTooShort,
 )
 from .sampling import (
     complex_gaussian,
@@ -65,23 +57,7 @@ from .serialize import (
     encode_tuple,
 )
 
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_CERT = 3
-EXIT_INFEASIBLE = 4
-
-_INPUT_ERRORS = (
-    InputError,
-    DimMismatch,
-    ShapeMismatch,
-    LetterOutOfRange,
-    NonSquare,
-    NotNilpotent,
-    TruncationRefused,
-    TruncationTooShort,
-    SamplerUnavailable,
-    NotInTarget,
-)
+EXIT_CODES = {"ok": 0, "input_error": 2, "certificate_failed": 3, "infeasible": 4}
 
 
 def _load(path: str, where: str):
@@ -92,10 +68,6 @@ def _load(path: str, where: str):
         raise InputError(f"{where}: file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{where}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-
-
-def _tolerances(args) -> Tolerances:
-    return Tolerances(eq_rel=args.tol_eq, psd_floor=args.tol_psd)
 
 
 def _certificate_payload(cert) -> dict:
@@ -114,11 +86,9 @@ def _certificate_payload(cert) -> dict:
     return payload
 
 
-def _certificate_result(cert) -> tuple[dict, int]:
-    """A certificate as a handler result: the status, its payload and the exit code."""
-    payload = {"status": "ok" if cert.passed else "certificate_failed"}
-    payload.update(_certificate_payload(cert))
-    return payload, EXIT_OK if cert.passed else EXIT_CERT
+def _certificate_result(cert) -> dict:
+    """A certificate as a handler result: its status followed by its payload."""
+    return {"status": "ok" if cert.passed else "certificate_failed", **_certificate_payload(cert)}
 
 
 def _sizes(args) -> tuple[int, ...]:
@@ -132,21 +102,19 @@ def _sizes(args) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (payload, exit_code)
+# handlers: each returns its payload, whose "status" decides the exit code
 # ---------------------------------------------------------------------------
 
 def _cmd_eval(args, tol):
     f = decode_series(_load(args.series, "series"), "series")
     z = decode_tuple(_load(args.point, "point"), "point")
-    value = series.evaluate(f, z)
-    return {"status": "ok", "value": encode_matrix(value)}, EXIT_OK
+    return {"status": "ok", "value": encode_matrix(series.evaluate(f, z))}
 
 
 def _cmd_nilp_eval(args, tol):
     f = decode_series(_load(args.series, "series"), "series")
     z = decode_tuple(_load(args.point, "point"), "point")
-    value = series.evaluate_on_nilpotent(f, z, tol)
-    return {"status": "ok", "value": encode_matrix(value)}, EXIT_OK
+    return {"status": "ok", "value": encode_matrix(series.evaluate_on_nilpotent(f, z, tol))}
 
 
 def _cmd_extract_coeffs(args, tol):
@@ -154,7 +122,7 @@ def _cmd_extract_coeffs(args, tol):
     got = series.extract_taylor_coefficients(
         series.functional_evaluator(f, tol), f.d, args.max_len, f.out_dim, f.in_dim, tol
     )
-    return {"status": "ok", "series": encode_series(got)}, EXIT_OK
+    return {"status": "ok", "series": encode_series(got)}
 
 
 def _cmd_check_ncfun(args, tol):
@@ -174,13 +142,12 @@ def _cmd_check_ncfun(args, tol):
         triples.append((z, zt, s))
     ds = series.check_respects_direct_sums(f, pairs, tol)
     tw = series.check_respects_intertwinings(f, triples, tol)
-    payload = {
+    return {
         "status": "ok" if (ds.passed and tw.passed) else "certificate_failed",
         "seed": args.seed,
         "direct_sums": {"passed": ds.passed, "max_violation": ds.max_violation},
         "intertwinings": {"passed": tw.passed, "max_violation": tw.max_violation},
     }
-    return payload, EXIT_OK if (ds.passed and tw.passed) else EXIT_CERT
 
 
 def _cmd_check_kernel(args, tol):
@@ -190,14 +157,13 @@ def _cmd_check_kernel(args, tol):
         sampler=args.sampler, tol=tol,
     )
     report = kernels.check_kernel_axioms(kernel, samples, tol)
-    payload = {
+    return {
         "status": "ok" if report.passed else "certificate_failed",
         "seed": args.seed,
         "passed": report.passed,
         "max_violation": report.max_violation,
         "threshold": report.threshold,
     }
-    return payload, EXIT_OK if report.passed else EXIT_CERT
 
 
 def _cmd_cp_certify(args, tol):
@@ -222,7 +188,7 @@ def _cmd_kolmogorov(args, tol):
     sizes = kernels._clamp_sizes(kernel, "nilpotent", _sizes(args))
     points = [nilpotent_tuple(rng, kernel.d, sizes[i % len(sizes)]) for i in range(args.points)]
     sample = kernels.kolmogorov_at_sample(kernel, points, tol)
-    payload = {
+    return {
         "status": "ok",
         "seed": args.seed,
         "rank": sample.rank,
@@ -230,18 +196,16 @@ def _cmd_kolmogorov(args, tol):
         "points": [encode_tuple(z) for z in sample.points],
         "factors": [encode_matrix(h) for h in sample.factors],
     }
-    return payload, EXIT_OK
 
 
 def _cmd_kernel_from_basis(args, tol):
     model = decode_model(_load(args.model, "model"), "model", tol)
-    return {"status": "ok", "kernel": encode_kernel(model.kernel())}, EXIT_OK
+    return {"status": "ok", "kernel": encode_kernel(model.kernel())}
 
 
 def _cmd_bergman(args, tol):
     model = decode_model(_load(args.model, "model"), "model", tol)
-    kernel = rkhs.bergman_kernel(model)
-    return {"status": "ok", "kernel": encode_kernel(kernel)}, EXIT_OK
+    return {"status": "ok", "kernel": encode_kernel(rkhs.bergman_kernel(model))}
 
 
 def _cmd_lifted_norm(args, tol):
@@ -257,8 +221,7 @@ def _cmd_lifted_norm(args, tol):
         u = decode_matrix(item.get("u"), f"target.samples[{i}].u")
         value = decode_matrix(item.get("value"), f"target.samples[{i}].value").reshape(-1)
         targets.append((z, u, value))
-    norm = rkhs.lifted_norm(kernel, targets, tol)
-    return {"status": "ok", "norm": norm}, EXIT_OK
+    return {"status": "ok", "norm": rkhs.lifted_norm(kernel, targets, tol)}
 
 
 def _cmd_multiplier_check(args, tol):
@@ -298,7 +261,7 @@ def _cmd_brangesian(args, tol):
             for _ in range(args.splits):
                 delta = overlap @ complex_gaussian(rng, overlap.shape[1], 1)[:, 0] * 0.3
                 margin = min(margin, dec.split_cost(k_part + delta, h_part - delta) - cost)
-    payload = {
+    return {
         "status": "ok",
         "seed": args.seed,
         "operator_norm": dec.operator_norm,
@@ -307,7 +270,6 @@ def _cmd_brangesian(args, tol):
         "norm_identity_max_violation": identity_violation,
         "min_split_margin": margin,
     }
-    return payload, EXIT_OK
 
 
 def _cmd_containment(args, tol):
@@ -323,42 +285,37 @@ def _cmd_containment(args, tol):
 def _cmd_formal_factor(args, tol):
     kernel = decode_formal_kernel(_load(args.kernel, "kernel"), "kernel", tol)
     fact = formal.formal_kolmogorov_truncated(kernel, args.level, tol)
-    payload = {
+    return {
         "status": "ok",
         "rank": fact.rank,
         "reconstruction_error": fact.reconstruction_error,
         "h": encode_series(fact.h),
     }
-    return payload, EXIT_OK
 
 
 def _cmd_formal_positivity(args, tol):
     kernel = decode_formal_kernel(_load(args.kernel, "kernel"), "kernel", tol)
     passed_m, min_eig_m = formal.is_formal_positive_truncated(kernel, args.level, tol)
     cert = formal.nilpotent_positivity_check(kernel, seed=args.seed, tol=tol)
-    agree = bool(passed_m == cert.passed)
-    ok = bool(passed_m and cert.passed)
-    payload = {
-        "status": "ok" if ok else "certificate_failed",
+    return {
+        "status": "ok" if (passed_m and cert.passed) else "certificate_failed",
         "seed": args.seed,
         "moment_route": {"passed": passed_m, "min_eig": min_eig_m, "level": args.level},
         "nilpotent_route": _certificate_payload(cert),
-        "routes_agree": agree,
+        "routes_agree": bool(passed_m == cert.passed),
     }
-    return payload, EXIT_OK if ok else EXIT_CERT
 
 
 def _cmd_stinespring(args, tol):
     phi = decode_cp_map(_load(args.map, "map"), "map", tol)
     dilation = cpmaps.stinespring(phi, tol)
-    payload = {
+    return {
         "status": "ok",
         "r": dilation.r,
         "x_dim": dilation.x_dim,
         "h": encode_matrix(dilation.h),
         "reconstruction_error": dilation.reconstruction_error,
     }
-    return payload, EXIT_OK
 
 
 def _cmd_cb_norm(args, tol):
@@ -371,33 +328,40 @@ def _cmd_cb_norm(args, tol):
         top = np.linalg.norm(p, 2)
         if top > 0:
             ratio = max(ratio, float(np.linalg.norm(phi.apply_amplified(p / top), 2)))
-    payload = {"status": "ok", "seed": args.seed, "cb_norm": norm, "max_amplified_ratio": ratio}
-    return payload, EXIT_OK
+    return {"status": "ok", "seed": args.seed, "cb_norm": norm, "max_amplified_ratio": ratio}
 
 
 def _cmd_effros_ruan(args, tol):
     phi = decode_cp_map(_load(args.map, "map"), "map", tol)
     bound = cpmaps.effros_ruan_lower_bound(phi, n_samples=args.samples, seed=args.seed)
-    return {"status": "ok", "seed": args.seed, "lower_bound": bound}, EXIT_OK
+    return {"status": "ok", "seed": args.seed, "lower_bound": bound}
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, seed_required: bool):
+def _command(subs, name, handler, help, files, seed=True, sampling=False):
+    """Declare a subcommand: its required --<file> inputs, the shared options and its handler.
+
+    ``sampling`` adds the --points/--sizes/--rows/--sampler group; ``seed``
+    makes --seed mandatory.  The caller adds the subcommand's own options.
+    """
+    sub = subs.add_parser(name, help=help)
+    for file in files:
+        sub.add_argument(f"--{file}", required=True)
+    if sampling:
+        sub.add_argument("--points", type=int, default=4)
+        sub.add_argument("--sizes", default="1,2,3", help="comma-separated point sizes")
+        sub.add_argument("--rows", type=int, default=2)
+        sub.add_argument("--sampler", choices=["auto", "nilpotent", "gaussian"], default="auto")
     sub.add_argument("--tol-eq", type=float, default=DEFAULT_TOL.eq_rel, help="relative equality threshold")
     sub.add_argument("--tol-psd", type=float, default=DEFAULT_TOL.psd_floor, help="relative PSD floor")
     sub.add_argument("--out", default=None, help="write the JSON payload to this file")
-    if seed_required:
+    if seed:
         sub.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
-
-
-def _add_sampling(sub):
-    sub.add_argument("--points", type=int, default=4)
-    sub.add_argument("--sizes", default="1,2,3", help="comma-separated point sizes")
-    sub.add_argument("--rows", type=int, default=2)
-    sub.add_argument("--sampler", choices=["auto", "nilpotent", "gaussian"], default="auto")
+    sub.set_defaults(handler=handler)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,121 +371,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("eval", help="evaluate a series at a matrix tuple")
-    sub.add_argument("--series", required=True)
-    sub.add_argument("--point", required=True)
-    _add_common(sub, seed_required=False)
-    sub.set_defaults(handler=_cmd_eval)
-
-    sub = subs.add_parser("nilp-eval", help="exact evaluation on a jointly nilpotent tuple")
-    sub.add_argument("--series", required=True)
-    sub.add_argument("--point", required=True)
-    _add_common(sub, seed_required=False)
-    sub.set_defaults(handler=_cmd_nilp_eval)
-
-    sub = subs.add_parser("extract-coeffs", help="recover coefficients from nilpotent evaluations")
-    sub.add_argument("--series", required=True)
+    _command(subs, "eval", _cmd_eval, "evaluate a series at a matrix tuple", ["series", "point"], seed=False)
+    _command(subs, "nilp-eval", _cmd_nilp_eval, "exact evaluation on a jointly nilpotent tuple",
+             ["series", "point"], seed=False)
+    sub = _command(subs, "extract-coeffs", _cmd_extract_coeffs, "recover coefficients from nilpotent evaluations",
+                   ["series"], seed=False)
     sub.add_argument("--max-len", type=int, default=3, dest="max_len")
-    _add_common(sub, seed_required=False)
-    sub.set_defaults(handler=_cmd_extract_coeffs)
 
-    sub = subs.add_parser("check-ncfun", help="direct-sum and intertwining checks for a series")
-    sub.add_argument("--series", required=True)
+    sub = _command(subs, "check-ncfun", _cmd_check_ncfun, "direct-sum and intertwining checks for a series",
+                   ["series"])
     sub.add_argument("--samples", type=int, default=5)
     sub.add_argument("--max-size", type=int, default=3, dest="max_size")
     sub.add_argument("--sampler", choices=["nilpotent", "gaussian"], default="gaussian")
-    _add_common(sub, seed_required=True)
-    sub.set_defaults(handler=_cmd_check_ncfun)
 
-    sub = subs.add_parser("check-kernel", help="Hermitian/direct-sum/intertwining kernel axioms")
-    sub.add_argument("--kernel", required=True)
+    sub = _command(subs, "check-kernel", _cmd_check_kernel, "Hermitian/direct-sum/intertwining kernel axioms",
+                   ["kernel"])
     sub.add_argument("--samples", type=int, default=3)
     sub.add_argument("--sizes", default="2,3")
     sub.add_argument("--sampler", choices=["auto", "nilpotent", "gaussian"], default="auto")
-    _add_common(sub, seed_required=True)
-    sub.set_defaults(handler=_cmd_check_kernel)
 
-    sub = subs.add_parser("cp-certify", help="sampled complete-positivity certificate")
-    sub.add_argument("--kernel", required=True)
+    sub = _command(subs, "cp-certify", _cmd_cp_certify, "sampled complete-positivity certificate", ["kernel"],
+                   sampling=True)
     sub.add_argument("--reduced", action="store_true", help="similarity-reduced diagonal test (ignores --rows)")
-    _add_sampling(sub)
-    _add_common(sub, seed_required=True)
-    sub.set_defaults(handler=_cmd_cp_certify)
 
-    sub = subs.add_parser("kolmogorov", help="finite-sample Kolmogorov factorization")
-    sub.add_argument("--kernel", required=True)
+    sub = _command(subs, "kolmogorov", _cmd_kolmogorov, "finite-sample Kolmogorov factorization", ["kernel"])
     sub.add_argument("--points", type=int, default=2)
     sub.add_argument("--sizes", default="2,3")
-    _add_common(sub, seed_required=True)
-    sub.set_defaults(handler=_cmd_kolmogorov)
 
-    sub = subs.add_parser("kernel-from-basis", help="emit the kernel induced by an RKHS model")
-    sub.add_argument("--model", required=True)
-    _add_common(sub, seed_required=False)
-    sub.set_defaults(handler=_cmd_kernel_from_basis)
+    _command(subs, "kernel-from-basis", _cmd_kernel_from_basis, "emit the kernel induced by an RKHS model",
+             ["model"], seed=False)
+    _command(subs, "bergman", _cmd_bergman, "orthonormalize a model and emit its Bergman kernel", ["model"],
+             seed=False)
+    _command(subs, "lifted-norm", _cmd_lifted_norm, "minimum-norm state matching sampled values",
+             ["kernel", "target"], seed=False)
+    _command(subs, "multiplier-check", _cmd_multiplier_check, "contractive-multiplier certificate",
+             ["source", "target", "s"], sampling=True)
 
-    sub = subs.add_parser("bergman", help="orthonormalize a model and emit its Bergman kernel")
-    sub.add_argument("--model", required=True)
-    _add_common(sub, seed_required=False)
-    sub.set_defaults(handler=_cmd_bergman)
-
-    sub = subs.add_parser("lifted-norm", help="minimum-norm state matching sampled values")
-    sub.add_argument("--kernel", required=True)
-    sub.add_argument("--target", required=True)
-    _add_common(sub, seed_required=False)
-    sub.set_defaults(handler=_cmd_lifted_norm)
-
-    sub = subs.add_parser("multiplier-check", help="contractive-multiplier certificate")
-    sub.add_argument("--source", required=True)
-    sub.add_argument("--target", required=True)
-    sub.add_argument("--s", required=True)
-    _add_sampling(sub)
-    _add_common(sub, seed_required=True)
-    sub.set_defaults(handler=_cmd_multiplier_check)
-
-    sub = subs.add_parser("brangesian", help="Brangesian complement diagnostics of a contraction")
-    sub.add_argument("--contraction", required=True)
+    sub = _command(subs, "brangesian", _cmd_brangesian, "Brangesian complement diagnostics of a contraction",
+                   ["contraction"])
     sub.add_argument("--vectors", type=int, default=20)
     sub.add_argument("--splits", type=int, default=50)
-    _add_common(sub, seed_required=True)
-    sub.set_defaults(handler=_cmd_brangesian)
 
-    sub = subs.add_parser("containment", help="contractive containment of H(K') in H(K)")
-    sub.add_argument("--kprime", required=True)
-    sub.add_argument("--k", required=True)
-    _add_sampling(sub)
-    _add_common(sub, seed_required=True)
-    sub.set_defaults(handler=_cmd_containment)
-
-    sub = subs.add_parser("formal-factor", help="truncated Kolmogorov factor of a formal kernel")
-    sub.add_argument("--kernel", required=True)
+    _command(subs, "containment", _cmd_containment, "contractive containment of H(K') in H(K)", ["kprime", "k"],
+             sampling=True)
+    sub = _command(subs, "formal-factor", _cmd_formal_factor, "truncated Kolmogorov factor of a formal kernel",
+                   ["kernel"], seed=False)
     sub.add_argument("--L", type=int, required=True, dest="level")
-    _add_common(sub, seed_required=False)
-    sub.set_defaults(handler=_cmd_formal_factor)
-
-    sub = subs.add_parser("formal-positivity", help="moment-matrix and nilpotent-point positivity")
-    sub.add_argument("--kernel", required=True)
+    sub = _command(subs, "formal-positivity", _cmd_formal_positivity,
+                   "moment-matrix and nilpotent-point positivity", ["kernel"])
     sub.add_argument("--L", type=int, required=True, dest="level")
-    _add_common(sub, seed_required=True)
-    sub.set_defaults(handler=_cmd_formal_positivity)
 
-    sub = subs.add_parser("stinespring", help="Stinespring dilation of a cp map")
-    sub.add_argument("--map", required=True)
-    _add_common(sub, seed_required=False)
-    sub.set_defaults(handler=_cmd_stinespring)
-
-    sub = subs.add_parser("cb-norm", help="cb norm of a cp map with sampled amplifications")
-    sub.add_argument("--map", required=True)
+    _command(subs, "stinespring", _cmd_stinespring, "Stinespring dilation of a cp map", ["map"], seed=False)
+    sub = _command(subs, "cb-norm", _cmd_cb_norm, "cb norm of a cp map with sampled amplifications", ["map"])
     sub.add_argument("--samples", type=int, default=10)
-    _add_common(sub, seed_required=True)
-    sub.set_defaults(handler=_cmd_cb_norm)
-
-    sub = subs.add_parser("effros-ruan", help="sampled lower bound on the cb norm")
-    sub.add_argument("--map", required=True)
+    sub = _command(subs, "effros-ruan", _cmd_effros_ruan, "sampled lower bound on the cb norm", ["map"])
     sub.add_argument("--samples", type=int, default=30)
-    _add_common(sub, seed_required=True)
-    sub.set_defaults(handler=_cmd_effros_ruan)
-
     return parser
 
 
@@ -541,22 +445,21 @@ def _outcome(args) -> tuple[str, str, int]:
     JSON cannot carry, is an input error too.
     """
     try:
-        payload, code = args.handler(args, _tolerances(args))
-    except _INPUT_ERRORS as err:
-        payload, code = {"status": "input_error", "error": str(err)}, EXIT_INPUT
+        payload = args.handler(args, Tolerances(eq_rel=args.tol_eq, psd_floor=args.tol_psd))
     except (NotCp, NotPsd, NotContraction) as err:
         payload = {"status": "certificate_failed", "error": str(err)}
         if isinstance(err, (NotCp, NotPsd)):
             payload["min_eig"] = err.min_eig
-        code = EXIT_CERT
     except Infeasible as err:
-        payload, code = {"status": "infeasible", "error": str(err), "residual": err.residual}, EXIT_INFEASIBLE
+        payload = {"status": "infeasible", "error": str(err), "residual": err.residual}
     except NcrkhsError as err:
-        payload, code = {"status": "input_error", "error": str(err)}, EXIT_INPUT
+        payload = {"status": "input_error", "error": str(err)}
     try:
-        return dumps_canonical(payload), payload.get("status", "ok"), code
+        text = dumps_canonical(payload)
     except InputError as err:
-        return dumps_canonical({"status": "input_error", "error": str(err)}), "input_error", EXIT_INPUT
+        payload = {"status": "input_error", "error": str(err)}
+        text = dumps_canonical(payload)
+    return text, payload["status"], EXIT_CODES[payload["status"]]
 
 
 @functools.cache

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 
 import numpy as np
@@ -22,7 +23,7 @@ from ncrkhs.serialize import (
     encode_tuple,
 )
 from ncrkhs.series import NcSeries
-from ncrkhs.core import Infeasible, MatrixTuple, NotCp, NotPsd, zero_tuple
+from ncrkhs.core import Infeasible, MatrixTuple, NcrkhsError, NotContraction, NotCp, NotPsd, zero_tuple
 
 
 def write(tmp_path, name, payload):
@@ -474,6 +475,38 @@ def test_non_finite_error_field_is_an_input_error(error):
     out = json.loads(text, parse_constant=_reject_constant)
     assert out["status"] == "input_error"
     assert "overflow" in out["error"]
+
+
+def _error_classes(cls=NcrkhsError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("error_class", sorted(set(_error_classes()), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_every_library_error_maps_to_its_status(error_class):
+    if error_class.__init__ is Exception.__init__:
+        error = error_class("boom")
+    else:  # fill the numeric fields (min_eig, residual, ...) an error carries
+        params = list(inspect.signature(error_class.__init__).parameters.values())[1:]
+        error = error_class(*[0.5 for p in params if p.default is p.empty])
+
+    def handler(args, tol):
+        raise error
+
+    args = argparse.Namespace(handler=handler, tol_eq=1e-10, tol_psd=1e-9)
+    text, status, code = cli._outcome(args)
+    if error_class in (NotCp, NotPsd, NotContraction):
+        expected = ("certificate_failed", 3)
+    elif error_class is Infeasible:
+        expected = ("infeasible", 4)
+    else:
+        expected = ("input_error", 2)
+    assert (status, code) == expected
+    out = json.loads(text)
+    assert out["status"] == status
+    assert out["error"] == str(error)
 
 
 def test_shared_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
