@@ -239,8 +239,9 @@ def psd_factor(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise NonSquare(f"psd_factor needs a square matrix, got shape {m.shape}")
     if m.size == 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    require_finite(m, "the PSD test")
-    vals, vecs = np.linalg.eigh(hermitize(m))
+    h = hermitize(m)
+    require_finite(h, "the PSD test")
+    vals, vecs = np.linalg.eigh(h)
     norm = float(np.max(np.abs(vals)))
     floor = tol.psd_floor * max(1.0, norm)
     if vals[0] < -floor:
@@ -276,8 +277,9 @@ def psd_verdict(mats: Iterable[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> Ps
     """
     worst = None
     for m in mats:
-        require_finite(m, "the PSD test")
-        vals, vecs = np.linalg.eigh(hermitize(m))
+        h = hermitize(m)
+        require_finite(h, "the PSD test")
+        vals, vecs = np.linalg.eigh(h)
         scale = max(1.0, float(np.max(np.abs(vals))))
         if worst is None or float(vals[0]) / scale < worst[0] / worst[1]:
             worst = (float(vals[0]), scale, vecs[:, 0])

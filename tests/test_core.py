@@ -135,10 +135,20 @@ def test_psd_verdict_pass_boundary_and_empty():
         psd_verdict([])
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
-def test_psd_tests_reject_non_finite_entries(bad):
+@pytest.mark.parametrize(
+    "entries",
+    [
+        pytest.param({(1, 2): np.nan}, id="nan"),
+        pytest.param({(1, 2): np.inf}, id="inf"),
+        pytest.param({(1, 2): complex(0.0, -np.inf)}, id="-infj"),
+        # finite entries whose symmetrization (m + m*)/2 overflows
+        pytest.param({(1, 2): 1e308, (2, 1): 1e308}, id="symmetrization-overflow"),
+    ],
+)
+def test_psd_tests_reject_non_finite_entries(entries):
     m = np.eye(3, dtype=complex)
-    m[1, 2] = bad
+    for index, value in entries.items():
+        m[index] = value
     with pytest.raises(InputError, match="non-finite"):
         psd_factor(m)
     with pytest.raises(InputError, match="non-finite"):

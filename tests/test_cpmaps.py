@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncrkhs.core import NotCp, psd_factor
+from ncrkhs.core import InputError, NotCp, psd_factor
 from ncrkhs.cpmaps import (
     CpMap,
     cb_norm_cp,
@@ -91,6 +91,14 @@ def test_stinespring_rejects_non_cp():
     assert not ok and min_eig == pytest.approx(-0.1, abs=1e-12)
     with pytest.raises(NotCp):
         stinespring(phi)
+
+
+def test_overflowing_choi_matrix_is_an_input_error():
+    # a PSD Choi matrix of finite entries whose symmetrization overflows
+    phi = CpMap(1, 2, {(0, 0): np.full((2, 2), 1e308)})
+    for call in (is_cp, stinespring, cb_norm_cp, lambda phi: psd_factor(choi(phi))):
+        with pytest.raises(InputError, match="non-finite"):
+            call(phi)
 
 
 def test_cb_norm_identity_and_homogeneity():
