@@ -425,3 +425,19 @@ def direct_sum(tuples: Sequence[MatrixTuple]) -> MatrixTuple:
 
 def zero_tuple(d: int, n: int) -> MatrixTuple:
     return MatrixTuple(tuple(np.zeros((n, n), dtype=np.complex128) for _ in range(d)))
+
+
+# slack on eq_rel for a supplied intertwiner: Z~ = S Z S^-1 is formed with a
+# rounded inverse, so alpha Z and Z~ alpha agree only to a multiple of eq_rel
+INTERTWINER_SLACK = 100
+
+
+def check_intertwiner(alpha, z: MatrixTuple, zt: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """``alpha`` as a zt.n x z.n matrix; raises :class:`BadIntertwiner` unless alpha Z_j = Z~_j alpha."""
+    alpha = as_cmatrix(alpha, zt.n, z.n)
+    scale = spec_norm(alpha)
+    for j in range(z.d):
+        gap = frobenius(alpha @ z.coords[j] - zt.coords[j] @ alpha)
+        if gap > tol.eq_rel * max(1.0, scale * spec_norm(z.coords[j])) * INTERTWINER_SLACK:
+            raise BadIntertwiner(f"alpha Z_{j + 1} != Z~_{j + 1} alpha (gap {gap:.3e})")
+    return alpha

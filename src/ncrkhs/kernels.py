@@ -37,7 +37,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    BadIntertwiner,
     DimMismatch,
     InputError,
     MatrixTuple,
@@ -48,6 +47,7 @@ from .core import (
     TruncationRefused,
     Word,
     as_cmatrix,
+    check_intertwiner,
     direct_sum,
     frobenius,
     frozen,
@@ -502,14 +502,8 @@ def check_kernel_axioms(
         track(rel_err(frobenius(lhs - rhs), frobenius(lhs)), "direct_sum", (z, zt, w, wt))
 
     for z, zt, alpha, w, wt, beta, p in samples.intertwinings:
-        alpha = as_cmatrix(alpha, zt.n, z.n)
-        beta = as_cmatrix(beta, wt.n, w.n)
-        for point, point_t, c in ((z, zt, alpha), (w, wt, beta)):
-            for j in range(point.d):
-                gap = frobenius(c @ point.coords[j] - point_t.coords[j] @ c)
-                bound = tol.eq_rel * max(1.0, spec_norm(c) * spec_norm(point.coords[j])) * 100
-                if gap > bound:
-                    raise BadIntertwiner(f"intertwiner fails on coordinate {j + 1} (gap {gap:.3e})")
+        alpha = check_intertwiner(alpha, z, zt, tol)
+        beta = check_intertwiner(beta, w, wt, tol)
         lhs = kron(alpha, np.eye(y)) @ kernel.evaluate(z, w, p) @ kron(beta, np.eye(y)).conj().T
         moved = kron(alpha, np.eye(k)) @ p @ kron(beta, np.eye(k)).conj().T
         rhs = kernel.evaluate(zt, wt, moved)

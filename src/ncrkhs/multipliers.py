@@ -256,7 +256,6 @@ class BrangesianDecomposition:
         inv_s = np.where(s_cut > 0, 1.0 / np.where(s_cut > 0, s_cut, 1.0), 0.0)
         inv_droot = np.where(droot > 0, 1.0 / np.where(droot > 0, droot, 1.0), 0.0)
         r = min(n_src, n_tgt)
-        self._u = u
         self._defect_root = (u * droot) @ u.conj().T
         self._a0_pinv = (vh.conj().T[:, :r] * inv_s[:r]) @ u[:, :r].conj().T
         self._defect_pinv = (u * inv_droot) @ u.conj().T
@@ -265,12 +264,6 @@ class BrangesianDecomposition:
 
         self.m_range_basis = self._inv_root_t @ u[:, s_cut > 0]
         self.h_range_basis = self._inv_root_t @ u[:, droot > 0]
-        self.m_pullback_gram = self._pullback_gram(self.m_range_basis, self._a0_pinv)
-        self.h_pullback_gram = self._pullback_gram(self.h_range_basis, self._defect_pinv)
-
-    def _pullback_gram(self, basis_tgt: np.ndarray, pinv0: np.ndarray) -> np.ndarray:
-        pre = pinv0 @ (self._root_t @ basis_tgt)
-        return pre.conj().T @ pre
 
     @property
     def defect_root(self) -> np.ndarray:

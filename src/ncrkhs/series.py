@@ -31,7 +31,6 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     EMPTY_WORD,
-    BadIntertwiner,
     DimMismatch,
     InconsistentEvaluator,
     InputError,
@@ -40,6 +39,7 @@ from .core import (
     Tolerances,
     Word,
     as_cmatrix,
+    check_intertwiner,
     frobenius,
     kron,
     rel_err,
@@ -279,12 +279,7 @@ def check_respects_intertwinings(
     worst = 0.0
     witness = None
     for z, zt, alpha in triples:
-        alpha = as_cmatrix(alpha, zt.n, z.n)
-        scale_a = spec_norm(alpha)
-        for j in range(z.d):
-            gap = frobenius(alpha @ z.coords[j] - zt.coords[j] @ alpha)
-            if gap > tol.eq_rel * max(1.0, scale_a * spec_norm(z.coords[j])) * 100:
-                raise BadIntertwiner(f"alpha Z_{j + 1} != Z~_{j + 1} alpha (gap {gap:.3e})")
+        alpha = check_intertwiner(alpha, z, zt, tol)
         lhs = kron(alpha, np.eye(f.out_dim)) @ ev(z)
         rhs = ev(zt) @ kron(alpha, np.eye(f.in_dim))
         violation = rel_err(frobenius(lhs - rhs), frobenius(lhs))

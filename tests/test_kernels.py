@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ncrkhs.core import (
+    BadIntertwiner,
     DimMismatch,
     InputError,
     MatrixTuple,
@@ -18,6 +19,7 @@ from ncrkhs.kernels import (
     EnvelopeKernel,
     FULL_MATRIX,
     GramBasisKernel,
+    KernelAxiomSamples,
     KernelElement,
     KolmogorovKernel,
     MomentKernel,
@@ -210,6 +212,18 @@ def test_matrix_algebra_kernels_axioms_and_cp():
     samples = draw_kernel_axiom_samples(gb, rng_from_seed(32), n_samples=2, sizes=(2, 2))
     assert check_kernel_axioms(gb, samples).passed
     assert cp_certificate(gb, n_points=2, sizes=(1, 2), n_rows=2, seed=6).passed
+
+
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+def test_kernel_axioms_reject_a_non_intertwining_alpha(side):
+    kernel = szego_kernel(2, max_len=3)
+    rng = rng_from_seed(9)
+    z = MatrixTuple(tuple(complex_gaussian(rng, 2, 2) for _ in range(2)))
+    bad, eye = np.array([[1.0, 0.0], [0.0, 2.0]]), np.eye(2)
+    alpha, beta = (bad, eye) if side == "alpha" else (eye, bad)
+    samples = KernelAxiomSamples(intertwinings=[(z, z, alpha, z, z, beta, eye)])
+    with pytest.raises(BadIntertwiner, match="alpha Z_1"):
+        check_kernel_axioms(kernel, samples)
 
 
 def test_kernel_axioms_negative_control():

@@ -3,6 +3,7 @@ import pytest
 
 from ncrkhs.core import (
     DEFAULT_TOL,
+    BadIntertwiner,
     InconsistentEvaluator,
     InputError,
     MatrixTuple,
@@ -131,6 +132,15 @@ def test_intertwining_column_embedding():
     alpha = np.vstack([np.eye(2), np.zeros((2, 2))])
     report = check_respects_intertwinings(f, [(z, big, alpha)])
     assert report.passed
+
+
+def test_non_intertwining_alpha_is_rejected():
+    rng = rng_from_seed(4)
+    f = random_series(rng, 2, 2, 1)
+    z = MatrixTuple(tuple(complex_gaussian(rng, 2, 2) for _ in range(2)))
+    alpha = np.array([[1.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(BadIntertwiner, match="alpha Z_1"):
+        check_respects_intertwinings(f, [(z, z, alpha)])
 
 
 def test_similarity_covariance():
