@@ -1,7 +1,6 @@
 """Batch command-line surface: JSON in, one JSON document out, stable exit codes.
 
-The exit code follows the payload's ``status`` (see ``EXIT_CODES``): 0 = ok,
-2 = malformed input, 3 = failed certificate, 4 = infeasible.
+The exit code follows the payload's ``status`` through ``EXIT_CODES``.
 Every randomized subcommand requires --seed; identical inputs and seed produce
 byte-identical payloads (floats at 17 significant digits).  The human-readable
 summary goes to stderr; stdout carries exactly one JSON document (or nothing
