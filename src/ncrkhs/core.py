@@ -126,20 +126,32 @@ class Tolerances:
 
     eq_rel     relative Frobenius threshold for equality of matrices
     psd_floor  minimum-eigenvalue floor, relative to max(1, ||m||_2)
-    cond_max   condition-number cap for generated similarities
     """
 
     eq_rel: float = 1e-10
     psd_floor: float = 1e-9
-    cond_max: float = 1e3
 
     def __post_init__(self):
-        for name in ("eq_rel", "psd_floor", "cond_max"):
+        for name in ("eq_rel", "psd_floor"):
             if not getattr(self, name) > 0:
                 raise InputError(f"tolerance {name} must be strictly positive")
 
 
 DEFAULT_TOL = Tolerances()
+
+# Fixed multiples and cuts of the policy.  An equality check passes when
+# rel_err(x, s) <= eq_rel * slack, with slack 1 unless named here.
+
+# a side computed by a solve (least squares, or Z~ = S Z S^-1 through a
+# rounded inverse) matches its target only to a multiple of eq_rel
+SOLVE_SLACK = 100
+# range membership in a Brangesian decomposition goes through gramian square
+# roots and an SVD, which lose more digits than one solve
+RANGE_SLACK = 1e3
+# singular values and defect values at or below this are exact zeros
+RANK_CUT = 1e-13
+# an eigenvalue of P_M P_H P_M above this marks a direction in both ranges
+OVERLAP_CUT = 1.0 - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +221,32 @@ def spec_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+def require_finite(m: np.ndarray, what: str) -> None:
+    """Raise :class:`InputError` on NaN or Infinity, which here come from overflow.
+
+    An eigensolver fails or returns garbage on them, and JSON cannot carry them.
+    """
+    if not np.all(np.isfinite(m)):
+        raise InputError(f"{what} met non-finite entries (the computation overflowed)")
 
 
-def rel_err(diff: float, scale: float) -> float:
-    return diff / max(1.0, scale)
+def hermitize(m: np.ndarray, what: str) -> np.ndarray:
+    """(m + m*)/2, the only input to an eigensolve; raises :class:`InputError` when it overflowed."""
+    h = (m + m.conj().T) / 2.0
+    require_finite(h, what)
+    return h
 
 
-def min_eig_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Smallest eigenvalue of the symmetrized matrix (m + m*)/2."""
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonSquare(f"min_eig_hermitian needs a square matrix, got shape {m.shape}")
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(hermitize(m))[0])
+def rel_err(diff, scale):
+    """``diff / max(1, scale)``, elementwise for arrays: the one relative test.
+
+    Checks compare it with ``eq_rel`` times a named slack.  A NaN or Infinity
+    in ``diff`` or ``scale`` is an overflowed norm, against which no check
+    can fail, so it raises :class:`InputError`.
+    """
+    if not (np.all(np.isfinite(diff)) and np.all(np.isfinite(scale))):
+        raise InputError("an equality test met a non-finite norm (the computation overflowed)")
+    return diff / np.maximum(1.0, scale)
 
 
 def psd_factor(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -239,24 +261,13 @@ def psd_factor(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise NonSquare(f"psd_factor needs a square matrix, got shape {m.shape}")
     if m.size == 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    h = hermitize(m)
-    require_finite(h, "the PSD test")
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = np.linalg.eigh(hermitize(m, "the PSD test"))
     norm = float(np.max(np.abs(vals)))
     floor = tol.psd_floor * max(1.0, norm)
     if vals[0] < -floor:
         raise NotPsd(float(vals[0]), floor)
     keep = vals > tol.psd_floor * norm
     return vecs[:, keep] * np.sqrt(vals[keep])
-
-
-def require_finite(m: np.ndarray, what: str) -> None:
-    """Raise :class:`InputError` on NaN or Infinity, which here come from overflow.
-
-    An eigensolver fails or returns garbage on them, and JSON cannot carry them.
-    """
-    if not np.all(np.isfinite(m)):
-        raise InputError(f"{what} met non-finite entries (the computation overflowed)")
 
 
 @dataclass(frozen=True)
@@ -277,9 +288,7 @@ def psd_verdict(mats: Iterable[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> Ps
     """
     worst = None
     for m in mats:
-        h = hermitize(m)
-        require_finite(h, "the PSD test")
-        vals, vecs = np.linalg.eigh(h)
+        vals, vecs = np.linalg.eigh(hermitize(m, "the PSD test"))
         scale = max(1.0, float(np.max(np.abs(vals))))
         if worst is None or float(vals[0]) / scale < worst[0] / worst[1]:
             worst = (float(vals[0]), scale, vecs[:, 0])
@@ -427,17 +436,12 @@ def zero_tuple(d: int, n: int) -> MatrixTuple:
     return MatrixTuple(tuple(np.zeros((n, n), dtype=np.complex128) for _ in range(d)))
 
 
-# slack on eq_rel for a supplied intertwiner: Z~ = S Z S^-1 is formed with a
-# rounded inverse, so alpha Z and Z~ alpha agree only to a multiple of eq_rel
-INTERTWINER_SLACK = 100
-
-
 def check_intertwiner(alpha, z: MatrixTuple, zt: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """``alpha`` as a zt.n x z.n matrix; raises :class:`BadIntertwiner` unless alpha Z_j = Z~_j alpha."""
     alpha = as_cmatrix(alpha, zt.n, z.n)
     scale = spec_norm(alpha)
     for j in range(z.d):
         gap = frobenius(alpha @ z.coords[j] - zt.coords[j] @ alpha)
-        if gap > tol.eq_rel * max(1.0, scale * spec_norm(z.coords[j])) * INTERTWINER_SLACK:
+        if rel_err(gap, scale * spec_norm(z.coords[j])) > tol.eq_rel * SOLVE_SLACK:
             raise BadIntertwiner(f"alpha Z_{j + 1} != Z~_{j + 1} alpha (gap {gap:.3e})")
     return alpha

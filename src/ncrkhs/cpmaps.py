@@ -29,7 +29,6 @@ from .core import (
     kron,
     psd_verdict,
     rel_err,
-    require_finite,
     spec_norm,
 )
 from .sampling import complex_gaussian, random_psd, rng_from_seed
@@ -99,8 +98,8 @@ class CpMap:
         c = choi(self)
         blocks = (self.k, self.m, self.k, self.m)
         worst = float(np.max(np.linalg.norm((c.conj().T - c).reshape(blocks), axis=(1, 3))))
-        scale = max(1.0, float(np.max(np.linalg.norm(self.choi_blocks, axis=(1, 3)))))
-        return worst <= self.tol.eq_rel * scale, worst
+        scale = float(np.max(np.linalg.norm(self.choi_blocks, axis=(1, 3))))
+        return bool(rel_err(worst, scale) <= self.tol.eq_rel), worst
 
     def scaled(self, t: complex) -> "CpMap":
         return CpMap(self.k, self.m, t * self.choi_blocks.transpose(0, 2, 1, 3), self.tol)
@@ -156,8 +155,8 @@ def stinespring(phi: CpMap, tol: Tolerances | None = None) -> StinespringDilatio
     # H (e_pq (x) I_r) H* is block (p, q) of F F*
     blocks = (k, m, k, m)
     diff = np.linalg.norm((c - factor @ factor.conj().T).reshape(blocks), axis=(1, 3))
-    scale = np.maximum(1.0, np.linalg.norm(c.reshape(blocks), axis=(1, 3)))
-    return StinespringDilation(h, r, k * r, float(np.max(diff / scale)))
+    scale = np.linalg.norm(c.reshape(blocks), axis=(1, 3))
+    return StinespringDilation(h, r, k * r, float(np.max(rel_err(diff, scale))))
 
 
 def cb_norm_cp(phi: CpMap, tol: Tolerances | None = None) -> float:
@@ -222,8 +221,8 @@ def effros_ruan_lower_bound(
         den_norm = spec_norm(den)
         if den_norm <= 0:
             continue
-        require_finite(num, "the Effros-Ruan bound")
-        best = max(best, float(np.sqrt(max(0.0, np.linalg.eigvalsh(hermitize(num))[-1]) / den_norm)))
+        top = np.linalg.eigvalsh(hermitize(num, "the Effros-Ruan bound"))[-1]
+        best = max(best, float(np.sqrt(max(0.0, top) / den_norm)))
     return best
 
 

@@ -22,6 +22,7 @@ from .core import (
     TruncationTooShort,
     psd_factor,
     psd_verdict,
+    rel_err,
     words_up_to,
 )
 from .kernels import CpCertificate, MomentKernel
@@ -103,8 +104,7 @@ def formal_kolmogorov_truncated(
     # blockwise ||(M - F F*)_{ab}|| / max(1, ||M_{ab}||), maximized over word pairs
     blocks = (len(words), y, len(words), y)
     diff = np.linalg.norm((m - f @ f.conj().T).reshape(blocks), axis=(1, 3))
-    scale = np.maximum(1.0, np.linalg.norm(m.reshape(blocks), axis=(1, 3)))
-    err = float(np.max(diff / scale))
+    err = float(np.max(rel_err(diff, np.linalg.norm(m.reshape(blocks), axis=(1, 3)))))
     return FormalFactorization(h, rank, err)
 
 

@@ -267,8 +267,8 @@ class MomentKernel(FactoredKernel):
     def _validate_hermitian(self, table: np.ndarray) -> None:
         # blockwise ||K_ab - K_ba*|| against the largest moment
         gap = np.linalg.norm(table - table.transpose(2, 3, 0, 1).conj(), axis=(1, 3))
-        scale = max(1.0, float(np.max(np.linalg.norm(table, axis=(1, 3)), initial=0.0)))
-        bad = np.argwhere(gap > self.tol.eq_rel * scale)
+        scale = np.max(np.linalg.norm(table, axis=(1, 3)), initial=0.0)
+        bad = np.argwhere(rel_err(gap, scale) > self.tol.eq_rel)
         if bad.size:
             a, b = bad[0]
             raise InputError(f"moment table is not Hermitian at pair {(self.words[a], self.words[b])}")
@@ -322,11 +322,12 @@ class GramBasisKernel(FactoredKernel):
             if f.d != basis[0].d or f.out_dim != basis[0].out_dim or f.in_dim != algebra.k:
                 raise DimMismatch("basis functions must share d, out_dim and have in_dim = k")
         gram = as_cmatrix(gram, len(basis), len(basis))
-        if frobenius(gram - gram.conj().T) > tol.eq_rel * max(1.0, frobenius(gram)):
+        if rel_err(frobenius(gram - gram.conj().T), frobenius(gram)) > tol.eq_rel:
             raise InputError("gram matrix must be Hermitian")
-        low = float(np.linalg.eigvalsh(hermitize(gram))[0])
-        if low <= tol.psd_floor * max(1.0, spec_norm(gram)):
-            raise NotPsd(low, tol.psd_floor * max(1.0, spec_norm(gram)))
+        vals = np.linalg.eigvalsh(hermitize(gram, "the gram matrix"))
+        floor = tol.psd_floor * max(1.0, float(np.max(np.abs(vals))))
+        if vals[0] <= floor:
+            raise NotPsd(float(vals[0]), floor)
         self.basis = list(basis)
         d, y, k, size = basis[0].d, basis[0].out_dim, algebra.k, len(basis)
         words = {w for f in basis for w in f.support}
@@ -427,7 +428,6 @@ def draw_kernel_axiom_samples(
     n_samples: int = 4,
     sizes: Sequence[int] = (2, 3),
     sampler: str | None = None,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> KernelAxiomSamples:
     """Random points, exact intertwiners (similarities and embeddings), and arguments."""
     _check_positive(n_samples, "sample")
@@ -449,8 +449,8 @@ def draw_kernel_axiom_samples(
         p_full = random_algebra_matrix(rng, k, 2 * n, 2 * m)
         samples.direct_sums.append((z, zt, w, wt, p_full))
 
-        s = random_similarity(rng, n, tol=tol)
-        t = random_similarity(rng, m, tol=tol)
+        s = random_similarity(rng, n)
+        t = random_similarity(rng, m)
         z_sim = MatrixTuple(tuple(s @ c @ np.linalg.inv(s) for c in z.coords))
         w_sim = MatrixTuple(tuple(t @ c @ np.linalg.inv(t) for c in w.coords))
         samples.intertwinings.append((z, z_sim, s, w, w_sim, t, p))
@@ -470,47 +470,31 @@ def check_kernel_axioms(
     """Hermitian symmetry, direct sums and intertwining-respect on given samples."""
     k = kernel.algebra.k
     y = kernel.y_dim
-    worst = 0.0
-    witness = None
 
-    def track(violation: float, tag, payload):
-        nonlocal worst, witness
-        if violation > worst:
-            worst = violation
-            witness = (tag, payload)
+    def violations():
+        for z, w, p in samples.hermitian:
+            lhs = kernel.evaluate(z, w, p).conj().T
+            rhs = kernel.evaluate(w, z, p.conj().T)
+            yield rel_err(frobenius(lhs - rhs), frobenius(lhs)), ("hermitian", (z, w, p))
 
-    for z, w, p in samples.hermitian:
-        lhs = kernel.evaluate(z, w, p).conj().T
-        rhs = kernel.evaluate(w, z, p.conj().T)
-        track(rel_err(frobenius(lhs - rhs), frobenius(lhs)), "hermitian", (z, w, p))
+        for z, zt, w, wt, p_full in samples.direct_sums:
+            lhs = kernel.evaluate(direct_sum([z, zt]), direct_sum([w, wt]), p_full)
+            nk, mk = z.n * k, w.n * k
+            rhs = np.block([
+                [kernel.evaluate(z, w, p_full[:nk, :mk]), kernel.evaluate(z, wt, p_full[:nk, mk:])],
+                [kernel.evaluate(zt, w, p_full[nk:, :mk]), kernel.evaluate(zt, wt, p_full[nk:, mk:])],
+            ])
+            yield rel_err(frobenius(lhs - rhs), frobenius(lhs)), ("direct_sum", (z, zt, w, wt))
 
-    for z, zt, w, wt, p_full in samples.direct_sums:
-        zz = direct_sum([z, zt])
-        ww = direct_sum([w, wt])
-        lhs = kernel.evaluate(zz, ww, p_full)
-        nk, mk = z.n * k, w.n * k
-        p11 = p_full[:nk, :mk]
-        p12 = p_full[:nk, mk:]
-        p21 = p_full[nk:, :mk]
-        p22 = p_full[nk:, mk:]
-        rhs = np.block(
-            [
-                [kernel.evaluate(z, w, p11), kernel.evaluate(z, wt, p12)],
-                [kernel.evaluate(zt, w, p21), kernel.evaluate(zt, wt, p22)],
-            ]
-        )
-        track(rel_err(frobenius(lhs - rhs), frobenius(lhs)), "direct_sum", (z, zt, w, wt))
+        for z, zt, alpha, w, wt, beta, p in samples.intertwinings:
+            alpha = check_intertwiner(alpha, z, zt, tol)
+            beta = check_intertwiner(beta, w, wt, tol)
+            lhs = kron(alpha, np.eye(y)) @ kernel.evaluate(z, w, p) @ kron(beta, np.eye(y)).conj().T
+            moved = kron(alpha, np.eye(k)) @ p @ kron(beta, np.eye(k)).conj().T
+            rhs = kernel.evaluate(zt, wt, moved)
+            yield rel_err(frobenius(lhs - rhs), frobenius(lhs)), ("intertwining", (z, zt, w, wt))
 
-    for z, zt, alpha, w, wt, beta, p in samples.intertwinings:
-        alpha = check_intertwiner(alpha, z, zt, tol)
-        beta = check_intertwiner(beta, w, wt, tol)
-        lhs = kron(alpha, np.eye(y)) @ kernel.evaluate(z, w, p) @ kron(beta, np.eye(y)).conj().T
-        moved = kron(alpha, np.eye(k)) @ p @ kron(beta, np.eye(k)).conj().T
-        rhs = kernel.evaluate(zt, wt, moved)
-        track(rel_err(frobenius(lhs - rhs), frobenius(lhs)), "intertwining", (z, zt, w, wt))
-
-    passed = worst <= tol.eq_rel
-    return AxiomReport(passed, worst, tol.eq_rel, None if passed else witness)
+    return AxiomReport.worst(violations(), tol.eq_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +588,7 @@ def cp_certificate_similarity_reduced(
     sampler = _resolve_sampler(kernel, sampler)
     sizes = _clamp_sizes(kernel, sampler, sizes)
     if check_axioms:
-        axioms = draw_kernel_axiom_samples(kernel, rng, n_samples=2, sizes=sizes, sampler=sampler, tol=tol)
+        axioms = draw_kernel_axiom_samples(kernel, rng, n_samples=2, sizes=sizes, sampler=sampler)
         report = check_kernel_axioms(kernel, axioms, tol)
         if not report.passed:
             return CpCertificate(

@@ -14,6 +14,10 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    OVERLAP_CUT,
+    RANGE_SLACK,
+    RANK_CUT,
+    SOLVE_SLACK,
     DimMismatch,
     InputError,
     MatrixTuple,
@@ -22,6 +26,8 @@ from .core import (
     Tolerances,
     as_cmatrix,
     hermitize,
+    rel_err,
+    require_finite,
     word_key,
 )
 from .kernels import (
@@ -117,14 +123,15 @@ def _represent_in_model(image: NcSeries, model: RkhsModel, tol: Tolerances) -> R
     targets = np.vstack([image.coefficient(w) for w in words])
     sol, *_ = np.linalg.lstsq(span, targets, rcond=None)
     residuals = np.linalg.norm(span @ sol - targets, axis=0)
-    bound = tol.eq_rel * max(1.0, float(np.max(np.linalg.norm(targets, axis=0)))) * 100
-    if np.any(residuals > bound):
-        raise NotInTarget(float(residuals[np.argmax(residuals > bound)]))
+    scale = np.max(np.linalg.norm(targets, axis=0))
+    bad = rel_err(residuals, scale) > tol.eq_rel * SOLVE_SLACK
+    if np.any(bad):
+        raise NotInTarget(float(residuals[np.argmax(bad)]))
     # sol[(j, c'), (i, c)] expands slice c of f_i over model slice (j, c')
     same_slot = np.eye(k)[:, None, :]
     sol = sol.reshape(model.n_basis, k, -1, k)
     mixing = np.abs(sol * (1.0 - same_slot))
-    if np.any(mixing > bound):
+    if np.any(rel_err(mixing, scale) > tol.eq_rel * SOLVE_SLACK):
         raise NotInTarget(float(mixing.max()), "image mixes slice slots")
     return Represented((sol * same_slot).reshape(model.dim, -1), float(np.max(residuals)))
 
@@ -205,15 +212,12 @@ def adjoint_on_kernel_element(
 # ---------------------------------------------------------------------------
 
 def _sqrtm_hpd(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals, vecs = np.linalg.eigh(hermitize(g))
+    vals, vecs = np.linalg.eigh(hermitize(g, "the gramian"))
     if vals[0] <= 0:
         raise InputError("gramian must be positive definite")
     root = (vecs * np.sqrt(vals)) @ vecs.conj().T
     inv_root = (vecs / np.sqrt(vals)) @ vecs.conj().T
     return root, inv_root
-
-
-_RANK_CUT = 1e-13
 
 
 class BrangesianDecomposition:
@@ -239,6 +243,7 @@ class BrangesianDecomposition:
         root_t, inv_root_t = _sqrtm_hpd(gram_tgt)
         self._root_t, self._inv_root_t = root_t, inv_root_t
         self.a0 = root_t @ a @ inv_root_s
+        require_finite(self.a0, "the normalized contraction")
 
         u, svals, vh = np.linalg.svd(self.a0)
         norm = float(svals[0]) if svals.size else 0.0
@@ -248,9 +253,9 @@ class BrangesianDecomposition:
         s_full = np.zeros(n_tgt)
         s_full[: svals.size] = np.clip(svals, 0.0, 1.0)
         s_cut = s_full.copy()
-        s_cut[s_cut <= _RANK_CUT] = 0.0
+        s_cut[s_cut <= RANK_CUT] = 0.0
         defect = np.clip(1.0 - s_cut**2, 0.0, None)
-        defect[defect <= _RANK_CUT] = 0.0
+        defect[defect <= RANK_CUT] = 0.0
         droot = np.sqrt(defect)
 
         inv_s = np.where(s_cut > 0, 1.0 / np.where(s_cut > 0, s_cut, 1.0), 0.0)
@@ -283,7 +288,7 @@ class BrangesianDecomposition:
     def _member_norm(self, x, pinv0: np.ndarray, proj: np.ndarray, label: str) -> float:
         x0 = self._root_t @ np.asarray(x, dtype=np.complex128).reshape(-1)
         gap = float(np.linalg.norm(proj @ x0 - x0))
-        if gap > self.tol.eq_rel * max(1.0, float(np.linalg.norm(x0))) * 1e3:
+        if rel_err(gap, float(np.linalg.norm(x0))) > self.tol.eq_rel * RANGE_SLACK:
             raise InputError(f"vector is not in {label} (distance {gap:.3e})")
         return float(np.linalg.norm(pinv0 @ x0))
 
@@ -315,8 +320,8 @@ class BrangesianDecomposition:
         spaces; the canonical split minimizes the cost over all such shifts.
         """
         prod = self._proj_m @ self._proj_h @ self._proj_m
-        vals, vecs = np.linalg.eigh(hermitize(prod))
-        keep = vals > 1.0 - 1e-9
+        vals, vecs = np.linalg.eigh(hermitize(prod, "the range overlap"))
+        keep = vals > OVERLAP_CUT
         return self._inv_root_t @ vecs[:, keep]
 
 

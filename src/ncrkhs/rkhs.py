@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    SOLVE_SLACK,
     DependentBasis,
     DimMismatch,
     Infeasible,
@@ -33,6 +34,7 @@ from .core import (
     frozen,
     kron,
     rel_err,
+    require_finite,
 )
 from .kernels import AlgebraSpec, GramBasisKernel, KolmogorovKernel, amplify
 from .series import AxiomReport, NcSeries, evaluate
@@ -54,7 +56,7 @@ class RkhsModel:
         coeffs = np.array(list(kernel.stacked.terms.values()) or [np.zeros((y, n * k))])
         rows = coeffs.reshape(-1, y, n, k).transpose(2, 0, 1, 3).reshape(n, -1)
         svals = np.linalg.svd(rows, compute_uv=False)
-        if svals[-1] <= tol.eq_rel * max(1.0, svals[0]):
+        if rel_err(svals[-1], svals[0]) <= tol.eq_rel:
             raise DependentBasis("basis coefficient lists are linearly dependent")
 
         self.algebra = algebra
@@ -166,8 +168,7 @@ def reproducing_check(m: RkhsModel, coeffs, w: MatrixTuple, v, y,
     xi = kernel_element_coefficients(m, w, v, y)
     rhs = m.inner_product(coeffs, xi)
     violation = rel_err(abs(lhs - rhs), abs(lhs))
-    passed = violation <= tol.eq_rel * 100
-    return AxiomReport(passed, violation, tol.eq_rel * 100, None if passed else (w, v, y))
+    return AxiomReport.worst([(violation, (w, v, y))], tol.eq_rel * SOLVE_SLACK)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +240,10 @@ def lifted_norm(
         blocks.append(evaluate(h_kernel.h, z) @ amplify(u, k, mult))
         values.append(val)
     a = np.vstack(blocks)
+    require_finite(a, "the lifted-norm system")
     b = np.concatenate(values)
     h, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.linalg.norm(a @ h - b))
-    if residual > tol.eq_rel * max(1.0, float(np.linalg.norm(b))) * 100:
+    if rel_err(residual, float(np.linalg.norm(b))) > tol.eq_rel * SOLVE_SLACK:
         raise Infeasible(residual)
     return float(np.linalg.norm(h))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_TOL, MatrixTuple, SamplerUnavailable, Tolerances
+from .core import MatrixTuple, SamplerUnavailable
 
 NILPOTENT = "nilpotent"
 GAUSSIAN = "gaussian"
@@ -58,11 +58,8 @@ def sample_tuple(rng: np.random.Generator, sampler: str, d: int, n: int) -> Matr
     raise SamplerUnavailable(f"unknown sampler {sampler!r}")
 
 
-def random_similarity(
-    rng: np.random.Generator, n: int, cond: float = 10.0, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
-    """Random invertible matrix with condition number ~cond (capped at cond_max)."""
-    cond = min(cond, tol.cond_max)
+def random_similarity(rng: np.random.Generator, n: int, cond: float = 10.0) -> np.ndarray:
+    """Random invertible matrix with condition number ~cond."""
     u, _ = np.linalg.qr(complex_gaussian(rng, n, n))
     v, _ = np.linalg.qr(complex_gaussian(rng, n, n))
     if n == 1:

@@ -24,7 +24,7 @@ is one that is simultaneously strictly upper-triangularizable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -241,6 +241,19 @@ class AxiomReport:
     threshold: float
     witness: object | None = None
 
+    @classmethod
+    def worst(cls, pairs: Iterable[tuple[float, object]], threshold: float) -> "AxiomReport":
+        """The report on (violation, witness) pairs: the first largest violation decides.
+
+        A pass carries no witness.
+        """
+        worst, witness = 0.0, None
+        for violation, candidate in pairs:
+            if violation > worst:
+                worst, witness = violation, candidate
+        passed = bool(worst <= threshold)
+        return cls(passed, float(worst), threshold, None if passed else witness)
+
 
 def check_respects_direct_sums(
     f: NcSeries,
@@ -255,17 +268,14 @@ def check_respects_direct_sums(
     from .core import direct_sum, direct_sum_matrices
 
     ev = evaluator if evaluator is not None else (lambda point: evaluate(f, point))
-    worst = 0.0
-    witness = None
-    for z, w in samples:
-        lhs = ev(direct_sum([z, w]))
-        rhs = direct_sum_matrices([ev(z), ev(w)])
-        violation = rel_err(frobenius(lhs - rhs), frobenius(lhs))
-        if violation > worst:
-            worst = violation
-            witness = (z, w)
-    passed = worst <= tol.eq_rel
-    return AxiomReport(passed, worst, tol.eq_rel, None if passed else witness)
+
+    def violations():
+        for z, w in samples:
+            lhs = ev(direct_sum([z, w]))
+            rhs = direct_sum_matrices([ev(z), ev(w)])
+            yield rel_err(frobenius(lhs - rhs), frobenius(lhs)), (z, w)
+
+    return AxiomReport.worst(violations(), tol.eq_rel)
 
 
 def check_respects_intertwinings(
@@ -276,18 +286,15 @@ def check_respects_intertwinings(
 ) -> AxiomReport:
     """Verify (alpha (x) I) f(Z) = f(Z~) (alpha (x) I) on intertwining triples."""
     ev = evaluator if evaluator is not None else (lambda point: evaluate(f, point))
-    worst = 0.0
-    witness = None
-    for z, zt, alpha in triples:
-        alpha = check_intertwiner(alpha, z, zt, tol)
-        lhs = kron(alpha, np.eye(f.out_dim)) @ ev(z)
-        rhs = ev(zt) @ kron(alpha, np.eye(f.in_dim))
-        violation = rel_err(frobenius(lhs - rhs), frobenius(lhs))
-        if violation > worst:
-            worst = violation
-            witness = (z, zt, alpha)
-    passed = worst <= tol.eq_rel
-    return AxiomReport(passed, worst, tol.eq_rel, None if passed else witness)
+
+    def violations():
+        for z, zt, alpha in triples:
+            alpha = check_intertwiner(alpha, z, zt, tol)
+            lhs = kron(alpha, np.eye(f.out_dim)) @ ev(z)
+            rhs = ev(zt) @ kron(alpha, np.eye(f.in_dim))
+            yield rel_err(frobenius(lhs - rhs), frobenius(lhs)), (z, zt, alpha)
+
+    return AxiomReport.worst(violations(), tol.eq_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +390,9 @@ def extract_taylor_coefficients(
         small_words = words_up_to(d, max_len - 1)
         small = np.asarray(evaluator(truncated_shift_tuple(d, max_len - 1)), dtype=np.complex128)
         small_coeffs = _read_coefficients(small, small_words, out_dim, in_dim)
-        scale_v = max(1.0, max(frobenius(c) for c in coeffs.values()))
+        scale_v = max(frobenius(c) for c in coeffs.values())
         for w, c in small_coeffs.items():
-            if frobenius(c - coeffs[w]) > tol.eq_rel * scale_v:
+            if rel_err(frobenius(c - coeffs[w]), scale_v) > tol.eq_rel:
                 raise InconsistentEvaluator(f"coefficient of {w} disagrees across probe sizes")
 
     return NcSeries(d, out_dim, in_dim, {w: c for w, c in coeffs.items() if frobenius(c) > 0.0})

@@ -428,6 +428,30 @@ def _point_with_entries(entries):
 _OVERFLOWING_MAP = CpMap(1, 2, {(0, 0): np.full((2, 2), 1e308)})
 
 
+def _gram_basis(gram):
+    """Gram-basis fields for the basis 1, z_1 with the given gram matrix."""
+    basis = [NcSeries.constant(1, [[1.0]]), NcSeries.monomial(1, (1,), [[1.0]])]
+    return {"basis": [encode_series(f) for f in basis], "gram": encode_matrix(np.array(gram))}
+
+
+def _contraction(a, **grams):
+    return {"a": encode_matrix(np.array(a))} | {name: encode_matrix(np.array(g)) for name, g in grams.items()}
+
+
+def _moment_table(d, max_len, moments):
+    return {"form": "moment", "d": d, "y_dim": 1, "max_len": max_len, "moments": [
+        {"row_word": list(a), "col_word": list(b), "coeff": encode_matrix(np.array([[c]]))}
+        for (a, b), c in moments.items()
+    ]}
+
+
+# finite entries whose norms overflow: a singular gram, a non-Hermitian gram
+# and an unpaired moment, each of which a check with an infinite scale passed
+_HUGE_GRAM = _gram_basis(np.full((2, 2), 1e308))
+_SKEW_GRAM = _gram_basis([[1e200, 1e190], [0.0, 1e200]])
+_UNPAIRED_MOMENT = _moment_table(1, 1, {((), ()): 1e200, ((1,), (1,)): 1e200, ((), (1,)): 1e190})
+
+
 @pytest.mark.parametrize(
     "argv, files",
     [
@@ -443,9 +467,23 @@ _OVERFLOWING_MAP = CpMap(1, 2, {(0, 0): np.full((2, 2), 1e308)})
          [NcSeries.constant(1, [[1.0]]), _point_with_entries([[0.5, 0.0], [0, 0], [1, 0], [0.5, -(10 ** 400)]])]),
         (["cb-norm", "--seed", "1", "--map", "{a}"], [_OVERFLOWING_MAP]),
         (["effros-ruan", "--seed", "1", "--map", "{a}"], [_OVERFLOWING_MAP]),
+        (["brangesian", "--seed", "1", "--contraction", "{a}"],
+         [_contraction(0.5 * np.eye(2), gram_src=np.diag([1e308, 1e-300]))]),
+        (["brangesian", "--seed", "1", "--contraction", "{a}"],
+         [_contraction(np.diag([1e300, 0.0]), gram_tgt=np.diag([1e200, 1.0]))]),
+        (["kernel-from-basis", "--model", "{a}"], [_HUGE_GRAM]),
+        (["cp-certify", "--seed", "1", "--kernel", "{a}"], [{"form": "gram_basis", **_HUGE_GRAM}]),
+        (["kernel-from-basis", "--model", "{a}"], [_SKEW_GRAM]),
+        (["cp-certify", "--seed", "1", "--kernel", "{a}"], [_UNPAIRED_MOMENT]),
+        (["check-ncfun", "--seed", "1", "--series", "{a}"],
+         [NcSeries(2, 1, 1, {(): [[1e200]], (1,): [[1e200]], (1, 2): [[1e200]]})]),
+        (["check-kernel", "--seed", "1", "--kernel", "{a}"],
+         [KolmogorovKernel(AlgebraSpec(), NcSeries(1, 1, 1, {(): [[1e300]], (1,): [[1e300]]}))]),
     ],
     ids=["eval", "cp-certify", "kolmogorov", "huge-integer-entry", "huge-integer-among-floats",
-         "cb-norm-nan-min-eig", "effros-ruan"],
+         "cb-norm-nan-min-eig", "effros-ruan", "brangesian-gramian-root", "brangesian-normalized-contraction",
+         "singular-huge-gram", "cp-certify-huge-gram", "non-hermitian-huge-gram", "cp-certify-unpaired-moment",
+         "check-ncfun-huge-coefficients", "check-kernel-huge-factor"],
 )
 def test_overflow_is_a_typed_input_error(tmp_path, capsys, argv, files):
     encoders = {NcSeries: encode_series, MatrixTuple: encode_tuple, KolmogorovKernel: encode_kernel,

@@ -12,10 +12,11 @@ from ncrkhs.core import (
     Tolerances,
     as_cmatrix,
     direct_sum,
+    hermitize,
     kron,
-    min_eig_hermitian,
     psd_factor,
     psd_verdict,
+    rel_err,
     word_eval,
     word_transpose,
     words_up_to,
@@ -62,18 +63,39 @@ def test_kron_mixed_product_property():
 
 
 def test_min_eig_trivial_cases():
-    assert min_eig_hermitian(np.eye(3)) == pytest.approx(1.0)
-    assert min_eig_hermitian(np.diag([2.0, -1.0])) == pytest.approx(-1.0)
+    assert psd_verdict([np.eye(3)]).min_eig == pytest.approx(1.0)
+    assert psd_verdict([np.diag([2.0, -1.0])]).min_eig == pytest.approx(-1.0)
 
 
 def test_min_eig_derived_value():
     # characteristic polynomial of [[2,1],[1,2]] is (t-1)(t-3)
-    assert min_eig_hermitian(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(1.0)
+    assert psd_verdict([np.array([[2.0, 1.0], [1.0, 2.0]])]).min_eig == pytest.approx(1.0)
 
 
 def test_min_eig_nonsquare_rejected():
     with pytest.raises(NonSquare):
-        min_eig_hermitian(np.zeros((2, 3)))
+        psd_factor(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "diff, scale",
+    [(1.0, np.inf), (np.array([0.0, np.nan]), 1.0)],
+    ids=["infinite-scale", "nan-array-diff"],
+)
+def test_rel_err_rejects_non_finite_norms(diff, scale):
+    with pytest.raises(InputError, match="overflow"):
+        rel_err(diff, scale)
+
+
+def test_rel_err_is_elementwise_on_arrays():
+    np.testing.assert_array_equal(rel_err(np.array([0.5, 4.0]), 2.0), [0.25, 2.0])
+    assert rel_err(0.5, 0.1) == 0.5
+
+
+def test_hermitize_rejects_overflow():
+    # each entry is finite, but m + m* is not
+    with pytest.raises(InputError, match="overflow"):
+        hermitize(np.full((2, 2), 1e308), "the test")
 
 
 def test_psd_factor_identity():

@@ -7,6 +7,8 @@ For points Z, W of sizes n, m and an argument P in A^{n x m}:
   2 x 2 block matrix of the four kernel values on the blocks;
 - similarity: K(S Z S^-1, T W T^-1)((S (x) I_k) P (T (x) I_k)*) =
   (S (x) I_y) K(Z, W)(P) (T (x) I_y)*.
+- embedding: with the column embedding alpha = [I; 0] of Z into Z (+) Z',
+  K(Z (+) Z', W)((alpha (x) I_k) P) = (alpha (x) I_y) K(Z, W)(P).
 
 Each form is rebuilt from the drawn seed: moment tables (indefinite, evaluated
 at nilpotent points their order covers), Kolmogorov factors, Gram bases for
@@ -138,3 +140,15 @@ def test_similarity(form, seed):
     moved = np.kron(s, np.eye(k)) @ p @ np.kron(t, np.eye(k)).conj().T
     want = np.kron(s, np.eye(y)) @ kernel.evaluate(z, w, p) @ np.kron(t, np.eye(y)).conj().T
     assert_close(kernel.evaluate(zs, wt, moved), want)
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+@settings(max_examples=10)
+@given(seeds)
+def test_embedding(form, seed):
+    rng, kernel, (z, zp, w) = draw_case(form, seed, 3)
+    k, y = kernel.algebra.k, kernel.y_dim
+    p = random_algebra_matrix(rng, k, z.n, w.n)
+    alpha = np.vstack([np.eye(z.n), np.zeros((zp.n, z.n))])  # Z -> Z (+) Z', the column embedding
+    want = np.kron(alpha, np.eye(y)) @ kernel.evaluate(z, w, p)
+    assert_close(kernel.evaluate(direct_sum([z, zp]), w, np.kron(alpha, np.eye(k)) @ p), want)

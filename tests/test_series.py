@@ -17,6 +17,7 @@ from ncrkhs.core import (
 )
 from ncrkhs.sampling import complex_gaussian, nilpotent_tuple, random_similarity, rng_from_seed
 from ncrkhs.series import (
+    AxiomReport,
     NcSeries,
     add,
     check_respects_direct_sums,
@@ -300,3 +301,15 @@ def test_series_coefficients_do_not_alias_their_input():
     f = NcSeries(1, 2, 1, {(): coeff})
     coeff[0, 0] = 5.0
     assert f.terms[()][0, 0] == 1.0
+
+
+def test_axiom_report_worst_keeps_the_first_largest_violation():
+    report = AxiomReport.worst([(0.5, "a"), (2.0, "b"), (2.0, "c"), (1.0, "d")], 1.0)
+    assert (report.passed, report.max_violation, report.threshold, report.witness) == (False, 2.0, 1.0, "b")
+
+
+def test_axiom_report_worst_pass_carries_no_witness():
+    report = AxiomReport.worst([(0.5, "a"), (1.0, "b")], 1.0)
+    assert (report.passed, report.max_violation, report.witness) == (True, 1.0, None)
+    empty = AxiomReport.worst([], 1.0)
+    assert (empty.passed, empty.max_violation, empty.witness) == (True, 0.0, None)
