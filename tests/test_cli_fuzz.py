@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from ncrkhs import cli
+from ncrkhs.core import MatrixTuple
 from ncrkhs.cpmaps import CpMap
 from ncrkhs.kernels import AlgebraSpec, KolmogorovKernel, szego_kernel
 from ncrkhs.serialize import (
@@ -29,7 +30,6 @@ from ncrkhs.serialize import (
     encode_series,
     encode_tuple,
 )
-from ncrkhs.core import MatrixTuple
 from ncrkhs.series import NcSeries
 
 J2 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -90,7 +90,11 @@ def _nodes(node, path=()):
         yield from _nodes(value, path + (key,))
 
 
+_DELETE = object()
+
+
 def _set(doc, path, value):
+    """A copy of ``doc`` with the node at ``path`` replaced (or deleted, for _DELETE)."""
     if not path:
         return value
     doc = json.loads(json.dumps(doc))
@@ -102,9 +106,6 @@ def _set(doc, path, value):
     else:
         parent[path[-1]] = value
     return doc
-
-
-_DELETE = object()
 
 
 def _pick(rng, items):
