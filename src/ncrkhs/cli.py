@@ -34,8 +34,8 @@ from .core import (
     rel_err,
 )
 from .sampling import (
+    NILPOTENT,
     complex_gaussian,
-    nilpotent_tuple,
     random_psd,
     random_similarity,
     rng_from_seed,
@@ -184,9 +184,7 @@ def _cmd_cp_certify(args, tol):
 
 def _cmd_kolmogorov(args, tol):
     kernel = decode_kernel(_load(args.kernel, "kernel"), "kernel", tol)
-    rng = rng_from_seed(args.seed)
-    sizes = kernels._clamp_sizes(kernel, "nilpotent", _sizes(args))
-    points = [nilpotent_tuple(rng, kernel.d, sizes[i % len(sizes)]) for i in range(args.points)]
+    _, points = kernels.sample_points(kernel, rng_from_seed(args.seed), args.points, _sizes(args), NILPOTENT)
     sample = kernels.kolmogorov_at_sample(kernel, points, tol)
     return {
         "status": "ok",

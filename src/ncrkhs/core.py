@@ -317,12 +317,30 @@ def direct_sum_matrices(mats: Sequence[np.ndarray]) -> np.ndarray:
 # free-monoid words
 # ---------------------------------------------------------------------------
 
+def _integral(value) -> int | None:
+    """``value`` as an int when it is an integral number (not a boolean), else None."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    return None
+
+
 def validate_word(w: Iterable[int], d: int) -> Word:
-    word = tuple(int(l) for l in w)
-    for letter in word:
-        if not 1 <= letter <= d:
-            raise LetterOutOfRange(f"letter {letter} outside 1..{d}")
-    return word
+    """The word as a tuple of ints in 1..d; a letter that is not an integral number is an input error."""
+    word = []
+    for letter in w:
+        number = _integral(letter)
+        if number is None:
+            raise InputError(f"non-integer letter {letter!r}")
+        if not 1 <= number <= d:
+            raise LetterOutOfRange(f"letter {number} outside 1..{d}")
+        word.append(number)
+    return tuple(word)
 
 
 def word_transpose(w: Word) -> Word:

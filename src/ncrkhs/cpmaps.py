@@ -245,7 +245,6 @@ class CpMapRkhs:
         if not ok:
             raise NotCp(min_eig)
         self.phi = phi
-        self.tol = tol
         k, m = phi.k, phi.m
         self.n_units = k * k
         self.dim = k * k * m

@@ -25,8 +25,8 @@ from .core import (
     rel_err,
     words_up_to,
 )
-from .kernels import CpCertificate, MomentKernel
-from .sampling import nilpotent_tuple, rng_from_seed
+from .kernels import CpCertificate, MomentKernel, sample_points
+from .sampling import NILPOTENT, rng_from_seed
 from .series import NcSeries, multiply, truncate, truncated_shift_tuple
 
 
@@ -120,26 +120,19 @@ def nilpotent_positivity_check(
     kernel: MomentKernel,
     seed=0,
     n_points: int = 3,
-    sizes=None,
+    sizes=(2, 3),
     tol: Tolerances = DEFAULT_TOL,
 ) -> CpCertificate:
     """Eigencheck K(Z,Z)(I) over sampled nilpotent points plus scaled shift tuples.
 
     Evaluation is exact because the table is finitely supported; the sampled
-    orders must stay within max_len + 1.  The scaled truncated free shift
-    witnesses any negative direction of the truncated moment matrix, so the
-    verdict agrees with :func:`is_formal_positive_truncated` for kernels
-    exactly representable at this truncation.
+    sizes are clamped to the nilpotency coverage max_len + 1.  The scaled
+    truncated free shift witnesses any negative direction of the truncated
+    moment matrix, so the verdict agrees with
+    :func:`is_formal_positive_truncated` for kernels exactly representable at
+    this truncation.
     """
-    if sizes is None:
-        sizes = tuple(min(n, kernel.max_len + 1) for n in (2, 3))
-    for n in sizes:
-        if n > kernel.max_len + 1:
-            raise TruncationTooShort(
-                f"sampled size {n} can exceed nilpotency coverage max_len+1={kernel.max_len + 1}"
-            )
-    rng = rng_from_seed(seed)
-    sampled = [nilpotent_tuple(rng, kernel.d, int(sizes[i % len(sizes)])) for i in range(n_points)]
+    _, sampled = sample_points(kernel, rng_from_seed(seed), n_points, sizes, NILPOTENT)
     shift = truncated_shift_tuple(kernel.d, kernel.max_len)
 
     def unit_values():

@@ -113,20 +113,6 @@ class AlgebraSpec:
         return np.eye(n * self.k, dtype=np.complex128)
 
 
-def amplify(p: np.ndarray, k: int, mult: int) -> np.ndarray:
-    """Apply a -> a (x) I_mult blockwise to an encoded element of A^{n x m}."""
-    p = np.asarray(p, dtype=np.complex128)
-    if p.shape[0] % k or p.shape[1] % k:
-        raise DimMismatch(f"encoded algebra matrix shape {p.shape} not divisible by k={k}")
-    if mult == 1:
-        return p
-    n, m = p.shape[0] // k, p.shape[1] // k
-    blocks = p.reshape(n, k, m, k)
-    eye = np.eye(mult, dtype=np.complex128)
-    out = blocks[:, :, None, :, :, None] * eye[None, None, :, None, None, :]
-    return out.reshape(n * k * mult, m * k * mult)
-
-
 # ---------------------------------------------------------------------------
 # kernel forms
 # ---------------------------------------------------------------------------
@@ -138,6 +124,8 @@ class KernelBase:
     y_dim: int
     algebra: AlgebraSpec
     default_sampler: str
+    # longest stored word of a truncated kernel; None when it is exact everywhere
+    max_len: int | None = None
 
     def evaluate(self, z: MatrixTuple, w: MatrixTuple, p: np.ndarray,
                  allow_truncation: bool = False) -> np.ndarray:
@@ -168,18 +156,39 @@ class FactoredKernel(KernelBase):
     F(Z) run over (point, c, alpha) and P acts on (point, c), C on alpha.
     ``P (x) C`` is never formed: P and C are applied as two matrix products.
     Factor values come from :func:`ncrkhs.series.factor_value`, once per point.
+
+    A kernel built from a moment table keeps its ``max_len``: it is exact only
+    at jointly nilpotent points of order <= max_len + 1 (nilpotency tested at
+    ``tol``), and refuses other points unless a truncation is asked for.
     """
 
-    def __init__(self, d: int, y_dim: int, algebra: AlgebraSpec, terms, default_sampler: str):
+    def __init__(self, d: int, y_dim: int, algebra: AlgebraSpec, terms,
+                 max_len: int | None = None, tol: Tolerances = DEFAULT_TOL):
         self.d = int(d)
         self.y_dim = int(y_dim)
         self.algebra = algebra
-        self.default_sampler = default_sampler
+        self.max_len = max_len
+        self.tol = tol
         # a factor without columns contributes nothing
         self.terms = tuple((f, frozen(c)) for f, c in terms if c.shape[0])
 
+    @property
+    def default_sampler(self) -> str:
+        return GAUSSIAN if self.max_len is None else NILPOTENT
+
     def _check_domain(self, z: MatrixTuple) -> None:
-        """Raise :class:`TruncationRefused` where K is only a truncation; no-op here."""
+        """Raise :class:`TruncationRefused` where K is only a truncation."""
+        if self.max_len is None:
+            return
+        # words of length >= order vanish at the point, so the stored support
+        # is the whole kernel there iff order <= max_len + 1; the point keeps
+        # its order, so each point is tested once per tolerance
+        order = z.cached(self.tol, lambda: _order_or_none(z, self.tol))
+        if order is None or order > self.max_len + 1:
+            raise TruncationRefused(
+                "moment-form evaluation is a truncation at this point; "
+                "pass allow_truncation=True to accept it"
+            )
 
     def _weighted(self, f, c: np.ndarray, z: MatrixTuple, x: np.ndarray) -> np.ndarray:
         """F(Z)(X (x) I_D): X acts on the (point, algebra) column index of F(Z)."""
@@ -239,8 +248,6 @@ class MomentKernel(FactoredKernel):
                  max_len: int, tol: Tolerances = DEFAULT_TOL):
         if max_len < 0:
             raise InputError("max_len must be >= 0")
-        self.max_len = int(max_len)
-        self.tol = tol
         keys: dict[tuple[Word, Word], None] = {}
         for wa, wb in moments:
             key = (validate_word(wa, d), validate_word(wb, d))
@@ -259,30 +266,19 @@ class MomentKernel(FactoredKernel):
             rows = [index[wa] for wa, _ in self.moments]
             cols = [index[wb] for _, wb in self.moments]
             table[rows, :, cols, :] = np.array(list(self.moments.values()))
-        self._validate_hermitian(table)
+        self._validate_hermitian(table, tol)
         self.middle = frozen(table.reshape(m * y_dim, m * y_dim))
         factor = WordIndicator(int(d), int(y_dim), self.words)
-        super().__init__(d, y_dim, AlgebraSpec(SCALAR), [(factor, self.middle)], NILPOTENT)
+        super().__init__(d, y_dim, AlgebraSpec(SCALAR), [(factor, self.middle)], int(max_len), tol)
 
-    def _validate_hermitian(self, table: np.ndarray) -> None:
+    def _validate_hermitian(self, table: np.ndarray, tol: Tolerances) -> None:
         # blockwise ||K_ab - K_ba*|| against the largest moment
         gap = np.linalg.norm(table - table.transpose(2, 3, 0, 1).conj(), axis=(1, 3))
         scale = np.max(np.linalg.norm(table, axis=(1, 3)), initial=0.0)
-        bad = np.argwhere(rel_err(gap, scale) > self.tol.eq_rel)
+        bad = np.argwhere(rel_err(gap, scale) > tol.eq_rel)
         if bad.size:
             a, b = bad[0]
             raise InputError(f"moment table is not Hermitian at pair {(self.words[a], self.words[b])}")
-
-    def _check_domain(self, z):
-        # words of length >= order vanish at the point, so the stored support
-        # is the whole kernel there iff order <= max_len + 1; the point keeps
-        # its order, so each point is tested once per tolerance
-        order = z.cached(self.tol, lambda: _order_or_none(z, self.tol))
-        if order is None or order > self.max_len + 1:
-            raise TruncationRefused(
-                "moment-form evaluation is a truncation at this point; "
-                "pass allow_truncation=True to accept it"
-            )
 
     # each form keeps evaluate in its own class body (perfbench/tracer.py times it there)
     evaluate = FactoredKernel.evaluate
@@ -300,7 +296,7 @@ class KolmogorovKernel(FactoredKernel):
             )
         self.h = h
         self.s = int(s)
-        super().__init__(h.d, h.out_dim, algebra, [(h, np.eye(algebra.r * self.s))], GAUSSIAN)
+        super().__init__(h.d, h.out_dim, algebra, [(h, np.eye(algebra.r * self.s))])
 
     evaluate = FactoredKernel.evaluate
 
@@ -336,12 +332,11 @@ class GramBasisKernel(FactoredKernel):
         })
         self.gram = frozen(gram)
         self.gram_inv = frozen(np.linalg.inv(gram))
-        self.tol = tol
         factor = self.stacked
         if k > 1:
             order = np.arange(size * k).reshape(size, k).T.reshape(-1)
             factor = NcSeries(d, y, size * k, {w: c[:, order] for w, c in self.stacked.terms.items()})
-        super().__init__(d, y, algebra, [(factor, self.gram_inv)], GAUSSIAN)
+        super().__init__(d, y, algebra, [(factor, self.gram_inv)])
 
     evaluate = FactoredKernel.evaluate
 
@@ -432,13 +427,11 @@ def draw_kernel_axiom_samples(
     """Random points, exact intertwiners (similarities and embeddings), and arguments."""
     _check_positive(n_samples, "sample")
     rng = rng_from_seed(rng)
-    sampler = _resolve_sampler(kernel, sampler)
-    sizes = _clamp_sizes(kernel, sampler, sizes)
+    sampler, sizes = _domain(kernel, sampler, sizes)
     k = kernel.algebra.k
     samples = KernelAxiomSamples()
     for i in range(n_samples):
-        n = int(sizes[i % len(sizes)])
-        m = int(sizes[(i + 1) % len(sizes)])
+        n, m = (sizes[j % len(sizes)] for j in (i, i + 1))
         z = sample_tuple(rng, sampler, kernel.d, n)
         w = sample_tuple(rng, sampler, kernel.d, m)
         p = random_algebra_matrix(rng, k, n, m)
@@ -513,22 +506,30 @@ class CpCertificate:
     points: tuple = ()
 
 
-def _resolve_sampler(kernel: KernelBase, sampler: str | None) -> str:
-    if sampler is None or sampler == "auto":
-        return kernel.default_sampler
-    return sampler
-
-
 def _check_positive(count: int, what: str) -> None:
     if count < 1:
         raise InputError(f"a certificate needs at least one {what}, got {count}")
 
 
-def _clamp_sizes(kernel: KernelBase, sampler: str, sizes: Sequence[int]) -> tuple[int, ...]:
-    # the domain of a truncated moment kernel is nilpotents of covered order
-    if sampler == NILPOTENT and isinstance(kernel, MomentKernel):
-        return tuple(min(int(s), kernel.max_len + 1) for s in sizes)
-    return tuple(int(s) for s in sizes)
+def _domain(kernel: KernelBase, sampler: str | None, sizes: Sequence[int]) -> tuple[str, tuple[int, ...]]:
+    """The sampler (the kernel's own for None or "auto") and the sizes clamped to its exact domain."""
+    if sampler is None or sampler == "auto":
+        sampler = kernel.default_sampler
+    # a truncated kernel is exact at nilpotent points of order <= max_len + 1
+    if sampler == NILPOTENT and kernel.max_len is not None:
+        return sampler, tuple(min(int(s), kernel.max_len + 1) for s in sizes)
+    return sampler, tuple(int(s) for s in sizes)
+
+
+def sample_points(kernel: KernelBase, rng, n_points: int, sizes: Sequence[int],
+                  sampler: str | None = None) -> tuple[str, list[MatrixTuple]]:
+    """The resolved sampler and ``n_points`` seeded points whose sizes cycle through ``sizes``.
+
+    Nilpotent sizes are clamped to a truncated kernel's exact domain.
+    """
+    _check_positive(n_points, "sample point")
+    sampler, sizes = _domain(kernel, sampler, sizes)
+    return sampler, [sample_tuple(rng, sampler, kernel.d, sizes[i % len(sizes)]) for i in range(n_points)]
 
 
 def cp_certificate(
@@ -546,14 +547,10 @@ def cp_certificate(
     :meth:`KernelBase.block_matrix` and eigenchecks it against the relative
     PSD floor.
     """
-    _check_positive(n_points, "sample point")
-    _check_positive(n_rows, "row")
     rng = rng_from_seed(seed)
-    sampler = _resolve_sampler(kernel, sampler)
-    sizes = _clamp_sizes(kernel, sampler, sizes)
-    k = kernel.algebra.k
-    points = [sample_tuple(rng, sampler, kernel.d, int(sizes[i % len(sizes)])) for i in range(n_points)]
-    rows = [random_algebra_matrix(rng, k, n_rows, z.n) for z in points]
+    sampler, points = sample_points(kernel, rng, n_points, sizes, sampler)
+    _check_positive(n_rows, "row")
+    rows = [random_algebra_matrix(rng, kernel.algebra.k, n_rows, z.n) for z in points]
     m = kernel.block_matrix(points, [r.conj().T for r in rows])
     verdict = psd_verdict([m], tol)
     description = {
@@ -585,8 +582,7 @@ def cp_certificate_similarity_reduced(
     """
     _check_positive(n_points, "sample point")
     rng = rng_from_seed(seed)
-    sampler = _resolve_sampler(kernel, sampler)
-    sizes = _clamp_sizes(kernel, sampler, sizes)
+    sampler, sizes = _domain(kernel, sampler, sizes)
     if check_axioms:
         axioms = draw_kernel_axiom_samples(kernel, rng, n_samples=2, sizes=sizes, sampler=sampler)
         report = check_kernel_axioms(kernel, axioms, tol)
@@ -596,7 +592,7 @@ def cp_certificate_similarity_reduced(
                 {"sampler": sampler, "sizes": list(sizes), "reduced": True, "axioms_failed": True},
                 seed,
             )
-    sampled = [sample_tuple(rng, sampler, kernel.d, int(sizes[i % len(sizes)])) for i in range(n_points)]
+    _, sampled = sample_points(kernel, rng, n_points, sizes, sampler)
     verdict = psd_verdict(
         (kernel.evaluate(z, z, kernel.algebra.unit(z.n)) for z in sampled), tol
     )

@@ -31,7 +31,6 @@ from .core import (
     word_key,
 )
 from .kernels import (
-    CallableKernel,
     CpCertificate,
     FactoredKernel,
     KernelBase,
@@ -39,7 +38,6 @@ from .kernels import (
     cp_certificate,
 )
 from .rkhs import RkhsModel
-from .sampling import NILPOTENT
 from .series import NcSeries, WordIndicator, evaluate, multiply
 
 
@@ -150,32 +148,24 @@ def multiplier_matrix(
     return _represent_in_model(multiply(mult.s, source_model.stacked), target_model, tol).coefficients
 
 
-def _minus(kernel: KernelBase, other: KernelBase, s: NcSeries | None = None) -> KernelBase:
-    """K - S K' S* (K - K' without S), in factored form when both kernels are.
+def _minus(kernel: KernelBase, other: KernelBase, s: NcSeries | None = None) -> FactoredKernel:
+    """K - S K' S* (K - K' without S) as [F, S F'] (C (+) -C') [F, S F']*, S F' by series multiplication.
 
-    The factored form is [F, S F'] (C (+) -C') [F, S F']*, with S F' by series
-    multiplication; any other kernel is combined value by value.
+    Both parts are exact only where both kernels are, so the result keeps the
+    shorter truncation (``max_len`` and ``tol``) of the two.
     """
-    sampler = kernel.default_sampler
-    if NILPOTENT in (kernel.default_sampler, other.default_sampler):
-        sampler = NILPOTENT
-    if isinstance(kernel, FactoredKernel) and isinstance(other, FactoredKernel):
-        moved = [
-            (f if s is None else multiply(s, f.as_series() if isinstance(f, WordIndicator) else f), -c)
-            for f, c in other.terms
-        ]
-        return FactoredKernel(kernel.d, kernel.y_dim, kernel.algebra, kernel.terms + tuple(moved), sampler)
-
-    def fn(z: MatrixTuple, w: MatrixTuple, p: np.ndarray) -> np.ndarray:
-        inner = other.evaluate(z, w, p, allow_truncation=True)
-        if s is not None:
-            inner = evaluate(s, z) @ inner @ evaluate(s, w).conj().T
-        return kernel.evaluate(z, w, p, allow_truncation=True) - inner
-
-    return CallableKernel(kernel.d, kernel.y_dim, kernel.algebra, fn, default_sampler=sampler)
+    if not (isinstance(kernel, FactoredKernel) and isinstance(other, FactoredKernel)):
+        raise InputError("de Branges-Rovnyak and difference kernels need factored kernels")
+    moved = [
+        (f if s is None else multiply(s, f.as_series() if isinstance(f, WordIndicator) else f), -c)
+        for f, c in other.terms
+    ]
+    exact = min((kernel, other), key=lambda k: np.inf if k.max_len is None else k.max_len)
+    return FactoredKernel(kernel.d, kernel.y_dim, kernel.algebra, kernel.terms + tuple(moved),
+                          exact.max_len, exact.tol)
 
 
-def dbr_kernel(mult: Multiplier) -> KernelBase:
+def dbr_kernel(mult: Multiplier) -> FactoredKernel:
     """The kernel K(Z,W)(P) - S(Z) K'(Z,W)(P) S(W)*."""
     return _minus(mult.target, mult.source, mult.s)
 
@@ -335,7 +325,7 @@ def brangesian_complement(a, gram_src=None, gram_tgt=None,
 # contractive containment
 # ---------------------------------------------------------------------------
 
-def difference_kernel(kprime: KernelBase, kernel: KernelBase) -> KernelBase:
+def difference_kernel(kprime: KernelBase, kernel: KernelBase) -> FactoredKernel:
     """K'' = K - K', the complement kernel of a contractive containment."""
     if kprime.y_dim != kernel.y_dim or kprime.algebra != kernel.algebra:
         raise DimMismatch("kernels must share coefficient dimension and algebra")

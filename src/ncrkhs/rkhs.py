@@ -36,7 +36,7 @@ from .core import (
     rel_err,
     require_finite,
 )
-from .kernels import AlgebraSpec, GramBasisKernel, KolmogorovKernel, amplify
+from .kernels import AlgebraSpec, GramBasisKernel, KolmogorovKernel
 from .series import AxiomReport, NcSeries, evaluate
 
 
@@ -237,7 +237,7 @@ def lifted_norm(
         val = np.asarray(val, dtype=np.complex128).reshape(-1)
         if val.shape[0] != z.n * h_kernel.y_dim:
             raise DimMismatch("target value must lie in Y^n for the sampled point")
-        blocks.append(evaluate(h_kernel.h, z) @ amplify(u, k, mult))
+        blocks.append(evaluate(h_kernel.h, z) @ kron(u, np.eye(mult)))
         values.append(val)
     a = np.vstack(blocks)
     require_finite(a, "the lifted-norm system")

@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import DEFAULT_TOL, InputError, MatrixTuple, Tolerances, as_cmatrix, validate_word
+from .core import DEFAULT_TOL, InputError, MatrixTuple, Tolerances, _integral, as_cmatrix, validate_word
 from .cpmaps import CpMap
 from .kernels import (
     FULL_MATRIX,
@@ -84,19 +84,6 @@ def decode_complex(data, where: str = "scalar") -> complex:
         raise InputError(f"{where}: non-numeric complex scalar") from exc
 
 
-def _integral(value) -> int | None:
-    """``value`` as an int when it is an integral number (not a boolean), else None."""
-    if type(value) is int:
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return None
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    return None
-
-
 def decode_int(data: dict, key: str, where: str, default: int | None = None) -> int:
     """The integer field ``key`` of a JSON object, or ``default`` when it is absent."""
     value = data.get(key, default)
@@ -157,10 +144,10 @@ def encode_word(w) -> list[int]:
 def decode_word(data, d: int, where: str = "word"):
     if not isinstance(data, list):
         raise InputError(f"{where}: a word is an array of integers")
-    letters = [l if type(l) is int else _integral(l) for l in data]
-    if None in letters:
-        raise InputError(f"{where}: non-integer letter")
-    return validate_word(letters, d)
+    try:
+        return validate_word(data, d)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from exc
 
 
 def encode_tuple(z: MatrixTuple) -> dict:

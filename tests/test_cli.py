@@ -200,6 +200,27 @@ def test_containment_subcommand(tmp_path, capsys):
     assert code == 3
 
 
+def test_shift_on_szego_is_certified_on_its_exact_domain(tmp_path, capsys):
+    # S = z1 is an isometry of H(K) for the Szego table K of max_len 2: K - S K S*
+    # is exact at nilpotent points of order <= 3, so size 5 is clamped to 3
+    szego = szego_kernel(1, 2)
+    k_path = write(tmp_path, "k.json", encode_kernel(szego))
+    s_path = write(tmp_path, "s.json", encode_series(NcSeries.monomial(1, (1,), [[1.0]])))
+    argv = ["multiplier-check", "--source", k_path, "--target", k_path, "--s", s_path, "--seed", "1"]
+    code, payload = run(capsys, argv + ["--sizes", "5"])
+    assert code == 0
+    assert payload["sample"]["sizes"] == [3, 3, 3, 3]
+
+    # Gaussian points lie outside the exact domain of every kernel built on a moment table
+    code, payload = run(capsys, argv + ["--sampler", "gaussian"])
+    assert code == 2 and "truncation" in payload["error"]
+    half = MomentKernel(1, 1, {key: 0.5 * val for key, val in szego.moments.items()}, 2)
+    half_path = write(tmp_path, "half.json", encode_kernel(half))
+    code, payload = run(capsys, ["containment", "--kprime", half_path, "--k", k_path, "--seed", "1",
+                                 "--sampler", "gaussian"])
+    assert code == 2 and "truncation" in payload["error"]
+
+
 def test_formal_factor_and_positivity(tmp_path, capsys):
     kernel_path = write(tmp_path, "fk.json", encode_formal_kernel(szego_formal_kernel(1, 2)))
     code, payload = run(capsys, ["formal-factor", "--kernel", kernel_path, "--L", "2"])

@@ -22,7 +22,9 @@ from ncrkhs.core import (
     words_up_to,
     zero_tuple,
 )
+from ncrkhs.kernels import MomentKernel
 from ncrkhs.sampling import complex_gaussian, random_psd, rng_from_seed
+from ncrkhs.series import NcSeries
 
 
 def test_kron_identity_case():
@@ -182,6 +184,18 @@ def test_word_transpose_and_range():
     z = zero_tuple(1, 2)
     with pytest.raises(LetterOutOfRange):
         word_eval((2,), z)
+
+
+@pytest.mark.parametrize("letter", [1.7, "2", True, np.bool_(True), None])
+@pytest.mark.parametrize("build", [
+    lambda w: NcSeries(2, 1, 1, {w: [[1.0]]}),
+    lambda w: MomentKernel(2, 1, {(w, w): [[1.0]]}, 1),
+], ids=["series", "moment-kernel"])
+def test_word_letters_must_be_integers(build, letter):
+    # a letter is an integral number, as in the JSON codec; it is never rounded or parsed
+    with pytest.raises(InputError, match="non-integer letter"):
+        build((letter,))
+    assert build((np.int64(2),)) is not None and build((2.0,)) is not None
 
 
 def test_word_eval_cases():

@@ -196,9 +196,14 @@ def test_nilpotent_positivity_agreement():
 
 
 def test_nilpotent_positivity_truncation_guard():
+    # sizes beyond the coverage max_len + 1 are clamped, as in every certificate
     kernel = szego_formal_kernel(1, 1)
+    cert = nilpotent_positivity_check(kernel, n_points=2, sizes=(4,))
+    assert cert.passed
+    assert cert.sample_description["sizes"][:2] == [2, 2]
+    # the moment matrix cannot be clamped: words beyond max_len are unknown
     with pytest.raises(TruncationTooShort):
-        nilpotent_positivity_check(kernel, sizes=(4,))
+        moment_matrix(kernel, 2)
 
 
 def test_zero_kernel_passes():

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncrkhs.core import MatrixTuple, direct_sum, frobenius
+from ncrkhs.core import MatrixTuple, TruncationRefused, direct_sum, frobenius
 from ncrkhs.kernels import (
     FULL_MATRIX,
     AlgebraSpec,
@@ -31,11 +31,11 @@ from ncrkhs.multipliers import Multiplier, dbr_kernel, difference_kernel
 from ncrkhs.sampling import (
     complex_gaussian,
     gaussian_tuple,
-    nilpotent_tuple,
     random_algebra_matrix,
     random_psd,
     random_similarity,
     rng_from_seed,
+    sample_tuple,
 )
 from ncrkhs.series import NcSeries
 
@@ -69,29 +69,29 @@ def gram_basis(rng, k=1, y=2):
     return GramBasisKernel(AlgebraSpec(FULL_MATRIX if k > 1 else "scalar", k=k), basis, random_psd(rng, 3) + np.eye(3))
 
 
-# form -> (kernel built from an rng, whether points must be nilpotent)
+# form -> kernel built from an rng; points are drawn by its default sampler,
+# nilpotent exactly for the forms built on moment tables
 FORMS = {
-    "moment-y1": (lambda rng: moment(rng), True),
-    "moment-y2": (lambda rng: moment(rng, y=2), True),
-    "kolmogorov-k1": (lambda rng: kolmogorov(rng), False),
-    "kolmogorov-k2": (lambda rng: kolmogorov(rng, k=2), False),
-    "gram-k1": (lambda rng: gram_basis(rng), False),
-    "gram-k2": (lambda rng: gram_basis(rng, k=2), False),
-    "dbr-kolmogorov": (lambda rng: dbr_kernel(Multiplier(
-        random_series(rng, 2, 2, [(), (1,)]), kolmogorov(rng), kolmogorov(rng))), False),
-    "dbr-moment": (lambda rng: dbr_kernel(Multiplier(
-        random_series(rng, 1, 1, [(), (2,)]), moment(rng), moment(rng))), True),
-    "difference-gram-k2": (lambda rng: difference_kernel(gram_basis(rng, k=2), kolmogorov(rng, k=2)), False),
-    "difference-moment": (lambda rng: difference_kernel(moment(rng), moment(rng)), True),
+    "moment-y1": lambda rng: moment(rng),
+    "moment-y2": lambda rng: moment(rng, y=2),
+    "kolmogorov-k1": lambda rng: kolmogorov(rng),
+    "kolmogorov-k2": lambda rng: kolmogorov(rng, k=2),
+    "gram-k1": lambda rng: gram_basis(rng),
+    "gram-k2": lambda rng: gram_basis(rng, k=2),
+    "dbr-kolmogorov": lambda rng: dbr_kernel(Multiplier(
+        random_series(rng, 2, 2, [(), (1,)]), kolmogorov(rng), kolmogorov(rng))),
+    "dbr-moment": lambda rng: dbr_kernel(Multiplier(
+        random_series(rng, 1, 1, [(), (2,)]), moment(rng), moment(rng))),
+    "difference-gram-k2": lambda rng: difference_kernel(gram_basis(rng, k=2), kolmogorov(rng, k=2)),
+    "difference-moment": lambda rng: difference_kernel(moment(rng), moment(rng)),
 }
+ON_MOMENT_TABLES = {"moment-y1", "moment-y2", "dbr-moment", "difference-moment"}
 
 
 def draw_case(form, seed, n_points):
-    build, nilpotent = FORMS[form]
     rng = rng_from_seed(seed)
-    kernel = build(rng)
-    sample = nilpotent_tuple if nilpotent else gaussian_tuple
-    points = [sample(rng, D, int(rng.integers(1, 3))) for _ in range(n_points)]
+    kernel = FORMS[form](rng)
+    points = [sample_tuple(rng, kernel.default_sampler, D, int(rng.integers(1, 3))) for _ in range(n_points)]
     return rng, kernel, points
 
 
@@ -152,3 +152,19 @@ def test_embedding(form, seed):
     alpha = np.vstack([np.eye(z.n), np.zeros((zp.n, z.n))])  # Z -> Z (+) Z', the column embedding
     want = np.kron(alpha, np.eye(y)) @ kernel.evaluate(z, w, p)
     assert_close(kernel.evaluate(direct_sum([z, zp]), w, np.kron(alpha, np.eye(k)) @ p), want)
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_exact_domain(form):
+    # a kernel built on a moment table is exact only at nilpotent points its order covers
+    rng = rng_from_seed(3)
+    kernel = FORMS[form](rng)
+    z = gaussian_tuple(rng, D, 2)
+    p = random_algebra_matrix(rng, kernel.algebra.k, 2, 2)
+    if form in ON_MOMENT_TABLES:
+        assert kernel.max_len == 3
+        with pytest.raises(TruncationRefused):
+            kernel.evaluate(z, z, p)
+    else:
+        assert kernel.max_len is None
+        assert np.all(np.isfinite(kernel.evaluate(z, z, p)))

@@ -23,7 +23,6 @@ from ncrkhs.kernels import (
     KernelElement,
     KolmogorovKernel,
     MomentKernel,
-    amplify,
     cb_norm_report,
     check_kernel_axioms,
     cp_certificate,
@@ -50,20 +49,6 @@ def random_scalar_factor(rng, d, y_dim, s, max_len=2, n_terms=4):
     for w in words:
         terms[w] = terms.get(w, 0) + complex_gaussian(rng, y_dim, s)
     return NcSeries(d, y_dim, s, terms)
-
-
-def test_amplify_scalar_matches_kron():
-    rng = rng_from_seed(0)
-    p = complex_gaussian(rng, 3, 2)
-    np.testing.assert_allclose(amplify(p, 1, 4), np.kron(p, np.eye(4)))
-
-
-def test_amplify_blockwise():
-    rng = rng_from_seed(1)
-    p = complex_gaussian(rng, 4, 4)  # 2x2 blocks of 2x2
-    out = amplify(p, 2, 3)
-    # block (0, 1) of the output is p[0:2, 2:4] (x) I_3
-    np.testing.assert_allclose(out[0:6, 6:12], np.kron(p[0:2, 2:4], np.eye(3)))
 
 
 def test_szego_pinned_value():

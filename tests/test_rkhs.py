@@ -235,6 +235,25 @@ def test_lifted_norm_cases():
     assert norm <= np.linalg.norm(h0) + 1e-8
 
 
+def test_lifted_norm_matrix_algebra():
+    # k = 2: (id (x) sigma)(u) applies a -> a (x) I_{rs} to each k x k block of u
+    rng = rng_from_seed(12)
+    k, mult = 2, 2
+    hs = NcSeries(2, 2, k * mult, {w: complex_gaussian(rng, 2, k * mult) for w in [(), (1,), (2,)]})
+    kernel = KolmogorovKernel(AlgebraSpec(FULL_MATRIX, k=k), hs, s=mult)
+    h0 = complex_gaussian(rng, k * mult, 1)[:, 0]
+    targets = []
+    for n in (1, 2, 2):
+        z = nilpotent_tuple(rng, 2, n)
+        u = complex_gaussian(rng, n * k, k)
+        lifted = np.vstack([np.kron(u[i * k:(i + 1) * k], np.eye(mult)) for i in range(n)])
+        targets.append((z, u, evaluate(hs, z) @ lifted @ h0))
+    # ten equations in four unknowns: feasible only in the right layout, and then h0 is the solution
+    norm = lifted_norm(kernel, targets)
+    assert norm <= np.linalg.norm(h0) + 1e-8
+    assert norm == pytest.approx(np.linalg.norm(h0), rel=1e-8)
+
+
 def test_lifted_norm_minimality_against_projection_oracle():
     rng = rng_from_seed(11)
     hs = NcSeries(1, 1, 4, {(): complex_gaussian(rng, 1, 4)})  # rank-deficient sampling
