@@ -513,6 +513,8 @@ def _check_positive(count: int, what: str) -> None:
 
 def _domain(kernel: KernelBase, sampler: str | None, sizes: Sequence[int]) -> tuple[str, tuple[int, ...]]:
     """The sampler (the kernel's own for None or "auto") and the sizes clamped to its exact domain."""
+    if not sizes or min(sizes) < 1:
+        raise InputError(f"point sizes must be positive, got {tuple(sizes)}")
     if sampler is None or sampler == "auto":
         sampler = kernel.default_sampler
     # a truncated kernel is exact at nilpotent points of order <= max_len + 1

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,14 @@ def test_cp_certificate_szego_nilpotent():
     cert = cp_certificate(kernel, n_points=3, sizes=(2, 3), n_rows=2, seed=11)
     assert cert.passed
     assert cert.sample_description["sampler"] == "nilpotent"
+
+
+@pytest.mark.parametrize("sizes", [(), (0,), (2, -1)])
+def test_point_sizes_must_be_positive(sizes):
+    kernel = szego_kernel(1, max_len=3)
+    for draw in (cp_certificate, cp_certificate_similarity_reduced, partial(draw_kernel_axiom_samples, rng=0)):
+        with pytest.raises(InputError, match="point sizes must be positive"):
+            draw(kernel, sizes=sizes)
 
 
 def test_cp_certificate_negative_moment():
