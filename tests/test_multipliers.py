@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ncrkhs.core import DimMismatch, NotContraction, NotInTarget
-from ncrkhs.kernels import AlgebraSpec, KolmogorovKernel, MomentKernel, szego_kernel
+from ncrkhs.core import DimMismatch, InputError, NotContraction, NotInTarget
+from ncrkhs.kernels import AlgebraSpec, CallableKernel, KolmogorovKernel, MomentKernel, szego_kernel
 from ncrkhs.multipliers import (
     Multiplier,
     adjoint_on_kernel_element,
@@ -294,6 +294,14 @@ def test_contractive_containment_cases():
 
     cert, _ = contractive_containment(scaled(SZEGO, 2.0), SZEGO, seed=12)
     assert not cert.passed
+
+
+def test_dbr_and_difference_kernels_need_factored_kernels():
+    opaque = CallableKernel(1, 1, AlgebraSpec(), lambda z, w, p: SZEGO.evaluate(z, w, p))
+    with pytest.raises(InputError, match="factored"):
+        dbr_kernel(Multiplier(NcSeries.constant(1, [[0.5]]), opaque, SZEGO))
+    with pytest.raises(InputError, match="factored"):
+        contractive_containment(SZEGO, opaque)
 
 
 def test_containment_of_stacked_factors():
