@@ -10,6 +10,7 @@ reversal of the stored tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -181,23 +182,24 @@ def _stacked(mats) -> np.ndarray | None:
     return block if np.isfinite(block).all() else None
 
 
-def sorted_table(keys: Sequence, mats: Sequence, rows: int, cols: int, sort_key) -> dict:
-    """``{key: as_cmatrix(mat, rows, cols)}`` ordered by ``sort_key``.
+def sorted_table(keys: Sequence, mats: Sequence, rows: int, cols: int, sort_key) -> tuple[list, np.ndarray]:
+    """The keys ordered by ``sort_key``, and their ``as_cmatrix(mat, rows, cols)`` in that order.
 
-    The matrices are converted and checked as one stacked array, and each
-    value is a read-only view into it.  Only when that check fails is each
-    matrix checked on its own, in the order given, so that the first bad
-    one raises its own :func:`as_cmatrix` error.
+    The matrices are converted and checked as one stacked array, returned
+    read-only with shape (len(keys), rows, cols).  Only when that check
+    fails is each matrix checked on its own, in the order given, so that the
+    first bad one raises its own :func:`as_cmatrix` error.
     """
     block = _stacked(mats)
     if block is None or block.shape != (len(mats), rows, cols):
         checked = [as_cmatrix(m, rows, cols) for m in mats]
         block = np.array(checked, dtype=np.complex128).reshape(len(mats), rows, cols)
-    order = sorted(range(len(keys)), key=lambda i: sort_key(keys[i]))
+    ranks = list(map(sort_key, keys))
+    order = sorted(range(len(keys)), key=ranks.__getitem__)
     if order != list(range(len(order))):
         block = block[order]
     block.setflags(write=False)
-    return {keys[i]: m for i, m in zip(order, block)}
+    return [keys[i] for i in order], block
 
 
 def frozen(m: np.ndarray) -> np.ndarray:
@@ -211,8 +213,19 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
 
 
-def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, "fro"))
+def frobenius(m: np.ndarray, axis: tuple[int, int] | None = None):
+    """The Frobenius norm of ``m``, or with ``axis`` that of each block over those two axes.
+
+    Squaring entries beyond about 1e154 overflows, so a norm that comes out
+    infinite for a finite ``m`` is recomputed as ``s * ||m / s||`` with
+    ``s = max|m|``; every other norm keeps its exact bits.
+    """
+    norm = np.linalg.norm(m, axis=axis)
+    largest = norm if axis is None else np.max(norm, initial=0.0)
+    if largest == np.inf and np.isfinite(m).all():
+        s = np.max(np.abs(m))
+        norm = np.where(np.isinf(norm), s * np.linalg.norm(m / s, axis=axis), norm)
+    return float(norm) if axis is None else norm
 
 
 def spec_norm(m: np.ndarray) -> float:
@@ -341,6 +354,21 @@ def validate_word(w: Iterable[int], d: int) -> Word:
             raise LetterOutOfRange(f"letter {number} outside 1..{d}")
         word.append(number)
     return tuple(word)
+
+
+def int_words(words: Iterable, d: int) -> list[Word] | None:
+    """The words as tuples when every letter is an ``int`` in 1..d, checked in one pass; else None.
+
+    Callers then check word by word with :func:`validate_word`, which also
+    accepts integral floats and names the first bad letter.
+    """
+    words = list(words)
+    letters = list(chain.from_iterable(words))
+    if set(map(type, letters)) <= {int}:
+        values = set(letters)
+        if min(values, default=1) >= 1 and max(values, default=d) <= d:
+            return list(map(tuple, words))
+    return None
 
 
 def word_transpose(w: Word) -> Word:

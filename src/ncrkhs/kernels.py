@@ -52,6 +52,7 @@ from .core import (
     frobenius,
     frozen,
     hermitize,
+    int_words,
     kron,
     psd_factor,
     psd_verdict,
@@ -160,14 +161,16 @@ class FactoredKernel(KernelBase):
     A kernel built from a moment table keeps its ``max_len``: it is exact only
     at jointly nilpotent points of order <= max_len + 1 (nilpotency tested at
     ``tol``), and refuses other points unless a truncation is asked for.
+    ``kind`` names the kernel in that refusal.
     """
 
     def __init__(self, d: int, y_dim: int, algebra: AlgebraSpec, terms,
-                 max_len: int | None = None, tol: Tolerances = DEFAULT_TOL):
+                 max_len: int | None = None, tol: Tolerances = DEFAULT_TOL, kind: str = "factored"):
         self.d = int(d)
         self.y_dim = int(y_dim)
         self.algebra = algebra
         self.max_len = max_len
+        self.kind = kind
         self.tol = tol
         # a factor without columns contributes nothing
         self.terms = tuple((f, frozen(c)) for f, c in terms if c.shape[0])
@@ -186,8 +189,8 @@ class FactoredKernel(KernelBase):
         order = z.cached(self.tol, lambda: _order_or_none(z, self.tol))
         if order is None or order > self.max_len + 1:
             raise TruncationRefused(
-                "moment-form evaluation is a truncation at this point; "
-                "pass allow_truncation=True to accept it"
+                f"the {self.kind} kernel is exact only at jointly nilpotent points of order "
+                f"<= {self.max_len + 1}; its value at this point would be a truncation"
             )
 
     def _weighted(self, f, c: np.ndarray, z: MatrixTuple, x: np.ndarray) -> np.ndarray:
@@ -248,33 +251,40 @@ class MomentKernel(FactoredKernel):
                  max_len: int, tol: Tolerances = DEFAULT_TOL):
         if max_len < 0:
             raise InputError("max_len must be >= 0")
-        keys: dict[tuple[Word, Word], None] = {}
-        for wa, wb in moments:
-            key = (validate_word(wa, d), validate_word(wb, d))
-            if max(len(key[0]), len(key[1])) > max_len:
-                raise InputError(f"moment word pair {key} exceeds max_len={max_len}")
-            if key in keys:
-                raise InputError(f"duplicate moment pair {key}")
-            keys[key] = None
-        self.moments = sorted_table(list(keys), list(moments.values()), y_dim, y_dim,
-                                    lambda key: (word_key(key[0]), word_key(key[1])))
-        self.words = tuple(sorted({w for pair in self.moments for w in pair}, key=word_key))
+        rows = int_words([wa for wa, _ in moments], d)
+        cols = int_words([wb for _, wb in moments], d)
+        keys = None if rows is None or cols is None else list(zip(rows, cols))
+        if keys is None or max(map(len, rows + cols), default=0) > max_len or len(set(keys)) < len(keys):
+            # pair by pair, to name the first bad letter, long word or repeated pair
+            seen: dict[tuple[Word, Word], None] = {}
+            for wa, wb in moments:
+                key = (validate_word(wa, d), validate_word(wb, d))
+                if max(len(key[0]), len(key[1])) > max_len:
+                    raise InputError(f"moment word pair {key} exceeds max_len={max_len}")
+                if key in seen:
+                    raise InputError(f"duplicate moment pair {key}")
+                seen[key] = None
+            keys = list(seen)
+        keys, block = sorted_table(keys, list(moments.values()), y_dim, y_dim,
+                                   lambda key: (len(key[0]), key[0], len(key[1]), key[1]))
+        self.moments = dict(zip(keys, block))
+        self.words = tuple(sorted({w for pair in keys for w in pair}, key=word_key))
         index = {w: i for i, w in enumerate(self.words)}
         m = len(self.words)
         table = np.zeros((m, y_dim, m, y_dim), dtype=np.complex128)
-        if self.moments:
-            rows = [index[wa] for wa, _ in self.moments]
-            cols = [index[wb] for _, wb in self.moments]
-            table[rows, :, cols, :] = np.array(list(self.moments.values()))
+        if keys:
+            rows = [index[wa] for wa, _ in keys]
+            cols = [index[wb] for _, wb in keys]
+            table[rows, :, cols, :] = block
         self._validate_hermitian(table, tol)
         self.middle = frozen(table.reshape(m * y_dim, m * y_dim))
         factor = WordIndicator(int(d), int(y_dim), self.words)
-        super().__init__(d, y_dim, AlgebraSpec(SCALAR), [(factor, self.middle)], int(max_len), tol)
+        super().__init__(d, y_dim, AlgebraSpec(SCALAR), [(factor, self.middle)], int(max_len), tol, "moment")
 
     def _validate_hermitian(self, table: np.ndarray, tol: Tolerances) -> None:
         # blockwise ||K_ab - K_ba*|| against the largest moment
-        gap = np.linalg.norm(table - table.transpose(2, 3, 0, 1).conj(), axis=(1, 3))
-        scale = np.max(np.linalg.norm(table, axis=(1, 3)), initial=0.0)
+        gap = frobenius(table - table.transpose(2, 3, 0, 1).conj(), axis=(1, 3))
+        scale = np.max(frobenius(table, axis=(1, 3)), initial=0.0)
         bad = np.argwhere(rel_err(gap, scale) > tol.eq_rel)
         if bad.size:
             a, b = bad[0]

@@ -162,7 +162,7 @@ def _minus(kernel: KernelBase, other: KernelBase, s: NcSeries | None = None) -> 
     ]
     exact = min((kernel, other), key=lambda k: np.inf if k.max_len is None else k.max_len)
     return FactoredKernel(kernel.d, kernel.y_dim, kernel.algebra, kernel.terms + tuple(moved),
-                          exact.max_len, exact.tol)
+                          exact.max_len, exact.tol, "difference" if s is None else "de Branges-Rovnyak")
 
 
 def dbr_kernel(mult: Multiplier) -> FactoredKernel:

@@ -4,17 +4,35 @@ Complex scalars are two-element arrays [re, im]; matrices are row-major.
 Serialized words use the stored (product-order) convention.  The canonical
 dumper renders floats with 17 significant digits so that identical inputs
 and seeds produce byte-identical payloads.
+
+Each table (a matrix's entries, a series' terms, a moment table) is
+converted in one array pass: the decoders read every coefficient of a table
+into one numpy array and leave the letters to one pass of the series or
+kernel, and the dumper renders a list of [re, im] pairs with one format
+call.  Only input that pass does not accept is walked entry by entry, which
+names the bad entry.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
 
-from .core import DEFAULT_TOL, InputError, MatrixTuple, Tolerances, _integral, as_cmatrix, validate_word
+from .core import (
+    DEFAULT_TOL,
+    InputError,
+    LetterOutOfRange,
+    MatrixTuple,
+    Tolerances,
+    _integral,
+    as_cmatrix,
+    validate_word,
+)
 from .cpmaps import CpMap
 from .kernels import (
     FULL_MATRIX,
@@ -42,6 +60,23 @@ def _render_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _render_pairs(obj: list) -> str | None:
+    """A nonempty list of finite [float, float] pairs in one format call, else None.
+
+    ``%.17g`` renders a float as ``format(x, ".17g")`` does; adding 0.0 maps
+    -0.0, which it would print as "-0", to 0.
+    """
+    if not obj or set(map(type, obj)) != {list} or set(map(len, obj)) != {2}:
+        return None
+    values = list(chain.from_iterable(obj))
+    if set(map(type, values)) != {float}:
+        return None
+    flat = np.array(values)
+    if not np.isfinite(flat).all():
+        return None
+    return "[" + ",".join(["[%.17g,%.17g]"] * len(obj)) % tuple((flat + 0.0).tolist()) + "]"
+
+
 def dumps_canonical(obj: Any) -> str:
     """Deterministic JSON text: dict order preserved, floats at 17 significant digits."""
     if obj is None:
@@ -60,6 +95,9 @@ def dumps_canonical(obj: Any) -> str:
         inner = ",".join(f"{json.dumps(str(k))}:{dumps_canonical(v)}" for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
+        pairs = _render_pairs(obj) if type(obj) is list else None
+        if pairs is not None:
+            return pairs
         return "[" + ",".join(dumps_canonical(v) for v in obj) + "]"
     raise InputError(f"cannot serialize object of type {type(obj).__name__}")
 
@@ -67,11 +105,6 @@ def dumps_canonical(obj: Any) -> str:
 # ---------------------------------------------------------------------------
 # scalars, matrices, words, tuples
 # ---------------------------------------------------------------------------
-
-def encode_complex(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
 
 def decode_complex(data, where: str = "scalar") -> complex:
     if not isinstance(data, (list, tuple)) or len(data) != 2:
@@ -100,7 +133,7 @@ def encode_matrix(m: np.ndarray) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [encode_complex(z) for z in m.reshape(-1)],
+        "data": np.ascontiguousarray(m.reshape(-1)).view(np.float64).reshape(-1, 2).tolist(),
     }
 
 
@@ -127,6 +160,40 @@ def decode_matrix(data, where: str = "matrix") -> np.ndarray:
     return pairs.astype(np.float64, copy=False).view(np.complex128).reshape(rows, cols)
 
 
+def _table(items, word_fields: tuple[str, ...], rows: int, cols: int):
+    """The words and ``coeff`` matrices of an array of table entries, read in one pass.
+
+    Returns, for each name in ``word_fields``, the list of the entries' words
+    as tuples, and a (len(items), rows, cols) array of their coefficients.
+    None unless every entry is an object whose words are arrays and whose
+    ``coeff`` is a finite numeric rows x cols matrix; the letters are left
+    to the series or kernel to check.
+    """
+    if type(items) is not list or set(map(type, items)) != {dict}:
+        return None
+    words = [[item.get(field) for item in items] for field in word_fields]
+    coeffs = [item.get("coeff") for item in items]
+    if set(map(type, chain.from_iterable(words))) != {list} or set(map(type, coeffs)) != {dict}:
+        return None
+    try:
+        dims = list(map(itemgetter("rows", "cols"), coeffs))
+        data = list(map(itemgetter("data"), coeffs))
+    except KeyError:
+        return None
+    if (dims != [(rows, cols)] * len(coeffs) or set(map(type, chain.from_iterable(dims))) != {int}
+            or set(map(type, data)) != {list}):
+        return None
+    try:
+        pairs = np.array(data)
+    except (ValueError, OverflowError):
+        return None
+    if (pairs.dtype.kind not in "biuf" or pairs.shape != (len(items), rows * cols, 2)
+            or not np.isfinite(pairs).all()):
+        return None
+    block = pairs.astype(np.float64, copy=False).view(np.complex128).reshape(len(items), rows, cols)
+    return [list(map(tuple, w)) for w in words], block
+
+
 def decode_objects(data, where: str) -> list[dict]:
     """A JSON array whose entries are all objects."""
     if not isinstance(data, list):
@@ -138,7 +205,7 @@ def decode_objects(data, where: str) -> list[dict]:
 
 
 def encode_word(w) -> list[int]:
-    return [int(l) for l in w]
+    return list(map(int, w))
 
 
 def decode_word(data, d: int, where: str = "word"):
@@ -192,6 +259,16 @@ def decode_series(data, where: str = "series") -> NcSeries:
     d = decode_int(data, "d", where)
     p = decode_int(data, "p", where)
     q = decode_int(data, "q", where)
+    table = _table(data.get("terms"), ("word",), p, q)
+    if table is not None:
+        (words,), block = table
+        try:
+            terms = dict(zip(words, block))
+            if len(terms) == len(words):
+                return NcSeries(d, p, q, terms)
+        # an unhashable or bad letter: the walk below names the term
+        except (TypeError, InputError, LetterOutOfRange):
+            pass
     terms = {}
     for i, item in enumerate(decode_objects(data.get("terms"), f"{where}.terms")):
         word = decode_word(item.get("word"), d, f"{where}.terms[{i}].word")
@@ -233,6 +310,17 @@ def _decode_moment_kernel(data, where: str, tol: Tolerances) -> MomentKernel:
     d = decode_int(data, "d", where)
     y_dim = decode_int(data, "y_dim", where)
     max_len = decode_int(data, "max_len", where)
+    table = _table(data.get("moments", []), ("row_word", "col_word"), y_dim, y_dim)
+    if table is not None:
+        (rows, cols), block = table
+        try:
+            moments = dict(zip(zip(rows, cols), block))
+            if len(moments) == len(rows):
+                return MomentKernel(d, y_dim, moments, max_len, tol)
+        # an unhashable or bad letter, or a table MomentKernel rejects: the
+        # walk below names the entry, or raises the same error again
+        except (TypeError, InputError, LetterOutOfRange):
+            pass
     moments = {}
     for i, item in enumerate(decode_objects(data.get("moments", []), f"{where}.moments")):
         at = f"{where}.moments[{i}]"

@@ -41,6 +41,7 @@ from .core import (
     as_cmatrix,
     check_intertwiner,
     frobenius,
+    int_words,
     kron,
     rel_err,
     sorted_table,
@@ -65,14 +66,18 @@ class NcSeries:
             raise InputError("d must be >= 1")
         if self.out_dim < 1 or self.in_dim < 1:
             raise InputError("coefficient dimensions must be >= 1")
-        words: dict[Word, None] = {}
-        for w in self.terms:
-            word = validate_word(w, self.d)
-            if word in words:
-                raise InputError(f"duplicate word {word}")
-            words[word] = None
-        terms = sorted_table(list(words), list(self.terms.values()), self.out_dim, self.in_dim, word_key)
-        object.__setattr__(self, "terms", terms)
+        words = int_words(self.terms, self.d)
+        if words is None or len(set(words)) < len(words):
+            # word by word, to name the first bad letter or repeated word
+            seen: dict[Word, None] = {}
+            for w in self.terms:
+                word = validate_word(w, self.d)
+                if word in seen:
+                    raise InputError(f"duplicate word {word}")
+                seen[word] = None
+            words = list(seen)
+        words, block = sorted_table(words, list(self.terms.values()), self.out_dim, self.in_dim, word_key)
+        object.__setattr__(self, "terms", dict(zip(words, block)))
 
     def coefficient(self, w) -> np.ndarray:
         word = validate_word(w, self.d)

@@ -214,11 +214,15 @@ def test_shift_on_szego_is_certified_on_its_exact_domain(tmp_path, capsys):
     # Gaussian points lie outside the exact domain of every kernel built on a moment table
     code, payload = run(capsys, argv + ["--sampler", "gaussian"])
     assert code == 2 and "truncation" in payload["error"]
+    assert payload["error"].startswith("the de Branges-Rovnyak kernel is exact only at jointly nilpotent "
+                                       "points of order <= 3")
     half = MomentKernel(1, 1, {key: 0.5 * val for key, val in szego.moments.items()}, 2)
     half_path = write(tmp_path, "half.json", encode_kernel(half))
     code, payload = run(capsys, ["containment", "--kprime", half_path, "--k", k_path, "--seed", "1",
                                  "--sampler", "gaussian"])
     assert code == 2 and "truncation" in payload["error"]
+    assert payload["error"].startswith("the difference kernel is exact only at jointly nilpotent "
+                                       "points of order <= 3")
 
 
 def test_formal_factor_and_positivity(tmp_path, capsys):
@@ -466,8 +470,8 @@ def _moment_table(d, max_len, moments):
     ]}
 
 
-# finite entries whose norms overflow: a singular gram, a non-Hermitian gram
-# and an unpaired moment, each of which a check with an infinite scale passed
+# finite entries whose norm overflows: a singular gram, which a check with an
+# infinite scale passed
 _HUGE_GRAM = _gram_basis(np.full((2, 2), 1e308))
 _SKEW_GRAM = _gram_basis([[1e200, 1e190], [0.0, 1e200]])
 _UNPAIRED_MOMENT = _moment_table(1, 1, {((), ()): 1e200, ((1,), (1,)): 1e200, ((), (1,)): 1e190})
@@ -494,17 +498,12 @@ _UNPAIRED_MOMENT = _moment_table(1, 1, {((), ()): 1e200, ((1,), (1,)): 1e200, ((
          [_contraction(np.diag([1e300, 0.0]), gram_tgt=np.diag([1e200, 1.0]))]),
         (["kernel-from-basis", "--model", "{a}"], [_HUGE_GRAM]),
         (["cp-certify", "--seed", "1", "--kernel", "{a}"], [{"form": "gram_basis", **_HUGE_GRAM}]),
-        (["kernel-from-basis", "--model", "{a}"], [_SKEW_GRAM]),
-        (["cp-certify", "--seed", "1", "--kernel", "{a}"], [_UNPAIRED_MOMENT]),
-        (["check-ncfun", "--seed", "1", "--series", "{a}"],
-         [NcSeries(2, 1, 1, {(): [[1e200]], (1,): [[1e200]], (1, 2): [[1e200]]})]),
         (["check-kernel", "--seed", "1", "--kernel", "{a}"],
          [KolmogorovKernel(AlgebraSpec(), NcSeries(1, 1, 1, {(): [[1e300]], (1,): [[1e300]]}))]),
     ],
     ids=["eval", "cp-certify", "kolmogorov", "huge-integer-entry", "huge-integer-among-floats",
          "cb-norm-nan-min-eig", "effros-ruan", "brangesian-gramian-root", "brangesian-normalized-contraction",
-         "singular-huge-gram", "cp-certify-huge-gram", "non-hermitian-huge-gram", "cp-certify-unpaired-moment",
-         "check-ncfun-huge-coefficients", "check-kernel-huge-factor"],
+         "singular-huge-gram", "cp-certify-huge-gram", "check-kernel-huge-factor"],
 )
 def test_overflow_is_a_typed_input_error(tmp_path, capsys, argv, files):
     encoders = {NcSeries: encode_series, MatrixTuple: encode_tuple, KolmogorovKernel: encode_kernel,
@@ -517,6 +516,38 @@ def test_overflow_is_a_typed_input_error(tmp_path, capsys, argv, files):
     out = json.loads(captured.out, parse_constant=_reject_constant)
     assert out["status"] == "input_error"
     assert "overflow" in out["error"]
+
+
+# finite entries above 1e154, whose squares overflow: the norms are rescaled,
+# so each check sees the data and reaches its own verdict
+@pytest.mark.parametrize(
+    "argv, file, code, error",
+    [
+        (["kernel-from-basis", "--model", "{a}"], _SKEW_GRAM, 2, "gram matrix must be Hermitian"),
+        (["cp-certify", "--seed", "1", "--kernel", "{a}"], _UNPAIRED_MOMENT, 2,
+         "moment table is not Hermitian at pair ((), (1,))"),
+        (["check-ncfun", "--seed", "1", "--series", "{a}"],
+         encode_series(NcSeries(2, 1, 1, {(): [[1e200]], (1,): [[1e200]], (1, 2): [[1e200]]})), 0, None),
+        (["kernel-from-basis", "--model", "{a}"], _gram_basis(np.diag([1e160, 1e160])), 0, None),
+    ],
+    ids=["non-hermitian-huge-gram", "cp-certify-unpaired-moment", "check-ncfun-huge-coefficients",
+         "huge-diagonal-gram"],
+)
+def test_huge_finite_norms_do_not_overflow(tmp_path, capsys, argv, file, code, error):
+    path = write(tmp_path, "a.json", file)
+    got, payload = run(capsys, [arg.format(a=path) for arg in argv])
+    assert got == code
+    assert payload.get("error") == error
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+def test_containment_of_huge_kernels_fails_as_a_certificate(tmp_path, capsys, scale):
+    # K' = 2 K, so K - K' = -K is not positive at any scale
+    szego = szego_kernel(2, 2)
+    paths = [write(tmp_path, f"{t}.json", encode_kernel(MomentKernel(
+        2, 1, {key: t * scale * val for key, val in szego.moments.items()}, 2))) for t in (1, 2)]
+    code, payload = run(capsys, ["containment", "--kprime", paths[1], "--k", paths[0], "--seed", "1"])
+    assert code == 3 and payload["status"] == "certificate_failed"
 
 
 @pytest.mark.parametrize(

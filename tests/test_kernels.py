@@ -84,7 +84,7 @@ def test_moment_kernel_tests_each_point_once(monkeypatch):
     assert len(calls) == 2
     calls.clear()
     invertible = MatrixTuple((np.eye(2) * 0.5,))
-    with pytest.raises(TruncationRefused, match="pass allow_truncation=True"):
+    with pytest.raises(TruncationRefused, match=r"the moment kernel is exact only at jointly nilpotent points of order <= 4; .* truncation"):
         kernel.evaluate(jordan, invertible, np.eye(2))
     assert calls == [invertible]
 
