@@ -160,14 +160,16 @@ def decode_matrix(data, where: str = "matrix") -> np.ndarray:
     return pairs.astype(np.float64, copy=False).view(np.complex128).reshape(rows, cols)
 
 
-def _table(items, word_fields: tuple[str, ...], rows: int, cols: int):
-    """The words and ``coeff`` matrices of an array of table entries, read in one pass.
+def _decode_table(items, word_fields: tuple[str, ...], rows: int, cols: int, build):
+    """``build({key: coefficient})`` from an array of table entries read in one pass, or None.
 
-    Returns, for each name in ``word_fields``, the list of the entries' words
-    as tuples, and a (len(items), rows, cols) array of their coefficients.
-    None unless every entry is an object whose words are arrays and whose
-    ``coeff`` is a finite numeric rows x cols matrix; the letters are left
-    to the series or kernel to check.
+    A key is the entry's word, or its tuple of words when ``word_fields``
+    names more than one; the coefficients are read-only views into one
+    (len(items), rows, cols) array.  None, for the caller to walk the
+    entries one by one and name the bad one, unless every entry is an object
+    whose words are arrays and whose ``coeff`` is a finite numeric rows x
+    cols matrix, no key repeats, and ``build`` (the series or kernel, which
+    checks the letters in one pass) accepts the table.
     """
     if type(items) is not list or set(map(type, items)) != {dict}:
         return None
@@ -191,7 +193,15 @@ def _table(items, word_fields: tuple[str, ...], rows: int, cols: int):
             or not np.isfinite(pairs).all()):
         return None
     block = pairs.astype(np.float64, copy=False).view(np.complex128).reshape(len(items), rows, cols)
-    return [list(map(tuple, w)) for w in words], block
+    block.setflags(write=False)
+    keys = list(zip(*(map(tuple, w) for w in words))) if len(words) > 1 else list(map(tuple, words[0]))
+    try:
+        table = dict(zip(keys, block))
+        return build(table) if len(table) == len(keys) else None
+    # an unhashable or bad letter, or a table ``build`` rejects: the walk
+    # names the entry, or raises the same error again
+    except (TypeError, InputError, LetterOutOfRange):
+        return None
 
 
 def decode_objects(data, where: str) -> list[dict]:
@@ -259,16 +269,9 @@ def decode_series(data, where: str = "series") -> NcSeries:
     d = decode_int(data, "d", where)
     p = decode_int(data, "p", where)
     q = decode_int(data, "q", where)
-    table = _table(data.get("terms"), ("word",), p, q)
-    if table is not None:
-        (words,), block = table
-        try:
-            terms = dict(zip(words, block))
-            if len(terms) == len(words):
-                return NcSeries(d, p, q, terms)
-        # an unhashable or bad letter: the walk below names the term
-        except (TypeError, InputError, LetterOutOfRange):
-            pass
+    series = _decode_table(data.get("terms"), ("word",), p, q, lambda terms: NcSeries(d, p, q, terms))
+    if series is not None:
+        return series
     terms = {}
     for i, item in enumerate(decode_objects(data.get("terms"), f"{where}.terms")):
         word = decode_word(item.get("word"), d, f"{where}.terms[{i}].word")
@@ -310,17 +313,10 @@ def _decode_moment_kernel(data, where: str, tol: Tolerances) -> MomentKernel:
     d = decode_int(data, "d", where)
     y_dim = decode_int(data, "y_dim", where)
     max_len = decode_int(data, "max_len", where)
-    table = _table(data.get("moments", []), ("row_word", "col_word"), y_dim, y_dim)
-    if table is not None:
-        (rows, cols), block = table
-        try:
-            moments = dict(zip(zip(rows, cols), block))
-            if len(moments) == len(rows):
-                return MomentKernel(d, y_dim, moments, max_len, tol)
-        # an unhashable or bad letter, or a table MomentKernel rejects: the
-        # walk below names the entry, or raises the same error again
-        except (TypeError, InputError, LetterOutOfRange):
-            pass
+    kernel = _decode_table(data.get("moments", []), ("row_word", "col_word"), y_dim, y_dim,
+                           lambda moments: MomentKernel(d, y_dim, moments, max_len, tol))
+    if kernel is not None:
+        return kernel
     moments = {}
     for i, item in enumerate(decode_objects(data.get("moments", []), f"{where}.moments")):
         at = f"{where}.moments[{i}]"

@@ -1,9 +1,13 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncrkhs.core import InputError, MatrixTuple, as_cmatrix, word_key
 from ncrkhs.cpmaps import CpMap
-from ncrkhs.kernels import AlgebraSpec, GramBasisKernel, KolmogorovKernel, szego_kernel
+from ncrkhs.kernels import AlgebraSpec, GramBasisKernel, KolmogorovKernel, MomentKernel, szego_kernel
 from ncrkhs.kernels import szego_kernel as szego_formal_kernel
 from ncrkhs.rkhs import RkhsModel
 from ncrkhs.sampling import complex_gaussian, rng_from_seed
@@ -260,3 +264,250 @@ def test_decode_series_transposed_coefficient():
     got = decode_series(data)
     assert _same(got.terms, _reference_series(data))
     assert all(not c.flags.writeable for c in got.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# words and moment tables against the per-entry walk
+# ---------------------------------------------------------------------------
+
+def _walk_series(data, where="series"):
+    """Word by word and matrix by matrix, as every series was decoded before tables were batched."""
+    terms = {}
+    for i, item in enumerate(data["terms"]):
+        word = decode_word(item.get("word"), data["d"], f"{where}.terms[{i}].word")
+        if word in terms:
+            raise InputError(f"{where}.terms[{i}]: duplicate word {list(word)}")
+        terms[word] = decode_matrix(item.get("coeff"), f"{where}.terms[{i}].coeff")
+    return NcSeries(data["d"], data["p"], data["q"], terms)
+
+
+def _walk_moments(data, where="kernel"):
+    """Pair by pair, as every moment table was decoded before tables were batched."""
+    moments = {}
+    for i, item in enumerate(data["moments"]):
+        at = f"{where}.moments[{i}]"
+        wa = decode_word(item.get("row_word"), data["d"], f"{at}.row_word")
+        wb = decode_word(item.get("col_word"), data["d"], f"{at}.col_word")
+        if (wa, wb) in moments:
+            raise InputError(f"{at}: duplicate moment pair")
+        moments[(wa, wb)] = decode_matrix(item.get("coeff"), f"{at}.coeff")
+    return MomentKernel(data["d"], data["y_dim"], moments, data["max_len"])
+
+
+def _moments_of(kernel):
+    return {"moments": kernel.moments, "middle": kernel.middle} if isinstance(kernel, MomentKernel) else kernel
+
+
+def _moment_payload(y, coeffs, words=None):
+    """A d = 2, max_len = 2 table: a diagonal with one off-diagonal pair, out of graded-lex order."""
+    words = words or [([1, 2], [1, 2]), ([1], []), ([], []), ([], [1]), ([2], [2])]
+    return {"form": "moment", "d": 2, "y_dim": y, "max_len": 2, "moments": [
+        {"row_word": a, "col_word": b, "coeff": c} for (a, b), c in zip(words, coeffs)]}
+
+
+def _scalar(value):
+    return {"rows": 1, "cols": 1, "data": [[value, 0.0]]}
+
+
+@pytest.mark.parametrize("rows, cols, entries", _ENTRIES.values(), ids=_ENTRIES.keys())
+def test_decode_moments_match_per_entry_reference(rows, cols, entries):
+    rng = rng_from_seed(10)
+    y = max(rows, 1)
+    eye = {"rows": y, "cols": y, "data": [[float(i % (y + 1) == 0), 0.0] for i in range(y * y)]}
+    bad = {"rows": rows, "cols": cols, "data": entries}
+    # the entries under test on the diagonal, and as one half of the off-diagonal pair
+    for coeffs in ([eye, _matrix_payload(y, y, rng), eye, _matrix_payload(y, y, rng), bad],
+                   [eye, bad, eye, bad, eye]):
+        data = _moment_payload(y, coeffs)
+        got, want = _outcome(decode_kernel, data), _outcome(_walk_moments, data)
+        assert _same(_moments_of(got), _moments_of(want)), (got, want)
+
+
+_ONE = _scalar(1.0)
+_WORD_FAULTS = {
+    "valid": [([1, 2], [1, 2]), ([1], [1]), ([], []), ([2], []), ([], [2])],
+    "float-letters": [([1.0, 2], [1, 2.0]), ([1], [1.0]), ([], []), ([2], []), ([], [2.0])],
+    "bool-letter": [([1, 2], [1, 2]), ([True], [1]), ([], []), ([2], []), ([], [2])],
+    "letter-out-of-range": [([1, 2], [1, 2]), ([1], [1]), ([], []), ([3], []), ([], [3])],
+    "zero-letter": [([1, 0], [1, 0]), ([1], [1]), ([], []), ([2], []), ([], [2])],
+    "string-word": [([1, 2], [1, 2]), ("1", [1]), ([], []), ([2], []), ([], [2])],
+    "none-word": [([1, 2], [1, 2]), ([1], None), ([], []), ([2], []), ([], [2])],
+    "nested-letter": [([1, 2], [1, 2]), ([[1]], [[1]]), ([], []), ([2], []), ([], [2])],
+    "duplicate-pair": [([1, 2], [1, 2]), ([1], [1]), ([], []), ([1], [1]), ([], [2])],
+    "duplicate-by-float": [([1, 2], [1, 2]), ([1], [1]), ([], []), ([1.0], [1]), ([], [2])],
+    "too-long": [([1, 2, 1], [1, 2, 1]), ([1], [1]), ([], []), ([2], []), ([], [2])],
+    "too-long-and-bad-letter": [([1, 2, 1], [1, 2, 1]), ([1], [1]), ([], []), ([2], []), ([], [5])],
+    "not-hermitian": [([1, 2], [1, 2]), ([1], [1]), ([], []), ([2], []), ([], [1])],
+}
+
+
+@pytest.mark.parametrize("words", _WORD_FAULTS.values(), ids=_WORD_FAULTS.keys())
+def test_decode_moment_words_match_per_entry_reference(words):
+    data = _moment_payload(1, [_ONE] * 5, words)
+    got, want = _outcome(decode_kernel, data), _outcome(_walk_moments, data)
+    assert _same(_moments_of(got), _moments_of(want)), (got, want)
+    # the same words as a series, each row word a term
+    series = {"d": 2, "p": 1, "q": 1, "terms": [{"word": a, "coeff": _ONE} for a, _ in words]}
+    got, want = _outcome(decode_series, series), _outcome(_walk_series, series)
+    assert _same(got.terms if isinstance(got, NcSeries) else got,
+                 want.terms if isinstance(want, NcSeries) else want), (got, want)
+
+
+_TABLE_FAULTS = {
+    "wrong-rows": lambda c: c[1].update(rows=2, data=[[1, 0], [0, 0]]),
+    "wrong-cols": lambda c: c[1].update(cols=2, data=[[1, 0], [0, 0]]),
+    "bool-rows": lambda c: c[1].update(rows=True),
+    "float-cols": lambda c: c[1].update(cols=1.0),
+    "missing-data": lambda c: c[1].pop("data"),
+    "tuple-data": lambda c: c[1].update(data=([1.0, 0.0],)),
+    "ragged-data": lambda c: c[1].update(data=[[1.0]]),
+    "nan": lambda c: c[1].update(data=[[float("nan"), 0.0]]),
+    "infinity": lambda c: c[2].update(data=[[1.0, float("-inf")]]),
+    "string": lambda c: c[1].update(data=[["1", 0.0]]),
+    "huge-integer": lambda c: c[1].update(data=[[10 ** 400, 0]]),
+    "coeff-not-object": lambda c: c.__setitem__(1, [[1.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("fault", _TABLE_FAULTS.values(), ids=_TABLE_FAULTS.keys())
+def test_decode_table_faults_match_per_entry_reference(fault):
+    coeffs = [_scalar(1.0) for _ in range(5)]
+    fault(coeffs)
+    data = _moment_payload(1, coeffs, _WORD_FAULTS["valid"])
+    got, want = _outcome(decode_kernel, data), _outcome(_walk_moments, data)
+    assert _same(_moments_of(got), _moments_of(want)), (got, want)
+    series = {"d": 2, "p": 1, "q": 1, "terms": [{"word": list(w), "coeff": c}
+                                                 for w, c in zip(([1, 2], [1], [], [2], [2, 2]), coeffs)]}
+    got, want = _outcome(decode_series, series), _outcome(_walk_series, series)
+    assert _same(got.terms if isinstance(got, NcSeries) else got,
+                 want.terms if isinstance(want, NcSeries) else want), (got, want)
+
+
+@pytest.mark.parametrize("entries", [None, {}, [1], [{"row_word": [], "col_word": [], "coeff": _ONE}, 3]])
+def test_decode_moment_table_not_an_array_of_objects(entries):
+    data = {"form": "moment", "d": 1, "y_dim": 1, "max_len": 1, "moments": entries}
+    got, want = _outcome(decode_kernel, data), _outcome(lambda: _walk_decode_objects(data))
+    assert _same(got, want), (got, want)
+
+
+def _walk_decode_objects(data):
+    from ncrkhs.serialize import decode_objects
+
+    decode_objects(data["moments"], "kernel.moments")
+    return _walk_moments(data)
+
+
+# ---------------------------------------------------------------------------
+# encoding against the entry-by-entry codec
+# ---------------------------------------------------------------------------
+
+def _entrywise_render_float(x):
+    if x == 0.0:
+        return "0"
+    if not math.isfinite(x):
+        raise InputError(f"cannot encode the non-finite number {x} (the computation overflowed)")
+    return format(float(x), ".17g")
+
+
+def _entrywise_dumps(obj):
+    """The canonical dumper as it was before lists of pairs were rendered in one call."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _entrywise_render_float(float(obj))
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(str(k))}:{_entrywise_dumps(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_entrywise_dumps(v) for v in obj) + "]"
+    raise InputError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _entrywise_encode_matrix(m):
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim == 1:
+        m = m.reshape(-1, 1)
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]),
+            "data": [[complex(z).real, complex(z).imag] for z in m.reshape(-1)]}
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e17, 2.0 ** 53, 0.1, 1 / 3,
+                1.7976931348623157e308, -1.7976931348623157e308]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+_ANY_FLOATS = st.one_of(_FLOATS, st.sampled_from([math.nan, math.inf, -math.inf]))
+_PAIRS = st.lists(st.lists(_ANY_FLOATS, min_size=2, max_size=2), max_size=12)
+_LEAVES = st.one_of(_ANY_FLOATS, st.integers(), st.booleans(), _FLOATS.map(np.float64), st.none())
+_MIXED = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.tuples(inner, inner), st.lists(st.tuples(_FLOATS, _FLOATS), max_size=3),
+    st.dictionaries(st.text(max_size=3), inner, max_size=3)), max_leaves=20)
+
+
+def _same_text(got, want):
+    return _same(got, want) if isinstance(want, Exception) else got == want
+
+
+@settings(max_examples=300)
+@given(st.one_of(_PAIRS, _MIXED))
+def test_dumps_canonical_matches_entrywise_dumper(obj):
+    got, want = _outcome(dumps_canonical, obj), _outcome(_entrywise_dumps, obj)
+    assert _same_text(got, want), (got, want)
+
+
+@pytest.mark.parametrize("obj, text", [
+    ([[-0.0, 0.0], [5e-324, -1.7976931348623157e308]], "[[0,0],[4.9406564584124654e-324,-1.7976931348623157e+308]]"),
+    ([[1e16, 1.0], [0.5, 2.0]], "[[10000000000000000,1],[0.5,2]]"),
+    ([[1.0, 2]], "[[1,2]]"),
+    ([[True, 0.5]], "[[true,0.5]]"),
+    ([(0.5, 1.0)], "[[0.5,1]]"),
+    ([[np.float64(-0.0), 1.0]], "[[0,1]]"),
+])
+def test_dumps_canonical_pairs(obj, text):
+    assert dumps_canonical(obj) == text == _entrywise_dumps(obj)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dumps_canonical_non_finite_pair_raises_the_same_error(bad):
+    obj = {"data": [[0.5, 1.0], [1.0, bad]]}
+    with pytest.raises(InputError) as got:
+        dumps_canonical(obj)
+    with pytest.raises(InputError) as want:
+        _entrywise_dumps(obj)
+    assert str(got.value) == str(want.value)
+
+
+def _bits(data):
+    assert all(type(x) is float for pair in data for x in pair)
+    return np.array(data, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_encode_matrix_matches_entrywise_encoder(rows, cols, data):
+    parts = data.draw(st.lists(_ANY_FLOATS, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    m = (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(rows, cols)
+    m.real, m.imag = np.array(parts[::2]).reshape(rows, cols), np.array(parts[1::2]).reshape(rows, cols)
+    for value in (m, m.T, m[:, ::-1], m.reshape(-1), m.real):
+        got, want = encode_matrix(value), _entrywise_encode_matrix(value)
+        assert (got["rows"], got["cols"]) == (want["rows"], want["cols"])
+        assert _bits(got["data"]) == _bits(want["data"])
+        assert _same_text(_outcome(dumps_canonical, got), _outcome(_entrywise_dumps, want))
+
+
+def test_decoding_a_valid_table_checks_no_word_by_word(monkeypatch):
+    # the letters of a decoded table are checked once, in one pass by the series or kernel
+    from ncrkhs import kernels, serialize, series
+
+    calls = []
+    for module in (kernels, serialize, series):
+        monkeypatch.setattr(module, "validate_word", lambda w, d: calls.append(w))
+    rng = rng_from_seed(11)
+    decode_series(_series_payload(2, 1, [_matrix_payload(2, 1, rng) for _ in range(5)]))
+    decode_kernel(encode_kernel(szego_kernel(2, 3)))
+    assert calls == []
