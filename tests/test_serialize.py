@@ -18,6 +18,7 @@ from ncrkhs.serialize import (
     decode_kernel,
     decode_matrix,
     decode_model,
+    decode_objects,
     decode_series,
     decode_tuple,
     decode_word,
@@ -386,15 +387,9 @@ def test_decode_table_faults_match_per_entry_reference(fault):
 @pytest.mark.parametrize("entries", [None, {}, [1], [{"row_word": [], "col_word": [], "coeff": _ONE}, 3]])
 def test_decode_moment_table_not_an_array_of_objects(entries):
     data = {"form": "moment", "d": 1, "y_dim": 1, "max_len": 1, "moments": entries}
-    got, want = _outcome(decode_kernel, data), _outcome(lambda: _walk_decode_objects(data))
-    assert _same(got, want), (got, want)
-
-
-def _walk_decode_objects(data):
-    from ncrkhs.serialize import decode_objects
-
-    decode_objects(data["moments"], "kernel.moments")
-    return _walk_moments(data)
+    got = _outcome(decode_kernel, data)
+    want = _outcome(lambda: (decode_objects(data["moments"], "kernel.moments"), _walk_moments(data)))
+    assert isinstance(want, Exception) and _same(got, want), (got, want)
 
 
 # ---------------------------------------------------------------------------
