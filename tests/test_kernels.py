@@ -84,7 +84,8 @@ def test_moment_kernel_tests_each_point_once(monkeypatch):
     assert len(calls) == 2
     calls.clear()
     invertible = MatrixTuple((np.eye(2) * 0.5,))
-    with pytest.raises(TruncationRefused, match=r"the moment kernel is exact only at jointly nilpotent points of order <= 4; .* truncation"):
+    refusal = r"the moment kernel is exact only at jointly nilpotent points of order <= 4; .* truncation"
+    with pytest.raises(TruncationRefused, match=refusal):
         kernel.evaluate(jordan, invertible, np.eye(2))
     assert calls == [invertible]
 

@@ -456,7 +456,8 @@ def test_dumps_canonical_matches_entrywise_dumper(obj):
 
 
 @pytest.mark.parametrize("obj, text", [
-    ([[-0.0, 0.0], [5e-324, -1.7976931348623157e308]], "[[0,0],[4.9406564584124654e-324,-1.7976931348623157e+308]]"),
+    ([[-0.0, 0.0], [5e-324, -1.7976931348623157e308]],
+     "[[0,0],[4.9406564584124654e-324,-1.7976931348623157e+308]]"),
     ([[1e16, 1.0], [0.5, 2.0]], "[[10000000000000000,1],[0.5,2]]"),
     ([[1.0, 2]], "[[1,2]]"),
     ([[True, 0.5]], "[[true,0.5]]"),
