@@ -220,7 +220,8 @@ def frobenius(m: np.ndarray, axis: tuple[int, int] | None = None):
     infinite for a finite ``m`` is recomputed as ``s * ||m / s||`` with
     ``s = max|m|``; every other norm keeps its exact bits.
     """
-    norm = np.linalg.norm(m, axis=axis)
+    with np.errstate(over="ignore", invalid="ignore"):  # the rescale below replaces an overflow
+        norm = np.linalg.norm(m, axis=axis)
     largest = norm if axis is None else np.max(norm, initial=0.0)
     if largest == np.inf and np.isfinite(m).all():
         s = np.max(np.abs(m))

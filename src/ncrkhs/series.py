@@ -5,15 +5,20 @@ words to ``out_dim x in_dim`` coefficient matrices.  Evaluation at a point
 ``Z`` of size n returns the ``(n*out_dim) x (n*in_dim)`` matrix
 ``sum_w Z^w (x) f_w`` with the point index outermost.
 
-Evaluation streams along shared word prefixes: the support is walked in
-lexicographic order, i.e. depth-first over its prefix trie, with a stack of
-the prefix products ``Z^{w[:k]}``, so every trie node costs one ``n x n``
-product and at most ``degree + 1`` products are held at a time.  The point
-keeps each finished value (:meth:`MatrixTuple.cached`), so a series is
+Evaluation walks the prefix trie of the support level by level, in blocks
+of trie nodes.  The powers ``Z^w`` of a block's children come from one
+batched product of the block's powers with the stacked coordinates, and the
+block's support words meet their coefficients in one product, so every trie
+node costs one ``n x n`` product and the work is a few large products
+instead of one product and one broadcast per word.  The walk holds at most
+``_BLOCK_BYTES`` of powers whatever the degree.  Its plan, which depends on
+the support alone, is built on a series' first evaluation and kept.  The
+point keeps each finished value (:meth:`MatrixTuple.cached`), so a series is
 evaluated once per point however often a kernel or certificate asks for it;
 returned values are read-only.  The same walk gives the value of a
-:class:`WordIndicator` (a moment table's factor), writing each ``Z^w`` into
-its own column block instead of summing one-hot coefficients.
+:class:`WordIndicator` (a moment table's factor), writing each block of
+powers into its words' column blocks instead of summing one-hot
+coefficients.
 
 The joint nilpotency order (:func:`nilpotency_order`) follows the descending
 flag ``V_{L+1} = sum_j Z_j V_L`` through one ``n x (d n)`` factor per length,
@@ -24,6 +29,7 @@ is one that is simultaneously strictly upper-triangularizable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -78,6 +84,12 @@ class NcSeries:
             words = list(seen)
         words, block = sorted_table(words, list(self.terms.values()), self.out_dim, self.in_dim, word_key)
         object.__setattr__(self, "terms", dict(zip(words, block)))
+        object.__setattr__(self, "_coeffs", block)
+
+    @cached_property
+    def _plan(self) -> "_Plan":
+        """The evaluation plan of the support, built on the first evaluation."""
+        return _Plan(self.d, list(self.terms))
 
     def coefficient(self, w) -> np.ndarray:
         word = validate_word(w, self.d)
@@ -160,35 +172,220 @@ def linear_combination(series: Sequence[NcSeries], coeffs: Sequence[complex]) ->
 
 
 def evaluate(f: NcSeries, z: MatrixTuple) -> np.ndarray:
-    """sum_w Z^w (x) f_w, a read-only (n p) x (n q) matrix, computed once per (f, Z)."""
+    """sum_w Z^w (x) f_w, a read-only (n p) x (n q) matrix, computed once per (f, Z).
+
+    Each block of powers ``Z^w`` from the trie walk meets its words'
+    coefficients in one ``(n^2, m) @ (m, p q)`` product, summed into an
+    accumulator that is transposed once into the Kronecker layout.
+    """
     if z.d != f.d:
         raise DimMismatch(f"series over {f.d} variables evaluated at a {z.d}-tuple")
     return z.cached(f, lambda: _stream(f, z))
 
 
-def _powers(words, z: MatrixTuple):
-    """(w, Z^w) for each word, in lexicographic order: a depth-first walk of the prefix trie."""
-    prefix = [np.eye(z.n, dtype=np.complex128)]  # prefix[k] = Z^{prev[:k]}
-    prev: Word = EMPTY_WORD
-    for w in sorted(words):
-        shared = 0
-        while shared < min(len(prev), len(w)) and prev[shared] == w[shared]:
-            shared += 1
-        del prefix[shared + 1:]
-        for letter in w[shared:]:
-            prefix.append(prefix[-1] @ z.coords[letter - 1])
-        yield w, prefix[-1]
-        prev = w
-
-
 def _stream(f: NcSeries, z: MatrixTuple) -> np.ndarray:
-    """Accumulate Z^w (x) f_w along the prefix trie of the support."""
-    n = z.n
-    # out[a, s, b, t] = sum_w Z^w[a, b] f_w[s, t] is the Kronecker layout
-    out = np.zeros((n, f.out_dim, n, f.in_dim), dtype=np.complex128)
-    for w, power in _powers(f.terms, z):
-        out += power[:, None, :, None] * f.terms[w][None, :, None, :]
-    return out.reshape(n * f.out_dim, n * f.in_dim)
+    n, p, q = z.n, f.out_dim, f.in_dim
+    coeffs = f._coeffs.reshape(len(f.terms), p * q)
+    # acc[(a, b), (s, t)] = sum_w Z^w[a, b] f_w[s, t]
+    acc = np.zeros((n * n, p * q), dtype=np.complex128)
+    for i, j, powers in _power_blocks(f._plan, z):
+        acc += powers.reshape(j - i, n * n).T @ coeffs[i:j]
+    return acc.reshape(n, n, p, q).transpose(0, 2, 1, 3).reshape(n * p, n * q)
+
+
+class _Plan:
+    """The prefix trie of a support, level by level; it depends on the words alone.
+
+    ``words`` are the support in graded lexicographic order.  Level k holds
+    the length-k prefixes of the support in lexicographic order, ``width[k]``
+    of them, so the children of a run of nodes are a run of level k + 1.
+    When every node of level k has all d children, child ``d i + j`` of node
+    i appends letter j + 1 and ``first[k]`` is None; otherwise node i has
+    children ``first[k][i]`` to ``first[k][i + 1] - 1``, and child c appends
+    the 0-based letter ``letter[k][c]`` to node ``parent[k][c]``.  The
+    support words of length k are ``words[start[k]:]``; ``before[k][i]`` of
+    them precede node i, and ``before[k]`` is None when every node is one.
+    When levels k to h > k + 1 hold one node each and none of k + 1 .. h - 1
+    holds a support word, ``chain[k]`` lists the letters that lead from the
+    node of level k to that of level h, and the walk skips the levels between.
+    """
+
+    def __init__(self, d: int, words: Sequence[Word]):
+        self.d = d
+        self.depth = depth = len(words[-1]) if words else -1
+        by_len: list[list[Word]] = [[] for _ in range(depth + 1)]
+        for w in words:
+            by_len[len(w)].append(w)
+        levels: list[list[Word]] = [[]] * (depth + 1)
+        below: list[Word] = []
+        for k in range(depth, -1, -1):
+            here = by_len[k]
+            if below and len(here) < d ** k:  # a full level holds every prefix
+                prefixes = [w[:-1] for w in below]  # sorted, as ``below`` is
+                here = list(dict.fromkeys(sorted(prefixes + here) if here else prefixes))
+            levels[k] = below = here
+        self.width = width = [len(level) for level in levels]
+        self.size = sum(width)
+        self.start = [0]
+        for here in by_len[:-1]:
+            self.start.append(self.start[-1] + len(here))
+        self.chain: list[tuple[int, ...] | None] = [None] * (depth + 1)
+        self.before: list[list[int] | None] = [None] * (depth + 1)
+        self.first: list[list[int] | None] = [None] * (depth + 1)
+        self.parent: list[list[int] | None] = [None] * (depth + 1)
+        self.letter: list[list[int] | None] = [None] * (depth + 1)
+        k = 0
+        while k <= depth:
+            level, here, h = levels[k], by_len[k], k + 1
+            if width[k] == 1:
+                while h < depth and width[h] == width[h + 1] == 1 and not by_len[h]:
+                    h += 1
+                if h > k + 1:
+                    self.chain[k] = tuple(levels[j][0][-1] - 1 for j in range(k + 1, h + 1))
+            if len(here) < len(level):
+                before, j = [0], 0
+                for w in level:
+                    if j < len(here) and here[j] == w:
+                        j += 1
+                    before.append(j)
+                self.before[k] = before
+            if k < depth and self.chain[k] is None and width[k + 1] < d * len(level):
+                parent, i = [], 0
+                for w in levels[k + 1]:
+                    while level[i] != w[:-1]:
+                        i += 1
+                    parent.append(i)
+                first = [0] * (len(level) + 1)
+                for i in parent:
+                    first[i + 1] += 1
+                for i in range(len(level)):
+                    first[i + 1] += first[i]
+                self.first[k], self.parent[k] = first, parent
+                self.letter[k] = [w[-1] - 1 for w in levels[k + 1]]
+            k = h if self.chain[k] else k + 1
+
+
+# Bytes of n x n powers that one evaluation holds at once, whatever the
+# degree.  Level k is taken in blocks of at most caps[k] nodes: the level
+# widths scaled to a quarter of this, and at least one node.  A block's
+# children are formed at once when they fit in a block of the next level,
+# and else when that level takes them, and a level gains nodes only while it
+# holds less than a block.  So a level holds under two blocks of formed
+# powers and at most two blocks whose children wait: within this, plus a few
+# powers per level whose share is below one node.
+_BLOCK_BYTES = 1 << 21
+
+
+def _power_blocks(plan: _Plan, z: MatrixTuple):
+    """(i, j, P): P[r] = Z^w for the (i + r)-th support word w in graded order, block by block.
+
+    Each level's nodes wait until they fill a block.  The walk takes the
+    deepest full block, and when no block is full the nodes of the shallowest
+    level that has any, to which no more nodes can come.  A run of children
+    is one batched product of their parents' powers with the stacked
+    coordinates when it holds every child of those parents, and else one of
+    each child's parent with its letter, so no power is formed for a word
+    outside the prefix closure.
+    """
+    if plan.depth < 0:
+        return
+    n, d, depth = z.n, plan.d, plan.depth
+    first, before, start = plan.first, plan.before, plan.start
+    share = _BLOCK_BYTES // (64 * max(n * n, 1))
+    caps = [share * m // plan.size or 1 for m in plan.width]
+    for k in range(1, depth + 1):
+        if plan.width[k] == d * plan.width[k - 1]:
+            # whole families, at most the children of one block above
+            cap = min(caps[k], d * caps[k - 1])
+            caps[k] = cap - cap % d if cap >= d else cap
+    coords = np.array(z.coords)
+    # runs[k] holds (P, lo, c0, c1): nodes c0..c1-1 of level k, waiting.  P[i]
+    # is node c0 + i when lo is None; else the nodes are children of the
+    # level-(k - 1) nodes whose powers P holds from node lo on.
+    runs: list[list[tuple]] = [[(np.eye(n, dtype=np.complex128)[None], None, 0, 1)]] + [[] for _ in range(depth)]
+    count = [1] + [0] * depth  # nodes waiting at each level
+    taken = [0] * (depth + 1)  # nodes already taken from each level
+    k = top = 0  # no level above ``top`` has nodes waiting or to come
+    while True:
+        lo = taken[k]
+        hi = lo + min(count[k], caps[k])
+        powers = _take(plan, k, runs[k], hi - lo, coords)
+        count[k] -= hi - lo
+        taken[k] = hi
+        if before[k] is None:
+            yield start[k] + lo, start[k] + hi, powers
+        elif before[k][lo] < before[k][hi]:
+            rows = [i - lo for i in range(lo, hi) if before[k][i + 1] > before[k][i]]
+            yield start[k] + before[k][lo], start[k] + before[k][hi], powers[rows]
+        if k < depth:
+            if plan.chain[k] is not None:
+                power = powers[0]
+                for j in plan.chain[k]:
+                    power = power @ z.coords[j]
+                below, run = k + len(plan.chain[k]), (power[None], None, 0, 1)
+            else:
+                below = k + 1
+                c0, c1 = (d * lo, d * hi) if first[k] is None else (first[k][lo], first[k][hi])
+                if c1 - c0 <= caps[below]:
+                    run = (_children(plan, k, powers, lo, c0, c1, coords), None, c0, c1)
+                else:
+                    run = (powers, lo, c0, c1)
+            if run[3] > run[2]:
+                runs[below].append(run)
+                count[below] += run[3] - run[2]
+                if count[below] >= caps[below]:
+                    k = below
+                    continue
+        if count[k] >= caps[k]:
+            continue
+        while top <= depth and not count[top]:
+            top += 1
+        if top > depth:
+            return
+        # nothing below k is full: the deepest full level above it, else ``top``
+        k -= 1
+        while k > top and count[k] < caps[k]:
+            k -= 1
+        k = max(k, top)
+
+
+def _take(plan: _Plan, k: int, runs: list[tuple], m: int, coords: np.ndarray) -> np.ndarray:
+    """The powers of the next m nodes waiting at level k, removed from ``runs``."""
+    parts = []
+    while m:
+        powers, lo, c0, c1 = runs[0]
+        c = min(c1, c0 + m)
+        if lo is None:
+            parts.append(powers[:c - c0])
+            runs[0] = (powers[c - c0:], None, c, c1)
+        else:
+            parts.append(_children(plan, k - 1, powers, lo, c0, c, coords))
+            runs[0] = (powers, lo, c, c1)
+        if c == c1:
+            del runs[0]
+        m -= c - c0
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _children(plan: _Plan, k: int, powers: np.ndarray, lo: int, c0: int, c1: int, coords: np.ndarray) -> np.ndarray:
+    """The powers of nodes c0..c1-1 of level k + 1; ``powers`` holds level k's from node lo on."""
+    d, n = coords.shape[:2]
+    if plan.first[k] is None:
+        p0, p1 = c0 // d, -(-c1 // d)
+        every = c0 % d == 0 and c1 % d == 0
+    else:
+        p0, p1 = plan.parent[k][c0], plan.parent[k][c1 - 1] + 1
+        every = c1 - c0 == d * (p1 - p0)
+    if every:
+        # every child of parents p0..p1-1, in order: P_i Z_j at [i, j]
+        return np.matmul(powers[p0 - lo:p1 - lo, None], coords).reshape((p1 - p0) * d, n, n)
+    if plan.first[k] is None:
+        parents, letters = [c // d - lo for c in range(c0, c1)], [c % d for c in range(c0, c1)]
+    else:
+        parents, letters = [plan.parent[k][c] - lo for c in range(c0, c1)], plan.letter[k][c0:c1]
+    if c1 - c0 == 1:
+        return (powers[parents[0]] @ coords[letters[0]])[None]
+    return np.matmul(powers[parents], coords[letters])
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,6 +401,12 @@ class WordIndicator:
     d: int
     y_dim: int
     words: tuple[Word, ...]
+
+    @cached_property
+    def _plan(self) -> tuple[np.ndarray, _Plan]:
+        """The columns of the words in graded order, and the plan of their trie."""
+        order = sorted(range(len(self.words)), key=lambda i: word_key(self.words[i]))
+        return np.array(order, dtype=np.intp), _Plan(self.d, [self.words[i] for i in order])
 
     def as_series(self) -> NcSeries:
         """The same function as an :class:`NcSeries` (one-hot coefficients)."""
@@ -224,11 +427,10 @@ def factor_value(f: NcSeries | WordIndicator, z: MatrixTuple) -> np.ndarray:
 
 
 def _word_blocks(f: WordIndicator, z: MatrixTuple) -> np.ndarray:
-    n, y = z.n, f.y_dim
-    column = {w: i for i, w in enumerate(f.words)}
+    n, y, (columns, plan) = z.n, f.y_dim, f._plan
     blocks = np.empty((n, n, len(f.words)), dtype=np.complex128)  # [a, b, word]
-    for w, power in _powers(f.words, z):
-        blocks[:, :, column[w]] = power
+    for i, j, powers in _power_blocks(plan, z):
+        blocks[:, :, columns[i:j]] = powers.transpose(1, 2, 0)
     if y == 1:
         return blocks.reshape(n, n * len(f.words))
     out = blocks[:, None, :, :, None] * np.eye(y)[None, :, None, None, :]

@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -546,8 +547,14 @@ def test_containment_of_huge_kernels_fails_as_a_certificate(tmp_path, capsys, sc
     szego = szego_kernel(2, 2)
     paths = [write(tmp_path, f"{t}.json", encode_kernel(MomentKernel(
         2, 1, {key: t * scale * val for key, val in szego.moments.items()}, 2))) for t in (1, 2)]
-    code, payload = run(capsys, ["containment", "--kprime", paths[1], "--k", paths[0], "--seed", "1"])
-    assert code == 3 and payload["status"] == "certificate_failed"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["containment", "--kprime", paths[1], "--k", paths[0], "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and json.loads(captured.out)["status"] == "certificate_failed"
+    # the overflowing plain norm is replaced without a warning: stderr holds the summary alone
+    assert [str(w.message) for w in caught] == []
+    assert captured.err == "ncrkhs containment: certificate_failed\n"
 
 
 @pytest.mark.parametrize(

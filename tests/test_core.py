@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from ncrkhs.core import (
     Tolerances,
     as_cmatrix,
     direct_sum,
+    frobenius,
     hermitize,
     kron,
     psd_factor,
@@ -98,6 +101,16 @@ def test_hermitize_rejects_overflow():
     # each entry is finite, but m + m* is not
     with pytest.raises(InputError, match="overflow"):
         hermitize(np.full((2, 2), 1e308), "the test")
+
+
+def test_frobenius_rescales_huge_entries_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frobenius(np.full((2, 2), 1e200 + 0j)) == 2e200
+        blocks = frobenius(np.full((2, 2, 2, 2), 1e200 + 0j), axis=(1, 3))
+        np.testing.assert_array_equal(blocks, np.full((2, 2), 2e200))
+        # a norm that does not overflow keeps its bits
+        assert frobenius(np.array([[3.0, 4.0]])) == 5.0
 
 
 def test_psd_factor_identity():
