@@ -198,11 +198,10 @@ class _Plan:
 
     ``words`` are the support in graded lexicographic order.  Level k holds
     the length-k prefixes of the support in lexicographic order, ``width[k]``
-    of them, so the children of a run of nodes are a run of level k + 1.
-    When every node of level k has all d children, child ``d i + j`` of node
-    i appends letter j + 1 and ``first[k]`` is None; otherwise node i has
-    children ``first[k][i]`` to ``first[k][i + 1] - 1``, and child c appends
-    the 0-based letter ``letter[k][c]`` to node ``parent[k][c]``.  The
+    of them, so the children of a run of nodes are a run of level k + 1:
+    node i has children ``first[k][i]`` to ``first[k][i + 1] - 1``, and
+    child c appends the 0-based letter ``letter[k][c]`` to node
+    ``parent[k][c]``.  The
     support words of length k are ``words[start[k]:]``; ``before[k][i]`` of
     them precede node i, and ``before[k]`` is None when every node is one.
     When levels k to h > k + 1 hold one node each and none of k + 1 .. h - 1
@@ -249,20 +248,38 @@ class _Plan:
                         j += 1
                     before.append(j)
                 self.before[k] = before
-            if k < depth and self.chain[k] is None and width[k + 1] < d * len(level):
-                parent, i = [], 0
-                for w in levels[k + 1]:
-                    while level[i] != w[:-1]:
-                        i += 1
-                    parent.append(i)
-                first = [0] * (len(level) + 1)
-                for i in parent:
-                    first[i + 1] += 1
-                for i in range(len(level)):
-                    first[i + 1] += first[i]
+            if k < depth and self.chain[k] is None:
+                if width[k + 1] == d * len(level):  # every node has all d children
+                    parent = sorted(list(range(len(level))) * d)
+                    self.letter[k] = list(range(d)) * len(level)
+                    first = list(range(0, d * len(level) + 1, d))
+                else:
+                    parent, i = [], 0
+                    for w in levels[k + 1]:
+                        while level[i] != w[:-1]:
+                            i += 1
+                        parent.append(i)
+                    self.letter[k] = [w[-1] - 1 for w in levels[k + 1]]
+                    first = [0] * (len(level) + 1)
+                    for i in parent:
+                        first[i + 1] += 1
+                    for i in range(len(level)):
+                        first[i + 1] += first[i]
                 self.first[k], self.parent[k] = first, parent
-                self.letter[k] = [w[-1] - 1 for w in levels[k + 1]]
             k = h if self.chain[k] else k + 1
+        self._caps: dict[int, list[int]] = {}
+
+    def caps(self, share: int) -> list[int]:
+        """The most nodes of each level in one block, for ``share`` nodes over all levels."""
+        caps = self._caps.get(share)
+        if caps is None:
+            caps = self._caps[share] = [share * m // self.size or 1 for m in self.width]
+            for k in range(1, self.depth + 1):
+                if self.width[k] == self.d * self.width[k - 1]:
+                    # whole families, at most the children of one block above
+                    cap = min(caps[k], self.d * caps[k - 1])
+                    caps[k] = cap - cap % self.d if cap >= self.d else cap
+        return caps
 
 
 # Bytes of n x n powers that one evaluation holds at once, whatever the
@@ -291,13 +308,7 @@ def _power_blocks(plan: _Plan, z: MatrixTuple):
         return
     n, d, depth = z.n, plan.d, plan.depth
     first, before, start = plan.first, plan.before, plan.start
-    share = _BLOCK_BYTES // (64 * max(n * n, 1))
-    caps = [share * m // plan.size or 1 for m in plan.width]
-    for k in range(1, depth + 1):
-        if plan.width[k] == d * plan.width[k - 1]:
-            # whole families, at most the children of one block above
-            cap = min(caps[k], d * caps[k - 1])
-            caps[k] = cap - cap % d if cap >= d else cap
+    caps = plan.caps(_BLOCK_BYTES // (64 * max(n * n, 1)))
     coords = np.array(z.coords)
     # runs[k] holds (P, lo, c0, c1): nodes c0..c1-1 of level k, waiting.  P[i]
     # is node c0 + i when lo is None; else the nodes are children of the
@@ -325,11 +336,10 @@ def _power_blocks(plan: _Plan, z: MatrixTuple):
                 below, run = k + len(plan.chain[k]), (power[None], None, 0, 1)
             else:
                 below = k + 1
-                c0, c1 = (d * lo, d * hi) if first[k] is None else (first[k][lo], first[k][hi])
-                if c1 - c0 <= caps[below]:
+                c0, c1 = first[k][lo], first[k][hi]
+                run = (powers, lo, c0, c1)
+                if 0 < c1 - c0 <= caps[below]:
                     run = (_children(plan, k, powers, lo, c0, c1, coords), None, c0, c1)
-                else:
-                    run = (powers, lo, c0, c1)
             if run[3] > run[2]:
                 runs[below].append(run)
                 count[below] += run[3] - run[2]
@@ -370,22 +380,14 @@ def _take(plan: _Plan, k: int, runs: list[tuple], m: int, coords: np.ndarray) ->
 def _children(plan: _Plan, k: int, powers: np.ndarray, lo: int, c0: int, c1: int, coords: np.ndarray) -> np.ndarray:
     """The powers of nodes c0..c1-1 of level k + 1; ``powers`` holds level k's from node lo on."""
     d, n = coords.shape[:2]
-    if plan.first[k] is None:
-        p0, p1 = c0 // d, -(-c1 // d)
-        every = c0 % d == 0 and c1 % d == 0
-    else:
-        p0, p1 = plan.parent[k][c0], plan.parent[k][c1 - 1] + 1
-        every = c1 - c0 == d * (p1 - p0)
-    if every:
+    parent, letters = plan.parent[k], plan.letter[k][c0:c1]
+    p0, p1 = parent[c0], parent[c1 - 1] + 1
+    if c1 - c0 == d * (p1 - p0):
         # every child of parents p0..p1-1, in order: P_i Z_j at [i, j]
         return np.matmul(powers[p0 - lo:p1 - lo, None], coords).reshape((p1 - p0) * d, n, n)
-    if plan.first[k] is None:
-        parents, letters = [c // d - lo for c in range(c0, c1)], [c % d for c in range(c0, c1)]
-    else:
-        parents, letters = [plan.parent[k][c] - lo for c in range(c0, c1)], plan.letter[k][c0:c1]
     if c1 - c0 == 1:
-        return (powers[parents[0]] @ coords[letters[0]])[None]
-    return np.matmul(powers[parents], coords[letters])
+        return (powers[p0 - lo] @ coords[letters[0]])[None]
+    return np.matmul(powers[[parent[c] - lo for c in range(c0, c1)]], coords[letters])
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,20 +1,24 @@
-"""The prefix-streamed series evaluator and the per-point value memo.
+"""The level-by-level series evaluator, its block bound and the per-point value memo.
 
-The reference is the definition ``sum_w kron(word_eval(w, Z), f_w)``, one
-word product and one Kronecker product per term.  The streamed evaluator
-sums the same terms in another order, so values agree to rounding: the
-bound is 1e-12 relative in the Frobenius norm.
+Two references: the definition ``sum_w kron(word_eval(w, Z), f_w)``, one
+word product and one Kronecker product per term, and a test-local copy of
+the depth-first prefix stream the block walk replaced, which holds one
+product per trie level and adds one broadcast per word.  The walk sums the
+same terms in another order, so values agree to rounding: the bound is
+1e-12 relative in the Frobenius norm.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ncrkhs import series
-from ncrkhs.core import MatrixTuple, kron, word_eval, words_up_to
+from ncrkhs.core import EMPTY_WORD, MatrixTuple, kron, word_eval, words_up_to
 from ncrkhs.kernels import AlgebraSpec, KolmogorovKernel, cp_certificate, kolmogorov_at_sample
 from ncrkhs.multipliers import contractive_containment
 from ncrkhs.sampling import complex_gaussian, rng_from_seed
-from ncrkhs.series import NcSeries, evaluate
+from ncrkhs.series import NcSeries, WordIndicator, evaluate, factor_value
 
 REL = 1e-12
 
@@ -26,6 +30,41 @@ def naive(f: NcSeries, z: MatrixTuple) -> np.ndarray:
     return out
 
 
+def prefix_powers(words, z: MatrixTuple):
+    """(w, Z^w) for each word, in lexicographic order: a depth-first walk of the prefix trie."""
+    prefix = [np.eye(z.n, dtype=np.complex128)]  # prefix[k] = Z^{prev[:k]}
+    prev = EMPTY_WORD
+    for w in sorted(words):
+        shared = 0
+        while shared < min(len(prev), len(w)) and prev[shared] == w[shared]:
+            shared += 1
+        del prefix[shared + 1:]
+        for letter in w[shared:]:
+            prefix.append(prefix[-1] @ z.coords[letter - 1])
+        yield w, prefix[-1]
+        prev = w
+
+
+def streamed(f: NcSeries, z: MatrixTuple) -> np.ndarray:
+    """sum_w Z^w (x) f_w accumulated word by word along the depth-first walk."""
+    n = z.n
+    out = np.zeros((n, f.out_dim, n, f.in_dim), dtype=np.complex128)
+    for w, power in prefix_powers(f.terms, z):
+        out += power[:, None, :, None] * f.terms[w][None, :, None, :]
+    return out.reshape(n * f.out_dim, n * f.in_dim)
+
+
+def streamed_word_blocks(f: WordIndicator, z: MatrixTuple) -> np.ndarray:
+    """The block row [Z^a (x) I_y]_a written word by word along the depth-first walk."""
+    n, y = z.n, f.y_dim
+    column = {w: i for i, w in enumerate(f.words)}
+    blocks = np.empty((n, n, len(f.words)), dtype=np.complex128)
+    for w, power in prefix_powers(f.words, z):
+        blocks[:, :, column[w]] = power
+    out = blocks[:, None, :, :, None] * np.eye(y)[None, :, None, None, :]
+    return out.reshape(n * y, n * len(f.words) * y)
+
+
 def random_point(rng, d, n):
     # spectral norms near one keep degree-8 products at the scale of the data
     return MatrixTuple(tuple(complex_gaussian(rng, n, n) / np.sqrt(2 * n) for _ in range(d)))
@@ -35,9 +74,15 @@ def series_on(rng, d, p, q, words):
     return NcSeries(d, p, q, {w: complex_gaussian(rng, p, q) for w in words})
 
 
-# (d, p, q, support).  Apart from the empty word alone and the full degree-3
-# support, which checks that shared prefixes are reused, no support is
-# prefix-closed: the walk must build the products of words it skips.
+def close(got, want):
+    return np.linalg.norm(got - want) <= REL * np.linalg.norm(want)
+
+
+MONOMIAL_20 = (2, 1, 1, 2, 1, 2, 2, 1, 2, 2, 2, 1, 1, 2, 1, 2, 2, 1, 1, 2)
+
+# (d, p, q, support).  The empty word alone and the complete supports are
+# prefix-closed; no other support is, so the walk must form the powers of
+# words it skips.
 CASES = {
     "degree-8 monomial": (2, 1, 1, [(2, 1, 1, 2, 1, 2, 2, 1)]),
     "support with gaps": (2, 2, 2, [(), (1, 2, 1), (2, 2, 1, 1, 2, 1, 2), (1, 2, 2)]),
@@ -45,8 +90,13 @@ CASES = {
     "empty word only": (2, 3, 2, [()]),
     "rectangular p < q": (2, 2, 3, [(), (1,), (2, 1), (1, 1, 2)]),
     "rectangular p > q": (2, 3, 1, [(1,), (2,), (2, 2, 2), (1, 2, 1, 2)]),
+    "d = 1 gaps": (1, 2, 1, [(1,), (1, 1, 1), (1,) * 6]),
+    "d = 1 complete": (1, 1, 2, words_up_to(1, 5)),
+    "d = 2 complete degree 4": (2, 2, 2, words_up_to(2, 4)),
     "d = 3": (3, 2, 2, [(), (3,), (1, 3), (3, 2, 1), (2, 2, 3, 1), (3, 3)]),
-    "d = 3 full degree 3": (3, 1, 2, words_up_to(3, 3)),
+    "d = 3 complete degree 3": (3, 1, 2, words_up_to(3, 3)),
+    "d = 3 partial families": (3, 1, 1, [(), (1,), (2,), (1, 1), (1, 2), (1, 3), (2, 3), (2, 3, 1), (3, 1, 1)]),
+    "length-20 monomial and short words": (2, 2, 1, [MONOMIAL_20] + words_up_to(2, 2) + [MONOMIAL_20[:7]]),
 }
 
 
@@ -58,9 +108,89 @@ def test_streamed_evaluation_matches_definition(case, n):
     f = series_on(rng, d, p, q, words)
     z = random_point(rng, d, n)
     got = evaluate(f, z)
-    want = naive(f, z)
     assert got.shape == (n * p, n * q)
-    assert np.linalg.norm(got - want) <= REL * np.linalg.norm(want)
+    assert close(got, naive(f, z))
+    assert close(got, streamed(f, z))
+
+
+@pytest.mark.parametrize("nodes", [1, 2])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_blocks_of_one_or_two_nodes_match_the_references(monkeypatch, case, nodes):
+    # every level's share of the bytes rounds to `nodes` powers or fewer, so
+    # blocks break inside levels, families and runs of waiting children
+    d, p, q, words = CASES[case]
+    n = 3
+    monkeypatch.setattr(series, "_BLOCK_BYTES", 64 * n * n * nodes * max(1, len(words)))
+    rng = rng_from_seed([18, nodes, sorted(CASES).index(case)])
+    f = series_on(rng, d, p, q, words)
+    z = random_point(rng, d, n)
+    got = evaluate(f, z)
+    assert close(got, naive(f, z))
+    assert close(got, streamed(f, z))
+    indicator = WordIndicator(d, 2, tuple(reversed(words)))
+    assert close(factor_value(indicator, z), streamed_word_blocks(indicator, z))
+
+
+@pytest.mark.parametrize("words", [words_up_to(2, 3), [(2, 1), (), (1, 1, 2), (2,)], [MONOMIAL_20, (1,)]],
+                         ids=["complete", "unsorted", "monomial"])
+@pytest.mark.parametrize("y", [1, 3])
+def test_word_indicator_matches_the_streamed_blocks(words, y):
+    rng = rng_from_seed([19, y, len(words)])
+    indicator = WordIndicator(2, y, tuple(words))
+    z = random_point(rng, 2, 4)
+    got = factor_value(indicator, z)
+    assert got.shape == (4 * y, 4 * len(words) * y)
+    assert close(got, streamed_word_blocks(indicator, z))
+
+
+def test_empty_point_and_empty_support():
+    rng = rng_from_seed(20)
+    empty = MatrixTuple((np.zeros((0, 0)),) * 2)
+    f = series_on(rng, 2, 2, 3, [(), (1, 2), (2, 2, 1)])
+    assert evaluate(f, empty).shape == (0, 0)
+    assert factor_value(WordIndicator(2, 2, ((), (1,), (2, 1))), empty).shape == (0, 0)
+    zero = NcSeries.zero(2, 2, 3)
+    assert evaluate(zero, empty).shape == (0, 0)
+    value = evaluate(zero, random_point(rng, 2, 3))
+    assert value.shape == (6, 9) and not value.any()
+
+
+def test_a_series_builds_its_plan_once(monkeypatch):
+    built = []
+    plan = series._Plan
+
+    def counted(d, words):
+        built.append(tuple(words))
+        return plan(d, words)
+
+    monkeypatch.setattr(series, "_Plan", counted)
+    rng = rng_from_seed(21)
+    f = series_on(rng, 2, 1, 2, words_up_to(2, 3))
+    indicator = WordIndicator(2, 1, tuple(words_up_to(2, 2)))
+    for n in (1, 2, 3, 3, 4):
+        z = random_point(rng, 2, n)
+        evaluate(f, z)
+        factor_value(indicator, z)
+    assert built == [tuple(f.terms), tuple(indicator.words)]
+
+
+@pytest.mark.parametrize("bound", [1 << 18, 1 << 20])
+def test_powers_held_stay_within_the_block_bytes(monkeypatch, bound):
+    # degree 12 in two letters: 8,191 trie nodes, 32 MiB of 16 x 16 powers
+    monkeypatch.setattr(series, "_BLOCK_BYTES", bound)
+    rng = rng_from_seed(22)
+    f = series_on(rng, 2, 1, 1, words_up_to(2, 12))
+    evaluate(f, random_point(rng, 2, 1))  # builds the plan
+    z = random_point(rng, 2, 16)
+    tracemalloc.start()
+    try:
+        value = evaluate(f, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beside the bound: the value, its accumulator and their temporaries, and
+    # a few powers on the levels whose share is below one node
+    assert peak <= bound + 4 * value.nbytes + 4 * 13 * 16 * 16 * 16
 
 
 def test_repeated_evaluation_returns_the_same_read_only_array():
