@@ -201,12 +201,12 @@ class _Plan:
     of them, so the children of a run of nodes are a run of level k + 1:
     node i has children ``first[k][i]`` to ``first[k][i + 1] - 1``, and
     child c appends the 0-based letter ``letter[k][c]`` to node
-    ``parent[k][c]``.  The
-    support words of length k are ``words[start[k]:]``; ``before[k][i]`` of
-    them precede node i, and ``before[k]`` is None when every node is one.
-    When levels k to h > k + 1 hold one node each and none of k + 1 .. h - 1
-    holds a support word, ``chain[k]`` lists the letters that lead from the
-    node of level k to that of level h, and the walk skips the levels between.
+    ``parent[k][c]``.  The support words of length k are
+    ``words[start[k]:]``; ``before[k][i]`` of them precede node i, and
+    ``before[k]`` is None when every node is one.  When levels k to h > k + 1
+    hold one node each and none of k + 1 .. h - 1 holds a support word,
+    ``chain[k]`` lists the letters that lead from the node of level k to that
+    of level h, and the walk skips the levels between.
     """
 
     def __init__(self, d: int, words: Sequence[Word]):

@@ -80,7 +80,7 @@ def close(got, want):
 
 MONOMIAL_20 = (2, 1, 1, 2, 1, 2, 2, 1, 2, 2, 2, 1, 1, 2, 1, 2, 2, 1, 1, 2)
 
-# (d, p, q, support).  The empty word alone and the complete supports are
+# (d, p, q, support).  The empty word alone and the full supports are
 # prefix-closed; no other support is, so the walk must form the powers of
 # words it skips.
 CASES = {
@@ -91,10 +91,10 @@ CASES = {
     "rectangular p < q": (2, 2, 3, [(), (1,), (2, 1), (1, 1, 2)]),
     "rectangular p > q": (2, 3, 1, [(1,), (2,), (2, 2, 2), (1, 2, 1, 2)]),
     "d = 1 gaps": (1, 2, 1, [(1,), (1, 1, 1), (1,) * 6]),
-    "d = 1 complete": (1, 1, 2, words_up_to(1, 5)),
-    "d = 2 complete degree 4": (2, 2, 2, words_up_to(2, 4)),
+    "d = 1 full": (1, 1, 2, words_up_to(1, 5)),
+    "d = 2 full degree 4": (2, 2, 2, words_up_to(2, 4)),
     "d = 3": (3, 2, 2, [(), (3,), (1, 3), (3, 2, 1), (2, 2, 3, 1), (3, 3)]),
-    "d = 3 complete degree 3": (3, 1, 2, words_up_to(3, 3)),
+    "d = 3 full degree 3": (3, 1, 2, words_up_to(3, 3)),
     "d = 3 partial families": (3, 1, 1, [(), (1,), (2,), (1, 1), (1, 2), (1, 3), (2, 3), (2, 3, 1), (3, 1, 1)]),
     "length-20 monomial and short words": (2, 2, 1, [MONOMIAL_20] + words_up_to(2, 2) + [MONOMIAL_20[:7]]),
 }
