@@ -5,14 +5,16 @@ words to ``out_dim x in_dim`` coefficient matrices.  Evaluation at a point
 ``Z`` of size n returns the ``(n*out_dim) x (n*in_dim)`` matrix
 ``sum_w Z^w (x) f_w`` with the point index outermost.
 
-Evaluation walks the prefix trie of the support level by level, in blocks
-of trie nodes.  The powers ``Z^w`` of a block's children come from one
+Evaluation walks the prefix trie of the support in blocks of trie nodes
+of one level.  The powers ``Z^w`` of a block's children come from one
 batched product of the block's powers with the stacked coordinates, and the
 block's support words meet their coefficients in one product, so every trie
-node costs one ``n x n`` product and the work is a few large products
-instead of one product and one broadcast per word.  The walk holds at most
-``_BLOCK_BYTES`` of powers whatever the degree.  Its plan, which depends on
-the support alone, is built on a series' first evaluation and kept.  The
+node costs one ``n x n`` product and a wide level is a few large products
+instead of one product and one broadcast per word.  The blocks are walked
+depth first, one held per level, and their sizes share ``_BLOCK_BYTES``, so
+the powers held stay within it whatever the degree.  The walk's plan, which
+depends on the support alone, is built on a series' first evaluation and
+kept.  The
 point keeps each finished value (:meth:`MatrixTuple.cached`), so a series is
 evaluated once per point however often a kernel or certificate asks for it;
 returned values are read-only.  The same walk gives the value of a
@@ -28,6 +30,7 @@ is one that is simultaneously strictly upper-triangularizable.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
@@ -90,6 +93,11 @@ class NcSeries:
     def _plan(self) -> "_Plan":
         """The evaluation plan of the support, built on the first evaluation."""
         return _Plan(self.d, list(self.terms))
+
+    @cached_property
+    def _truncations(self) -> dict[int, "NcSeries"]:
+        """The truncations made for nilpotent points, by nilpotency order."""
+        return {}
 
     def coefficient(self, w) -> np.ndarray:
         word = validate_word(w, self.d)
@@ -199,14 +207,10 @@ class _Plan:
     ``words`` are the support in graded lexicographic order.  Level k holds
     the length-k prefixes of the support in lexicographic order, ``width[k]``
     of them, so the children of a run of nodes are a run of level k + 1:
-    node i has children ``first[k][i]`` to ``first[k][i + 1] - 1``, and
     child c appends the 0-based letter ``letter[k][c]`` to node
-    ``parent[k][c]``.  The support words of length k are
-    ``words[start[k]:]``; ``before[k][i]`` of them precede node i, and
-    ``before[k]`` is None when every node is one.  When levels k to h > k + 1
-    hold one node each and none of k + 1 .. h - 1 holds a support word,
-    ``chain[k]`` lists the letters that lead from the node of level k to that
-    of level h, and the walk skips the levels between.
+    ``parent[k][c]``, and ``parent[k]`` is nondecreasing.  The support words
+    of length k are ``words[start[k]:]``, at the nodes ``rows[k]`` of their
+    level, and ``rows[k]`` is None when every node is one.
     """
 
     def __init__(self, d: int, words: Sequence[Word]):
@@ -223,171 +227,101 @@ class _Plan:
                 prefixes = [w[:-1] for w in below]  # sorted, as ``below`` is
                 here = list(dict.fromkeys(sorted(prefixes + here) if here else prefixes))
             levels[k] = below = here
-        self.width = width = [len(level) for level in levels]
-        self.size = sum(width)
+        self.width = [len(level) for level in levels]
+        self.size = sum(self.width)
         self.start = [0]
         for here in by_len[:-1]:
             self.start.append(self.start[-1] + len(here))
-        self.chain: list[tuple[int, ...] | None] = [None] * (depth + 1)
-        self.before: list[list[int] | None] = [None] * (depth + 1)
-        self.first: list[list[int] | None] = [None] * (depth + 1)
-        self.parent: list[list[int] | None] = [None] * (depth + 1)
-        self.letter: list[list[int] | None] = [None] * (depth + 1)
-        k = 0
-        while k <= depth:
-            level, here, h = levels[k], by_len[k], k + 1
-            if width[k] == 1:
-                while h < depth and width[h] == width[h + 1] == 1 and not by_len[h]:
-                    h += 1
-                if h > k + 1:
-                    self.chain[k] = tuple(levels[j][0][-1] - 1 for j in range(k + 1, h + 1))
-            if len(here) < len(level):
-                before, j = [0], 0
-                for w in level:
-                    if j < len(here) and here[j] == w:
-                        j += 1
-                    before.append(j)
-                self.before[k] = before
-            if k < depth and self.chain[k] is None:
-                if width[k + 1] == d * len(level):  # every node has all d children
-                    parent = sorted(list(range(len(level))) * d)
-                    self.letter[k] = list(range(d)) * len(level)
-                    first = list(range(0, d * len(level) + 1, d))
-                else:
-                    parent, i = [], 0
-                    for w in levels[k + 1]:
-                        while level[i] != w[:-1]:
-                            i += 1
-                        parent.append(i)
-                    self.letter[k] = [w[-1] - 1 for w in levels[k + 1]]
-                    first = [0] * (len(level) + 1)
-                    for i in parent:
-                        first[i + 1] += 1
-                    for i in range(len(level)):
-                        first[i + 1] += first[i]
-                self.first[k], self.parent[k] = first, parent
-            k = h if self.chain[k] else k + 1
-        self._caps: dict[int, list[int]] = {}
+        self.rows: list[list[int] | None] = []
+        self.parent: list[list[int]] = []
+        self.letter: list[list[int]] = []
+        for k, level in enumerate(levels):
+            here = by_len[k]
+            self.rows.append(None if len(here) == len(level) else [bisect_left(level, w) for w in here])
+            if k == depth:
+                break
+            below = levels[k + 1]
+            if len(below) == d * len(level):  # every node has all d children
+                self.parent.append(sorted(list(range(len(level))) * d))
+                self.letter.append(list(range(d)) * len(level))
+            else:
+                self.parent.append([bisect_left(level, w[:-1]) for w in below])
+                self.letter.append([w[-1] - 1 for w in below])
 
     def caps(self, share: int) -> list[int]:
-        """The most nodes of each level in one block, for ``share`` nodes over all levels."""
-        caps = self._caps.get(share)
-        if caps is None:
-            caps = self._caps[share] = [share * m // self.size or 1 for m in self.width]
-            for k in range(1, self.depth + 1):
-                if self.width[k] == self.d * self.width[k - 1]:
-                    # whole families, at most the children of one block above
-                    cap = min(caps[k], self.d * caps[k - 1])
-                    caps[k] = cap - cap % self.d if cap >= self.d else cap
+        """The most nodes of each level in one block, ``share`` nodes over all levels."""
+        d, width = self.d, self.width
+        if share >= self.size:
+            return width
+        caps = [share * m // self.size or 1 for m in width]
+        for k in range(1, self.depth + 1):
+            if caps[k] > d and width[k] == d * width[k - 1]:
+                caps[k] -= caps[k] % d  # whole families
         return caps
 
 
-# Bytes of n x n powers that one evaluation holds at once, whatever the
-# degree.  Level k is taken in blocks of at most caps[k] nodes: the level
-# widths scaled to a quarter of this, and at least one node.  A block's
-# children are formed at once when they fit in a block of the next level,
-# and else when that level takes them, and a level gains nodes only while it
-# holds less than a block.  So a level holds under two blocks of formed
-# powers and at most two blocks whose children wait: within this, plus a few
-# powers per level whose share is below one node.
-_BLOCK_BYTES = 1 << 21
+# Bytes of n x n powers that one evaluation holds, whatever the degree.
+# Level k is taken in blocks of at most caps[k] nodes, the level widths
+# scaled to this in total, and the walk holds one block per level: within
+# this, plus one power on each level whose share is below one node, and a
+# gathered copy of at most one block at a time.
+_BLOCK_BYTES = 1 << 20
 
 
 def _power_blocks(plan: _Plan, z: MatrixTuple):
     """(i, j, P): P[r] = Z^w for the (i + r)-th support word w in graded order, block by block.
 
-    Each level's nodes wait until they fill a block.  The walk takes the
-    deepest full block, and when no block is full the nodes of the shallowest
-    level that has any, to which no more nodes can come.  A run of children
-    is one batched product of their parents' powers with the stacked
-    coordinates when it holds every child of those parents, and else one of
-    each child's parent with its letter, so no power is formed for a word
-    outside the prefix closure.
+    The walk is depth-first over blocks: a block of level k yields its
+    support words, then its children are formed in chunks of at most
+    ``caps[k + 1]`` nodes, and each chunk is walked as a block of level
+    k + 1 before the next is formed.  A block is let go once its last chunk
+    is formed.  A chunk that holds every child of its
+    parents is one batched product of their powers with the stacked
+    coordinates, and else one product of each child's parent with its
+    letter, so no power is formed for a word outside the prefix closure.
     """
     if plan.depth < 0:
         return
-    n, d, depth = z.n, plan.d, plan.depth
-    first, before, start = plan.first, plan.before, plan.start
-    caps = plan.caps(_BLOCK_BYTES // (64 * max(n * n, 1)))
+    n, depth, parent, rows, start = z.n, plan.depth, plan.parent, plan.rows, plan.start
+    caps = plan.caps(_BLOCK_BYTES // (16 * max(n * n, 1)))
     coords = np.array(z.coords)
-    # runs[k] holds (P, lo, c0, c1): nodes c0..c1-1 of level k, waiting.  P[i]
-    # is node c0 + i when lo is None; else the nodes are children of the
-    # level-(k - 1) nodes whose powers P holds from node lo on.
-    runs: list[list[tuple]] = [[(np.eye(n, dtype=np.complex128)[None], None, 0, 1)]] + [[] for _ in range(depth)]
-    count = [1] + [0] * depth  # nodes waiting at each level
-    taken = [0] * (depth + 1)  # nodes already taken from each level
-    k = top = 0  # no level above ``top`` has nodes waiting or to come
+    # the blocks whose children are not all formed, one per level at most:
+    # [level, powers, first node, next child, last child + 1]
+    held: list[list] = []
+    k, lo, powers = 0, 0, np.eye(n, dtype=np.complex128)[None]
     while True:
-        lo = taken[k]
-        hi = lo + min(count[k], caps[k])
-        powers = _take(plan, k, runs[k], hi - lo, coords)
-        count[k] -= hi - lo
-        taken[k] = hi
-        if before[k] is None:
+        hi = lo + len(powers)
+        if rows[k] is None:
             yield start[k] + lo, start[k] + hi, powers
-        elif before[k][lo] < before[k][hi]:
-            rows = [i - lo for i in range(lo, hi) if before[k][i + 1] > before[k][i]]
-            yield start[k] + before[k][lo], start[k] + before[k][hi], powers[rows]
+        elif rows[k]:
+            r0, r1 = bisect_left(rows[k], lo), bisect_left(rows[k], hi)
+            if r0 < r1:
+                yield start[k] + r0, start[k] + r1, powers[[r - lo for r in rows[k][r0:r1]]]
         if k < depth:
-            if plan.chain[k] is not None:
-                power = powers[0]
-                for j in plan.chain[k]:
-                    power = power @ z.coords[j]
-                below, run = k + len(plan.chain[k]), (power[None], None, 0, 1)
-            else:
-                below = k + 1
-                c0, c1 = first[k][lo], first[k][hi]
-                run = (powers, lo, c0, c1)
-                if 0 < c1 - c0 <= caps[below]:
-                    run = (_children(plan, k, powers, lo, c0, c1, coords), None, c0, c1)
-            if run[3] > run[2]:
-                runs[below].append(run)
-                count[below] += run[3] - run[2]
-                if count[below] >= caps[below]:
-                    k = below
-                    continue
-        if count[k] >= caps[k]:
-            continue
-        while top <= depth and not count[top]:
-            top += 1
-        if top > depth:
+            c0, c1 = bisect_left(parent[k], lo), bisect_left(parent[k], hi)
+            if c0 < c1:
+                held.append([k, powers, lo, c0, c1])
+        if not held:
             return
-        # nothing below k is full: the deepest full level above it, else ``top``
-        k -= 1
-        while k > top and count[k] < caps[k]:
-            k -= 1
-        k = max(k, top)
-
-
-def _take(plan: _Plan, k: int, runs: list[tuple], m: int, coords: np.ndarray) -> np.ndarray:
-    """The powers of the next m nodes waiting at level k, removed from ``runs``."""
-    parts = []
-    while m:
-        powers, lo, c0, c1 = runs[0]
-        c = min(c1, c0 + m)
-        if lo is None:
-            parts.append(powers[:c - c0])
-            runs[0] = (powers[c - c0:], None, c, c1)
-        else:
-            parts.append(_children(plan, k - 1, powers, lo, c0, c, coords))
-            runs[0] = (powers, lo, c, c1)
+        k, parents, first, c0, c1 = block = held[-1]
+        c = min(c1, c0 + caps[k + 1])
         if c == c1:
-            del runs[0]
-        m -= c - c0
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            held.pop()
+        block[3] = c
+        lo, powers, k = c0, _children(plan, k, parents, first, c0, c, coords), k + 1
 
 
 def _children(plan: _Plan, k: int, powers: np.ndarray, lo: int, c0: int, c1: int, coords: np.ndarray) -> np.ndarray:
     """The powers of nodes c0..c1-1 of level k + 1; ``powers`` holds level k's from node lo on."""
+    parent, letter = plan.parent[k], plan.letter[k]
+    if c1 - c0 == 1:
+        return (powers[parent[c0] - lo] @ coords[letter[c0]])[None]
     d, n = coords.shape[:2]
-    parent, letters = plan.parent[k], plan.letter[k][c0:c1]
     p0, p1 = parent[c0], parent[c1 - 1] + 1
     if c1 - c0 == d * (p1 - p0):
         # every child of parents p0..p1-1, in order: P_i Z_j at [i, j]
         return np.matmul(powers[p0 - lo:p1 - lo, None], coords).reshape((p1 - p0) * d, n, n)
-    if c1 - c0 == 1:
-        return (powers[p0 - lo] @ coords[letters[0]])[None]
-    return np.matmul(powers[[parent[c] - lo for c in range(c0, c1)]], coords[letters])
+    return np.matmul(powers[[parent[c] - lo for c in range(c0, c1)]], coords[letter[c0:c1]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -535,8 +469,13 @@ def nilpotency_order(z: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> int:
 def evaluate_on_nilpotent(f: NcSeries, z: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Exact evaluation on a jointly nilpotent tuple: only words of length < L survive."""
     order = nilpotency_order(z, tol)
-    # truncate only when words go, so the point keeps the value under f itself
-    return evaluate(f if f.degree < order else truncate(f, order - 1), z)
+    # truncate only when words go, so the point keeps the value under f itself,
+    # and once per order, so a truncation's plan and values are kept with f
+    if f.degree >= order:
+        if order not in f._truncations:
+            f._truncations[order] = truncate(f, order - 1)
+        f = f._truncations[order]
+    return evaluate(f, z)
 
 
 # ---------------------------------------------------------------------------

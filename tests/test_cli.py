@@ -551,6 +551,7 @@ def test_containment_of_huge_kernels_fails_as_a_certificate(tmp_path, capsys, sc
         warnings.simplefilter("always")
         code = main(["containment", "--kprime", paths[1], "--k", paths[0], "--seed", "1"])
     captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1
     assert code == 3 and json.loads(captured.out)["status"] == "certificate_failed"
     # the overflowing plain norm is replaced without a warning: stderr holds the summary alone
     assert [str(w.message) for w in caught] == []

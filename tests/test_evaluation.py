@@ -1,4 +1,4 @@
-"""The level-by-level series evaluator, its block bound and the per-point value memo.
+"""The block-walk series evaluator, its block bound and the per-point value memo.
 
 Two references: the definition ``sum_w kron(word_eval(w, Z), f_w)``, one
 word product and one Kronecker product per term, and a test-local copy of
@@ -18,7 +18,15 @@ from ncrkhs.core import EMPTY_WORD, MatrixTuple, kron, word_eval, words_up_to
 from ncrkhs.kernels import AlgebraSpec, KolmogorovKernel, cp_certificate, kolmogorov_at_sample
 from ncrkhs.multipliers import contractive_containment
 from ncrkhs.sampling import complex_gaussian, rng_from_seed
-from ncrkhs.series import NcSeries, WordIndicator, evaluate, factor_value
+from ncrkhs.series import (
+    NcSeries,
+    WordIndicator,
+    evaluate,
+    evaluate_on_nilpotent,
+    factor_value,
+    truncate,
+    truncated_shift_tuple,
+)
 
 REL = 1e-12
 
@@ -116,13 +124,16 @@ def test_streamed_evaluation_matches_definition(case, n):
 @pytest.mark.parametrize("nodes", [1, 2])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_blocks_of_one_or_two_nodes_match_the_references(monkeypatch, case, nodes):
-    # every level's share of the bytes rounds to `nodes` powers or fewer, so
-    # blocks break inside levels, families and runs of waiting children
+    # the widest level's share of the bytes is `nodes` powers, so blocks
+    # break inside levels and families
     d, p, q, words = CASES[case]
     n = 3
-    monkeypatch.setattr(series, "_BLOCK_BYTES", 64 * n * n * nodes * max(1, len(words)))
     rng = rng_from_seed([18, nodes, sorted(CASES).index(case)])
     f = series_on(rng, d, p, q, words)
+    plan = series._Plan(d, list(f.terms))
+    share = nodes * plan.size // max(plan.width, default=1)
+    assert max(plan.caps(share), default=1) <= nodes
+    monkeypatch.setattr(series, "_BLOCK_BYTES", 16 * n * n * share)
     z = random_point(rng, d, n)
     got = evaluate(f, z)
     assert close(got, naive(f, z))
@@ -172,6 +183,26 @@ def test_a_series_builds_its_plan_once(monkeypatch):
         evaluate(f, z)
         factor_value(indicator, z)
     assert built == [tuple(f.terms), tuple(indicator.words)]
+
+
+def test_nilpotent_evaluation_truncates_once_per_order(monkeypatch):
+    built = []
+    plan = series._Plan
+
+    def counted(d, words):
+        built.append(len(words[-1]))
+        return plan(d, words)
+
+    monkeypatch.setattr(series, "_Plan", counted)
+    f = series_on(rng_from_seed(23), 2, 1, 2, words_up_to(2, 5))
+    z = truncated_shift_tuple(2, 2)  # nilpotent of order 3
+    values = [evaluate_on_nilpotent(f, z) for _ in range(3)]
+    assert values[0] is values[1] is values[2] and len(z._values) == 1
+    assert close(values[0], naive(truncate(f, 2), z))
+    for point in (truncated_shift_tuple(2, 2), truncated_shift_tuple(2, 1), truncated_shift_tuple(2, 1)):
+        evaluate_on_nilpotent(f, point)
+    # one truncation, with its plan, per order met
+    assert built == [2, 1]
 
 
 @pytest.mark.parametrize("bound", [1 << 18, 1 << 20])
