@@ -262,9 +262,9 @@ class _Plan:
 
 # Bytes of n x n powers that one evaluation holds, whatever the degree.
 # Level k is taken in blocks of at most caps[k] nodes, the level widths
-# scaled to this in total, and the walk holds one block per level: within
-# this, plus one power on each level whose share is below one node, and a
-# gathered copy of at most one block at a time.
+# scaled to this in total, and the walk holds at most one block per level:
+# within this, plus one power on each level whose share is below one node,
+# and a gathered copy of at most one block at a time.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -275,10 +275,10 @@ def _power_blocks(plan: _Plan, z: MatrixTuple):
     support words, then its children are formed in chunks of at most
     ``caps[k + 1]`` nodes, and each chunk is walked as a block of level
     k + 1 before the next is formed.  A block is let go once its last chunk
-    is formed.  A chunk that holds every child of its
-    parents is one batched product of their powers with the stacked
-    coordinates, and else one product of each child's parent with its
-    letter, so no power is formed for a word outside the prefix closure.
+    is formed.  A chunk that holds every child of its parents is one
+    batched product of their powers with the stacked coordinates, and else
+    one product of each child's parent with its letter, so no power is
+    formed for a word outside the prefix closure.
     """
     if plan.depth < 0:
         return
