@@ -8,11 +8,11 @@ import numpy as np
 
 from ncrkhs import (
     CpMap,
+    CpMapRkhs,
     cb_norm_cp,
     choi,
     effros_ruan_lower_bound,
     is_cp,
-    rkhs_of_cp_map,
     stinespring,
 )
 from ncrkhs.sampling import complex_gaussian, rng_from_seed
@@ -44,7 +44,7 @@ er = effros_ruan_lower_bound(phi, n_samples=20, seed=1)
 print(f"Effros-Ruan sampled lower bound: {er:.4f}")
 
 # the singleton RKHS model: unit-indexed basis with L(Y)-blocked gramian
-model = rkhs_of_cp_map(phi)
+model = CpMapRkhs(phi)
 coeffs = complex_gaussian(rng, model.dim, 1)[:, 0]
 v = complex_gaussian(rng, 2, 2)
 y = complex_gaussian(rng, 2, 1)[:, 0]

@@ -101,6 +101,12 @@ def _sizes(args) -> tuple[int, ...]:
     return sizes
 
 
+def _at_least(value: int, low: int, option: str) -> int:
+    if value < low:
+        raise InputError(f"{option}: expected an integer >= {low}, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # handlers: each returns its payload, whose "status" decides the exit code
 # ---------------------------------------------------------------------------
@@ -128,12 +134,13 @@ def _cmd_extract_coeffs(args, tol):
 def _cmd_check_ncfun(args, tol):
     f = decode_series(_load(args.series, "series"), "series")
     kernels._check_positive(args.samples, "sample")
+    max_size = _at_least(args.max_size, 1, "--max-size")
     rng = rng_from_seed(args.seed)
     pairs = []
     triples = []
     for _ in range(args.samples):
-        n = int(rng.integers(1, args.max_size + 1))
-        m = int(rng.integers(1, args.max_size + 1))
+        n = int(rng.integers(1, max_size + 1))
+        m = int(rng.integers(1, max_size + 1))
         z = sample_tuple(rng, args.sampler, f.d, n)
         w = sample_tuple(rng, args.sampler, f.d, m)
         pairs.append((z, w))
@@ -235,6 +242,7 @@ def _cmd_multiplier_check(args, tol):
 
 
 def _cmd_brangesian(args, tol):
+    vectors, splits = _at_least(args.vectors, 0, "--vectors"), _at_least(args.splits, 0, "--splits")
     data = _load(args.contraction, "contraction")
     if not isinstance(data, dict) or "a" not in data:
         raise InputError("contraction: expected an object with field 'a'")
@@ -248,13 +256,13 @@ def _cmd_brangesian(args, tol):
     identity_violation = 0.0
     margin = 0.0
     overlap = dec.feasible_perturbation_basis()
-    for _ in range(args.vectors):
+    for _ in range(vectors):
         h = complex_gaussian(rng, n, 1)[:, 0]
         k_part, h_part = dec.decompose(h)
         cost = dec.split_cost(k_part, h_part)
         identity_violation = max(identity_violation, rel_err(abs(cost - dec.ambient_norm(h) ** 2), cost))
         if overlap.shape[1]:
-            for _ in range(args.splits):
+            for _ in range(splits):
                 delta = overlap @ complex_gaussian(rng, overlap.shape[1], 1)[:, 0] * 0.3
                 margin = min(margin, dec.split_cost(k_part + delta, h_part - delta) - cost)
     return {
@@ -315,11 +323,12 @@ def _cmd_stinespring(args, tol):
 
 
 def _cmd_cb_norm(args, tol):
+    samples = _at_least(args.samples, 0, "--samples")
     phi = decode_cp_map(_load(args.map, "map"), "map", tol)
     norm = cpmaps.cb_norm_cp(phi, tol)
     rng = rng_from_seed(args.seed)
     ratio = 0.0
-    for _ in range(args.samples):
+    for _ in range(samples):
         p = random_psd(rng, int(rng.integers(1, cpmaps.MAX_AMP + 1)) * phi.k)
         top = np.linalg.norm(p, 2)
         if top > 0:
@@ -328,8 +337,9 @@ def _cmd_cb_norm(args, tol):
 
 
 def _cmd_effros_ruan(args, tol):
+    samples = _at_least(args.samples, 0, "--samples")
     phi = decode_cp_map(_load(args.map, "map"), "map", tol)
-    bound = cpmaps.effros_ruan_lower_bound(phi, n_samples=args.samples, seed=args.seed)
+    bound = cpmaps.effros_ruan_lower_bound(phi, n_samples=samples, seed=args.seed)
     return {"status": "ok", "seed": args.seed, "lower_bound": bound}
 
 

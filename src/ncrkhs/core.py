@@ -386,6 +386,8 @@ def words_up_to(d: int, max_len: int) -> list[Word]:
     """All words of length <= max_len in graded lexicographic order."""
     if d < 1:
         raise InputError("alphabet size d must be >= 1")
+    if max_len < 0:
+        raise InputError(f"word length bound must be >= 0, got {max_len}")
     out: list[Word] = [EMPTY_WORD]
     layer: list[Word] = [EMPTY_WORD]
     for _ in range(max_len):

@@ -287,8 +287,3 @@ class CpMapRkhs:
         """sigma(a) psi_{(pq),y} = sum_r a_rp psi_{(rq),y}: acts on the p index."""
         a = as_cmatrix(a, self.phi.k, self.phi.k)
         return kron(kron(a, np.eye(self.phi.k)), np.eye(self.phi.m))
-
-
-def rkhs_of_cp_map(phi: CpMap, tol: Tolerances | None = None) -> CpMapRkhs:
-    """The reproducing kernel model of a cp map (Stinespring space)."""
-    return CpMapRkhs(phi, tol)

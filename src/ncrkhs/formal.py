@@ -5,7 +5,8 @@ A formal kernel is a Hermitian word-indexed moment table, held by
 matrix over words of length <= L) is a necessary condition in general and is
 complete for kernels supported within the truncation; the nilpotent-point
 route checks the same table through functional evaluation, with the
-truncated free shift as a universal witness.  Convolution of formal series
+truncated free shift as a universal witness whose value is a suffix sum of
+the moment matrix.  Convolution of formal series
 is :func:`ncrkhs.series.multiply`, and a series acts on nilpotent tuples
 through :func:`ncrkhs.series.functional_evaluator`.
 """
@@ -95,11 +96,7 @@ def formal_kolmogorov_truncated(
     m = moment_matrix(kernel, max_len)
     f = psd_factor(m, tol)
     rank = f.shape[1]
-    terms = {}
-    for i, w in enumerate(words):
-        block = f[i * y:(i + 1) * y, :]
-        if np.linalg.norm(block) > 0.0:
-            terms[w] = block
+    terms = {w: h_w for w, h_w in zip(words, f.reshape(len(words), y, rank)) if np.linalg.norm(h_w) > 0.0}
     h = NcSeries(kernel.d, y, max(rank, 1), terms if rank else {})
     # blockwise ||(M - F F*)_{ab}|| / max(1, ||M_{ab}||), maximized over word pairs
     blocks = (len(words), y, len(words), y)
@@ -130,27 +127,38 @@ def nilpotent_positivity_check(
     truncated free shift witnesses any negative direction of the truncated
     moment matrix, so the verdict agrees with
     :func:`is_formal_positive_truncated` for kernels exactly representable at
-    this truncation.
+    this truncation.  The shift values come from the moment matrix
+    (:func:`_shift_values`); the shift tuples are the witness points.
     """
     _, sampled = sample_points(kernel, rng_from_seed(seed), n_points, sizes, NILPOTENT)
+    verdict = psd_verdict([kernel.evaluate(z, z, np.eye(z.n)) for z in sampled] + _shift_values(kernel), tol)
     shift = truncated_shift_tuple(kernel.d, kernel.max_len)
-
-    def unit_values():
-        for z in sampled:
-            yield kernel.evaluate(z, z, np.eye(z.n))
-        # a scaled shift keeps its factor value (n x n*N for the table's N words),
-        # so each is made where it is evaluated and dropped before the next
-        for t in SHIFT_SCALES:
-            z = shift.scaled(float(t))
-            yield kernel.evaluate(z, z, np.eye(z.n))
-
-    verdict = psd_verdict(unit_values(), tol)
     points = sampled + [shift.scaled(float(t)) for t in SHIFT_SCALES]
-    description = {
-        "sampler": "nilpotent+shift",
-        "sizes": [z.n for z in points],
-        "shift_scales": list(SHIFT_SCALES),
-    }
-    return CpCertificate(
-        verdict.passed, verdict.min_eig, description, seed, verdict.witness, tuple(points)
-    )
+    description = {"sampler": "nilpotent+shift", "sizes": [z.n for z in points],
+                   "shift_scales": list(SHIFT_SCALES)}
+    return CpCertificate(verdict.passed, verdict.min_eig, description, seed, verdict.witness, tuple(points))
+
+
+def _shift_values(kernel: MomentKernel) -> list[np.ndarray]:
+    """K(tS, tS)(I) at the truncated free shift S for each t in SHIFT_SCALES, without F(tS).
+
+    S^a S^b* maps e_{b.w} to e_{a.w}, so block (u, v) sums t^{|a|+|b|} K_{a,b} over
+    the splits u = a.w, v = b.w: X = D_t M D_t + sum_j R_j X R_j* for the moment
+    matrix M, D_t = diag(t^{|a|}) and R_j e_a = e_{a.j}, filled one length of u at a time.
+    """
+    d, y, level = kernel.d, kernel.y_dim, kernel.max_len
+    lengths = np.array([len(w) for w in words_up_to(d, level)])
+    n = len(lengths)
+    moments = moment_matrix(kernel, level).reshape(n, y, n, y).transpose(0, 2, 1, 3)  # [u, v, r, s]
+    # in graded lex order, word i followed by letter j + 1 is word 1 + d i + j
+    child = 1 + d * np.arange((n - 1) // d)[:, None] + np.arange(d)
+    values = []
+    for t in SHIFT_SCALES:
+        weight = t ** lengths
+        x = weight[:, None, None, None] * moments * weight[None, :, None, None]
+        lo, hi = 0, 1  # the words of one length
+        for _ in range(level):
+            x[child[lo:hi, None, :], child] += x[lo:hi, :len(child), None]
+            lo, hi = 1 + d * lo, 1 + d * hi
+        values.append(x.transpose(0, 2, 1, 3).reshape(n * y, n * y))
+    return values

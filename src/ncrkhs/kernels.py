@@ -19,9 +19,10 @@ A de Branges-Rovnyak kernel K - S K' S* is ``[F, S F'] (C (+) -C') [...]*``
 and a difference K - K' is ``[F, F'] (C (+) -C') [...]*``.  A certificate's
 block matrix ``[K(Z_i, Z_j)(X_i X_j*)]_{ij}`` is one product per factor,
 ``A (I (x) C) A*`` with ``A = vstack_i F(Z_i)(X_i (x) I)``: N factor values
-instead of N^2 kernel values.  C is positive semidefinite for the Kolmogorov
-and Gram forms, so their sampled certificates pass by construction; only
-moment tables, de Branges-Rovnyak kernels and difference kernels can fail.
+instead of N^2 kernel values; :func:`kolmogorov_at_sample` reads its rows of
+A off F(Z_i).  C is positive semidefinite for the Kolmogorov and Gram forms,
+so their sampled certificates pass by construction; only moment tables,
+de Branges-Rovnyak kernels and difference kernels can fail.
 
 Positivity is certified on seeded samples: a pass is evidence, not proof,
 except on nilpotent domains where exhaustively truncated moment kernels are
@@ -197,7 +198,7 @@ class FactoredKernel(KernelBase):
         """F(Z)(X (x) I_D): X acts on the (point, algebra) column index of F(Z)."""
         rows = z.n * self.y_dim
         value = factor_value(f, z).reshape(rows, z.n * self.algebra.k, c.shape[0])
-        return np.matmul(x.T, value).reshape(rows, -1)
+        return np.matmul(x.T, value).reshape(rows, x.shape[1] * c.shape[0])
 
     def evaluate(self, z, w, p, allow_truncation: bool = False):
         p = self._check_points(z, w, p)
@@ -212,12 +213,16 @@ class FactoredKernel(KernelBase):
 
     def block_matrix(self, points, args):
         """One product per term: A (I (x) C) A* with A = vstack_i F(Z_i)(X_i (x) I_D)."""
+        return self._stacked_gram(points, sum(z.n for z in points),
+                                  lambda f, c: [self._weighted(f, c, z, x) for z, x in zip(points, args)])
+
+    def _stacked_gram(self, points, rows: int, blocks) -> np.ndarray:
+        """sum_t A_t (I (x) C_t) A_t* over ``rows`` Y-rows, A_t stacking ``blocks(F_t, C_t)``."""
         for z in points:
             self._check_domain(z)
-        size = sum(z.n for z in points) * self.y_dim
-        out = np.zeros((size, size), dtype=np.complex128)
+        out = np.zeros((rows * self.y_dim, rows * self.y_dim), dtype=np.complex128)
         for f, c in self.terms:
-            a = np.vstack([self._weighted(f, c, z, x) for z, x in zip(points, args)])
+            a = np.vstack(blocks(f, c))
             out += _times_middle(a, c) @ a.conj().T
         return out
 
@@ -633,42 +638,39 @@ class KolmogorovSample:
 
 
 def kolmogorov_at_sample(
-    kernel: KernelBase,
+    kernel: FactoredKernel,
     points: Sequence[MatrixTuple],
     tol: Tolerances = DEFAULT_TOL,
 ) -> KolmogorovSample:
     """Factor the sampled kernel through a finite state space.
 
     The PSD matrix over index triples (point, row, unit) has Y-blocks
-    G[(i,r,t),(j,s,u)] = [K(Z_i, Z_j)(e_t e_u*)]_{r,s}.  Block (i, j) is one
-    kernel value K(Z_i (x) I_{n_i}, Z_j (x) I_{n_j})(vec(I) vec(I)*): the
-    argument's (t, u) block over the ampliation is e_t e_u*, so the direct-sum
-    and similarity axioms give G in this row order; :meth:`KernelBase.block_matrix`
-    assembles it.  G is factored as F F*, and each point's rows reshape into
-    its factor value.
+    G[(i,r,t),(j,s,u)] = [K(Z_i, Z_j)(e_t e_u*)]_{r,s}.  For a factored kernel
+    it is ``sum_t A_t (I (x) C_t) A_t*``, where row (r, t, y) of A_t is row
+    (r, y), column block t of F_t(Z_i), the factor value at the sample point
+    itself.  G is factored as F F*, and each point's rows reshape into its
+    factor value.
     """
+    if not isinstance(kernel, FactoredKernel):
+        raise InputError("kolmogorov_at_sample requires a factored kernel")
     if kernel.algebra.k != 1:
         raise InputError("kolmogorov_at_sample requires a scalar coefficient algebra")
     points = tuple(points)
     if not points:
         raise InputError("kolmogorov_at_sample needs at least one sample point")
     y = kernel.y_dim
-    amplified = [MatrixTuple(tuple(kron(c, np.eye(z.n)) for c in z.coords)) for z in points]
-    units = [np.eye(z.n, dtype=np.complex128).reshape(-1, 1) for z in points]
-    gram = kernel.block_matrix(amplified, units)
+    gram = kernel._stacked_gram(points, sum(z.n * z.n for z in points), lambda f, c: [
+        factor_value(f, z).reshape(z.n, y, z.n, len(c)).transpose(0, 2, 1, 3).reshape(z.n * z.n * y, len(c))
+        for z in points])
 
     f = psd_factor(gram, tol)
     rank = f.shape[1]
     gram_error = rel_err(frobenius(gram - f @ f.conj().T), frobenius(gram))
-
-    factors = []
-    offset = 0
-    for z in points:
-        n = z.n
-        rows = f[offset:offset + n * n * y].reshape(n, n, y, rank)  # (r, t, y, rank)
-        factors.append(rows.transpose(0, 2, 1, 3).reshape(n * y, n * rank))
-        offset += n * n * y
-    return KolmogorovSample(points, tuple(factors), rank, gram_error)
+    # point i's rows (r, t, y) hold row (r, y), column block t of its factor value
+    ends = np.cumsum([z.n * z.n * y for z in points])
+    factors = tuple(rows.reshape(z.n, z.n, y, rank).transpose(0, 2, 1, 3).reshape(z.n * y, z.n * rank)
+                    for z, rows in zip(points, np.split(f, ends[:-1])))
+    return KolmogorovSample(points, factors, rank, gram_error)
 
 
 # ---------------------------------------------------------------------------
@@ -705,29 +707,11 @@ class EnvelopeKernel:
         self, z_indices: Sequence[int], w_indices: Sequence[int], p: np.ndarray
     ) -> np.ndarray:
         k = self.algebra.k
-        row_sizes = [self.generator_sizes[i] for i in z_indices]
-        col_sizes = [self.generator_sizes[j] for j in w_indices]
-        p = as_cmatrix(p, sum(row_sizes) * k, sum(col_sizes) * k)
-        row_off = np.concatenate([[0], np.cumsum([n * k for n in row_sizes])])
-        col_off = np.concatenate([[0], np.cumsum([m * k for m in col_sizes])])
-        blocks = []
-        for a, i in enumerate(z_indices):
-            row = []
-            for b, j in enumerate(w_indices):
-                p_block = p[row_off[a]:row_off[a + 1], col_off[b]:col_off[b + 1]]
-                row.append(self._value(i, j, p_block))
-            blocks.append(row)
-        return np.block(blocks)
-
-
-def extend_to_nc_envelope(
-    generator_sizes: Sequence[int],
-    y_dim: int,
-    pair_values: Mapping[tuple[int, int], Callable[[np.ndarray], np.ndarray]],
-    algebra: AlgebraSpec = AlgebraSpec(SCALAR),
-) -> EnvelopeKernel:
-    """The unique direct-sum-respecting extension of generator-point values."""
-    return EnvelopeKernel(generator_sizes, y_dim, pair_values, algebra)
+        rows = np.cumsum([0] + [self.generator_sizes[i] * k for i in z_indices]).tolist()
+        cols = np.cumsum([0] + [self.generator_sizes[j] * k for j in w_indices]).tolist()
+        p = as_cmatrix(p, rows[-1], cols[-1])
+        return np.block([[self._value(i, j, p[rows[a]:rows[a + 1], cols[b]:cols[b + 1]])
+                          for b, j in enumerate(w_indices)] for a, i in enumerate(z_indices)])
 
 
 # ---------------------------------------------------------------------------

@@ -91,17 +91,15 @@ def apply_multiplier(
     mult: Multiplier,
     source_model: RkhsModel,
     coeffs,
-    target_model: RkhsModel | None = None,
+    target_model: RkhsModel,
     tol: Tolerances = DEFAULT_TOL,
-):
-    """Apply M_S to a source element.
+) -> Represented:
+    """Apply M_S to a source element and represent the image in the target basis.
 
-    Without a target model, returns the slice series of the image function.
-    With one, represents the image in the target basis by least squares,
-    reporting the residual; raises :class:`NotInTarget` when one survives.
+    The image is fitted by least squares, reporting the residual; raises
+    :class:`NotInTarget` when one survives.  The image function itself is
+    :func:`apply_multiplier_series`.
     """
-    if target_model is None:
-        return apply_multiplier_series(mult, source_model, coeffs)
     image = multiply(mult.s, _element_slice_series(source_model, coeffs))
     rep = _represent_in_model(image, target_model, tol)
     return Represented(rep.coefficients.sum(axis=1), rep.residual)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MatrixTuple, SamplerUnavailable
+from .core import InputError, MatrixTuple, SamplerUnavailable
 
 NILPOTENT = "nilpotent"
 GAUSSIAN = "gaussian"
@@ -17,7 +17,10 @@ GAUSSIAN = "gaussian"
 def rng_from_seed(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid seed {seed!r}: {exc}") from exc
 
 
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -10,9 +10,12 @@ damage kind with that one file replaced by a damaged copy:
 - fractional integer: one integer field (a size, a letter, d, k, ...) plus 0.5.
 
 Every run must end with an exit code the README lists, print one JSON
-document without NaN or Infinity, and leave no traceback.
+document without NaN or Infinity, and leave no traceback.  A second sweep
+sets every integer option of every subcommand to 0 and to -1 on the valid
+inputs, with the same demands; -1 is never a valid count, size or seed.
 """
 
+import argparse
 import json
 
 import numpy as np
@@ -185,3 +188,28 @@ def test_damaged_inputs_give_typed_outcomes(tmp_path, capsys, command):
                 paths[flag].write_text(text)
                 _run(capsys, argv(), f"--{flag} {kind}: {text[:300]}")
         paths[flag] = valid
+
+
+def _integer_options(command):
+    subs = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subs.choices) == set(COMMANDS)
+    return [a.option_strings[0] for a in subs.choices[command]._actions if a.type is int]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_integer_options_out_of_range_give_typed_outcomes(tmp_path, capsys, command):
+    options, files = COMMANDS[command]
+    paths = []
+    for flag, payload in files.items():
+        path = tmp_path / f"{flag}.json"
+        path.write_text(json.dumps(payload))
+        paths += [f"--{flag}", str(path)]
+    for option in _integer_options(command):
+        for value in ("0", "-1"):
+            changed = list(options)
+            if option in changed:
+                changed[changed.index(option) + 1] = value
+            else:
+                changed += [option, value]
+            code = _run(capsys, [command, *changed, *paths], f"{option} {value}")
+            assert value == "0" or code == 2, (option, value)

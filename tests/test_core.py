@@ -269,6 +269,15 @@ def test_direct_sum_dim_mismatch():
 def test_words_up_to_graded_lex():
     ws = words_up_to(2, 2)
     assert ws == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
+    assert words_up_to(3, 0) == [()]
+    with pytest.raises(InputError, match="must be >= 0"):
+        words_up_to(2, -1)
+
+
+def test_a_negative_seed_is_an_input_error():
+    with pytest.raises(InputError, match="invalid seed -1"):
+        rng_from_seed(-1)
+    assert rng_from_seed(0).integers(10) == np.random.default_rng(0).integers(10)
 
 
 def test_tolerances_validate():

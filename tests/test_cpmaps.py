@@ -4,12 +4,12 @@ import pytest
 from ncrkhs.core import InputError, NotCp, psd_factor
 from ncrkhs.cpmaps import (
     CpMap,
+    CpMapRkhs,
     cb_norm_cp,
     choi,
     effros_ruan_lower_bound,
     is_cp,
     max_entangled_argument,
-    rkhs_of_cp_map,
     sampled_amplified_positivity,
     stinespring,
 )
@@ -178,7 +178,7 @@ def test_effros_ruan_lower_bounds_identity_exactly():
 
 def test_rkhs_of_identity_map():
     phi = identity_map(2)
-    model = rkhs_of_cp_map(phi)
+    model = CpMapRkhs(phi)
     assert model.n_units == 4
     rng = rng_from_seed(7)
     for _ in range(10):
@@ -190,7 +190,7 @@ def test_rkhs_of_identity_map():
 
 def test_rkhs_of_zero_map():
     phi = CpMap.from_kraus([], k=2, m=2)
-    model = rkhs_of_cp_map(phi)
+    model = CpMapRkhs(phi)
     np.testing.assert_allclose(np.asarray(model.gram), np.zeros((8, 8)))
 
 
@@ -198,7 +198,7 @@ def test_rkhs_linearity_relation():
     # K_{V,Y} = sum_i K_{v_i, y_i} holds coefficientwise in the model
     rng = rng_from_seed(8)
     phi = random_kraus_map(rng, 2, 2, 2)
-    model = rkhs_of_cp_map(phi)
+    model = CpMapRkhs(phi)
     v1 = complex_gaussian(rng, 2, 2)
     v2 = complex_gaussian(rng, 2, 2)
     y = complex_gaussian(rng, 2, 1)[:, 0]
@@ -210,7 +210,7 @@ def test_rkhs_linearity_relation():
 def test_rkhs_sigma_laws():
     rng = rng_from_seed(9)
     phi = random_kraus_map(rng, 2, 2, 3)
-    model = rkhs_of_cp_map(phi)
+    model = CpMapRkhs(phi)
     a = complex_gaussian(rng, 2, 2)
     b = complex_gaussian(rng, 2, 2)
     sa, sb = model.sigma_matrix(a), model.sigma_matrix(b)
@@ -229,7 +229,7 @@ def test_rkhs_sigma_pointwise_action():
     # (sigma(a) f)(u) = f(u a)
     rng = rng_from_seed(10)
     phi = random_kraus_map(rng, 2, 2, 2)
-    model = rkhs_of_cp_map(phi)
+    model = CpMapRkhs(phi)
     c = complex_gaussian(rng, model.dim, 1)[:, 0]
     a = complex_gaussian(rng, 2, 2)
     u = complex_gaussian(rng, 2, 2)
@@ -253,7 +253,7 @@ def test_star_preservation_report():
 def test_rkhs_gram_and_kernel_element_match_unit_definitions(k, m):
     rng = rng_from_seed(40 + 3 * k + m)
     phi = random_kraus_map(rng, k, m, 2)
-    model = rkhs_of_cp_map(phi)
+    model = CpMapRkhs(phi)
     v = complex_gaussian(rng, k, k)
     y = complex_gaussian(rng, m, 1)[:, 0]
     gram = np.zeros((k * k * m, k * k * m), dtype=complex)
@@ -321,7 +321,7 @@ def test_choi_blocks_match_per_unit_loops(k, m):
         assert _close(f.apply_amplified(p_mat), _reference_apply_amplified(f, p_mat))
         np.testing.assert_array_equal(choi(f), _reference_choi(f))
 
-    model = rkhs_of_cp_map(phi)
+    model = CpMapRkhs(phi)
     coeffs = complex_gaussian(rng, model.dim, 1)[:, 0]
     u = complex_gaussian(rng, k, k)
     want = sum(phi.apply(u @ _unit(k, p, q)) @ coeffs[(p * k + q) * m:(p * k + q + 1) * m]

@@ -1,5 +1,3 @@
-import weakref
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,8 @@ from ncrkhs.formal import (
     formal_kolmogorov_truncated,
     is_formal_positive_truncated,
     moment_matrix,
+    SHIFT_SCALES,
+    _shift_values,
     nilpotent_positivity_check,
 )
 from ncrkhs.kernels import (
@@ -17,7 +17,7 @@ from ncrkhs.kernels import (
     szego_kernel as szego_formal_kernel,
 )
 from ncrkhs.sampling import complex_gaussian, rng_from_seed
-from ncrkhs.series import NcSeries, extract_taylor_coefficients
+from ncrkhs.series import NcSeries, extract_taylor_coefficients, truncated_shift_tuple
 from ncrkhs.series import functional_evaluator as functional_from_series
 from ncrkhs.series import multiply as convolve
 from ncrkhs.core import zero_tuple
@@ -211,23 +211,58 @@ def test_zero_kernel_passes():
     assert nilpotent_positivity_check(kernel, seed=0).passed
 
 
-def test_positivity_check_holds_one_shift_value_at_a_time(monkeypatch):
-    # a scaled shift's factor value is n x n*N for N words; the check must not keep all three
-    from ncrkhs import series
+def test_positivity_check_forms_no_value_at_the_shift_size(monkeypatch):
+    # the shift values come from the moment matrix: no factor value or nilpotency test at size N
+    from ncrkhs import kernels
 
     kernel = szego_formal_kernel(2, 3)
     size = len(words_up_to(2, 3))
-    blocks = series._word_blocks
-    evaluated, alive = [], []
-
-    def counted(f, z):
-        if z.n == size:
-            alive.append(sum(ref() is not None for ref in evaluated))
-            evaluated.append(weakref.ref(z))
-        return blocks(f, z)
-
-    monkeypatch.setattr(series, "_word_blocks", counted)
+    factor_sizes, order_sizes = [], []
+    factor_value, nilpotency_order = kernels.factor_value, kernels.nilpotency_order
+    monkeypatch.setattr(kernels, "factor_value", lambda f, z: factor_sizes.append(z.n) or factor_value(f, z))
+    monkeypatch.setattr(kernels, "nilpotency_order",
+                        lambda z, tol: order_sizes.append(z.n) or nilpotency_order(z, tol))
     cert = nilpotent_positivity_check(kernel, seed=1)
     assert cert.passed
-    assert alive == [0, 0, 0]
     assert [z.n for z in cert.points[-3:]] == [size] * 3
+    assert factor_sizes and max(factor_sizes) <= kernel.max_len + 1 < size
+    assert order_sizes and max(order_sizes) <= kernel.max_len + 1
+
+
+def _hermitian_table(rng, d, y, max_len):
+    words = words_up_to(d, max_len)
+    a = complex_gaussian(rng, len(words) * y, len(words) * y)
+    h = (a + a.conj().T).reshape(len(words), y, len(words), y)
+    return FormalKernel(d, y, {(u, v): h[i, :, j, :] for i, u in enumerate(words)
+                               for j, v in enumerate(words)}, max_len)
+
+
+SHIFT_CASES = {
+    "szego-d1": lambda: szego_formal_kernel(1, 4),
+    "szego-d2": lambda: szego_formal_kernel(2, 3),
+    "szego-d3": lambda: szego_formal_kernel(3, 2),
+    "szego-y2": lambda: szego_formal_kernel(2, 2, y_dim=2),
+    "hermitian-y2": lambda: _hermitian_table(rng_from_seed(60), 2, 2, 3),
+    "hermitian-d3": lambda: _hermitian_table(rng_from_seed(61), 3, 1, 2),
+    "sparse": lambda: FormalKernel(2, 1, {((1,), (2, 1)): [[0.5j]], ((2, 1), (1,)): [[-0.5j]],
+                                          ((), ()): [[3.0]], ((2,), (2,)): [[-1.0]]}, 3),
+    "max-len-0": lambda: FormalKernel(2, 2, {((), ()): [[2.0, 1.0], [1.0, 2.0]]}, 0),
+    "empty": lambda: FormalKernel(2, 1, {}, 2),
+}
+# tables whose shift values are sums of integers, so every summation order is exact
+EXACT = {"szego-d1", "szego-d2", "szego-d3", "szego-y2", "max-len-0", "empty"}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_CASES))
+def test_shift_values_match_evaluation_at_the_shift(name):
+    kernel = SHIFT_CASES[name]()
+    shift = truncated_shift_tuple(kernel.d, kernel.max_len)
+    values = _shift_values(kernel)
+    assert len(values) == len(SHIFT_SCALES)
+    for t, got in zip(SHIFT_SCALES, values):
+        z = shift.scaled(t)
+        want = kernel.evaluate(z, z, np.eye(z.n))
+        if name in EXACT:
+            assert np.array_equal(got, want), t
+        else:
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), t

@@ -30,7 +30,6 @@ from ncrkhs.kernels import (
     cp_certificate,
     cp_certificate_similarity_reduced,
     draw_kernel_axiom_samples,
-    extend_to_nc_envelope,
     kolmogorov_at_sample,
     moment_kernel_from_factor,
     szego_kernel,
@@ -335,11 +334,7 @@ def test_kolmogorov_at_sample_all_three_forms():
 
 
 def test_kolmogorov_at_sample_zero_kernel():
-    kernel = CallableKernel(
-        1, 1, AlgebraSpec(),
-        lambda z, w, p: np.zeros((z.n, w.n), dtype=complex),
-        default_sampler="nilpotent",
-    )
+    kernel = KolmogorovKernel(AlgebraSpec(), NcSeries.zero(1, 1, 1))
     sample = kolmogorov_at_sample(kernel, [zero_tuple(1, 2)])
     assert sample.rank == 0
     np.testing.assert_allclose(sample.reconstruct(0, 0, np.eye(2)), np.zeros((2, 2)))
@@ -347,7 +342,7 @@ def test_kolmogorov_at_sample_zero_kernel():
 
 def test_envelope_single_generator_direct_sum():
     value = np.array([[2.0]])
-    env = extend_to_nc_envelope([1], 1, {(0, 0): lambda p: p * value})
+    env = EnvelopeKernel([1], 1, {(0, 0): lambda p: p * value})
     p = complex_gaussian(rng_from_seed(11), 2, 2)
     out = env.evaluate_on_indices([0, 0], [0, 0], p)
     np.testing.assert_allclose(out, 2.0 * p)
@@ -368,7 +363,7 @@ def test_envelope_bbls_three_points():
     def make(i, j):
         return lambda p: cols[i].conj().T @ p @ cols[j]
 
-    env = extend_to_nc_envelope(
+    env = EnvelopeKernel(
         [1, 1, 1], 1, {(i, j): make(i, j) for i in range(3) for j in range(3)},
         algebra=AlgebraSpec(FULL_MATRIX, k=k),
     )
@@ -474,16 +469,46 @@ def test_kolmogorov_at_sample_matches_unit_evaluations():
                 assert np.linalg.norm(want - got) <= 1e-10 * max(1.0, np.linalg.norm(want))
 
 
-def test_kolmogorov_at_sample_evaluates_once_per_point_pair():
-    # an arbitrary evaluator is assembled block by block; factored kernels make no kernel call
+def test_kolmogorov_at_sample_refuses_an_unfactored_kernel():
     base = KolmogorovKernel(AlgebraSpec(), random_scalar_factor(rng_from_seed(32), 2, 2, 2), s=2)
-    calls = []
-    kernel = CallableKernel(base.d, base.y_dim, base.algebra,
-                            lambda *args: calls.append(args) or base.evaluate(*args))
+    kernel = CallableKernel(base.d, base.y_dim, base.algebra, base.evaluate)
+    with pytest.raises(InputError, match="factored kernel"):
+        kolmogorov_at_sample(kernel, [nilpotent_tuple(rng_from_seed(33), 2, 2)])
+
+
+def test_kolmogorov_at_sample_evaluates_only_at_the_points(monkeypatch):
+    # one factor value and one nilpotency test per sample point, none at an ampliation
+    kernel = moment_kernel_from_factor(random_scalar_factor(rng_from_seed(32), 2, 2, 2), max_len=3)
     rng = rng_from_seed(33)
     points = [nilpotent_tuple(rng, 2, n) for n in (2, 3, 1, 2)]
+    factor_points, order_points = [], []
+    factor_value, nilpotency_order = kernels.factor_value, kernels.nilpotency_order
+    monkeypatch.setattr(kernels, "factor_value", lambda f, z: factor_points.append(z) or factor_value(f, z))
+    monkeypatch.setattr(kernels, "nilpotency_order",
+                        lambda z, tol: order_points.append(z) or nilpotency_order(z, tol))
     kolmogorov_at_sample(kernel, points)
-    assert len(calls) == len(points) ** 2
+    assert [id(z) for z in factor_points] == [id(z) for z in points]
+    assert [id(z) for z in order_points] == [id(z) for z in points]
+
+
+def test_an_empty_point_adds_empty_blocks():
+    rng = rng_from_seed(34)
+    empty = zero_tuple(2, 0)
+    for kernel in (szego_kernel(2, 3, y_dim=2),
+                   KolmogorovKernel(AlgebraSpec(), random_scalar_factor(rng, 2, 2, 2), s=2)):
+        y = kernel.y_dim
+        z, w = nilpotent_tuple(rng, 2, 3), nilpotent_tuple(rng, 2, 2)
+        assert kernel.evaluate(empty, w, np.zeros((0, 2))).shape == (0, 2 * y)
+        assert kernel.evaluate(z, empty, np.zeros((3, 0))).shape == (3 * y, 0)
+        assert kernel.evaluate(empty, empty, np.zeros((0, 0))).shape == (0, 0)
+        x, v = complex_gaussian(rng, 3, 2), complex_gaussian(rng, 2, 2)
+        with_empty = kernel.block_matrix([z, empty, w], [x, np.zeros((0, 2)), v])
+        assert np.array_equal(with_empty, kernel.block_matrix([z, w], [x, v]))
+        sample = kolmogorov_at_sample(kernel, [z, empty, w])
+        plain = kolmogorov_at_sample(kernel, [z, w])
+        assert sample.rank == plain.rank and sample.gram_error == plain.gram_error
+        assert sample.factors[1].shape == (0, 0)
+        assert all(np.array_equal(a, b) for a, b in zip(sample.factors[::2], plain.factors))
 
 
 def test_kolmogorov_at_sample_needs_a_point():
