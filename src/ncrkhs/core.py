@@ -153,6 +153,9 @@ RANGE_SLACK = 1e3
 RANK_CUT = 1e-13
 # an eigenvalue of P_M P_H P_M above this marks a direction in both ranges
 OVERLAP_CUT = 1.0 - 1e-9
+# a Frobenius norm below this may have lost digits to entries whose squares
+# underflow (sqrt(tiny) / eps, about 6.7e-139); frobenius recomputes it scaled
+NORM_UNDERFLOW = float(np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +219,20 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def frobenius(m: np.ndarray, axis: tuple[int, int] | None = None):
     """The Frobenius norm of ``m``, or with ``axis`` that of each block over those two axes.
 
-    Squaring entries beyond about 1e154 overflows, so a norm that comes out
-    infinite for a finite ``m`` is recomputed as ``s * ||m / s||`` with
-    ``s = max|m|``; every other norm keeps its exact bits.
+    Squaring entries beyond about 1e154 overflows, and squaring entries
+    below about 1e-154 underflows, so a norm that comes out infinite for a
+    finite ``m``, or below :data:`NORM_UNDERFLOW`, is recomputed as
+    ``s * ||m / s||`` with ``s = max|m|`` over the same entries when
+    ``s > 0``; every other norm keeps its exact bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # the rescale below replaces an overflow
         norm = np.linalg.norm(m, axis=axis)
-    largest = norm if axis is None else np.max(norm, initial=0.0)
-    if largest == np.inf and np.isfinite(m).all():
-        s = np.max(np.abs(m))
-        norm = np.where(np.isinf(norm), s * np.linalg.norm(m / s, axis=axis), norm)
+    low, high = (norm, norm) if axis is None else (np.min(norm, initial=np.inf), np.max(norm, initial=0.0))
+    if (low < NORM_UNDERFLOW or high == np.inf) and np.isfinite(m).all():
+        s = np.max(np.abs(m), axis=axis, keepdims=True, initial=0.0)
+        s = np.where(s > 0.0, s, 1.0)
+        rescaled = np.squeeze(s, axis) * np.linalg.norm(m / s, axis=axis)
+        norm = np.where((norm < NORM_UNDERFLOW) | np.isinf(norm), rescaled, norm)
     return float(norm) if axis is None else norm
 
 

@@ -96,7 +96,7 @@ def formal_kolmogorov_truncated(
     m = moment_matrix(kernel, max_len)
     f = psd_factor(m, tol)
     rank = f.shape[1]
-    terms = {w: h_w for w, h_w in zip(words, f.reshape(len(words), y, rank)) if np.linalg.norm(h_w) > 0.0}
+    terms = {w: h_w for w, h_w in zip(words, f.reshape(len(words), y, rank)) if h_w.any()}
     h = NcSeries(kernel.d, y, max(rank, 1), terms if rank else {})
     # blockwise ||(M - F F*)_{ab}|| / max(1, ||M_{ab}||), maximized over word pairs
     blocks = (len(words), y, len(words), y)

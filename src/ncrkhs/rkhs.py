@@ -31,6 +31,7 @@ from .core import (
     MatrixTuple,
     Tolerances,
     as_cmatrix,
+    frobenius,
     frozen,
     kron,
     rel_err,
@@ -243,7 +244,7 @@ def lifted_norm(
     require_finite(a, "the lifted-norm system")
     b = np.concatenate(values)
     h, *_ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.linalg.norm(a @ h - b))
-    if rel_err(residual, float(np.linalg.norm(b))) > tol.eq_rel * SOLVE_SLACK:
+    residual = frobenius(a @ h - b)
+    if rel_err(residual, frobenius(b)) > tol.eq_rel * SOLVE_SLACK:
         raise Infeasible(residual)
-    return float(np.linalg.norm(h))
+    return frobenius(h)

@@ -23,9 +23,11 @@ powers into its words' column blocks instead of summing one-hot
 coefficients.
 
 The joint nilpotency order (:func:`nilpotency_order`) follows the descending
-flag ``V_{L+1} = sum_j Z_j V_L`` through one ``n x (d n)`` factor per length,
-so it costs O(d n^4) however many words there are; a jointly nilpotent tuple
-is one that is simultaneously strictly upper-triangularizable.
+flag ``V_{L+1} = sum_j Z_j V_L`` through one factor of at most ``d n x n``
+per length: one product with the stacked adjoint coordinates extends it,
+and a Householder QR recompresses it to n rows.  So it costs O(d n^4)
+however many words there are; a jointly nilpotent tuple is one that is
+simultaneously strictly upper-triangularizable.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .core import (
     kron,
     rel_err,
     sorted_table,
-    spec_norm,
     validate_word,
     word_key,
     words_up_to,
@@ -448,22 +449,27 @@ def nilpotency_order(z: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> int:
     """Smallest L with all length-L coordinate products numerically zero.
 
     Works on the point scaled by ``max(1, max ||Z_j||_2)`` through one factor
-    ``b`` with ``b b* = sum_{|w|=L} Z^w Z^w*`` there: a step is ``b -> [Z_1 b, ...,
-    Z_d b]``, and a thin SVD recompresses ``b`` to n columns without changing
-    ``b b*``.  L is the order once ``||b||_F <= eq_rel``, at O(d n^3) per step.
-    Bounded above by the matrix size; raises :class:`NotNilpotent` otherwise.
+    ``b`` with ``b b* = sum_{|w|=L} Z^w Z^w*`` there, kept as its adjoint
+    ``c = b*``.  A step is ``b -> [Z_1 b, ..., Z_d b]``: one product of ``c``
+    with the stacked ``[Z_1*, ..., Z_d*]`` gives every ``c Z_j*``, read as
+    row blocks, and when ``c`` has more rows than columns the R of its
+    Householder QR replaces it, which keeps ``c* c = b b*``.  L is the order
+    once ``||c||_F <= eq_rel``, at O(d n^3) per step.  Bounded above by the
+    matrix size; raises :class:`NotNilpotent` otherwise.
     """
-    scale = max(1.0, max(spec_norm(c) for c in z.coords))
-    coords = [c / scale for c in z.coords]
-    b = np.eye(z.n, dtype=np.complex128)
+    coords = np.array(z.coords)
+    d, n = z.d, z.n
+    scale = max(1.0, np.max(np.linalg.svd(coords, compute_uv=False), initial=0.0))
+    stacked = (coords.conj().transpose(2, 0, 1) / scale).reshape(n, d * n)
+    c = np.eye(n, dtype=np.complex128)
     # a 0 x 0 point has order 1, like the zero tuple
-    for length in range(1, max(z.n, 1) + 1):
-        b = np.hstack([c @ b for c in coords])
-        if frobenius(b) <= tol.eq_rel:
+    for length in range(1, max(n, 1) + 1):
+        c = (c @ stacked).reshape(len(c) * d, n)
+        if frobenius(c) <= tol.eq_rel:
             return length
-        u, s, _ = np.linalg.svd(b, full_matrices=False)
-        b = u * s
-    raise NotNilpotent(f"tuple of size {z.n} has nonvanishing products of length {z.n}")
+        if len(c) > n:
+            c = np.linalg.qr(c, mode="r")
+    raise NotNilpotent(f"tuple of size {n} has nonvanishing products of length {n}")
 
 
 def evaluate_on_nilpotent(f: NcSeries, z: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -543,7 +549,7 @@ def extract_taylor_coefficients(
             if rel_err(frobenius(c - coeffs[w]), scale_v) > tol.eq_rel:
                 raise InconsistentEvaluator(f"coefficient of {w} disagrees across probe sizes")
 
-    return NcSeries(d, out_dim, in_dim, {w: c for w, c in coeffs.items() if frobenius(c) > 0.0})
+    return NcSeries(d, out_dim, in_dim, {w: c for w, c in coeffs.items() if c.any()})
 
 
 def functional_evaluator(f: NcSeries, tol: Tolerances = DEFAULT_TOL) -> Callable[[MatrixTuple], np.ndarray]:
