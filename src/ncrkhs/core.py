@@ -221,18 +221,19 @@ def frobenius(m: np.ndarray, axis: tuple[int, int] | None = None):
 
     Squaring entries beyond about 1e154 overflows, and squaring entries
     below about 1e-154 underflows, so a norm that comes out infinite for a
-    finite ``m``, or below :data:`NORM_UNDERFLOW`, is recomputed as
-    ``s * ||m / s||`` with ``s = max|m|`` over the same entries when
-    ``s > 0``; every other norm keeps its exact bits.
+    finite ``m``, or below :data:`NORM_UNDERFLOW` for nonzero entries, is
+    recomputed as ``s * ||m / s||`` with ``s = max|m|`` over the same
+    entries; every other norm keeps its exact bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # the rescale below replaces an overflow
         norm = np.linalg.norm(m, axis=axis)
     low, high = (norm, norm) if axis is None else (np.min(norm, initial=np.inf), np.max(norm, initial=0.0))
-    if (low < NORM_UNDERFLOW or high == np.inf) and np.isfinite(m).all():
-        s = np.max(np.abs(m), axis=axis, keepdims=True, initial=0.0)
-        s = np.where(s > 0.0, s, 1.0)
-        rescaled = np.squeeze(s, axis) * np.linalg.norm(m / s, axis=axis)
-        norm = np.where((norm < NORM_UNDERFLOW) | np.isinf(norm), rescaled, norm)
+    if low < NORM_UNDERFLOW or high == np.inf:
+        redo = np.isinf(norm) | ((norm < NORM_UNDERFLOW) & m.any(axis=axis))
+        if redo.any() and np.isfinite(m).all():
+            s = np.max(np.abs(m), axis=axis, keepdims=True)
+            s = np.where(s > 0.0, s, 1.0)
+            norm = np.where(redo, np.squeeze(s, axis) * np.linalg.norm(m / s, axis=axis), norm)
     return float(norm) if axis is None else norm
 
 

@@ -23,11 +23,10 @@ powers into its words' column blocks instead of summing one-hot
 coefficients.
 
 The joint nilpotency order (:func:`nilpotency_order`) follows the descending
-flag ``V_{L+1} = sum_j Z_j V_L`` through one factor of at most ``d n x n``
-per length: one product with the stacked adjoint coordinates extends it,
-and a Householder QR recompresses it to n rows.  So it costs O(d n^4)
-however many words there are; a jointly nilpotent tuple is one that is
-simultaneously strictly upper-triangularizable.
+flag ``V_{L+1} = sum_j Z_j V_L`` through one factor per length, extended by
+one product with the stacked adjoint coordinates and recompressed by a QR,
+so it costs O(d n^4) however many words there are; a jointly nilpotent tuple
+is one that is simultaneously strictly upper-triangularizable.
 """
 
 from __future__ import annotations
@@ -448,14 +447,12 @@ def check_respects_intertwinings(
 def nilpotency_order(z: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> int:
     """Smallest L with all length-L coordinate products numerically zero.
 
-    Works on the point scaled by ``max(1, max ||Z_j||_2)`` through one factor
-    ``b`` with ``b b* = sum_{|w|=L} Z^w Z^w*`` there, kept as its adjoint
-    ``c = b*``.  A step is ``b -> [Z_1 b, ..., Z_d b]``: one product of ``c``
-    with the stacked ``[Z_1*, ..., Z_d*]`` gives every ``c Z_j*``, read as
-    row blocks, and when ``c`` has more rows than columns the R of its
-    Householder QR replaces it, which keeps ``c* c = b b*``.  L is the order
-    once ``||c||_F <= eq_rel``, at O(d n^3) per step.  Bounded above by the
-    matrix size; raises :class:`NotNilpotent` otherwise.
+    Works on the point scaled by ``max(1, max ||Z_j||_2)`` through a factor
+    ``c`` with ``c* c = sum_{|w|=L} Z^w Z^w*`` there.  A step stacks the row
+    blocks ``c Z_j*``, all from one product with ``[Z_1*, ..., Z_d*]``, and the
+    R of a Householder QR recompresses them to n rows, keeping ``c* c``.  L is
+    the order once ``||c||_F <= eq_rel``, at O(d n^3) per step.  Bounded above
+    by the matrix size; raises :class:`NotNilpotent` otherwise.
     """
     coords = np.array(z.coords)
     d, n = z.d, z.n

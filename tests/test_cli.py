@@ -65,6 +65,16 @@ def test_nilp_eval_and_extract(tmp_path, capsys):
     assert [1] in words
 
 
+def test_extract_keeps_a_coefficient_whose_norm_underflows(tmp_path, capsys):
+    f = NcSeries(1, 1, 1, {(): [[1.0]], (1,): [[1e-170]], (1, 1): [[0.5]]})
+    series_path = write(tmp_path, "f.json", encode_series(f))
+    code, payload = run(capsys, ["extract-coeffs", "--series", series_path, "--max-len", "2"])
+    assert code == 0
+    terms = {tuple(term["word"]): term for term in payload["series"]["terms"]}
+    assert list(terms) == [(), (1,), (1, 1)]
+    assert float(np.ravel(terms[(1,)]["coeff"]["data"])[0]) == pytest.approx(1e-170, rel=1e-12, abs=0.0)
+
+
 def test_check_ncfun_and_kernel(tmp_path, capsys):
     f = NcSeries(2, 1, 1, {(): [[1.0]], (1,): [[0.5]], (2, 1): [[0.25]]})
     series_path = write(tmp_path, "f.json", encode_series(f))
@@ -151,6 +161,22 @@ def test_lifted_norm_subcommand(tmp_path, capsys):
     code, payload = run(capsys, ["lifted-norm", "--kernel", zk_path, "--target", target_path])
     assert code == 4
     assert payload["status"] == "infeasible"
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_lifted_norm_of_a_huge_kernel_does_not_underflow(tmp_path, capsys, scale):
+    j2 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    target = {"samples": [{"point": encode_tuple(MatrixTuple((j2,))), "u": encode_matrix(np.ones((2, 1))),
+                           "value": encode_matrix(np.array([[1.5], [1.0]]))}]}
+    target_path = write(tmp_path, "t.json", target)
+    norms = []
+    for s in (1.0, scale):
+        h = NcSeries(1, 1, 1, {(): [[s]], (1,): [[0.5 * s]]})
+        kernel_path = write(tmp_path, "k.json", encode_kernel(KolmogorovKernel(AlgebraSpec(), h)))
+        code, payload = run(capsys, ["lifted-norm", "--kernel", kernel_path, "--target", target_path])
+        assert code == 0
+        norms.append(payload["norm"])
+    assert norms[1] == pytest.approx(norms[0] / scale, rel=1e-12, abs=0.0)
 
 
 def test_multiplier_check_dichotomy(tmp_path, capsys):

@@ -113,6 +113,24 @@ def test_frobenius_rescales_huge_entries_without_a_warning():
         assert frobenius(np.array([[3.0, 4.0]])) == 5.0
 
 
+def test_frobenius_rescales_tiny_entries():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frobenius(np.full((3, 3), 1e-200 + 0j)) == pytest.approx(3e-200, rel=1e-15, abs=0.0)
+        assert frobenius(np.array([[3e-170, 4e-170j]])) == pytest.approx(5e-170, rel=1e-15, abs=0.0)
+        # each block is rescaled by its own largest entry, next to huge and zero blocks
+        m = np.zeros((3, 2, 3, 2), dtype=np.complex128)
+        m[0, :, 0, :] = 1e-200
+        m[1, :, 1, :] = 1e200
+        m[2, 0, 2, 0] = 1.0
+        np.testing.assert_allclose(frobenius(m, axis=(1, 3)), np.diag([2e-200, 2e200, 1.0]), rtol=1e-15)
+        # zero input keeps a zero norm
+        assert frobenius(np.zeros((2, 2))) == 0.0
+        assert frobenius(np.zeros((0, 0))) == 0.0
+        np.testing.assert_array_equal(frobenius(np.zeros((2, 2, 2, 2)), axis=(1, 3)), np.zeros((2, 2)))
+        assert frobenius(np.zeros((0, 2, 0, 2)), axis=(1, 3)).shape == (0, 0)
+
+
 def test_psd_factor_identity():
     f = psd_factor(np.eye(2))
     np.testing.assert_allclose(f @ f.conj().T, np.eye(2), atol=1e-12)
