@@ -143,6 +143,14 @@ def test_large_gaussian_point_is_refused_quickly():
     assert time.perf_counter() - start < 1.0
 
 
+def test_large_nilpotent_point_is_ordered_quickly():
+    z = nilpotent_tuple(rng_from_seed(32), 3, 32)
+    start = time.perf_counter()
+    order = nilpotency_order(z)
+    assert time.perf_counter() - start < 1.0
+    assert order == svd_order(z)
+
+
 def jordan_tuple(rng, d: int, n: int) -> MatrixTuple:
     """Combinations of J and J^2 for J a sum of Jordan blocks of sizes ceil(n/2) and floor(n/2): order ceil(n/2)."""
     top = (n + 1) // 2
@@ -210,11 +218,3 @@ def test_one_svd_and_at_most_one_qr_per_length(linalg_calls):
         assert qrs <= (z.n if order is None else order - 1)
         if z.d == 1:
             assert qrs == 0
-
-
-def test_large_nilpotent_point_is_ordered_quickly():
-    z = nilpotent_tuple(rng_from_seed(32), 3, 32)
-    start = time.perf_counter()
-    order = nilpotency_order(z)
-    assert time.perf_counter() - start < 1.0
-    assert order == svd_order(z)
