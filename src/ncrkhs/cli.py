@@ -42,6 +42,9 @@ from .sampling import (
     sample_tuple,
 )
 from .serialize import (
+    _kernel_form,
+    _series_form,
+    _tuple_form,
     decode_cp_map,
     decode_formal_kernel,
     decode_kernel,
@@ -51,10 +54,6 @@ from .serialize import (
     decode_series,
     decode_tuple,
     dumps_canonical,
-    encode_kernel,
-    encode_matrix,
-    encode_series,
-    encode_tuple,
 )
 
 EXIT_CODES = {"ok": 0, "input_error": 2, "certificate_failed": 3, "infeasible": 4}
@@ -80,9 +79,9 @@ def _certificate_payload(cert) -> dict:
     if not cert.passed:
         # reproducible witness: the sampled points and the offending direction
         if cert.points:
-            payload["witness_points"] = [encode_tuple(z) for z in cert.points]
+            payload["witness_points"] = [_tuple_form(z, np.asarray) for z in cert.points]
         if cert.witness is not None:
-            payload["witness_vector"] = encode_matrix(np.asarray(cert.witness).reshape(-1, 1))
+            payload["witness_vector"] = np.asarray(cert.witness).reshape(-1, 1)
     return payload
 
 
@@ -114,13 +113,13 @@ def _at_least(value: int, low: int, option: str) -> int:
 def _cmd_eval(args, tol):
     f = decode_series(_load(args.series, "series"), "series")
     z = decode_tuple(_load(args.point, "point"), "point")
-    return {"status": "ok", "value": encode_matrix(series.evaluate(f, z))}
+    return {"status": "ok", "value": series.evaluate(f, z)}
 
 
 def _cmd_nilp_eval(args, tol):
     f = decode_series(_load(args.series, "series"), "series")
     z = decode_tuple(_load(args.point, "point"), "point")
-    return {"status": "ok", "value": encode_matrix(series.evaluate_on_nilpotent(f, z, tol))}
+    return {"status": "ok", "value": series.evaluate_on_nilpotent(f, z, tol)}
 
 
 def _cmd_extract_coeffs(args, tol):
@@ -128,7 +127,7 @@ def _cmd_extract_coeffs(args, tol):
     got = series.extract_taylor_coefficients(
         series.functional_evaluator(f, tol), f.d, args.max_len, f.out_dim, f.in_dim, tol
     )
-    return {"status": "ok", "series": encode_series(got)}
+    return {"status": "ok", "series": _series_form(got, np.asarray)}
 
 
 def _cmd_check_ncfun(args, tol):
@@ -198,19 +197,19 @@ def _cmd_kolmogorov(args, tol):
         "seed": args.seed,
         "rank": sample.rank,
         "gram_error": sample.gram_error,
-        "points": [encode_tuple(z) for z in sample.points],
-        "factors": [encode_matrix(h) for h in sample.factors],
+        "points": [_tuple_form(z, np.asarray) for z in sample.points],
+        "factors": sample.factors,
     }
 
 
 def _cmd_kernel_from_basis(args, tol):
     model = decode_model(_load(args.model, "model"), "model", tol)
-    return {"status": "ok", "kernel": encode_kernel(model.kernel())}
+    return {"status": "ok", "kernel": _kernel_form(model.kernel(), np.asarray)}
 
 
 def _cmd_bergman(args, tol):
     model = decode_model(_load(args.model, "model"), "model", tol)
-    return {"status": "ok", "kernel": encode_kernel(rkhs.bergman_kernel(model))}
+    return {"status": "ok", "kernel": _kernel_form(rkhs.bergman_kernel(model), np.asarray)}
 
 
 def _cmd_lifted_norm(args, tol):
@@ -293,7 +292,7 @@ def _cmd_formal_factor(args, tol):
         "status": "ok",
         "rank": fact.rank,
         "reconstruction_error": fact.reconstruction_error,
-        "h": encode_series(fact.h),
+        "h": _series_form(fact.h, np.asarray),
     }
 
 
@@ -317,7 +316,7 @@ def _cmd_stinespring(args, tol):
         "status": "ok",
         "r": dilation.r,
         "x_dim": dilation.x_dim,
-        "h": encode_matrix(dilation.h),
+        "h": dilation.h,
         "reconstruction_error": dilation.reconstruction_error,
     }
 

@@ -24,6 +24,7 @@ from .core import (
     NotCp,
     Tolerances,
     as_cmatrix,
+    frobenius,
     frozen,
     hermitize,
     kron,
@@ -97,8 +98,8 @@ class CpMap:
         # block (q, p) of C* - C is phi(e_pq)* - phi(e_qp)
         c = choi(self)
         blocks = (self.k, self.m, self.k, self.m)
-        worst = float(np.max(np.linalg.norm((c.conj().T - c).reshape(blocks), axis=(1, 3))))
-        scale = float(np.max(np.linalg.norm(self.choi_blocks, axis=(1, 3))))
+        worst = float(np.max(frobenius((c.conj().T - c).reshape(blocks), axis=(1, 3))))
+        scale = float(np.max(frobenius(self.choi_blocks, axis=(1, 3))))
         return bool(rel_err(worst, scale) <= self.tol.eq_rel), worst
 
     def scaled(self, t: complex) -> "CpMap":
@@ -154,8 +155,8 @@ def stinespring(phi: CpMap, tol: Tolerances | None = None) -> StinespringDilatio
     h = factor.reshape(k, m, r).transpose(1, 0, 2).reshape(m, k * r)
     # H (e_pq (x) I_r) H* is block (p, q) of F F*
     blocks = (k, m, k, m)
-    diff = np.linalg.norm((c - factor @ factor.conj().T).reshape(blocks), axis=(1, 3))
-    scale = np.linalg.norm(c.reshape(blocks), axis=(1, 3))
+    diff = frobenius((c - factor @ factor.conj().T).reshape(blocks), axis=(1, 3))
+    scale = frobenius(c.reshape(blocks), axis=(1, 3))
     return StinespringDilation(h, r, k * r, float(np.max(rel_err(diff, scale))))
 
 

@@ -21,6 +21,7 @@ from .core import (
     DEFAULT_TOL,
     Tolerances,
     TruncationTooShort,
+    frobenius,
     psd_factor,
     psd_verdict,
     rel_err,
@@ -100,8 +101,8 @@ def formal_kolmogorov_truncated(
     h = NcSeries(kernel.d, y, max(rank, 1), terms if rank else {})
     # blockwise ||(M - F F*)_{ab}|| / max(1, ||M_{ab}||), maximized over word pairs
     blocks = (len(words), y, len(words), y)
-    diff = np.linalg.norm((m - f @ f.conj().T).reshape(blocks), axis=(1, 3))
-    err = float(np.max(rel_err(diff, np.linalg.norm(m.reshape(blocks), axis=(1, 3)))))
+    diff = frobenius((m - f @ f.conj().T).reshape(blocks), axis=(1, 3))
+    err = float(np.max(rel_err(diff, frobenius(m.reshape(blocks), axis=(1, 3)))))
     return FormalFactorization(h, rank, err)
 
 

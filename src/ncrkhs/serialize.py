@@ -6,17 +6,23 @@ dumper renders floats with 17 significant digits so that identical inputs
 and seeds produce byte-identical payloads.
 
 Each table (a matrix's entries, a series' terms, a moment table) is
-converted in one array pass: the decoders read every coefficient of a table
+decoded in one array pass: the decoders read every coefficient of a table
 into one numpy array and leave the letters to one pass of the series or
-kernel, and the dumper renders a list of [re, im] pairs with one format
-call.  Only input that pass does not accept is walked entry by entry, which
-names the bad entry.
+kernel.  Only input that pass does not accept is walked entry by entry,
+which names the bad entry.
+
+The dumper also takes numpy arrays, each rendered as the matrix object that
+:func:`encode_matrix` builds, and formats every float of a payload, those of
+its arrays included, with one format call.  The CLI therefore hands it the
+arrays themselves.  The public ``encode_*`` functions keep returning
+JSON-native objects (lists of Python floats); they and the CLI build each
+file form with the same private builder, which takes the matrix leaf as an
+argument.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from itertools import chain
 from operator import itemgetter
 from typing import Any
@@ -51,55 +57,67 @@ from .series import NcSeries
 # canonical dumping
 # ---------------------------------------------------------------------------
 
-def _render_float(x: float) -> str:
-    if x == 0.0:
-        return "0"
-    if not math.isfinite(x):
-        # JSON has no NaN or Infinity; such a value comes from overflow
-        raise InputError(f"cannot encode the non-finite number {x} (the computation overflowed)")
-    return format(float(x), ".17g")
+def _layout(obj: Any, text: list[str], numbers: list) -> None:
+    """Append the JSON text of ``obj`` to ``text``, each float as a ``%.17g`` slot.
 
-
-def _render_pairs(obj: list) -> str | None:
-    """A nonempty list of finite [float, float] pairs in one format call, else None.
-
-    ``%.17g`` renders a float as ``format(x, ".17g")`` does; adding 0.0 maps
-    -0.0, which it would print as "-0", to 0.
+    The floats go to ``numbers`` in document order: a Python float as it
+    is, an array's entries as one float64 array of [re, im] pairs.
+    Literal text has its ``%`` doubled.
     """
-    if not obj or set(map(type, obj)) != {list} or set(map(len, obj)) != {2}:
-        return None
-    values = list(chain.from_iterable(obj))
-    if set(map(type, values)) != {float}:
-        return None
-    flat = np.array(values)
-    if not np.isfinite(flat).all():
-        return None
-    return "[" + ",".join(["[%.17g,%.17g]"] * len(obj)) % tuple((flat + 0.0).tolist()) + "]"
+    if obj is None:
+        text.append("null")
+    elif obj is True:
+        text.append("true")
+    elif obj is False:
+        text.append("false")
+    elif isinstance(obj, str):
+        text.append(json.dumps(obj).replace("%", "%%"))
+    elif isinstance(obj, (int, np.integer)):
+        text.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        text.append("%.17g")
+        numbers.append(float(obj))
+    elif isinstance(obj, dict):
+        text.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            text.append(("," if i else "") + json.dumps(str(key)).replace("%", "%%") + ":")
+            _layout(value, text, numbers)
+        text.append("}")
+    elif isinstance(obj, (list, tuple)) and set(map(type, obj)) == {int}:
+        text.append("[" + ",".join(map(str, obj)) + "]")  # a word, in one join
+    elif isinstance(obj, (list, tuple)):
+        text.append("[")
+        for i, value in enumerate(obj):
+            if i:
+                text.append(",")
+            _layout(value, text, numbers)
+        text.append("]")
+    elif isinstance(obj, np.ndarray) and obj.ndim in (1, 2) and obj.dtype.kind in "biufc":
+        # the object encode_matrix builds: a 1-D array is a column, entries are complex
+        rows, cols = obj.shape if obj.ndim == 2 else (obj.shape[0], 1)
+        text.append(f'{{"rows":{rows},"cols":{cols},"data":[' + ",".join(["[%.17g,%.17g]"] * obj.size) + "]}")
+        numbers.append(np.ascontiguousarray(obj, dtype=np.complex128).reshape(-1).view(np.float64))
+    else:
+        raise InputError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def dumps_canonical(obj: Any) -> str:
-    """Deterministic JSON text: dict order preserved, floats at 17 significant digits."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _render_float(float(obj))
-    if isinstance(obj, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{dumps_canonical(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        pairs = _render_pairs(obj) if type(obj) is list else None
-        if pairs is not None:
-            return pairs
-        return "[" + ",".join(dumps_canonical(v) for v in obj) + "]"
-    raise InputError(f"cannot serialize object of type {type(obj).__name__}")
+    """Deterministic JSON text: dict order preserved, floats at 17 significant digits.
+
+    A numpy array renders as its :func:`encode_matrix` object.  ``%.17g``
+    renders a float as ``format(x, ".17g")`` does; adding 0.0 maps -0.0,
+    which it would print as "-0", to 0.
+    """
+    text: list[str] = []
+    numbers: list = []
+    _layout(obj, text, numbers)
+    flat = np.hstack(numbers) + 0.0 if numbers else np.zeros(0)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        # JSON has no NaN or Infinity; such a value comes from overflow
+        bad = float(flat[np.argmin(finite)])
+        raise InputError(f"cannot encode the non-finite number {bad} (the computation overflowed)")
+    return "".join(text) % tuple(flat.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +245,17 @@ def decode_word(data, d: int, where: str = "word"):
         raise InputError(f"{where}: {exc}") from exc
 
 
-def encode_tuple(z: MatrixTuple) -> dict:
+def _tuple_form(z: MatrixTuple, leaf) -> dict:
+    """The file form of a tuple, each coordinate rendered by ``leaf``."""
     return {
         "d": z.d,
         "n": z.n,
-        "coords": [encode_matrix(c) for c in z.coords],
+        "coords": [leaf(c) for c in z.coords],
     }
+
+
+def encode_tuple(z: MatrixTuple) -> dict:
+    return _tuple_form(z, encode_matrix)
 
 
 def decode_tuple(data, where: str = "point") -> MatrixTuple:
@@ -252,15 +275,20 @@ def decode_tuple(data, where: str = "point") -> MatrixTuple:
 # series
 # ---------------------------------------------------------------------------
 
-def encode_series(f: NcSeries) -> dict:
+def _series_form(f: NcSeries, leaf) -> dict:
+    """The file form of a series, each coefficient rendered by ``leaf``."""
     return {
         "d": f.d,
         "p": f.out_dim,
         "q": f.in_dim,
         "terms": [
-            {"word": encode_word(w), "coeff": encode_matrix(c)} for w, c in f.terms.items()
+            {"word": encode_word(w), "coeff": leaf(c)} for w, c in f.terms.items()
         ],
     }
+
+
+def encode_series(f: NcSeries) -> dict:
+    return _series_form(f, encode_matrix)
 
 
 def decode_series(data, where: str = "series") -> NcSeries:
@@ -300,13 +328,6 @@ def decode_algebra(data, where: str = "algebra") -> AlgebraSpec:
     return AlgebraSpec(kind, decode_int(data, "k", where, 1), decode_int(data, "r", where, 1))
 
 
-def _encode_moment_table(moments) -> list[dict]:
-    return [
-        {"row_word": encode_word(wa), "col_word": encode_word(wb), "coeff": encode_matrix(c)}
-        for (wa, wb), c in moments.items()
-    ]
-
-
 def _decode_moment_kernel(data, where: str, tol: Tolerances) -> MomentKernel:
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected an object with d/y_dim/max_len/moments")
@@ -328,30 +349,38 @@ def _decode_moment_kernel(data, where: str, tol: Tolerances) -> MomentKernel:
     return MomentKernel(d, y_dim, moments, max_len, tol)
 
 
-def encode_kernel(kernel: KernelBase) -> dict:
+def _kernel_form(kernel: KernelBase, leaf) -> dict:
+    """The file form of a kernel, each matrix rendered by ``leaf``."""
     if isinstance(kernel, MomentKernel):
         return {
             "form": "moment",
             "d": kernel.d,
             "y_dim": kernel.y_dim,
             "max_len": kernel.max_len,
-            "moments": _encode_moment_table(kernel.moments),
+            "moments": [
+                {"row_word": encode_word(wa), "col_word": encode_word(wb), "coeff": leaf(c)}
+                for (wa, wb), c in kernel.moments.items()
+            ],
         }
     if isinstance(kernel, KolmogorovKernel):
         return {
             "form": "kolmogorov",
             "algebra": encode_algebra(kernel.algebra),
             "s": kernel.s,
-            "h": encode_series(kernel.h),
+            "h": _series_form(kernel.h, leaf),
         }
     if isinstance(kernel, GramBasisKernel):
         return {
             "form": "gram_basis",
             "algebra": encode_algebra(kernel.algebra),
-            "basis": [encode_series(f) for f in kernel.basis],
-            "gram": encode_matrix(kernel.gram),
+            "basis": [_series_form(f, leaf) for f in kernel.basis],
+            "gram": leaf(kernel.gram),
         }
     raise InputError(f"kernel of type {type(kernel).__name__} has no file form")
+
+
+def encode_kernel(kernel: KernelBase) -> dict:
+    return _kernel_form(kernel, encode_matrix)
 
 
 def decode_kernel(data, where: str = "kernel", tol: Tolerances = DEFAULT_TOL) -> KernelBase:

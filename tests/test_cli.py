@@ -323,6 +323,53 @@ def test_in_process_determinism(tmp_path, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_cli_payloads_render_arrays_without_encode_matrix(tmp_path, capsys, monkeypatch):
+    rng = rng_from_seed(5)
+    f = NcSeries(2, 1, 1, {(): [[1.0]], (1,): [[0.5]], (2, 1): [[-0.25]]})
+    h = NcSeries(2, 1, 2, {(): complex_gaussian(rng, 1, 2), (1,): complex_gaussian(rng, 1, 2)})
+    model = RkhsModel(AlgebraSpec(), [NcSeries.constant(1, [[1.0]]), NcSeries.monomial(1, (1,), [[1.0]])],
+                      [[2.0, 0.5], [0.5, 1.0]])
+    z = MatrixTuple(tuple(complex_gaussian(rng, 2, 2) for _ in range(2)))
+    paths = {
+        "f": write(tmp_path, "f.json", encode_series(f)),
+        "z": write(tmp_path, "z.json", encode_tuple(z)),
+        "nz": write(tmp_path, "nz.json", encode_tuple(zero_tuple(2, 3))),
+        "kol": write(tmp_path, "kol.json", encode_kernel(KolmogorovKernel(AlgebraSpec(), h, s=2))),
+        "formal": write(tmp_path, "fk.json", encode_formal_kernel(szego_formal_kernel(2, 2))),
+        "bad": write(tmp_path, "bad.json", encode_kernel(MomentKernel(1, 1, {((), ()): [[-1.0]]}, 0))),
+        "model": write(tmp_path, "m.json", encode_model(model)),
+        "map": write(tmp_path, "phi.json", encode_cp_map(CpMap.from_kraus([complex_gaussian(rng, 2, 2)]))),
+    }
+    commands = [
+        ["eval", "--series", "{f}", "--point", "{z}"],
+        ["nilp-eval", "--series", "{f}", "--point", "{nz}"],
+        ["extract-coeffs", "--series", "{f}", "--max-len", "2"],
+        ["kolmogorov", "--kernel", "{kol}", "--seed", "1"],
+        ["formal-factor", "--kernel", "{formal}", "--L", "2"],
+        ["cp-certify", "--kernel", "{bad}", "--sampler", "nilpotent", "--seed", "7"],
+        ["kernel-from-basis", "--model", "{model}"],
+        ["bergman", "--model", "{model}"],
+        ["stinespring", "--map", "{map}"],
+    ]
+    commands = [[arg.format(**paths) for arg in argv] for argv in commands]
+    before = []
+    for argv in commands:
+        main(argv)
+        before.append(capsys.readouterr().out)
+    failed = json.loads(before[5])
+    assert failed["status"] == "certificate_failed" and "witness_points" in failed and "witness_vector" in failed
+
+    from ncrkhs import serialize
+
+    def refuse(m):
+        raise AssertionError("a CLI payload built a list of [re, im] pairs")
+
+    monkeypatch.setattr(serialize, "encode_matrix", refuse)
+    for argv, want in zip(commands, before):
+        main(argv)
+        assert capsys.readouterr().out == want, argv[0]
+
+
 def _asymmetric_table(formal: bool) -> dict:
     """d = 1 table [[1, 0.1], [0.1 + 1e-9, 1]]: positive, Hermitian only to 1e-9."""
     entries = {((), ()): 1.0, ((1,), (1,)): 1.0, ((), (1,)): 0.1, ((1,), ()): 0.1 + 1e-9}
@@ -582,6 +629,30 @@ def test_containment_of_huge_kernels_fails_as_a_certificate(tmp_path, capsys, sc
     # the overflowing plain norm is replaced without a warning: stderr holds the summary alone
     assert [str(w.message) for w in caught] == []
     assert captured.err == "ncrkhs containment: certificate_failed\n"
+
+
+def _scaled_formal_szego(scale):
+    szego = szego_formal_kernel(2, 2)
+    return encode_formal_kernel(MomentKernel(2, 1, {key: scale * val for key, val in szego.moments.items()}, 2))
+
+
+@pytest.mark.parametrize(
+    "argv, file",
+    [(["formal-factor", "--kernel", "{a}", "--L", "2"], _scaled_formal_szego(1e160)),
+     (["formal-factor", "--kernel", "{a}", "--L", "2"], _scaled_formal_szego(1e200)),
+     (["stinespring", "--map", "{a}"], encode_cp_map(CpMap.from_kraus([np.array([[1, 0.5], [0, 1]]) * 1e80])))],
+    ids=["formal-factor-1e160", "formal-factor-1e200", "stinespring-1e80"],
+)
+def test_huge_blockwise_reconstruction_norms_do_not_overflow(tmp_path, capsys, argv, file):
+    path = write(tmp_path, "a.json", file)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([arg.format(a=path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["reconstruction_error"] <= 1e-12
+    assert [str(w.message) for w in caught] == []
+    assert captured.err == f"ncrkhs {argv[0]}: ok\n"
 
 
 @pytest.mark.parametrize(

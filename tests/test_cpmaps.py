@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,15 @@ def test_star_preservation_report():
     units[(0, 1)] = np.eye(2)
     bad = CpMap(2, 2, units)
     assert not bad.is_star_preserving()[0]
+
+
+def test_star_preservation_of_a_huge_map():
+    # the Choi entries are about 1e160, so their squares overflow a plain norm
+    phi = CpMap.from_kraus([np.array([[1, 0.5], [0, 1]]) * 1e80])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert phi.is_star_preserving() == (True, 0.0)
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("k, m", [(1, 1), (1, 3), (2, 2), (3, 2)])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncrkhs import serialize
 from ncrkhs.core import InputError, MatrixTuple, as_cmatrix, word_key
 from ncrkhs.cpmaps import CpMap
 from ncrkhs.kernels import AlgebraSpec, GramBasisKernel, KolmogorovKernel, MomentKernel, szego_kernel
@@ -483,17 +484,82 @@ def _bits(data):
     return np.array(data, dtype=np.float64).tobytes()
 
 
+def _variants(rows, cols, data):
+    """A drawn complex matrix, any entry possibly non-finite, as the views the encoders must agree on."""
+    parts = data.draw(st.lists(_ANY_FLOATS, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    m = np.zeros((rows, cols), dtype=np.complex128)
+    m.real, m.imag = np.array(parts[::2]).reshape(rows, cols), np.array(parts[1::2]).reshape(rows, cols)
+    return m, m.T, m[:, ::-1], m.reshape(-1), m.real
+
+
 @settings(max_examples=200)
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_encode_matrix_matches_entrywise_encoder(rows, cols, data):
-    parts = data.draw(st.lists(_ANY_FLOATS, min_size=2 * rows * cols, max_size=2 * rows * cols))
-    m = (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(rows, cols)
-    m.real, m.imag = np.array(parts[::2]).reshape(rows, cols), np.array(parts[1::2]).reshape(rows, cols)
-    for value in (m, m.T, m[:, ::-1], m.reshape(-1), m.real):
+    for value in _variants(rows, cols, data):
         got, want = encode_matrix(value), _entrywise_encode_matrix(value)
         assert (got["rows"], got["cols"]) == (want["rows"], want["cols"])
         assert _bits(got["data"]) == _bits(want["data"])
         assert _same_text(_outcome(dumps_canonical, got), _outcome(_entrywise_dumps, want))
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 4), st.integers(1, 4), st.data())
+def test_dumps_canonical_renders_an_array_as_its_matrix_object(rows, cols, data):
+    for value in _variants(rows, cols, data):
+        got = _outcome(dumps_canonical, value)
+        assert _same_text(got, _outcome(dumps_canonical, encode_matrix(value)))
+        assert _same_text(got, _outcome(_entrywise_dumps, _entrywise_encode_matrix(value)))
+
+
+@pytest.mark.parametrize("value, text", [
+    (np.array([[-0.0 - 0.0j, 5e-324 + 1j]]), '{"rows":1,"cols":2,"data":[[0,0],[4.9406564584124654e-324,1]]}'),
+    (np.array([1.7976931348623157e308, -1.7976931348623157e308]),
+     '{"rows":2,"cols":1,"data":[[1.7976931348623157e+308,0],[-1.7976931348623157e+308,0]]}'),
+    (np.array([[1, -2]]), '{"rows":1,"cols":2,"data":[[1,0],[-2,0]]}'),
+    (np.zeros((0, 3)), '{"rows":0,"cols":3,"data":[]}'),
+])
+def test_dumps_canonical_array_edges(value, text):
+    assert dumps_canonical(value) == text == dumps_canonical(encode_matrix(value))
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": np.array([[0.5, np.inf]]), "b": math.nan},
+    {"a": -math.inf, "b": np.array([[0.5, np.nan]])},
+    {"a": [np.array([1.0]), np.array([[0.5 + 1j * np.nan]])], "b": np.array([np.inf])},
+], ids=["array-first", "scalar-first", "imaginary-part"])
+def test_dumps_canonical_names_the_first_non_finite_number(payload):
+    native = {key: [encode_matrix(v) for v in value] if isinstance(value, list)
+              else encode_matrix(value) if isinstance(value, np.ndarray) else value
+              for key, value in payload.items()}
+    got, want = _outcome(dumps_canonical, payload), _outcome(_entrywise_dumps, native)
+    assert isinstance(want, InputError) and _same(got, want), (got, want)
+
+
+@pytest.mark.parametrize("value", [np.zeros((2, 2, 2)), np.array(1.0), np.array([["x"]])],
+                         ids=["3-d", "0-d", "strings"])
+def test_dumps_canonical_refuses_arrays_that_are_not_matrices(value):
+    with pytest.raises(InputError, match="cannot serialize object of type ndarray"):
+        dumps_canonical(value)
+
+
+def _file_forms():
+    rng = rng_from_seed(12)
+    h = NcSeries(2, 2, 3, {(): complex_gaussian(rng, 2, 3), (2, 1): complex_gaussian(rng, 2, 3)})
+    basis = [NcSeries.constant(2, [[1.0]]), NcSeries.monomial(2, (1,), [[-0.5]])]
+    z = MatrixTuple(tuple(complex_gaussian(rng, 3, 3) for _ in range(2)))
+    kernels = [szego_kernel(2, 2), KolmogorovKernel(AlgebraSpec(), h, s=3),
+               GramBasisKernel(AlgebraSpec(), basis, [[2.0, 0.5], [0.5, 1.0]])]
+    return ([(serialize._series_form, encode_series, h), (serialize._tuple_form, encode_tuple, z)]
+            + [(serialize._kernel_form, encode_kernel, k) for k in kernels])
+
+
+@pytest.mark.parametrize("form, encode, obj", _file_forms(),
+                         ids=["series", "tuple", "moment", "kolmogorov", "gram_basis"])
+def test_each_file_form_renders_the_same_from_arrays(form, encode, obj):
+    native = encode(obj)
+    assert form(obj, encode_matrix) == native
+    assert dumps_canonical(form(obj, np.asarray)) == dumps_canonical(native)
+    json.dumps(native)  # the public encoders stay JSON-native
 
 
 def test_decoding_a_valid_table_checks_no_word_by_word(monkeypatch):
