@@ -81,7 +81,7 @@ def _certificate_payload(cert) -> dict:
         if cert.points:
             payload["witness_points"] = [_tuple_form(z, np.asarray) for z in cert.points]
         if cert.witness is not None:
-            payload["witness_vector"] = np.asarray(cert.witness).reshape(-1, 1)
+            payload["witness_vector"] = cert.witness  # a 1-D array, rendered as a column
     return payload
 
 

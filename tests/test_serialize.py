@@ -124,6 +124,7 @@ def test_cp_map_round_trip():
 
 def test_dumps_canonical_floats():
     assert dumps_canonical({"a": 1.0, "b": [0.0, -0.0]}) == '{"a":1,"b":[0,0]}'
+    assert dumps_canonical({"50%": "%s %.17g %%", "x": 0.5}) == '{"50%":"%s %.17g %%","x":0.5}'
     assert dumps_canonical(1 / 3) == "0.33333333333333331"
     assert dumps_canonical({"z": True, "a": None}) == '{"z":true,"a":null}'
 
@@ -439,7 +440,8 @@ _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e17, 2.0 ** 53, 0.1, 1 / 3,
 _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 _ANY_FLOATS = st.one_of(_FLOATS, st.sampled_from([math.nan, math.inf, -math.inf]))
 _PAIRS = st.lists(st.lists(_ANY_FLOATS, min_size=2, max_size=2), max_size=12)
-_LEAVES = st.one_of(_ANY_FLOATS, st.integers(), st.booleans(), _FLOATS.map(np.float64), st.none())
+_LEAVES = st.one_of(_ANY_FLOATS, st.integers(), st.booleans(), _FLOATS.map(np.float64), st.none(),
+                    st.text(alphabet="%sd.1\"\\", max_size=4))
 _MIXED = st.recursive(_LEAVES, lambda inner: st.one_of(
     st.lists(inner, max_size=4), st.tuples(inner, inner), st.lists(st.tuples(_FLOATS, _FLOATS), max_size=3),
     st.dictionaries(st.text(max_size=3), inner, max_size=3)), max_leaves=20)
