@@ -447,10 +447,14 @@ def _outcome(args) -> tuple[str, str, int]:
 
     A payload that cannot be encoded, because a value in it (a result, or an
     error's ``min_eig`` or ``residual``) overflowed to NaN or Infinity, which
-    JSON cannot carry, is an input error too.
+    JSON cannot carry, is an input error too.  numpy's overflow and invalid
+    warnings are silenced while the handler runs: the finiteness checks that
+    follow such an overflow raise :class:`InputError`, so the warning adds
+    only noise on stderr.
     """
     try:
-        payload = args.handler(args, Tolerances(eq_rel=args.tol_eq, psd_floor=args.tol_psd))
+        with np.errstate(over="ignore", invalid="ignore"):
+            payload = args.handler(args, Tolerances(eq_rel=args.tol_eq, psd_floor=args.tol_psd))
     except (NotCp, NotPsd, NotContraction) as err:
         payload = {"status": "certificate_failed", "error": str(err)}
         if isinstance(err, (NotCp, NotPsd)):

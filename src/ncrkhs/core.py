@@ -227,7 +227,7 @@ def frobenius(m: np.ndarray, axis: tuple[int, int] | None = None):
     """
     with np.errstate(over="ignore", invalid="ignore"):  # the rescale below replaces an overflow
         norm = np.linalg.norm(m, axis=axis)
-    low, high = (norm, norm) if axis is None else (np.min(norm, initial=np.inf), np.max(norm, initial=0.0))
+    low, high = (norm, norm) if axis is None else (norm.min(initial=np.inf), norm.max(initial=0.0))
     if low < NORM_UNDERFLOW or high == np.inf:
         redo = np.isinf(norm) | ((norm < NORM_UNDERFLOW) & m.any(axis=axis))
         if redo.any() and np.isfinite(m).all():
@@ -412,11 +412,14 @@ def words_up_to(d: int, max_len: int) -> list[Word]:
 class MatrixTuple:
     """A point Z: d square complex matrices sharing size n x n.
 
-    A point also remembers values computed at it (see :meth:`cached`), so a
-    function sampled at the same point many times is evaluated once.
+    A point also remembers values computed at it (see :meth:`cached` and
+    :func:`cached_at`), so a function sampled at the same point many times is
+    evaluated once.  ``stacked`` is the read-only d x n x n array whose
+    slices are ``coords``.
     """
 
     coords: tuple[np.ndarray, ...]
+    stacked: np.ndarray = field(init=False, repr=False, compare=False)
     _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -432,6 +435,7 @@ class MatrixTuple:
                     raise DimMismatch("all coordinates must be square of the same size")
             block = np.array(coords)
         block.setflags(write=False)
+        object.__setattr__(self, "stacked", block)
         object.__setattr__(self, "coords", tuple(block))
 
     @property
@@ -460,11 +464,28 @@ class MatrixTuple:
         """
         entry = self._values.get(id(key))
         if entry is None:
-            value = compute()
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            entry = self._values[id(key)] = (key, value)
+            entry = self._keep(key, compute())
         return entry[1]
+
+    def _keep(self, key, value) -> tuple:
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        entry = self._values[id(key)] = (key, value)
+        return entry
+
+
+def cached_at(points: Sequence[MatrixTuple], key, compute: Callable[[list[MatrixTuple]], Sequence]) -> list:
+    """Each point's :meth:`MatrixTuple.cached` value under ``key``.
+
+    The distinct points that hold none get theirs from one call
+    ``compute(missing)``, which returns their values in the order given.
+    """
+    k = id(key)
+    missing = list({id(z): z for z in points if k not in z._values}.values())
+    if missing:
+        for z, value in zip(missing, compute(missing)):
+            z._keep(key, value)
+    return [z._values[k][1] for z in points]
 
 
 def word_eval(w: Iterable[int], z: MatrixTuple) -> np.ndarray:

@@ -132,6 +132,7 @@ def nilpotent_positivity_check(
     (:func:`_shift_values`); the shift tuples are the witness points.
     """
     _, sampled = sample_points(kernel, rng_from_seed(seed), n_points, sizes, NILPOTENT)
+    kernel.precompute(sampled)
     verdict = psd_verdict([kernel.evaluate(z, z, np.eye(z.n)) for z in sampled] + _shift_values(kernel), tol)
     shift = truncated_shift_tuple(kernel.d, kernel.max_len)
     points = sampled + [shift.scaled(float(t)) for t in SHIFT_SCALES]

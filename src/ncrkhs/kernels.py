@@ -42,12 +42,12 @@ from .core import (
     InputError,
     MatrixTuple,
     MissingPair,
-    NotNilpotent,
     NotPsd,
     Tolerances,
     TruncationRefused,
     Word,
     as_cmatrix,
+    cached_at,
     check_intertwiner,
     direct_sum,
     frobenius,
@@ -67,18 +67,21 @@ from .core import (
 from .sampling import (
     GAUSSIAN,
     NILPOTENT,
+    random_algebra_matrices,
     random_algebra_matrix,
     random_psd,
     random_similarity,
     rng_from_seed,
     sample_tuple,
+    sample_tuples,
 )
 from .series import (
     AxiomReport,
     NcSeries,
     WordIndicator,
     factor_value,
-    nilpotency_order,
+    factor_values,
+    nilpotency_orders,
 )
 
 
@@ -143,6 +146,9 @@ class KernelBase:
             for zi, xi in zip(points, args)
         ])
 
+    def precompute(self, points: Sequence[MatrixTuple]) -> None:
+        """Compute ahead what :meth:`evaluate` needs at ``points``; a form that keeps nothing at points does nothing."""
+
     def _check_points(self, z: MatrixTuple, w: MatrixTuple, p: np.ndarray) -> np.ndarray:
         if z.d != self.d or w.d != self.d:
             raise DimMismatch(f"kernel over {self.d} variables evaluated at {z.d}/{w.d}-tuples")
@@ -157,12 +163,15 @@ class FactoredKernel(KernelBase):
     algebra index outermost, for a D x D middle matrix C; so the columns of
     F(Z) run over (point, c, alpha) and P acts on (point, c), C on alpha.
     ``P (x) C`` is never formed: P and C are applied as two matrix products.
-    Factor values come from :func:`ncrkhs.series.factor_value`, once per point.
+    Factor values come from :func:`ncrkhs.series.factor_values`: each point
+    keeps its value, and the points of a sample that have none are evaluated
+    one size at a time, by one walk per size.
 
     A kernel built from a moment table keeps its ``max_len``: it is exact only
     at jointly nilpotent points of order <= max_len + 1 (nilpotency tested at
-    ``tol``), and refuses other points unless a truncation is asked for.
-    ``kind`` names the kernel in that refusal.
+    ``tol``, the points of one size together, and kept in each point's memo),
+    and refuses other points unless a truncation is asked for.  ``kind``
+    names the kernel in that refusal.
     """
 
     def __init__(self, d: int, y_dim: int, algebra: AlgebraSpec, terms,
@@ -180,49 +189,60 @@ class FactoredKernel(KernelBase):
     def default_sampler(self) -> str:
         return GAUSSIAN if self.max_len is None else NILPOTENT
 
-    def _check_domain(self, z: MatrixTuple) -> None:
-        """Raise :class:`TruncationRefused` where K is only a truncation."""
+    def _check_domain(self, points: Sequence[MatrixTuple]) -> None:
+        """Raise :class:`TruncationRefused` if K is only a truncation at one of ``points``."""
         if self.max_len is None:
             return
-        # words of length >= order vanish at the point, so the stored support
-        # is the whole kernel there iff order <= max_len + 1; the point keeps
-        # its order, so each point is tested once per tolerance
-        order = z.cached(self.tol, lambda: _order_or_none(z, self.tol))
-        if order is None or order > self.max_len + 1:
+        # words of length >= order vanish at a point, so the stored support
+        # is the whole kernel there iff order <= max_len + 1
+        if any(order is None or order > self.max_len + 1 for order in self._orders(points)):
             raise TruncationRefused(
                 f"the {self.kind} kernel is exact only at jointly nilpotent points of order "
                 f"<= {self.max_len + 1}; its value at this point would be a truncation"
             )
 
-    def _weighted(self, f, c: np.ndarray, z: MatrixTuple, x: np.ndarray) -> np.ndarray:
-        """F(Z)(X (x) I_D): X acts on the (point, algebra) column index of F(Z)."""
-        rows = z.n * self.y_dim
-        value = factor_value(f, z).reshape(rows, z.n * self.algebra.k, c.shape[0])
+    def _orders(self, points: Sequence[MatrixTuple]) -> list[int | None]:
+        """The nilpotency orders at ``tol``; each point keeps its order, so it is tested once per tolerance."""
+        return cached_at(points, self.tol, lambda missing: nilpotency_orders(missing, self.tol))
+
+    def precompute(self, points):
+        """Test the domain at ``points`` and form every factor's value there, one size at a time.
+
+        Nothing is refused here: each point keeps its order and values, and
+        :meth:`evaluate` refuses a point outside the domain when it meets it.
+        """
+        if self.max_len is not None:
+            self._orders(points)
+        for f, _ in self.terms:
+            factor_values(f, points)
+
+    def _weighted(self, value: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """F(Z)(X (x) I_D) for the factor value F(Z): X acts on its (point, algebra) column index."""
+        rows = value.shape[0]
+        value = value.reshape(rows, x.shape[0], c.shape[0])
         return np.matmul(x.T, value).reshape(rows, x.shape[1] * c.shape[0])
 
     def evaluate(self, z, w, p, allow_truncation: bool = False):
         p = self._check_points(z, w, p)
         if not allow_truncation:
-            self._check_domain(z)
-            self._check_domain(w)
+            self._check_domain([z, w])
         out = np.zeros((z.n * self.y_dim, w.n * self.y_dim), dtype=np.complex128)
         for f, c in self.terms:
-            left = _times_middle(self._weighted(f, c, z, p), c)
+            left = _times_middle(self._weighted(factor_value(f, z), c, p), c)
             out += left @ factor_value(f, w).conj().T
         return out
 
     def block_matrix(self, points, args):
         """One product per term: A (I (x) C) A* with A = vstack_i F(Z_i)(X_i (x) I_D)."""
         return self._stacked_gram(points, sum(z.n for z in points),
-                                  lambda f, c: [self._weighted(f, c, z, x) for z, x in zip(points, args)])
+                                  lambda values, c: [self._weighted(v, c, x) for v, x in zip(values, args)])
 
     def _stacked_gram(self, points, rows: int, blocks) -> np.ndarray:
-        """sum_t A_t (I (x) C_t) A_t* over ``rows`` Y-rows, A_t stacking ``blocks(F_t, C_t)``."""
-        for z in points:
-            self._check_domain(z)
+        """sum_t A_t (I (x) C_t) A_t* over ``rows`` Y-rows, A_t stacking ``blocks(F_t(Z_i) over i, C_t)``."""
+        self._check_domain(points)
         out = np.zeros((rows * self.y_dim, rows * self.y_dim), dtype=np.complex128)
         for f, c in self.terms:
-            a = np.vstack(blocks(f, c))
+            a = np.vstack(blocks(factor_values(f, points), c))
             out += _times_middle(a, c) @ a.conj().T
         return out
 
@@ -230,13 +250,6 @@ class FactoredKernel(KernelBase):
 def _times_middle(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """a (I (x) C): C acts on the innermost column index of ``a``."""
     return (a.reshape(-1, c.shape[0]) @ c).reshape(a.shape)
-
-
-def _order_or_none(z: MatrixTuple, tol: Tolerances) -> int | None:
-    try:
-        return nilpotency_order(z, tol)
-    except NotNilpotent:
-        return None
 
 
 class MomentKernel(FactoredKernel):
@@ -475,9 +488,18 @@ def check_kernel_axioms(
     samples: KernelAxiomSamples,
     tol: Tolerances = DEFAULT_TOL,
 ) -> AxiomReport:
-    """Hermitian symmetry, direct sums and intertwining-respect on given samples."""
+    """Hermitian symmetry, direct sums and intertwining-respect on given samples.
+
+    Every point the checks evaluate at is computed for first, one size at a
+    time (:meth:`KernelBase.precompute`).
+    """
     k = kernel.algebra.k
     y = kernel.y_dim
+    sums = [(direct_sum([z, zt]), direct_sum([w, wt])) for z, zt, w, wt, _ in samples.direct_sums]
+    kernel.precompute([point for z, w, _ in samples.hermitian for point in (z, w)]
+                      + [point for sample in samples.direct_sums for point in sample[:4]]
+                      + [point for pair in sums for point in pair]
+                      + [point for z, zt, _, w, wt, _, _ in samples.intertwinings for point in (z, zt, w, wt)])
 
     def violations():
         for z, w, p in samples.hermitian:
@@ -485,8 +507,8 @@ def check_kernel_axioms(
             rhs = kernel.evaluate(w, z, p.conj().T)
             yield rel_err(frobenius(lhs - rhs), frobenius(lhs)), ("hermitian", (z, w, p))
 
-        for z, zt, w, wt, p_full in samples.direct_sums:
-            lhs = kernel.evaluate(direct_sum([z, zt]), direct_sum([w, wt]), p_full)
+        for (z, zt, w, wt, p_full), (z_sum, w_sum) in zip(samples.direct_sums, sums):
+            lhs = kernel.evaluate(z_sum, w_sum, p_full)
             nk, mk = z.n * k, w.n * k
             rhs = np.block([
                 [kernel.evaluate(z, w, p_full[:nk, :mk]), kernel.evaluate(z, wt, p_full[:nk, mk:])],
@@ -546,7 +568,7 @@ def sample_points(kernel: KernelBase, rng, n_points: int, sizes: Sequence[int],
     """
     _check_positive(n_points, "sample point")
     sampler, sizes = _domain(kernel, sampler, sizes)
-    return sampler, [sample_tuple(rng, sampler, kernel.d, sizes[i % len(sizes)]) for i in range(n_points)]
+    return sampler, sample_tuples(rng, sampler, kernel.d, [sizes[i % len(sizes)] for i in range(n_points)])
 
 
 def cp_certificate(
@@ -567,7 +589,7 @@ def cp_certificate(
     rng = rng_from_seed(seed)
     sampler, points = sample_points(kernel, rng, n_points, sizes, sampler)
     _check_positive(n_rows, "row")
-    rows = [random_algebra_matrix(rng, kernel.algebra.k, n_rows, z.n) for z in points]
+    rows = random_algebra_matrices(rng, kernel.algebra.k, n_rows, [z.n for z in points])
     m = kernel.block_matrix(points, [r.conj().T for r in rows])
     verdict = psd_verdict([m], tol)
     description = {
@@ -610,6 +632,7 @@ def cp_certificate_similarity_reduced(
                 seed,
             )
     _, sampled = sample_points(kernel, rng, n_points, sizes, sampler)
+    kernel.precompute(sampled)
     verdict = psd_verdict(
         (kernel.evaluate(z, z, kernel.algebra.unit(z.n)) for z in sampled), tol
     )
@@ -659,9 +682,9 @@ def kolmogorov_at_sample(
     if not points:
         raise InputError("kolmogorov_at_sample needs at least one sample point")
     y = kernel.y_dim
-    gram = kernel._stacked_gram(points, sum(z.n * z.n for z in points), lambda f, c: [
-        factor_value(f, z).reshape(z.n, y, z.n, len(c)).transpose(0, 2, 1, 3).reshape(z.n * z.n * y, len(c))
-        for z in points])
+    gram = kernel._stacked_gram(points, sum(z.n * z.n for z in points), lambda values, c: [
+        v.reshape(z.n, y, z.n, len(c)).transpose(0, 2, 1, 3).reshape(z.n * z.n * y, len(c))
+        for z, v in zip(points, values)])
 
     f = psd_factor(gram, tol)
     rank = f.shape[1]

@@ -14,11 +14,15 @@ instead of one product and one broadcast per word.  The blocks are walked
 depth first, one held per level, and their sizes share ``_BLOCK_BYTES``, so
 the powers held stay within it whatever the degree.  The walk's plan, which
 depends on the support alone, is built on a series' first evaluation and
-kept.  The
-point keeps each finished value (:meth:`MatrixTuple.cached`), so a series is
-evaluated once per point however often a kernel or certificate asks for it;
-returned values are read-only.  The same walk gives the value of a
-:class:`WordIndicator` (a moment table's factor), writing each block of
+kept.  The points of one size share one walk: their coordinates are stacked
+on a batch axis and every product above is one batched product, so the
+walk's per-level cost is paid once per size rather than once per point
+(:func:`factor_values`); single-point :func:`evaluate` is the batch of one.
+A batch holds as many points as keep the powers within ``_BLOCK_BYTES``.
+Each point keeps its finished value (:meth:`MatrixTuple.cached`), so a
+series is evaluated once per point however often a kernel or certificate
+asks for it; returned values are read-only.  The same walk gives the value
+of a :class:`WordIndicator` (a moment table's factor), writing each block of
 powers into its words' column blocks instead of summing one-hot
 coefficients.
 
@@ -26,7 +30,9 @@ The joint nilpotency order (:func:`nilpotency_order`) follows the descending
 flag ``V_{L+1} = sum_j Z_j V_L`` through one factor per length, extended by
 one product with the stacked adjoint coordinates and recompressed by a QR,
 so it costs O(d n^4) however many words there are; a jointly nilpotent tuple
-is one that is simultaneously strictly upper-triangularizable.
+is one that is simultaneously strictly upper-triangularizable.  The points
+of one size are tested together, one batched product and QR per length
+(:func:`nilpotency_orders`).
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .core import (
     Tolerances,
     Word,
     as_cmatrix,
+    cached_at,
     check_intertwiner,
     frobenius,
     int_words,
@@ -180,25 +187,24 @@ def linear_combination(series: Sequence[NcSeries], coeffs: Sequence[complex]) ->
 
 
 def evaluate(f: NcSeries, z: MatrixTuple) -> np.ndarray:
-    """sum_w Z^w (x) f_w, a read-only (n p) x (n q) matrix, computed once per (f, Z).
+    """sum_w Z^w (x) f_w, a read-only (n p) x (n q) matrix: the one-point case of :func:`factor_values`."""
+    return factor_value(f, z)
+
+
+def _series_values(f: NcSeries, coords: np.ndarray) -> np.ndarray:
+    """sum_w Z^w (x) f_w at each point of ``coords`` (B x d x n x n), as a B x (n p) x (n q) array.
 
     Each block of powers ``Z^w`` from the trie walk meets its words'
-    coefficients in one ``(n^2, m) @ (m, p q)`` product, summed into an
-    accumulator that is transposed once into the Kronecker layout.
+    coefficients in one ``(n^2, m) @ (m, p q)`` product per point, summed
+    into an accumulator that is transposed once into the Kronecker layout.
     """
-    if z.d != f.d:
-        raise DimMismatch(f"series over {f.d} variables evaluated at a {z.d}-tuple")
-    return z.cached(f, lambda: _stream(f, z))
-
-
-def _stream(f: NcSeries, z: MatrixTuple) -> np.ndarray:
-    n, p, q = z.n, f.out_dim, f.in_dim
+    b, n, p, q = len(coords), coords.shape[-1], f.out_dim, f.in_dim
     coeffs = f._coeffs.reshape(len(f.terms), p * q)
-    # acc[(a, b), (s, t)] = sum_w Z^w[a, b] f_w[s, t]
-    acc = np.zeros((n * n, p * q), dtype=np.complex128)
-    for i, j, powers in _power_blocks(f._plan, z):
-        acc += powers.reshape(j - i, n * n).T @ coeffs[i:j]
-    return acc.reshape(n, n, p, q).transpose(0, 2, 1, 3).reshape(n * p, n * q)
+    # acc[point, (a, b), (s, t)] = sum_w Z^w[a, b] f_w[s, t]
+    acc = np.zeros((b, n * n, p * q), dtype=np.complex128)
+    for i, j, powers in _power_blocks(f._plan, coords):
+        acc += np.matmul(powers.reshape(b, j - i, n * n).transpose(0, 2, 1), coeffs[i:j])
+    return acc.reshape(b, n, n, p, q).transpose(0, 1, 3, 2, 4).reshape(b, n * p, n * q)
 
 
 class _Plan:
@@ -260,43 +266,52 @@ class _Plan:
         return caps
 
 
-# Bytes of n x n powers that one evaluation holds, whatever the degree.
+# Bytes of n x n powers that the walk holds per point, whatever the degree.
 # Level k is taken in blocks of at most caps[k] nodes, the level widths
 # scaled to this in total, and the walk holds at most one block per level:
 # within this, plus one power on each level whose share is below one node,
-# and a gathered copy of at most one block at a time.
+# and a gathered copy of at most one block at a time.  The caps depend on n
+# alone, so a point's blocks, and the order in which its value is summed,
+# are the same whatever batch it is walked in; a batch holds as many points
+# as fit in these bytes together (:func:`_values`).
 _BLOCK_BYTES = 1 << 20
 
 
-def _power_blocks(plan: _Plan, z: MatrixTuple):
-    """(i, j, P): P[r] = Z^w for the (i + r)-th support word w in graded order, block by block.
+def _power_blocks(plan: _Plan, coords: np.ndarray):
+    """(i, j, P): P[:, r] = Z^w at each point for the (i + r)-th support word w in graded order, block by block.
 
-    The walk is depth-first over blocks: a block of level k yields its
-    support words, then its children are formed in chunks of at most
-    ``caps[k + 1]`` nodes, and each chunk is walked as a block of level
-    k + 1 before the next is formed.  A block is let go once its last chunk
-    is formed.  A chunk that holds every child of its parents is one
-    batched product of their powers with the stacked coordinates, and else
-    one product of each child's parent with its letter, so no power is
+    ``coords`` stacks the coordinates of B points of one size, B x d x n x n,
+    and P is B x (j - i) x n x n.  The walk is depth-first over blocks: a
+    block of level k yields its support words, then its children are formed
+    in chunks of at most ``caps[k + 1]`` nodes, and each chunk is walked as a
+    block of level k + 1 before the next is formed.  A block is let go once
+    its last chunk is formed.  A chunk that holds every child of its parents
+    is one batched product of their powers with the stacked coordinates, and
+    else one product of each child's parent with its letter, so no power is
     formed for a word outside the prefix closure.
+
+    Each point's powers are laid out alike whatever B is: gathers use
+    ``take``, since fancy indexing lays out its result by B.  So every
+    product of a point takes the same BLAS path, and its powers and value
+    are bitwise the same in any batch.
     """
     if plan.depth < 0:
         return
-    n, depth, parent, rows, start = z.n, plan.depth, plan.parent, plan.rows, plan.start
+    b, n = len(coords), coords.shape[-1]
+    depth, parent, rows, start = plan.depth, plan.parent, plan.rows, plan.start
     caps = plan.caps(_BLOCK_BYTES // (16 * max(n * n, 1)))
-    coords = np.array(z.coords)
     # the blocks whose children are not all formed, one per level at most:
     # [level, powers, first node, next child, last child + 1]
     held: list[list] = []
-    k, lo, powers = 0, 0, np.eye(n, dtype=np.complex128)[None]
+    k, lo, powers = 0, 0, np.eye(n, dtype=np.complex128)[None, None].repeat(b, axis=0)
     while True:
-        hi = lo + len(powers)
+        hi = lo + powers.shape[1]
         if rows[k] is None:
             yield start[k] + lo, start[k] + hi, powers
         elif rows[k]:
             r0, r1 = bisect_left(rows[k], lo), bisect_left(rows[k], hi)
             if r0 < r1:
-                yield start[k] + r0, start[k] + r1, powers[[r - lo for r in rows[k][r0:r1]]]
+                yield start[k] + r0, start[k] + r1, powers.take([r - lo for r in rows[k][r0:r1]], axis=1)
         if k < depth:
             c0, c1 = bisect_left(parent[k], lo), bisect_left(parent[k], hi)
             if c0 < c1:
@@ -315,13 +330,13 @@ def _children(plan: _Plan, k: int, powers: np.ndarray, lo: int, c0: int, c1: int
     """The powers of nodes c0..c1-1 of level k + 1; ``powers`` holds level k's from node lo on."""
     parent, letter = plan.parent[k], plan.letter[k]
     if c1 - c0 == 1:
-        return (powers[parent[c0] - lo] @ coords[letter[c0]])[None]
-    d, n = coords.shape[:2]
+        return (powers[:, parent[c0] - lo] @ coords[:, letter[c0]])[:, None]
+    b, d, n = coords.shape[:3]
     p0, p1 = parent[c0], parent[c1 - 1] + 1
     if c1 - c0 == d * (p1 - p0):
-        # every child of parents p0..p1-1, in order: P_i Z_j at [i, j]
-        return np.matmul(powers[p0 - lo:p1 - lo, None], coords).reshape((p1 - p0) * d, n, n)
-    return np.matmul(powers[[parent[c] - lo for c in range(c0, c1)]], coords[letter[c0:c1]])
+        # every child of parents p0..p1-1, in order: P_i Z_j at [:, i, j]
+        return np.matmul(powers[:, p0 - lo:p1 - lo, None], coords[:, None]).reshape(b, (p1 - p0) * d, n, n)
+    return np.matmul(powers.take([parent[c] - lo for c in range(c0, c1)], axis=1), coords.take(letter[c0:c1], axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,10 +354,14 @@ class WordIndicator:
     words: tuple[Word, ...]
 
     @cached_property
-    def _plan(self) -> tuple[np.ndarray, _Plan]:
-        """The columns of the words in graded order, and the plan of their trie."""
-        order = sorted(range(len(self.words)), key=lambda i: word_key(self.words[i]))
-        return np.array(order, dtype=np.intp), _Plan(self.d, [self.words[i] for i in order])
+    def _order(self) -> np.ndarray:
+        """The columns of the words in graded order."""
+        return np.array(sorted(range(len(self.words)), key=lambda i: word_key(self.words[i])), dtype=np.intp)
+
+    @cached_property
+    def _plan(self) -> _Plan:
+        """The plan of the words' trie."""
+        return _Plan(self.d, [self.words[i] for i in self._order])
 
     def as_series(self) -> NcSeries:
         """The same function as an :class:`NcSeries` (one-hot coefficients)."""
@@ -353,24 +372,59 @@ class WordIndicator:
         })
 
 
+def factor_values(f: NcSeries | WordIndicator, points: Sequence[MatrixTuple]) -> list[np.ndarray]:
+    """The value of a series or kernel factor at each point, read-only.
+
+    Each point keeps its value (:func:`ncrkhs.core.cached_at`), so f is
+    evaluated once per point; the points that hold none are evaluated
+    together, by one walk per size (:func:`_values`).
+    """
+    for z in points:
+        if z.d != f.d:
+            raise DimMismatch(f"series over {f.d} variables evaluated at a {z.d}-tuple")
+    return cached_at(points, f, lambda missing: _values(f, missing))
+
+
 def factor_value(f: NcSeries | WordIndicator, z: MatrixTuple) -> np.ndarray:
-    """The value of a kernel factor at Z, read-only and computed once per (f, Z)."""
-    if isinstance(f, NcSeries):
-        return evaluate(f, z)
+    """The value of a kernel factor at Z: the one-point case of :func:`factor_values`."""
     if z.d != f.d:
         raise DimMismatch(f"series over {f.d} variables evaluated at a {z.d}-tuple")
-    return z.cached(f, lambda: _word_blocks(f, z))
+    return z.cached(f, lambda: _values(f, [z])[0])
 
 
-def _word_blocks(f: WordIndicator, z: MatrixTuple) -> np.ndarray:
-    n, y, (columns, plan) = z.n, f.y_dim, f._plan
-    blocks = np.empty((n, n, len(f.words)), dtype=np.complex128)  # [a, b, word]
-    for i, j, powers in _power_blocks(plan, z):
-        blocks[:, :, columns[i:j]] = powers.transpose(1, 2, 0)
+def _values(f: NcSeries | WordIndicator, points: Sequence[MatrixTuple]) -> list[np.ndarray]:
+    """f at each point: the points of one size stacked on a batch axis, one walk per batch of them."""
+    walk = _series_values if isinstance(f, NcSeries) else _word_blocks
+    out: list = [None] * len(points)
+    for (_, n, _), members in _by_size(points).items():
+        # as many points as hold the whole trie's powers within _BLOCK_BYTES
+        batch = max(1, _BLOCK_BYTES // (16 * max(n * n, 1) * max(f._plan.size, 1)))
+        for lo in range(0, len(members), batch):
+            chunk = members[lo:lo + batch]
+            for i, value in zip(chunk, walk(f, np.array([points[i].stacked for i in chunk]))):
+                out[i] = value
+    return out
+
+
+def _by_size(points: Sequence[MatrixTuple]) -> dict[tuple[int, int, int], list[int]]:
+    """The indices of the points of each shape (d, n, n), in order."""
+    shapes: dict[tuple[int, int, int], list[int]] = {}
+    for i, z in enumerate(points):
+        shapes.setdefault(z.stacked.shape, []).append(i)
+    return shapes
+
+
+def _word_blocks(f: WordIndicator, coords: np.ndarray) -> np.ndarray:
+    """The value of f at each point of ``coords``: each block of powers written into its words' columns."""
+    b, n, y, m = len(coords), coords.shape[-1], f.y_dim, len(f.words)
+    blocks = np.empty((b, n, n, m), dtype=np.complex128)  # [point, a, b, word]
+    columns = f._order
+    for i, j, powers in _power_blocks(f._plan, coords):
+        blocks[..., columns[i:j]] = powers.transpose(0, 2, 3, 1)
     if y == 1:
-        return blocks.reshape(n, n * len(f.words))
-    out = blocks[:, None, :, :, None] * np.eye(y)[None, :, None, None, :]
-    return out.reshape(n * y, n * len(f.words) * y)
+        return blocks.reshape(b, n, n * m)
+    out = blocks[:, :, None, :, :, None] * np.eye(y)[:, None, None, :]
+    return out.reshape(b, n * y, n * m * y)
 
 
 # ---------------------------------------------------------------------------
@@ -447,26 +501,49 @@ def check_respects_intertwinings(
 def nilpotency_order(z: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> int:
     """Smallest L with all length-L coordinate products numerically zero.
 
-    Works on the point scaled by ``max(1, max ||Z_j||_2)`` through a factor
+    The one-point case of :func:`nilpotency_orders`.  Bounded above by the
+    matrix size; raises :class:`NotNilpotent` otherwise.
+    """
+    order = nilpotency_orders([z], tol)[0]
+    if order is None:
+        raise NotNilpotent(f"tuple of size {z.n} has nonvanishing products of length {z.n}")
+    return order
+
+
+def nilpotency_orders(points: Sequence[MatrixTuple], tol: Tolerances = DEFAULT_TOL) -> list[int | None]:
+    """The nilpotency order of each point, None for a point that is not jointly nilpotent.
+
+    Works on each point scaled by ``max(1, max ||Z_j||_2)`` through a factor
     ``c`` with ``c* c = sum_{|w|=L} Z^w Z^w*`` there.  A step stacks the row
     blocks ``c Z_j*``, all from one product with ``[Z_1*, ..., Z_d*]``, and the
     R of a Householder QR recompresses them to n rows, keeping ``c* c``.  L is
-    the order once ``||c||_F <= eq_rel``, at O(d n^3) per step.  Bounded above
-    by the matrix size; raises :class:`NotNilpotent` otherwise.
+    the order once ``||c||_F <= eq_rel``, at O(d n^3) per step, and a point of
+    size n that has none by L = n has none.  The points of one shape take
+    each step together, each until its order is found; each point's norm is
+    taken on its own, so its order is the one it has alone.
     """
-    coords = np.array(z.coords)
-    d, n = z.d, z.n
-    scale = max(1.0, np.max(np.linalg.svd(coords, compute_uv=False), initial=0.0))
-    stacked = (coords.conj().transpose(2, 0, 1) / scale).reshape(n, d * n)
-    c = np.eye(n, dtype=np.complex128)
-    # a 0 x 0 point has order 1, like the zero tuple
-    for length in range(1, max(n, 1) + 1):
-        c = (c @ stacked).reshape(len(c) * d, n)
-        if frobenius(c) <= tol.eq_rel:
-            return length
-        if len(c) > n:
-            c = np.linalg.qr(c, mode="r")
-    raise NotNilpotent(f"tuple of size {n} has nonvanishing products of length {n}")
+    out: list[int | None] = [None] * len(points)
+    for (d, n, _), members in _by_size(points).items():
+        coords = np.array([points[i].stacked for i in members])
+        b = len(members)
+        scale = np.maximum(1.0, np.max(np.linalg.svd(coords, compute_uv=False), axis=(1, 2), initial=0.0))
+        stacked = (coords.conj().transpose(0, 3, 1, 2) / scale[:, None, None, None]).reshape(b, n, d * n)
+        c = np.eye(n, dtype=np.complex128)[None].repeat(b, axis=0)
+        live = np.array(members)
+        # a 0 x 0 point has order 1, like the zero tuple
+        for length in range(1, max(n, 1) + 1):
+            c = np.matmul(c, stacked).reshape(len(c), c.shape[1] * d, n)
+            done = [frobenius(block) <= tol.eq_rel for block in c]
+            if any(done):
+                done = np.array(done)
+                for i in live[done]:
+                    out[i] = length
+                if done.all():
+                    break
+                live, c, stacked = live[~done], c[~done], stacked[~done]
+            if c.shape[1] > n:
+                c = np.linalg.qr(c, mode="r")
+    return out
 
 
 def evaluate_on_nilpotent(f: NcSeries, z: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

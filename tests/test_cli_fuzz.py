@@ -17,6 +17,7 @@ inputs, with the same demands; -1 is never a valid count, size or seed.
 
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -157,12 +158,16 @@ def _reject_constant(name):
 
 
 def _run(capsys, argv, label):
-    code = cli.main(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
     captured = capsys.readouterr()
     assert code in (0, 2, 3, 4), (label, code)
-    assert "Traceback" not in captured.err, label
+    assert not caught, (label, [f"{w.category.__name__}: {w.message}" for w in caught])
     payload = json.loads(captured.out, parse_constant=_reject_constant)
     assert cli.EXIT_CODES[payload["status"]] == code, label
+    # stderr holds the summary line alone: no traceback and no warning
+    assert captured.err == f"ncrkhs {argv[0]}: {payload['status']}\n", (label, captured.err)
     return code
 
 

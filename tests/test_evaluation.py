@@ -15,7 +15,7 @@ import pytest
 
 from ncrkhs import series
 from ncrkhs.core import EMPTY_WORD, MatrixTuple, kron, word_eval, words_up_to
-from ncrkhs.kernels import AlgebraSpec, KolmogorovKernel, cp_certificate, kolmogorov_at_sample
+from ncrkhs.kernels import AlgebraSpec, KolmogorovKernel, cp_certificate, kolmogorov_at_sample, szego_kernel
 from ncrkhs.multipliers import contractive_containment
 from ncrkhs.sampling import complex_gaussian, rng_from_seed
 from ncrkhs.series import (
@@ -24,6 +24,7 @@ from ncrkhs.series import (
     evaluate,
     evaluate_on_nilpotent,
     factor_value,
+    factor_values,
     truncate,
     truncated_shift_tuple,
 )
@@ -244,16 +245,94 @@ def test_returned_values_reject_writes():
 
 
 def count_misses(monkeypatch) -> list:
-    """Record every series value the memo has to compute."""
+    """Record every series value the memo has to compute: one (series, point) per point of a batched walk."""
     misses = []
-    stream = series._stream
+    values = series._values
 
-    def counted(f, z):
-        misses.append((f, z))
-        return stream(f, z)
+    def counted(f, points):
+        misses.extend((f, z) for z in points)
+        return values(f, points)
 
-    monkeypatch.setattr(series, "_stream", counted)
+    monkeypatch.setattr(series, "_values", counted)
     return misses
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# mixed sizes in an order that interleaves them, with empty and 1 x 1 points
+BATCH_SIZES = (3, 0, 1, 3, 2, 1, 1, 3, 0, 2)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_batched_values_equal_per_point_evaluation(case):
+    d, p, q, words = CASES[case]
+    rng = rng_from_seed([24, sorted(CASES).index(case)])
+    f = series_on(rng, d, p, q, words)
+    points = [random_point(rng, d, n) for n in BATCH_SIZES]
+    for z, value in zip(points, factor_values(f, points)):
+        # a fresh copy of the point is walked alone
+        assert same_bits(value, evaluate(f, MatrixTuple(z.coords)))
+        assert close(value, naive(f, z))
+
+
+@pytest.mark.parametrize("words", [words_up_to(2, 3), [(2, 1), (), (1, 1, 2), (2,)], [MONOMIAL_20, (1,)]],
+                         ids=["complete", "unsorted", "monomial"])
+@pytest.mark.parametrize("y", [1, 2])
+def test_batched_word_blocks_equal_per_point_values(words, y):
+    rng = rng_from_seed([25, y, len(words)])
+    indicator = WordIndicator(2, y, tuple(words))
+    points = [random_point(rng, 2, n) for n in BATCH_SIZES]
+    for z, value in zip(points, factor_values(indicator, points)):
+        assert same_bits(value, factor_value(indicator, MatrixTuple(z.coords)))
+        assert close(value, naive(indicator.as_series(), z))
+
+
+def count_walks(monkeypatch) -> list:
+    """Record the batch shape (points, d, n, n) of every walk of a trie."""
+    walks = []
+    blocks = series._power_blocks
+
+    def counted(plan, coords):
+        walks.append(coords.shape)
+        return blocks(plan, coords)
+
+    monkeypatch.setattr(series, "_power_blocks", counted)
+    return walks
+
+
+def test_a_batch_holds_the_points_whose_powers_fit_the_block_bytes(monkeypatch):
+    rng = rng_from_seed(26)
+    f = series_on(rng, 2, 1, 2, words_up_to(2, 3))
+    # the whole trie of two points of size 3
+    monkeypatch.setattr(series, "_BLOCK_BYTES", 2 * 16 * 9 * f._plan.size)
+    points = [random_point(rng, 2, n) for n in (3, 3, 3, 3, 3, 2)]
+    walks = count_walks(monkeypatch)
+    values = factor_values(f, points)
+    assert walks == [(2, 2, 3, 3), (2, 2, 3, 3), (1, 2, 3, 3), (1, 2, 2, 2)]
+    for z, value in zip(points, values):
+        assert same_bits(value, evaluate(f, MatrixTuple(z.coords)))
+
+
+CERTIFIED = {
+    "kolmogorov": lambda: cp_certificate(kolmogorov_kernel(13), n_points=9, sizes=(1, 2, 3), seed=14,
+                                         sampler="gaussian"),
+    "difference": lambda: contractive_containment(
+        KolmogorovKernel(AlgebraSpec(), series.scale(kolmogorov_kernel(13).h, 0.5), s=2), kolmogorov_kernel(13),
+        n_points=9, sizes=(1, 2, 3), seed=14, sampler="gaussian")[0],
+    "moment": lambda: cp_certificate(szego_kernel(2, 3), n_points=9, sizes=(1, 2, 3), seed=14),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(CERTIFIED))
+def test_a_certificate_makes_one_walk_per_size_and_factor(monkeypatch, kernel):
+    walks = count_walks(monkeypatch)
+    cert = CERTIFIED[kernel]()
+    assert cert.passed
+    assert [z.n for z in cert.points] == [1, 2, 3] * 3
+    factors = 2 if kernel == "difference" else 1
+    assert sorted(walks) == sorted([(3, 2, n, n) for n in (1, 2, 3)] * factors)
 
 
 def test_distinct_series_with_equal_terms_never_share_an_entry(monkeypatch):

@@ -218,10 +218,11 @@ def test_positivity_check_forms_no_value_at_the_shift_size(monkeypatch):
     kernel = szego_formal_kernel(2, 3)
     size = len(words_up_to(2, 3))
     factor_sizes, order_sizes = [], []
-    factor_value, nilpotency_order = kernels.factor_value, kernels.nilpotency_order
-    monkeypatch.setattr(kernels, "factor_value", lambda f, z: factor_sizes.append(z.n) or factor_value(f, z))
-    monkeypatch.setattr(kernels, "nilpotency_order",
-                        lambda z, tol: order_sizes.append(z.n) or nilpotency_order(z, tol))
+    factor_values, nilpotency_orders = kernels.factor_values, kernels.nilpotency_orders
+    monkeypatch.setattr(kernels, "factor_values",
+                        lambda f, zs: factor_sizes.extend(z.n for z in zs) or factor_values(f, zs))
+    monkeypatch.setattr(kernels, "nilpotency_orders",
+                        lambda zs, tol: order_sizes.extend(z.n for z in zs) or nilpotency_orders(zs, tol))
     cert = nilpotent_positivity_check(kernel, seed=1)
     assert cert.passed
     assert [z.n for z in cert.points[-3:]] == [size] * 3

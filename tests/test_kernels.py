@@ -34,8 +34,8 @@ from ncrkhs.kernels import (
     moment_kernel_from_factor,
     szego_kernel,
 )
-from ncrkhs.sampling import complex_gaussian, nilpotent_tuple, rng_from_seed
-from ncrkhs.series import NcSeries
+from ncrkhs.sampling import complex_gaussian, gaussian_tuple, nilpotent_tuple, rng_from_seed
+from ncrkhs.series import NcSeries, nilpotency_order
 
 J2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 JORDAN = MatrixTuple((J2,))
@@ -69,13 +69,13 @@ def test_moment_kernel_refuses_truncation():
 
 def test_moment_kernel_tests_each_point_once(monkeypatch):
     calls = []
-    order = kernels.nilpotency_order
+    orders = kernels.nilpotency_orders
 
-    def counted(point, tol):
-        calls.append(point)
-        return order(point, tol)
+    def counted(points, tol):
+        calls.extend(points)
+        return orders(points, tol)
 
-    monkeypatch.setattr(kernels, "nilpotency_order", counted)
+    monkeypatch.setattr(kernels, "nilpotency_orders", counted)
     kernel = szego_kernel(1, max_len=3)
     # a fresh point: the module's JORDAN keeps the order other tests found
     jordan = MatrixTuple((J2,))
@@ -469,6 +469,27 @@ def test_kolmogorov_at_sample_matches_unit_evaluations():
                 assert np.linalg.norm(want - got) <= 1e-10 * max(1.0, np.linalg.norm(want))
 
 
+def test_one_point_outside_the_domain_is_refused_alone(monkeypatch):
+    # a batched domain test of points of two sizes, one of them Gaussian
+    kernel = szego_kernel(2, max_len=3)
+    rng = rng_from_seed(36)
+    inside = [nilpotent_tuple(rng, 2, n) for n in (3, 2, 3, 2)]
+    outside = gaussian_tuple(rng, 2, 3)
+    points = inside[:2] + [outside] + inside[2:]
+    tested = []
+    orders = kernels.nilpotency_orders
+    monkeypatch.setattr(kernels, "nilpotency_orders", lambda zs, tol: tested.append(list(zs)) or orders(zs, tol))
+    refusal = r"the moment kernel is exact only at jointly nilpotent points of order <= 4; .* truncation"
+    with pytest.raises(TruncationRefused, match=refusal):
+        kernel.block_matrix(points, [complex_gaussian(rng, z.n, 2) for z in points])
+    assert tested == [points]
+    assert kernel._orders(points) == [nilpotency_order(z) for z in inside[:2]] + [None] + [
+        nilpotency_order(z) for z in inside[2:]]
+    # the other points keep their orders and are accepted without a new test
+    kernel.block_matrix(inside, [complex_gaussian(rng, z.n, 2) for z in inside])
+    assert tested == [points]
+
+
 def test_kolmogorov_at_sample_refuses_an_unfactored_kernel():
     base = KolmogorovKernel(AlgebraSpec(), random_scalar_factor(rng_from_seed(32), 2, 2, 2), s=2)
     kernel = CallableKernel(base.d, base.y_dim, base.algebra, base.evaluate)
@@ -482,10 +503,10 @@ def test_kolmogorov_at_sample_evaluates_only_at_the_points(monkeypatch):
     rng = rng_from_seed(33)
     points = [nilpotent_tuple(rng, 2, n) for n in (2, 3, 1, 2)]
     factor_points, order_points = [], []
-    factor_value, nilpotency_order = kernels.factor_value, kernels.nilpotency_order
-    monkeypatch.setattr(kernels, "factor_value", lambda f, z: factor_points.append(z) or factor_value(f, z))
-    monkeypatch.setattr(kernels, "nilpotency_order",
-                        lambda z, tol: order_points.append(z) or nilpotency_order(z, tol))
+    factor_values, nilpotency_orders = kernels.factor_values, kernels.nilpotency_orders
+    monkeypatch.setattr(kernels, "factor_values", lambda f, zs: factor_points.extend(zs) or factor_values(f, zs))
+    monkeypatch.setattr(kernels, "nilpotency_orders",
+                        lambda zs, tol: order_points.extend(zs) or nilpotency_orders(zs, tol))
     kolmogorov_at_sample(kernel, points)
     assert [id(z) for z in factor_points] == [id(z) for z in points]
     assert [id(z) for z in order_points] == [id(z) for z in points]

@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 
 from ncrkhs.core import DEFAULT_TOL, MatrixTuple, NotNilpotent, Tolerances, direct_sum, frobenius, spec_norm
 from ncrkhs.sampling import gaussian_tuple, nilpotent_tuple, random_similarity, rng_from_seed
-from ncrkhs.series import nilpotency_order, truncated_shift_tuple
+from ncrkhs.series import nilpotency_order, nilpotency_orders, truncated_shift_tuple
 
 
 def enumerated_order(z: MatrixTuple, tol=DEFAULT_TOL) -> int:
@@ -191,6 +191,17 @@ def test_order_agrees_with_svd_recompression(eq_rel):
     orders = [order_or_none(lambda z: svd_order(z, tol), z) for z in points]
     assert orders == [order_or_none(lambda z: nilpotency_order(z, tol), z) for z in points]
     assert None in orders and len(set(orders)) > 10
+
+
+@pytest.mark.parametrize("eq_rel", [1e-6, 1e-10, 1e-13])
+def test_batched_orders_equal_per_point_orders(eq_rel):
+    # the sweep, shuffled so that sizes, nilpotent and non-nilpotent points interleave
+    tol = Tolerances(eq_rel=eq_rel)
+    points = list(sweep_points())
+    points = [points[i] for i in np.random.default_rng(17).permutation(len(points))]
+    orders = nilpotency_orders(points, tol)
+    assert orders == [order_or_none(lambda z: nilpotency_order(z, tol), z) for z in points]
+    assert None in orders
 
 
 @pytest.fixture
