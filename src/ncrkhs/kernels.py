@@ -496,10 +496,8 @@ def check_kernel_axioms(
     k = kernel.algebra.k
     y = kernel.y_dim
     sums = [(direct_sum([z, zt]), direct_sum([w, wt])) for z, zt, w, wt, _ in samples.direct_sums]
-    kernel.precompute([point for z, w, _ in samples.hermitian for point in (z, w)]
-                      + [point for sample in samples.direct_sums for point in sample[:4]]
-                      + [point for pair in sums for point in pair]
-                      + [point for z, zt, _, w, wt, _, _ in samples.intertwinings for point in (z, zt, w, wt)])
+    kernel.precompute([x for sample in samples.hermitian + samples.direct_sums + samples.intertwinings
+                       for x in sample if isinstance(x, MatrixTuple)] + [z for pair in sums for z in pair])
 
     def violations():
         for z, w, p in samples.hermitian:
