@@ -9,18 +9,23 @@ when --out redirects it to a file).
 Positivity results are certificates over a seeded sample: a failure is a
 reproducible disproof witness, a pass is evidence (complete only on nilpotent
 domains with exhaustive truncation).
+
+Each run is a fresh process that compiles what it imports, so the handlers
+reach the library through lazy modules (:func:`_lazy`): a subcommand runs
+only the modules it uses, for example ``eval`` only ``core``, ``series`` and
+``serialize``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import sys
 
 import numpy as np
 
-from . import cpmaps, formal, kernels, multipliers, rkhs, series
 from .core import (
     DEFAULT_TOL,
     Infeasible,
@@ -31,15 +36,8 @@ from .core import (
     NotCp,
     NotPsd,
     Tolerances,
+    check_positive,
     rel_err,
-)
-from .sampling import (
-    NILPOTENT,
-    complex_gaussian,
-    random_psd,
-    random_similarity,
-    rng_from_seed,
-    sample_tuple,
 )
 from .serialize import (
     _kernel_form,
@@ -57,6 +55,26 @@ from .serialize import (
 )
 
 EXIT_CODES = {"ok": 0, "input_error": 2, "certificate_failed": 3, "infeasible": 4}
+
+
+def _lazy(name: str):
+    """The module ``ncrkhs.<name>``, entered in ``sys.modules`` now and run at its first attribute access.
+
+    A subcommand thus reads and runs only the modules it uses, while every
+    module a subcommand may use can be found in ``sys.modules`` from the start.
+    """
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[full] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+cpmaps, formal, kernels, multipliers, rkhs, sampling, series = map(
+    _lazy, ("cpmaps", "formal", "kernels", "multipliers", "rkhs", "sampling", "series"))
 
 
 def _load(path: str, where: str):
@@ -132,18 +150,18 @@ def _cmd_extract_coeffs(args, tol):
 
 def _cmd_check_ncfun(args, tol):
     f = decode_series(_load(args.series, "series"), "series")
-    kernels._check_positive(args.samples, "sample")
+    check_positive(args.samples, "sample")
     max_size = _at_least(args.max_size, 1, "--max-size")
-    rng = rng_from_seed(args.seed)
+    rng = sampling.rng_from_seed(args.seed)
     pairs = []
     triples = []
     for _ in range(args.samples):
         n = int(rng.integers(1, max_size + 1))
         m = int(rng.integers(1, max_size + 1))
-        z = sample_tuple(rng, args.sampler, f.d, n)
-        w = sample_tuple(rng, args.sampler, f.d, m)
+        z = sampling.sample_tuple(rng, args.sampler, f.d, n)
+        w = sampling.sample_tuple(rng, args.sampler, f.d, m)
         pairs.append((z, w))
-        s = random_similarity(rng, n)
+        s = sampling.random_similarity(rng, n)
         zt = MatrixTuple(tuple(s @ c @ np.linalg.inv(s) for c in z.coords))
         triples.append((z, zt, s))
     ds = series.check_respects_direct_sums(f, pairs, tol)
@@ -159,7 +177,7 @@ def _cmd_check_ncfun(args, tol):
 def _cmd_check_kernel(args, tol):
     kernel = decode_kernel(_load(args.kernel, "kernel"), "kernel", tol)
     samples = kernels.draw_kernel_axiom_samples(
-        kernel, rng_from_seed(args.seed), n_samples=args.samples, sizes=_sizes(args),
+        kernel, sampling.rng_from_seed(args.seed), n_samples=args.samples, sizes=_sizes(args),
         sampler=args.sampler,
     )
     report = kernels.check_kernel_axioms(kernel, samples, tol)
@@ -174,7 +192,7 @@ def _cmd_check_kernel(args, tol):
 
 def _cmd_cp_certify(args, tol):
     kernel = decode_kernel(_load(args.kernel, "kernel"), "kernel", tol)
-    kernels._check_positive(args.rows, "row")
+    check_positive(args.rows, "row")
     if args.reduced:
         cert = kernels.cp_certificate_similarity_reduced(
             kernel, n_points=args.points, sizes=_sizes(args), seed=args.seed, tol=tol,
@@ -190,7 +208,8 @@ def _cmd_cp_certify(args, tol):
 
 def _cmd_kolmogorov(args, tol):
     kernel = decode_kernel(_load(args.kernel, "kernel"), "kernel", tol)
-    _, points = kernels.sample_points(kernel, rng_from_seed(args.seed), args.points, _sizes(args), NILPOTENT)
+    _, points = kernels.sample_points(kernel, sampling.rng_from_seed(args.seed), args.points, _sizes(args),
+                                      sampling.NILPOTENT)
     sample = kernels.kolmogorov_at_sample(kernel, points, tol)
     return {
         "status": "ok",
@@ -249,20 +268,20 @@ def _cmd_brangesian(args, tol):
     gram_src = decode_matrix(data["gram_src"], "contraction.gram_src") if "gram_src" in data else None
     gram_tgt = decode_matrix(data["gram_tgt"], "contraction.gram_tgt") if "gram_tgt" in data else None
     dec = multipliers.brangesian_complement(a, gram_src, gram_tgt, tol)
-    rng = rng_from_seed(args.seed)
+    rng = sampling.rng_from_seed(args.seed)
     n = a.shape[0]
 
     identity_violation = 0.0
     margin = 0.0
     overlap = dec.feasible_perturbation_basis()
     for _ in range(vectors):
-        h = complex_gaussian(rng, n, 1)[:, 0]
+        h = sampling.complex_gaussian(rng, n, 1)[:, 0]
         k_part, h_part = dec.decompose(h)
         cost = dec.split_cost(k_part, h_part)
         identity_violation = max(identity_violation, rel_err(abs(cost - dec.ambient_norm(h) ** 2), cost))
         if overlap.shape[1]:
             for _ in range(splits):
-                delta = overlap @ complex_gaussian(rng, overlap.shape[1], 1)[:, 0] * 0.3
+                delta = overlap @ sampling.complex_gaussian(rng, overlap.shape[1], 1)[:, 0] * 0.3
                 margin = min(margin, dec.split_cost(k_part + delta, h_part - delta) - cost)
     return {
         "status": "ok",
@@ -325,10 +344,10 @@ def _cmd_cb_norm(args, tol):
     samples = _at_least(args.samples, 0, "--samples")
     phi = decode_cp_map(_load(args.map, "map"), "map", tol)
     norm = cpmaps.cb_norm_cp(phi, tol)
-    rng = rng_from_seed(args.seed)
+    rng = sampling.rng_from_seed(args.seed)
     ratio = 0.0
     for _ in range(samples):
-        p = random_psd(rng, int(rng.integers(1, cpmaps.MAX_AMP + 1)) * phi.k)
+        p = sampling.random_psd(rng, int(rng.integers(1, cpmaps.MAX_AMP + 1)) * phi.k)
         top = np.linalg.norm(p, 2)
         if top > 0:
             ratio = max(ratio, float(np.linalg.norm(phi.apply_amplified(p / top), 2)))

@@ -9,9 +9,8 @@ reversal of the stored tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,25 +116,70 @@ class DependentBasis(NcrkhsError):
     """Basis coefficient vectors are linearly dependent."""
 
 
+def check_positive(count: int, what: str) -> None:
+    """Raise :class:`InputError` unless a certificate's count of ``what`` is at least one."""
+    if count < 1:
+        raise InputError(f"a certificate needs at least one {what}, got {count}")
+
+
+# ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+class Record:
+    """A record whose attributes are set once, by its ``__init__`` through :meth:`_set`.
+
+    Assigning or deleting an attribute raises :class:`AttributeError`.  The
+    records are plain classes rather than dataclasses: every start of the
+    command-line tool creates each class again, and a plain class statement
+    generates no code.
+    """
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        vars(self).update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Value(Record):
+    """A record that compares, hashes and prints by its fields, in the order ``__init__`` sets them."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return tuple(vars(self).values()) == tuple(vars(other).values())
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
 # ---------------------------------------------------------------------------
 # tolerances
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(Value):
     """Numerical policy shared by all checks.
 
     eq_rel     relative Frobenius threshold for equality of matrices
     psd_floor  minimum-eigenvalue floor, relative to max(1, ||m||_2)
     """
 
-    eq_rel: float = 1e-10
-    psd_floor: float = 1e-9
-
-    def __post_init__(self):
-        for name in ("eq_rel", "psd_floor"):
-            if not getattr(self, name) > 0:
+    def __init__(self, eq_rel: float = 1e-10, psd_floor: float = 1e-9):
+        for name, value in (("eq_rel", eq_rel), ("psd_floor", psd_floor)):
+            if not value > 0:
                 raise InputError(f"tolerance {name} must be strictly positive")
+        self._set(eq_rel=eq_rel, psd_floor=psd_floor)
 
 
 DEFAULT_TOL = Tolerances()
@@ -254,7 +298,8 @@ def require_finite(m: np.ndarray, what: str) -> None:
 
 def hermitize(m: np.ndarray, what: str) -> np.ndarray:
     """(m + m*)/2, the only input to an eigensolve; raises :class:`InputError` when it overflowed."""
-    h = (m + m.conj().T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports the overflow
+        h = (m + m.conj().T) / 2.0
     require_finite(h, what)
     return h
 
@@ -292,8 +337,7 @@ def psd_factor(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
-@dataclass(frozen=True)
-class PsdVerdict:
+class PsdVerdict(NamedTuple):
     """Outcome of the PSD-floor test over a family of matrices."""
 
     passed: bool
@@ -408,8 +452,7 @@ def words_up_to(d: int, max_len: int) -> list[Word]:
 # matrix tuples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatrixTuple:
+class MatrixTuple(Record):
     """A point Z: d square complex matrices sharing size n x n.
 
     A point also remembers values computed at it (see :meth:`cached` and
@@ -418,25 +461,20 @@ class MatrixTuple:
     slices are ``coords``.
     """
 
-    coords: tuple[np.ndarray, ...]
-    stacked: np.ndarray = field(init=False, repr=False, compare=False)
-    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.coords) < 1:
+    def __init__(self, coords: tuple[np.ndarray, ...]):
+        if len(coords) < 1:
             raise InputError("a matrix tuple needs at least one coordinate")
         # one check of the stacked coordinates; each coordinate is a view into it
-        block = _stacked(self.coords)
+        block = _stacked(coords)
         if block is None or block.ndim != 3 or block.shape[1] != block.shape[2]:
-            coords = [as_cmatrix(c) for c in self.coords]
+            coords = [as_cmatrix(c) for c in coords]
             n = coords[0].shape[0]
             for c in coords:
                 if c.shape != (n, n):
                     raise DimMismatch("all coordinates must be square of the same size")
             block = np.array(coords)
         block.setflags(write=False)
-        object.__setattr__(self, "stacked", block)
-        object.__setattr__(self, "coords", tuple(block))
+        self._set(coords=tuple(block), stacked=block, _values={})
 
     @property
     def d(self) -> int:

@@ -12,8 +12,8 @@ sigma(a) = a (x) I_r with multiplicity r equal to the Choi rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,8 +117,7 @@ def is_cp(phi: CpMap, tol: Tolerances | None = None) -> tuple[bool, float]:
     return verdict.passed, verdict.min_eig
 
 
-@dataclass(frozen=True)
-class StinespringDilation:
+class StinespringDilation(NamedTuple):
     """phi(a) = H (a (x) I_r) H* with X = C^k (x) C^r and r the Choi rank."""
 
     h: np.ndarray

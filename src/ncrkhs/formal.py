@@ -13,7 +13,7 @@ through :func:`ncrkhs.series.functional_evaluator`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +76,7 @@ def is_formal_positive_truncated(
     return verdict.passed, verdict.min_eig
 
 
-@dataclass(frozen=True)
-class FormalFactorization:
+class FormalFactorization(NamedTuple):
     """Truncated Kolmogorov factor: K_{a,b} ~= H_a H_b* for |a|,|b| <= max_len."""
 
     h: NcSeries

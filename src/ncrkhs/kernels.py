@@ -31,8 +31,7 @@ evaluated exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,12 +42,15 @@ from .core import (
     MatrixTuple,
     MissingPair,
     NotPsd,
+    Record,
     Tolerances,
     TruncationRefused,
+    Value,
     Word,
     as_cmatrix,
     cached_at,
     check_intertwiner,
+    check_positive,
     direct_sum,
     frobenius,
     frozen,
@@ -93,21 +95,17 @@ SCALAR = "scalar"
 FULL_MATRIX = "full_matrix"
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(Value):
     """The C*-algebra C^{k x k} with representation a -> a (x) I_r."""
 
-    kind: str = SCALAR
-    k: int = 1
-    r: int = 1
-
-    def __post_init__(self):
-        if self.kind not in (SCALAR, FULL_MATRIX):
-            raise InputError(f"unknown algebra kind {self.kind!r}")
-        if self.k < 1 or self.r < 1:
+    def __init__(self, kind: str = SCALAR, k: int = 1, r: int = 1):
+        if kind not in (SCALAR, FULL_MATRIX):
+            raise InputError(f"unknown algebra kind {kind!r}")
+        if k < 1 or r < 1:
             raise InputError("algebra sizes must be >= 1")
-        if self.kind == SCALAR and self.k != 1:
+        if kind == SCALAR and k != 1:
             raise InputError("scalar algebra has k = 1")
+        self._set(kind=kind, k=k, r=r)
 
     @property
     def rep_dim(self) -> int:
@@ -407,25 +405,20 @@ def moment_kernel_from_factor(h: NcSeries, max_len: int) -> MomentKernel:
 # kernel elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KernelElement:
+class KernelElement(Record):
     """Reproducing element K_{W,v,y}: evaluates as K(Z,W)(u v) y."""
 
-    kernel: KernelBase
-    w: MatrixTuple
-    v: np.ndarray  # row over A: k x (m*k) encoded
-    y: np.ndarray  # vector in Y^m
-
-    def __post_init__(self):
-        k = self.kernel.algebra.k
-        m = self.w.n
-        object.__setattr__(self, "v", frozen(as_cmatrix(self.v, k, m * k)))
-        y = np.asarray(self.y, dtype=np.complex128).reshape(-1)
-        if y.shape[0] != m * self.kernel.y_dim:
+    def __init__(self, kernel: KernelBase, w: MatrixTuple, v: np.ndarray, y: np.ndarray):
+        """``v`` is a row over A (k x (m*k) encoded), ``y`` a vector in Y^m."""
+        k = kernel.algebra.k
+        m = w.n
+        v = frozen(as_cmatrix(v, k, m * k))
+        y = np.asarray(y, dtype=np.complex128).reshape(-1)
+        if y.shape[0] != m * kernel.y_dim:
             raise DimMismatch(f"y must lie in Y^{m}, got length {y.shape[0]}")
         y = y.copy()
         y.setflags(write=False)
-        object.__setattr__(self, "y", y)
+        self._set(kernel=kernel, w=w, v=v, y=y)
 
     def evaluate(self, z: MatrixTuple, u: np.ndarray) -> np.ndarray:
         """K_{W,v,y}(Z) u = K(Z,W)(u v) y."""
@@ -438,11 +431,21 @@ class KernelElement:
 # kernel axiom checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KernelAxiomSamples:
-    hermitian: list = field(default_factory=list)        # (Z, W, P)
-    direct_sums: list = field(default_factory=list)      # (Z, Zt, W, Wt, P_full)
-    intertwinings: list = field(default_factory=list)    # (Z, Zt, alpha, W, Wt, beta, P)
+class KernelAxiomSamples(Record):
+    """The arguments of each axiom check; a list left out starts empty and is not shared."""
+
+    def __init__(self, hermitian: list | None = None, direct_sums: list | None = None,
+                 intertwinings: list | None = None):
+        self._set(
+            hermitian=[] if hermitian is None else hermitian,              # (Z, W, P)
+            direct_sums=[] if direct_sums is None else direct_sums,        # (Z, Zt, W, Wt, P_full)
+            intertwinings=[] if intertwinings is None else intertwinings,  # (Z, Zt, alpha, W, Wt, beta, P)
+        )
+
+
+def _direct_sum(z: MatrixTuple, zt: MatrixTuple) -> MatrixTuple:
+    """Z (+) Zt, made once per pair and kept on Z, so its factor values are formed once."""
+    return z.cached(zt, lambda: direct_sum([z, zt]))
 
 
 def draw_kernel_axiom_samples(
@@ -453,7 +456,7 @@ def draw_kernel_axiom_samples(
     sampler: str | None = None,
 ) -> KernelAxiomSamples:
     """Random points, exact intertwiners (similarities and embeddings), and arguments."""
-    _check_positive(n_samples, "sample")
+    check_positive(n_samples, "sample")
     rng = rng_from_seed(rng)
     sampler, sizes = _domain(kernel, sampler, sizes)
     k = kernel.algebra.k
@@ -476,8 +479,8 @@ def draw_kernel_axiom_samples(
         w_sim = MatrixTuple(tuple(t @ c @ np.linalg.inv(t) for c in w.coords))
         samples.intertwinings.append((z, z_sim, s, w, w_sim, t, p))
 
-        # column embedding into a direct sum
-        big = direct_sum([z, zt])
+        # column embedding into a direct sum, the point the direct-sum check uses
+        big = _direct_sum(z, zt)
         alpha = np.vstack([np.eye(n), np.zeros((n, n))])
         samples.intertwinings.append((z, big, alpha, w, w, np.eye(m), p))
     return samples
@@ -495,7 +498,7 @@ def check_kernel_axioms(
     """
     k = kernel.algebra.k
     y = kernel.y_dim
-    sums = [(direct_sum([z, zt]), direct_sum([w, wt])) for z, zt, w, wt, _ in samples.direct_sums]
+    sums = [(_direct_sum(z, zt), _direct_sum(w, wt)) for z, zt, w, wt, _ in samples.direct_sums]
     kernel.precompute([x for sample in samples.hermitian + samples.direct_sums + samples.intertwinings
                        for x in sample if isinstance(x, MatrixTuple)] + [z for pair in sums for z in pair])
 
@@ -529,8 +532,7 @@ def check_kernel_axioms(
 # complete-positivity certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CpCertificate:
+class CpCertificate(NamedTuple):
     """Outcome of a sampled positivity check; deterministic given the seed."""
 
     passed: bool
@@ -539,11 +541,6 @@ class CpCertificate:
     seed: object
     witness: np.ndarray | None = None
     points: tuple = ()
-
-
-def _check_positive(count: int, what: str) -> None:
-    if count < 1:
-        raise InputError(f"a certificate needs at least one {what}, got {count}")
 
 
 def _domain(kernel: KernelBase, sampler: str | None, sizes: Sequence[int]) -> tuple[str, tuple[int, ...]]:
@@ -564,7 +561,7 @@ def sample_points(kernel: KernelBase, rng, n_points: int, sizes: Sequence[int],
 
     Nilpotent sizes are clamped to a truncated kernel's exact domain.
     """
-    _check_positive(n_points, "sample point")
+    check_positive(n_points, "sample point")
     sampler, sizes = _domain(kernel, sampler, sizes)
     return sampler, sample_tuples(rng, sampler, kernel.d, [sizes[i % len(sizes)] for i in range(n_points)])
 
@@ -586,7 +583,7 @@ def cp_certificate(
     """
     rng = rng_from_seed(seed)
     sampler, points = sample_points(kernel, rng, n_points, sizes, sampler)
-    _check_positive(n_rows, "row")
+    check_positive(n_rows, "row")
     rows = random_algebra_matrices(rng, kernel.algebra.k, n_rows, [z.n for z in points])
     m = kernel.block_matrix(points, [r.conj().T for r in rows])
     verdict = psd_verdict([m], tol)
@@ -617,7 +614,7 @@ def cp_certificate_similarity_reduced(
     diagonal identity-argument test carries the same force as the full
     sampled test; the axioms are re-checked here unless disabled.
     """
-    _check_positive(n_points, "sample point")
+    check_positive(n_points, "sample point")
     rng = rng_from_seed(seed)
     sampler, sizes = _domain(kernel, sampler, sizes)
     if check_axioms:
@@ -644,8 +641,7 @@ def cp_certificate_similarity_reduced(
 # finite-sample Kolmogorov factorization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KolmogorovSample:
+class KolmogorovSample(NamedTuple):
     """Per-point factor values H(Z_i) with K(Z_i,Z_j)(P) ~= H_i (P (x) I_rank) H_j*."""
 
     points: tuple[MatrixTuple, ...]
@@ -739,8 +735,7 @@ class EnvelopeKernel:
 # cb-norm report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CbNormReport:
+class CbNormReport(NamedTuple):
     norm_at_identity: float
     max_sampled_ratio: float
 

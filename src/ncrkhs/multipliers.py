@@ -8,7 +8,7 @@ so a failure is a disproof witness while a pass is seeded evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .core import (
     MatrixTuple,
     NotContraction,
     NotInTarget,
+    Record,
     Tolerances,
     as_cmatrix,
     hermitize,
@@ -41,24 +42,20 @@ from .rkhs import RkhsModel
 from .series import NcSeries, WordIndicator, evaluate, multiply
 
 
-@dataclass(frozen=True)
-class Multiplier:
+class Multiplier(Record):
     """S together with its source and target kernels."""
 
-    s: NcSeries
-    source: KernelBase
-    target: KernelBase
-
-    def __post_init__(self):
-        if self.s.d != self.source.d or self.s.d != self.target.d:
+    def __init__(self, s: NcSeries, source: KernelBase, target: KernelBase):
+        if s.d != source.d or s.d != target.d:
             raise DimMismatch("multiplier and kernels must share the variable count")
-        if self.s.out_dim != self.target.y_dim or self.s.in_dim != self.source.y_dim:
+        if s.out_dim != target.y_dim or s.in_dim != source.y_dim:
             raise DimMismatch(
-                f"multiplier shape {self.s.out_dim}x{self.s.in_dim} does not match "
-                f"target/source coefficient dimensions {self.target.y_dim}/{self.source.y_dim}"
+                f"multiplier shape {s.out_dim}x{s.in_dim} does not match "
+                f"target/source coefficient dimensions {target.y_dim}/{source.y_dim}"
             )
-        if self.source.algebra != self.target.algebra:
+        if source.algebra != target.algebra:
             raise DimMismatch("source and target kernels must share the coefficient algebra")
+        self._set(s=s, source=source, target=target)
 
 
 def _element_slice_series(model: RkhsModel, coeffs) -> NcSeries:
@@ -79,8 +76,7 @@ def apply_multiplier_series(mult: Multiplier, source_model: RkhsModel, coeffs) -
             for col in range(image.in_dim)]
 
 
-@dataclass(frozen=True)
-class Represented:
+class Represented(NamedTuple):
     """Coefficients of a represented element with its least-squares residual."""
 
     coefficients: np.ndarray

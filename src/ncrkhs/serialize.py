@@ -18,6 +18,9 @@ arrays themselves.  The public ``encode_*`` functions keep returning
 JSON-native objects (lists of Python floats); they and the CLI build each
 file form with the same private builder, which takes the matrix leaf as an
 argument.
+
+The codec of an object kind imports that kind's module when it is called,
+so reading a series or a cp map runs no kernel code.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 from operator import itemgetter
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -39,18 +42,12 @@ from .core import (
     as_cmatrix,
     validate_word,
 )
-from .cpmaps import CpMap
-from .kernels import (
-    FULL_MATRIX,
-    SCALAR,
-    AlgebraSpec,
-    GramBasisKernel,
-    KernelBase,
-    KolmogorovKernel,
-    MomentKernel,
-)
-from .rkhs import RkhsModel
-from .series import NcSeries
+
+if TYPE_CHECKING:
+    from .cpmaps import CpMap
+    from .kernels import AlgebraSpec, KernelBase, MomentKernel
+    from .rkhs import RkhsModel
+    from .series import NcSeries
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +289,8 @@ def encode_series(f: NcSeries) -> dict:
 
 
 def decode_series(data, where: str = "series") -> NcSeries:
+    from .series import NcSeries
+
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected an object with d/p/q/terms")
     d = decode_int(data, "d", where)
@@ -318,6 +317,8 @@ def encode_algebra(a: AlgebraSpec) -> dict:
 
 
 def decode_algebra(data, where: str = "algebra") -> AlgebraSpec:
+    from .kernels import FULL_MATRIX, SCALAR, AlgebraSpec
+
     if data is None:
         return AlgebraSpec(SCALAR)
     if not isinstance(data, dict):
@@ -329,6 +330,8 @@ def decode_algebra(data, where: str = "algebra") -> AlgebraSpec:
 
 
 def _decode_moment_kernel(data, where: str, tol: Tolerances) -> MomentKernel:
+    from .kernels import MomentKernel
+
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected an object with d/y_dim/max_len/moments")
     d = decode_int(data, "d", where)
@@ -351,6 +354,8 @@ def _decode_moment_kernel(data, where: str, tol: Tolerances) -> MomentKernel:
 
 def _kernel_form(kernel: KernelBase, leaf) -> dict:
     """The file form of a kernel, each matrix rendered by ``leaf``."""
+    from .kernels import GramBasisKernel, KolmogorovKernel, MomentKernel
+
     if isinstance(kernel, MomentKernel):
         return {
             "form": "moment",
@@ -384,6 +389,8 @@ def encode_kernel(kernel: KernelBase) -> dict:
 
 
 def decode_kernel(data, where: str = "kernel", tol: Tolerances = DEFAULT_TOL) -> KernelBase:
+    from .kernels import GramBasisKernel, KolmogorovKernel
+
     if not isinstance(data, dict) or "form" not in data:
         raise InputError(f"{where}: expected an object with a 'form' field")
     form = data["form"]
@@ -428,6 +435,8 @@ def encode_model(m: RkhsModel) -> dict:
 
 
 def decode_model(data, where: str = "model", tol: Tolerances = DEFAULT_TOL) -> RkhsModel:
+    from .rkhs import RkhsModel
+
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected an object with algebra/basis/gram")
     algebra = decode_algebra(data.get("algebra"), f"{where}.algebra")
@@ -450,6 +459,8 @@ def encode_cp_map(phi: CpMap) -> dict:
 
 
 def decode_cp_map(data, where: str = "map", tol: Tolerances = DEFAULT_TOL) -> CpMap:
+    from .cpmaps import CpMap
+
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected an object with k/m/units")
     k = decode_int(data, "k", where)

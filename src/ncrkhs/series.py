@@ -38,9 +38,8 @@ of one size are tested together, one batched product and QR per length
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,6 +51,7 @@ from .core import (
     InputError,
     MatrixTuple,
     NotNilpotent,
+    Record,
     Tolerances,
     Word,
     as_cmatrix,
@@ -68,33 +68,26 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class NcSeries:
+class NcSeries(Record):
     """Finitely supported word -> coefficient matrix association."""
 
-    d: int
-    out_dim: int
-    in_dim: int
-    terms: Mapping[Word, np.ndarray]
-
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int, out_dim: int, in_dim: int, terms: Mapping[Word, np.ndarray]):
+        if d < 1:
             raise InputError("d must be >= 1")
-        if self.out_dim < 1 or self.in_dim < 1:
+        if out_dim < 1 or in_dim < 1:
             raise InputError("coefficient dimensions must be >= 1")
-        words = int_words(self.terms, self.d)
+        words = int_words(terms, d)
         if words is None or len(set(words)) < len(words):
             # word by word, to name the first bad letter or repeated word
             seen: dict[Word, None] = {}
-            for w in self.terms:
-                word = validate_word(w, self.d)
+            for w in terms:
+                word = validate_word(w, d)
                 if word in seen:
                     raise InputError(f"duplicate word {word}")
                 seen[word] = None
             words = list(seen)
-        words, block = sorted_table(words, list(self.terms.values()), self.out_dim, self.in_dim, word_key)
-        object.__setattr__(self, "terms", dict(zip(words, block)))
-        object.__setattr__(self, "_coeffs", block)
+        words, block = sorted_table(words, list(terms.values()), out_dim, in_dim, word_key)
+        self._set(d=d, out_dim=out_dim, in_dim=in_dim, terms=dict(zip(words, block)), _coeffs=block)
 
     @cached_property
     def _plan(self) -> "_Plan":
@@ -339,8 +332,7 @@ def _children(plan: _Plan, k: int, powers: np.ndarray, lo: int, c0: int, c1: int
     return np.matmul(powers.take([parent[c] - lo for c in range(c0, c1)], axis=1), coords.take(letter[c0:c1], axis=1))
 
 
-@dataclass(frozen=True, eq=False)
-class WordIndicator:
+class WordIndicator(Record):
     """The series sum_a z^a (e_a^T (x) I_y) over distinct ``words``.
 
     Its value at Z is the block row ``[Z^a (x) I_y]_a``, one column block per
@@ -349,9 +341,8 @@ class WordIndicator:
     block instead of summing one-hot coefficients.
     """
 
-    d: int
-    y_dim: int
-    words: tuple[Word, ...]
+    def __init__(self, d: int, y_dim: int, words: tuple[Word, ...]):
+        self._set(d=d, y_dim=y_dim, words=words)
 
     @cached_property
     def _order(self) -> np.ndarray:
@@ -431,8 +422,7 @@ def _word_blocks(f: WordIndicator, coords: np.ndarray) -> np.ndarray:
 # executable nc-function axioms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     passed: bool
     max_violation: float
     threshold: float

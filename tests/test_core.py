@@ -97,6 +97,7 @@ def test_rel_err_is_elementwise_on_arrays():
     assert rel_err(0.5, 0.1) == 0.5
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_hermitize_rejects_overflow():
     # each entry is finite, but m + m* is not
     with pytest.raises(InputError, match="overflow"):
@@ -200,6 +201,7 @@ def test_psd_verdict_pass_boundary_and_empty():
         pytest.param({(1, 2): 1e308, (2, 1): 1e308}, id="symmetrization-overflow"),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_psd_tests_reject_non_finite_entries(entries):
     m = np.eye(3, dtype=complex)
     for index, value in entries.items():

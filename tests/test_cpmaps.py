@@ -95,6 +95,7 @@ def test_stinespring_rejects_non_cp():
         stinespring(phi)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_choi_matrix_is_an_input_error():
     # a PSD Choi matrix of finite entries whose symmetrization overflows
     phi = CpMap(1, 2, {(0, 0): np.full((2, 2), 1e308)})

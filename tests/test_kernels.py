@@ -14,7 +14,7 @@ from ncrkhs.core import (
     psd_factor,
     zero_tuple,
 )
-from ncrkhs import kernels
+from ncrkhs import kernels, series
 from ncrkhs.kernels import (
     AlgebraSpec,
     CallableKernel,
@@ -199,6 +199,22 @@ def test_matrix_algebra_kernels_axioms_and_cp():
     samples = draw_kernel_axiom_samples(gb, rng_from_seed(32), n_samples=2, sizes=(2, 2))
     assert check_kernel_axioms(gb, samples).passed
     assert cp_certificate(gb, n_points=2, sizes=(1, 2), n_rows=2, seed=6).passed
+
+
+def test_kernel_axiom_check_forms_each_point_value_once(monkeypatch):
+    # the embedding sample's Z (+) Zt is the point the direct-sum check uses
+    formed = []
+    values = series._values
+
+    def counted(f, points):
+        formed.extend((id(f), z.stacked.shape, z.stacked.tobytes()) for z in points)
+        return values(f, points)
+
+    monkeypatch.setattr(series, "_values", counted)
+    kernel = KolmogorovKernel(AlgebraSpec(), random_scalar_factor(rng_from_seed(3), 2, 1, 2), s=2)
+    samples = draw_kernel_axiom_samples(kernel, rng_from_seed(4), n_samples=3, sizes=(2, 3))
+    assert check_kernel_axioms(kernel, samples).passed
+    assert formed and len(formed) == len(set(formed))
 
 
 @pytest.mark.parametrize("side", ["alpha", "beta"])
