@@ -138,7 +138,10 @@ class Record:
     __slots__ = ()
 
     def _set(self, **fields) -> None:
-        vars(self).update(fields)
+        # attribute by attribute, so that the instance keeps its compact
+        # per-class attribute layout rather than a dictionary of its own
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
