@@ -138,10 +138,7 @@ class Record:
     __slots__ = ()
 
     def _set(self, **fields) -> None:
-        # attribute by attribute, so that the instance keeps its compact
-        # per-class attribute layout rather than a dictionary of its own
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        self.__dict__.update(fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
