@@ -47,7 +47,7 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-# the submodules are exported too, as the eager package exported them
+# the submodules are exported names too
 _MODULES = (*_EXPORTS, "sampling")
 
 __all__ = sorted([*_HOME, *_MODULES])
