@@ -9,6 +9,7 @@ reversal of the stored tuple.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -483,6 +484,17 @@ class MatrixTuple(Record):
     @property
     def n(self) -> int:
         return self.coords[0].shape[0]
+
+    @cached_property
+    def strictly_triangular(self) -> bool:
+        """True when every coordinate is exactly strictly upper triangular, or every one strictly lower.
+
+        Such a point is jointly nilpotent of order <= max(n, 1) at any
+        tolerance (see :func:`ncrkhs.series.nilpotency_orders`).  The test
+        is exact and made once per point.
+        """
+        s = self.stacked
+        return np.array_equal(s, np.triu(s, 1)) or np.array_equal(s, np.tril(s, -1))
 
     def coord(self, letter: int) -> np.ndarray:
         """Coordinate for a 1-based letter."""

@@ -166,10 +166,11 @@ class FactoredKernel(KernelBase):
     one size at a time, by one walk per size.
 
     A kernel built from a moment table keeps its ``max_len``: it is exact only
-    at jointly nilpotent points of order <= max_len + 1 (nilpotency tested at
-    ``tol``, the points of one size together, and kept in each point's memo),
-    and refuses other points unless a truncation is asked for.  ``kind``
-    names the kernel in that refusal.
+    at jointly nilpotent points of order <= max_len + 1, and refuses other
+    points unless a truncation is asked for.  A strictly triangular point
+    of size <= max_len + 1 is inside without a test; the others are tested
+    at ``tol``, the points of one size together, and keep their orders in
+    their memos.  ``kind`` names the kernel in that refusal.
     """
 
     def __init__(self, d: int, y_dim: int, algebra: AlgebraSpec, terms,
@@ -188,7 +189,10 @@ class FactoredKernel(KernelBase):
         return GAUSSIAN if self.max_len is None else NILPOTENT
 
     def _check_domain(self, points: Sequence[MatrixTuple]) -> None:
-        """Raise :class:`TruncationRefused` if K is only a truncation at one of ``points``."""
+        """Raise :class:`TruncationRefused` if K is only a truncation at one of ``points``.
+
+        Only the points that :meth:`_orders` tests can be refused.
+        """
         if self.max_len is None:
             return
         # words of length >= order vanish at a point, so the stored support
@@ -200,14 +204,22 @@ class FactoredKernel(KernelBase):
             )
 
     def _orders(self, points: Sequence[MatrixTuple]) -> list[int | None]:
-        """The nilpotency orders at ``tol``; each point keeps its order, so it is tested once per tolerance."""
-        return cached_at(points, self.tol, lambda missing: nilpotency_orders(missing, self.tol))
+        """The nilpotency orders at ``tol`` of the ``points`` that need a test, in order.
+
+        A point of size n <= max_len + 1 that is strictly triangular
+        (:attr:`~ncrkhs.core.MatrixTuple.strictly_triangular`) has order
+        <= max(n, 1), so it is inside the domain and is left out.  Each other
+        point keeps its order, so it is tested once per tolerance.
+        """
+        tested = [z for z in points if z.n > self.max_len + 1 or not z.strictly_triangular]
+        return cached_at(tested, self.tol, lambda missing: nilpotency_orders(missing, self.tol))
 
     def precompute(self, points):
         """Test the domain at ``points`` and form every factor's value there, one size at a time.
 
-        Nothing is refused here: each point keeps its order and values, and
-        :meth:`evaluate` refuses a point outside the domain when it meets it.
+        Nothing is refused here: each point that :meth:`_orders` tests keeps
+        its order, each point keeps its values, and :meth:`evaluate` refuses
+        a point outside the domain when it meets it.
         """
         if self.max_len is not None:
             self._orders(points)

@@ -4,11 +4,15 @@ A multiplier is an nc function S acting pointwise by (M_S f)(W) = S(W) f(W).
 Contractivity of M_S is equivalent to complete positivity of the kernel
 K(Z,W)(P) - S(Z) K'(Z,W)(P) S(W)*; the certificate here samples that kernel,
 so a failure is a disproof witness while a pass is seeded evidence.
+
+The kernel, model and series modules are imported inside the functions
+that use them, so the Brangesian complement, which needs only matrices,
+loads none of them.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -31,15 +35,11 @@ from .core import (
     require_finite,
     word_key,
 )
-from .kernels import (
-    CpCertificate,
-    FactoredKernel,
-    KernelBase,
-    KernelElement,
-    cp_certificate,
-)
-from .rkhs import RkhsModel
-from .series import NcSeries, WordIndicator, evaluate, multiply
+
+if TYPE_CHECKING:
+    from .kernels import CpCertificate, FactoredKernel, KernelBase, KernelElement
+    from .rkhs import RkhsModel
+    from .series import NcSeries
 
 
 class Multiplier(Record):
@@ -63,6 +63,8 @@ def _element_slice_series(model: RkhsModel, coeffs) -> NcSeries:
 
     It is F D for the stacked basis F and D[(i, c'), c] = c_{(i, c)} delta_{c' c}.
     """
+    from .series import NcSeries, multiply
+
     k = model.algebra.k
     c = model._coerce(coeffs).reshape(model.n_basis, k)
     weights = (c[:, :, None] * np.eye(k)).reshape(model.dim, k)
@@ -71,6 +73,8 @@ def _element_slice_series(model: RkhsModel, coeffs) -> NcSeries:
 
 def apply_multiplier_series(mult: Multiplier, source_model: RkhsModel, coeffs) -> list[NcSeries]:
     """Slice series of M_S f, computed by series multiplication."""
+    from .series import NcSeries, multiply
+
     image = multiply(mult.s, _element_slice_series(source_model, coeffs))
     return [NcSeries(image.d, image.out_dim, 1, {w: c[:, [col]] for w, c in image.terms.items()})
             for col in range(image.in_dim)]
@@ -96,6 +100,8 @@ def apply_multiplier(
     :class:`NotInTarget` when one survives.  The image function itself is
     :func:`apply_multiplier_series`.
     """
+    from .series import multiply
+
     image = multiply(mult.s, _element_slice_series(source_model, coeffs))
     rep = _represent_in_model(image, target_model, tol)
     return Represented(rep.coefficients.sum(axis=1), rep.residual)
@@ -139,6 +145,8 @@ def multiplier_matrix(
     Column (i, c) of S F is M_S applied to the source slice (i, c), whose
     only nonzero slice is c, so one solve represents every source slice.
     """
+    from .series import multiply
+
     return _represent_in_model(multiply(mult.s, source_model.stacked), target_model, tol).coefficients
 
 
@@ -148,6 +156,9 @@ def _minus(kernel: KernelBase, other: KernelBase, s: NcSeries | None = None) -> 
     Both parts are exact only where both kernels are, so the result keeps the
     shorter truncation (``max_len`` and ``tol``) of the two.
     """
+    from .kernels import FactoredKernel
+    from .series import WordIndicator, multiply
+
     if not (isinstance(kernel, FactoredKernel) and isinstance(other, FactoredKernel)):
         raise InputError("de Branges-Rovnyak and difference kernels need factored kernels")
     moved = [
@@ -174,6 +185,8 @@ def contractivity_certificate(
     sampler: str | None = None,
 ) -> CpCertificate:
     """Sampled cp test of the de Branges-Rovnyak kernel of S."""
+    from .kernels import cp_certificate
+
     return cp_certificate(
         dbr_kernel(mult), n_points=n_points, sizes=sizes, n_rows=n_rows,
         seed=seed, tol=tol, sampler=sampler,
@@ -184,6 +197,9 @@ def adjoint_on_kernel_element(
     mult: Multiplier, w: MatrixTuple, v, y
 ) -> KernelElement:
     """(M_S)* K_{W,v,y} = K'_{W, v, S(W)* y}."""
+    from .kernels import KernelElement
+    from .series import evaluate
+
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
     if y.shape[0] != w.n * mult.target.y_dim:
         raise DimMismatch("y must lie in the target Y^m")
@@ -343,6 +359,8 @@ def contractive_containment(
     On a pass the returned difference kernel is the Brangesian complement
     kernel H(K) (-)_dBR H(K') = H(K - K').
     """
+    from .kernels import cp_certificate
+
     diff = difference_kernel(kprime, kernel)
     cert = cp_certificate(
         diff, n_points=n_points, sizes=sizes, n_rows=n_rows, seed=seed, tol=tol, sampler=sampler

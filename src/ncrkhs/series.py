@@ -32,7 +32,14 @@ one product with the stacked adjoint coordinates and recompressed by a QR,
 so it costs O(d n^4) however many words there are; a jointly nilpotent tuple
 is one that is simultaneously strictly upper-triangularizable.  The points
 of one size are tested together, one batched product and QR per length
-(:func:`nilpotency_orders`).
+(:func:`nilpotency_orders`).  A tuple that is already triangular in its own
+basis, every coordinate exactly strictly upper triangular or every one
+exactly strictly lower, is jointly nilpotent of order <= max(n, 1) without
+a test (:attr:`MatrixTuple.strictly_triangular`); the nilpotent sampler's
+points and the truncated free shift are such tuples.  A caller that only
+asks whether the order is at most some length walks the flag no further:
+:func:`evaluate_on_nilpotent` walks at most ``deg f`` lengths at such a
+point, and a truncated kernel tests none of size <= max_len + 1.
 """
 
 from __future__ import annotations
@@ -511,17 +518,34 @@ def nilpotency_orders(points: Sequence[MatrixTuple], tol: Tolerances = DEFAULT_T
     size n that has none by L = n has none.  The points of one shape take
     each step together, each until its order is found; each point's norm is
     taken on its own, so its order is the one it has alone.
+
+    A :attr:`~ncrkhs.core.MatrixTuple.strictly_triangular` point has an
+    order <= max(n, 1) at any tolerance: in floating point as in exact
+    arithmetic, each step's product makes one more column of ``c`` exactly
+    zero, the QR keeps zero columns zero, and so ``c`` is zero by L = n.
+    """
+    return _flag_orders(points, tol)
+
+
+def _flag_orders(points: Sequence[MatrixTuple], tol: Tolerances, bound: int | None = None) -> list[int | None]:
+    """:func:`nilpotency_orders`, walking at most ``bound`` lengths: None where a point has no order within them.
+
+    A point's steps are those of the full walk, so an order the bounded walk
+    finds is the point's order.
     """
     out: list[int | None] = [None] * len(points)
     for (d, n, _), members in _by_size(points).items():
+        # a 0 x 0 point has order 1, like the zero tuple
+        last = max(n, 1) if bound is None else min(max(n, 1), bound)
+        if last < 1:
+            continue
         coords = np.array([points[i].stacked for i in members])
         b = len(members)
         scale = np.maximum(1.0, np.max(np.linalg.svd(coords, compute_uv=False), axis=(1, 2), initial=0.0))
         stacked = (coords.conj().transpose(0, 3, 1, 2) / scale[:, None, None, None]).reshape(b, n, d * n)
         c = np.eye(n, dtype=np.complex128)[None].repeat(b, axis=0)
         live = np.array(members)
-        # a 0 x 0 point has order 1, like the zero tuple
-        for length in range(1, max(n, 1) + 1):
+        for length in range(1, last + 1):
             c = np.matmul(c, stacked).reshape(len(c), c.shape[1] * d, n)
             done = [frobenius(block) <= tol.eq_rel for block in c]
             if any(done):
@@ -531,17 +555,27 @@ def nilpotency_orders(points: Sequence[MatrixTuple], tol: Tolerances = DEFAULT_T
                 if done.all():
                     break
                 live, c, stacked = live[~done], c[~done], stacked[~done]
-            if c.shape[1] > n:
+            if c.shape[1] > n and length < last:
                 c = np.linalg.qr(c, mode="r")
     return out
 
 
 def evaluate_on_nilpotent(f: NcSeries, z: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Exact evaluation on a jointly nilpotent tuple: only words of length < L survive."""
-    order = nilpotency_order(z, tol)
+    """Exact evaluation on a jointly nilpotent tuple: only words of length < L survive.
+
+    Only an order L <= deg f truncates, so at a strictly triangular point
+    (:attr:`~ncrkhs.core.MatrixTuple.strictly_triangular`), which has an
+    order, the flag walk stops after ``deg f`` lengths.  Any other point
+    takes the full test, which raises :class:`NotNilpotent` where there is
+    no order.
+    """
+    if z.strictly_triangular:
+        order = _flag_orders([z], tol, f.degree)[0]
+    else:
+        order = nilpotency_order(z, tol)
     # truncate only when words go, so the point keeps the value under f itself,
     # and once per order, so a truncation's plan and values are kept with f
-    if f.degree >= order:
+    if order is not None and f.degree >= order:
         if order not in f._truncations:
             f._truncations[order] = truncate(f, order - 1)
         f = f._truncations[order]

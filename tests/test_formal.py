@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncrkhs.core import ShapeMismatch, TruncationTooShort, words_up_to
+from ncrkhs.core import MatrixTuple, ShapeMismatch, TruncationTooShort, words_up_to
 from ncrkhs.formal import (
     convolve_truncated,
     formal_kolmogorov_truncated,
@@ -16,7 +16,7 @@ from ncrkhs.kernels import (
     moment_kernel_from_factor as formal_kernel_from_factor,
     szego_kernel as szego_formal_kernel,
 )
-from ncrkhs.sampling import complex_gaussian, rng_from_seed
+from ncrkhs.sampling import complex_gaussian, nilpotent_tuple, random_similarity, rng_from_seed
 from ncrkhs.series import NcSeries, extract_taylor_coefficients, truncated_shift_tuple
 from ncrkhs.series import functional_evaluator as functional_from_series
 from ncrkhs.series import multiply as convolve
@@ -212,11 +212,22 @@ def test_zero_kernel_passes():
 
 
 def test_positivity_check_forms_no_value_at_the_shift_size(monkeypatch):
-    # the shift values come from the moment matrix: no factor value or nilpotency test at size N
-    from ncrkhs import kernels
+    # the shift values come from the moment matrix: no factor value or nilpotency test at size N;
+    # of the sampled points, only one that is not strictly triangular is tested
+    from ncrkhs import formal, kernels
 
     kernel = szego_formal_kernel(2, 3)
     size = len(words_up_to(2, 3))
+    rng = rng_from_seed(2)
+    similarity = random_similarity(rng, 3)
+    dense = MatrixTuple(tuple(similarity @ c @ np.linalg.inv(similarity) for c in nilpotent_tuple(rng, 2, 3).coords))
+    sample_points = formal.sample_points
+
+    def with_dense(*args):
+        sampler, points = sample_points(*args)
+        return sampler, points + [dense]
+
+    monkeypatch.setattr(formal, "sample_points", with_dense)
     factor_sizes, order_sizes = [], []
     factor_values, nilpotency_orders = kernels.factor_values, kernels.nilpotency_orders
     monkeypatch.setattr(kernels, "factor_values",
@@ -224,10 +235,10 @@ def test_positivity_check_forms_no_value_at_the_shift_size(monkeypatch):
     monkeypatch.setattr(kernels, "nilpotency_orders",
                         lambda zs, tol: order_sizes.extend(z.n for z in zs) or nilpotency_orders(zs, tol))
     cert = nilpotent_positivity_check(kernel, seed=1)
-    assert cert.passed
+    assert cert.passed and cert.points[-4] is dense
     assert [z.n for z in cert.points[-3:]] == [size] * 3
     assert factor_sizes and max(factor_sizes) <= kernel.max_len + 1 < size
-    assert order_sizes and max(order_sizes) <= kernel.max_len + 1
+    assert order_sizes == [dense.n]
 
 
 def _hermitian_table(rng, d, y, max_len):

@@ -14,10 +14,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ncrkhs
-from ncrkhs.serialize import dumps_canonical, encode_cp_map, encode_kernel, encode_series, encode_tuple
+from ncrkhs.serialize import (
+    dumps_canonical,
+    encode_cp_map,
+    encode_kernel,
+    encode_matrix,
+    encode_series,
+    encode_tuple,
+)
 
 SRC = Path(ncrkhs.__file__).resolve().parents[1]
 
@@ -88,6 +96,13 @@ def test_cp_map_subcommands_run_no_kernel_or_series_module(tmp_path, command):
     code, modules = fresh(RUN_CLI, command[0], "--map", phi, *command[1:], cwd=tmp_path)
     assert code == 0
     assert modules["ran"] == ["ncrkhs", "ncrkhs.core", "ncrkhs.cpmaps", "ncrkhs.sampling", "ncrkhs.serialize"]
+
+
+def test_brangesian_runs_no_kernel_model_or_series_module(tmp_path):
+    contraction = write(tmp_path, "a.json", {"a": encode_matrix(0.5 * np.eye(3))})
+    code, modules = fresh(RUN_CLI, "brangesian", "--contraction", contraction, "--seed", "1", cwd=tmp_path)
+    assert code == 0
+    assert modules["ran"] == ["ncrkhs", "ncrkhs.core", "ncrkhs.multipliers", "ncrkhs.sampling", "ncrkhs.serialize"]
 
 
 def test_a_kernel_certificate_runs_no_cp_map_formal_or_multiplier_module(tmp_path):

@@ -35,6 +35,7 @@ from ncrkhs.sampling import (
     nilpotent_tuple,
     random_algebra_matrix,
     random_psd,
+    random_similarity,
     rng_from_seed,
 )
 from ncrkhs.series import NcSeries
@@ -45,6 +46,21 @@ WORDS = [(), (1,), (2,), (2, 1), (1, 1, 2)]
 
 def series(rng, p, q, words=WORDS):
     return NcSeries(2, p, q, {w: complex_gaussian(rng, p, q) for w in words})
+
+
+def dense_nilpotent(rng, d, n):
+    """A strictly upper-triangular tuple conjugated by a random similarity: nilpotent, not triangular."""
+    s = random_similarity(rng, n)
+    return MatrixTuple(tuple(s @ c @ np.linalg.inv(s) for c in nilpotent_tuple(rng, d, n).coords))
+
+
+def with_point(sample_points, extra):
+    """``sample_points`` with ``extra`` added to every sample."""
+    def sampled(*args):
+        sampler, points = sample_points(*args)
+        return sampler, points + [extra]
+
+    return sampled
 
 
 def algebra(k):
@@ -264,15 +280,20 @@ def counted_everywhere(monkeypatch, module, name):
 
 @pytest.mark.parametrize("n_points", [1, 6, 16])
 def test_moment_certificate_work_counts(monkeypatch, n_points):
-    from ncrkhs import series
+    from ncrkhs import kernels, series
 
     kernel = szego_kernel(2, max_len=4)
+    # the sample plus one dense nilpotent point of order <= max_len + 1
+    dense = dense_nilpotent(rng_from_seed(49), 2, 4)
+    monkeypatch.setattr(kernels, "sample_points", with_point(kernels.sample_points, dense))
     krons = counted_everywhere(monkeypatch, core, "kron")
     word_evals = counted_everywhere(monkeypatch, core, "word_eval")
     orders = counted_everywhere(monkeypatch, series, "nilpotency_orders")
     cert = cp_certificate(kernel, n_points=n_points, sizes=(1, 2, 3, 4, 5), seed=48)
-    assert cert.passed
+    assert cert.passed and cert.points[-1] is dense
     assert len(krons) == 0 and len(word_evals) == 0
-    # one batched domain test of every point
+    # one batched domain test, of the dense point alone: the sampled points
+    # are strictly upper triangular, of sizes <= max_len + 1
+    assert all(z.strictly_triangular for z in cert.points[:-1]) and not dense.strictly_triangular
     assert len(orders) == 1
-    assert [z for (points,) in orders for z in points] == list(cert.points)
+    assert [z for (points,) in orders for z in points] == [dense]

@@ -34,11 +34,17 @@ from ncrkhs.kernels import (
     moment_kernel_from_factor,
     szego_kernel,
 )
-from ncrkhs.sampling import complex_gaussian, gaussian_tuple, nilpotent_tuple, rng_from_seed
+from ncrkhs.sampling import complex_gaussian, gaussian_tuple, nilpotent_tuple, random_similarity, rng_from_seed
 from ncrkhs.series import NcSeries, nilpotency_order
 
 J2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 JORDAN = MatrixTuple((J2,))
+
+
+def dense_nilpotent(rng, d, n):
+    """A strictly upper-triangular tuple conjugated by a random similarity: nilpotent, not triangular."""
+    s = random_similarity(rng, n)
+    return MatrixTuple(tuple(s @ c @ np.linalg.inv(s) for c in nilpotent_tuple(rng, d, n).coords))
 
 
 def random_scalar_factor(rng, d, y_dim, s, max_len=2, n_terms=4):
@@ -77,10 +83,18 @@ def test_moment_kernel_tests_each_point_once(monkeypatch):
 
     monkeypatch.setattr(kernels, "nilpotency_orders", counted)
     kernel = szego_kernel(1, max_len=3)
-    # a fresh point: the module's JORDAN keeps the order other tests found
+    # fresh points: the module's JORDAN keeps what other tests found
     jordan = MatrixTuple((J2,))
     kernel.evaluate(jordan, zero_tuple(1, 3), np.zeros((2, 3)))
-    assert len(calls) == 2
+    # strictly triangular points of sizes <= max_len + 1 need no test
+    assert calls == []
+    # a dense nilpotent point is tested once, wherever it appears
+    dense = dense_nilpotent(rng_from_seed(37), 1, 3)
+    for _ in range(2):
+        kernel.evaluate(dense, jordan, np.zeros((3, 2)))
+        kernel.evaluate(jordan, dense, np.zeros((2, 3)))
+        kernel.evaluate(dense, dense, np.zeros((3, 3)))
+    assert calls == [dense]
     calls.clear()
     invertible = MatrixTuple((np.eye(2) * 0.5,))
     refusal = r"the moment kernel is exact only at jointly nilpotent points of order <= 4; .* truncation"
@@ -486,10 +500,13 @@ def test_kolmogorov_at_sample_matches_unit_evaluations():
 
 
 def test_one_point_outside_the_domain_is_refused_alone(monkeypatch):
-    # a batched domain test of points of two sizes, one of them Gaussian
+    # a batched domain test of the points that are not strictly triangular:
+    # one Gaussian point and two dense nilpotent points of two sizes
     kernel = szego_kernel(2, max_len=3)
     rng = rng_from_seed(36)
-    inside = [nilpotent_tuple(rng, 2, n) for n in (3, 2, 3, 2)]
+    inside = [nilpotent_tuple(rng, 2, 3), dense_nilpotent(rng, 2, 2), nilpotent_tuple(rng, 2, 3),
+              dense_nilpotent(rng, 2, 3), nilpotent_tuple(rng, 2, 2)]
+    dense = [inside[1], inside[3]]
     outside = gaussian_tuple(rng, 2, 3)
     points = inside[:2] + [outside] + inside[2:]
     tested = []
@@ -498,12 +515,11 @@ def test_one_point_outside_the_domain_is_refused_alone(monkeypatch):
     refusal = r"the moment kernel is exact only at jointly nilpotent points of order <= 4; .* truncation"
     with pytest.raises(TruncationRefused, match=refusal):
         kernel.block_matrix(points, [complex_gaussian(rng, z.n, 2) for z in points])
-    assert tested == [points]
-    assert kernel._orders(points) == [nilpotency_order(z) for z in inside[:2]] + [None] + [
-        nilpotency_order(z) for z in inside[2:]]
+    assert tested == [[dense[0], outside, dense[1]]]
+    assert kernel._orders(points) == [nilpotency_order(dense[0]), None, nilpotency_order(dense[1])]
     # the other points keep their orders and are accepted without a new test
     kernel.block_matrix(inside, [complex_gaussian(rng, z.n, 2) for z in inside])
-    assert tested == [points]
+    assert len(tested) == 1
 
 
 def test_kolmogorov_at_sample_refuses_an_unfactored_kernel():
@@ -514,10 +530,11 @@ def test_kolmogorov_at_sample_refuses_an_unfactored_kernel():
 
 
 def test_kolmogorov_at_sample_evaluates_only_at_the_points(monkeypatch):
-    # one factor value and one nilpotency test per sample point, none at an ampliation
+    # one factor value per sample point and one nilpotency test per point
+    # that is not strictly triangular, none at an ampliation
     kernel = moment_kernel_from_factor(random_scalar_factor(rng_from_seed(32), 2, 2, 2), max_len=3)
     rng = rng_from_seed(33)
-    points = [nilpotent_tuple(rng, 2, n) for n in (2, 3, 1, 2)]
+    points = [nilpotent_tuple(rng, 2, n) for n in (2, 3, 1)] + [dense_nilpotent(rng, 2, 3), nilpotent_tuple(rng, 2, 2)]
     factor_points, order_points = [], []
     factor_values, nilpotency_orders = kernels.factor_values, kernels.nilpotency_orders
     monkeypatch.setattr(kernels, "factor_values", lambda f, zs: factor_points.extend(zs) or factor_values(f, zs))
@@ -525,7 +542,7 @@ def test_kolmogorov_at_sample_evaluates_only_at_the_points(monkeypatch):
                         lambda zs, tol: order_points.extend(zs) or nilpotency_orders(zs, tol))
     kolmogorov_at_sample(kernel, points)
     assert [id(z) for z in factor_points] == [id(z) for z in points]
-    assert [id(z) for z in order_points] == [id(z) for z in points]
+    assert [id(z) for z in order_points] == [id(points[3])]
 
 
 def test_an_empty_point_adds_empty_blocks():
