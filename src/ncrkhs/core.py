@@ -456,10 +456,9 @@ def words_up_to(d: int, max_len: int) -> list[Word]:
 class MatrixTuple(Record):
     """A point Z: d square complex matrices sharing size n x n.
 
-    A point also remembers values computed at it (see :meth:`cached` and
-    :func:`cached_at`), so a function sampled at the same point many times is
-    evaluated once.  ``stacked`` is the read-only d x n x n array whose
-    slices are ``coords``.
+    A point also remembers values computed at it (see :func:`cached_at`), so
+    a function sampled at the same point many times is evaluated once.
+    ``stacked`` is the read-only d x n x n array whose slices are ``coords``.
     """
 
     def __init__(self, coords: tuple[np.ndarray, ...]):
@@ -505,36 +504,23 @@ class MatrixTuple(Record):
     def scaled(self, t: float) -> "MatrixTuple":
         return MatrixTuple(tuple(t * c for c in self.coords))
 
-    def cached(self, key, compute: Callable[[], object]):
-        """``compute()`` for this point, computed once per ``key`` object.
-
-        Entries are keyed by identity and keep ``key`` alive, so its id cannot
-        be reused while the point lives, and equal but distinct keys never
-        share an entry.  Array values are returned read-only.
-        """
-        entry = self._values.get(id(key))
-        if entry is None:
-            entry = self._keep(key, compute())
-        return entry[1]
-
-    def _keep(self, key, value) -> tuple:
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        entry = self._values[id(key)] = (key, value)
-        return entry
-
 
 def cached_at(points: Sequence[MatrixTuple], key, compute: Callable[[list[MatrixTuple]], Sequence]) -> list:
-    """Each point's :meth:`MatrixTuple.cached` value under ``key``.
+    """Each point's value under ``key``, computed once per point and ``key`` object.
 
     The distinct points that hold none get theirs from one call
     ``compute(missing)``, which returns their values in the order given.
+    Entries are keyed by identity and keep ``key`` alive, so its id cannot
+    be reused while the point lives, and equal but distinct keys never
+    share an entry.  Array values are returned read-only.
     """
     k = id(key)
     missing = list({id(z): z for z in points if k not in z._values}.values())
     if missing:
         for z, value in zip(missing, compute(missing)):
-            z._keep(key, value)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            z._values[k] = (key, value)
     return [z._values[k][1] for z in points]
 
 

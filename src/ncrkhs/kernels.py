@@ -81,7 +81,6 @@ from .series import (
     AxiomReport,
     NcSeries,
     WordIndicator,
-    factor_value,
     factor_values,
     nilpotency_orders,
 )
@@ -163,7 +162,8 @@ class FactoredKernel(KernelBase):
     ``P (x) C`` is never formed: P and C are applied as two matrix products.
     Factor values come from :func:`ncrkhs.series.factor_values`: each point
     keeps its value, and the points of a sample that have none are evaluated
-    one size at a time, by one walk per size.
+    one size at a time, by one walk per size; :meth:`evaluate` asks for F(Z)
+    and F(W) together, so two fresh points of one size share one walk.
 
     A kernel built from a moment table keeps its ``max_len``: it is exact only
     at jointly nilpotent points of order <= max_len + 1, and refuses other
@@ -238,8 +238,8 @@ class FactoredKernel(KernelBase):
             self._check_domain([z, w])
         out = np.zeros((z.n * self.y_dim, w.n * self.y_dim), dtype=np.complex128)
         for f, c in self.terms:
-            left = _times_middle(self._weighted(factor_value(f, z), c, p), c)
-            out += left @ factor_value(f, w).conj().T
+            fz, fw = factor_values(f, [z, w])
+            out += _times_middle(self._weighted(fz, c, p), c) @ fw.conj().T
         return out
 
     def block_matrix(self, points, args):
@@ -457,7 +457,7 @@ class KernelAxiomSamples(Record):
 
 def _direct_sum(z: MatrixTuple, zt: MatrixTuple) -> MatrixTuple:
     """Z (+) Zt, made once per pair and kept on Z, so its factor values are formed once."""
-    return z.cached(zt, lambda: direct_sum([z, zt]))
+    return cached_at([z], zt, lambda _: [direct_sum([z, zt])])[0]
 
 
 def draw_kernel_axiom_samples(

@@ -19,7 +19,7 @@ on a batch axis and every product above is one batched product, so the
 walk's per-level cost is paid once per size rather than once per point
 (:func:`factor_values`); single-point :func:`evaluate` is the batch of one.
 A batch holds as many points as keep the powers within ``_BLOCK_BYTES``.
-Each point keeps its finished value (:meth:`MatrixTuple.cached`), so a
+Each point keeps its finished value (:func:`ncrkhs.core.cached_at`), so a
 series is evaluated once per point however often a kernel or certificate
 asks for it; returned values are read-only.  The same walk gives the value
 of a :class:`WordIndicator` (a moment table's factor), writing each block of
@@ -188,7 +188,7 @@ def linear_combination(series: Sequence[NcSeries], coeffs: Sequence[complex]) ->
 
 def evaluate(f: NcSeries, z: MatrixTuple) -> np.ndarray:
     """sum_w Z^w (x) f_w, a read-only (n p) x (n q) matrix: the one-point case of :func:`factor_values`."""
-    return factor_value(f, z)
+    return factor_values(f, [z])[0]
 
 
 def _series_values(f: NcSeries, coords: np.ndarray) -> np.ndarray:
@@ -344,8 +344,8 @@ class WordIndicator(Record):
 
     Its value at Z is the block row ``[Z^a (x) I_y]_a``, one column block per
     word in the given order, so a word-indexed table of y x y blocks acts on
-    it as a middle matrix.  :func:`factor_value` writes each ``Z^a`` into its
-    block instead of summing one-hot coefficients.
+    it as a middle matrix.  :func:`factor_values` writes each ``Z^a`` into
+    its block instead of summing one-hot coefficients.
     """
 
     def __init__(self, d: int, y_dim: int, words: tuple[Word, ...]):
@@ -381,13 +381,6 @@ def factor_values(f: NcSeries | WordIndicator, points: Sequence[MatrixTuple]) ->
         if z.d != f.d:
             raise DimMismatch(f"series over {f.d} variables evaluated at a {z.d}-tuple")
     return cached_at(points, f, lambda missing: _values(f, missing))
-
-
-def factor_value(f: NcSeries | WordIndicator, z: MatrixTuple) -> np.ndarray:
-    """The value of a kernel factor at Z: the one-point case of :func:`factor_values`."""
-    if z.d != f.d:
-        raise DimMismatch(f"series over {f.d} variables evaluated at a {z.d}-tuple")
-    return z.cached(f, lambda: _values(f, [z])[0])
 
 
 def _values(f: NcSeries | WordIndicator, points: Sequence[MatrixTuple]) -> list[np.ndarray]:

@@ -23,7 +23,6 @@ from ncrkhs.series import (
     WordIndicator,
     evaluate,
     evaluate_on_nilpotent,
-    factor_value,
     factor_values,
     truncate,
     truncated_shift_tuple,
@@ -140,7 +139,7 @@ def test_blocks_of_one_or_two_nodes_match_the_references(monkeypatch, case, node
     assert close(got, naive(f, z))
     assert close(got, streamed(f, z))
     indicator = WordIndicator(d, 2, tuple(reversed(words)))
-    assert close(factor_value(indicator, z), streamed_word_blocks(indicator, z))
+    assert close(evaluate(indicator, z), streamed_word_blocks(indicator, z))
 
 
 @pytest.mark.parametrize("words", [words_up_to(2, 3), [(2, 1), (), (1, 1, 2), (2,)], [MONOMIAL_20, (1,)]],
@@ -150,7 +149,7 @@ def test_word_indicator_matches_the_streamed_blocks(words, y):
     rng = rng_from_seed([19, y, len(words)])
     indicator = WordIndicator(2, y, tuple(words))
     z = random_point(rng, 2, 4)
-    got = factor_value(indicator, z)
+    got = evaluate(indicator, z)
     assert got.shape == (4 * y, 4 * len(words) * y)
     assert close(got, streamed_word_blocks(indicator, z))
 
@@ -160,7 +159,7 @@ def test_empty_point_and_empty_support():
     empty = MatrixTuple((np.zeros((0, 0)),) * 2)
     f = series_on(rng, 2, 2, 3, [(), (1, 2), (2, 2, 1)])
     assert evaluate(f, empty).shape == (0, 0)
-    assert factor_value(WordIndicator(2, 2, ((), (1,), (2, 1))), empty).shape == (0, 0)
+    assert evaluate(WordIndicator(2, 2, ((), (1,), (2, 1))), empty).shape == (0, 0)
     zero = NcSeries.zero(2, 2, 3)
     assert evaluate(zero, empty).shape == (0, 0)
     value = evaluate(zero, random_point(rng, 2, 3))
@@ -182,7 +181,7 @@ def test_a_series_builds_its_plan_once(monkeypatch):
     for n in (1, 2, 3, 3, 4):
         z = random_point(rng, 2, n)
         evaluate(f, z)
-        factor_value(indicator, z)
+        evaluate(indicator, z)
     assert built == [tuple(f.terms), tuple(indicator.words)]
 
 
@@ -285,7 +284,7 @@ def test_batched_word_blocks_equal_per_point_values(words, y):
     indicator = WordIndicator(2, y, tuple(words))
     points = [random_point(rng, 2, n) for n in BATCH_SIZES]
     for z, value in zip(points, factor_values(indicator, points)):
-        assert same_bits(value, factor_value(indicator, MatrixTuple(z.coords)))
+        assert same_bits(value, evaluate(indicator, MatrixTuple(z.coords)))
         assert close(value, naive(indicator.as_series(), z))
 
 
