@@ -110,12 +110,9 @@ def _certificate_result(cert) -> dict:
 
 def _sizes(args) -> tuple[int, ...]:
     try:
-        sizes = tuple(int(s) for s in args.sizes.split(","))
+        return tuple(int(s) for s in args.sizes.split(","))
     except ValueError as exc:
         raise InputError(f"--sizes: expected comma-separated integers, got {args.sizes!r}") from exc
-    if not sizes or any(s < 1 for s in sizes):
-        raise InputError("--sizes: sizes must be positive")
-    return sizes
 
 
 def _at_least(value: int, low: int, option: str) -> int:
@@ -466,7 +463,9 @@ def _outcome(args) -> tuple[str, str, int]:
 
     A payload that cannot be encoded, because a value in it (a result, or an
     error's ``min_eig`` or ``residual``) overflowed to NaN or Infinity, which
-    JSON cannot carry, is an input error too.  numpy's overflow and invalid
+    JSON cannot carry, is an input error too, and so is an allocation refused
+    for its size (a :class:`MemoryError`, with numpy's message where numpy
+    raised it): the input asks for more memory than the process has.  numpy's overflow and invalid
     warnings are silenced while the handler runs: the finiteness checks that
     follow such an overflow raise :class:`InputError`, so the warning adds
     only noise on stderr.
@@ -480,8 +479,8 @@ def _outcome(args) -> tuple[str, str, int]:
             payload["min_eig"] = err.min_eig
     except Infeasible as err:
         payload = {"status": "infeasible", "error": str(err), "residual": err.residual}
-    except NcrkhsError as err:
-        payload = {"status": "input_error", "error": str(err)}
+    except (NcrkhsError, MemoryError) as err:
+        payload = {"status": "input_error", "error": str(err) or "out of memory"}
     try:
         text = dumps_canonical(payload)
     except InputError as err:

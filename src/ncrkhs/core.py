@@ -201,6 +201,12 @@ OVERLAP_CUT = 1.0 - 1e-9
 # a Frobenius norm below this may have lost digits to entries whose squares
 # underflow (sqrt(tiny) / eps, about 6.7e-139); frobenius recomputes it scaled
 NORM_UNDERFLOW = float(np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps)
+# words_up_to lists at most this many words.  Their count N grows as d^L,
+# and what is built over them (the truncated free shift, moment and Gram
+# matrices) is dense in N, 16 N^2 bytes a matrix: extract-coeffs at d = 2,
+# L = 10 (2,047 words) takes 35 s and 812 MB on one Xeon core, and each
+# further length quadruples every matrix.
+_MAX_WORDS = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +442,16 @@ def word_key(w: Word) -> tuple[int, Word]:
 
 
 def words_up_to(d: int, max_len: int) -> list[Word]:
-    """All words of length <= max_len in graded lexicographic order."""
+    """All words of length <= max_len in graded lexicographic order; at most ``_MAX_WORDS`` of them."""
     if d < 1:
         raise InputError("alphabet size d must be >= 1")
     if max_len < 0:
         raise InputError(f"word length bound must be >= 0, got {max_len}")
+    # (d^(L+1) - 1)/(d - 1), formed exactly up to L = 64 only, so a huge L costs nothing
+    count = max_len + 1 if d == 1 else (d ** (min(max_len, 64) + 1) - 1) // (d - 1)
+    if count > _MAX_WORDS:
+        many = count if d == 1 or max_len <= 64 else f"more than {count}"
+        raise InputError(f"{many} words of length <= {max_len} over {d} letters exceed the limit of {_MAX_WORDS}")
     out: list[Word] = [EMPTY_WORD]
     layer: list[Word] = [EMPTY_WORD]
     for _ in range(max_len):

@@ -1,6 +1,10 @@
 import argparse
 import inspect
 import json
+import os
+import resource
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -25,6 +29,9 @@ from ncrkhs.serialize import (
 )
 from ncrkhs.series import NcSeries
 from ncrkhs.core import Infeasible, MatrixTuple, NcrkhsError, NotContraction, NotCp, NotPsd, zero_tuple
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
 def write(tmp_path, name, payload):
@@ -431,6 +438,86 @@ def test_no_sample_points_is_input_error(tmp_path, capsys, command):
     code, out = run(capsys, argv)
     assert code == 2
     assert out["status"] == "input_error"
+
+
+@pytest.mark.parametrize("sizes", ["0", "1,-2"])
+@pytest.mark.parametrize(
+    "command",
+    [*_POINT_COMMANDS.values(), ["check-kernel", "--kernel", "{k}"], ["kolmogorov", "--kernel", "{k}"]],
+    ids=[*_POINT_COMMANDS, "check-kernel", "kolmogorov"],
+)
+def test_nonpositive_sizes_are_refused_by_the_library(tmp_path, capsys, command, sizes):
+    files = {
+        "k": write(tmp_path, "k.json", encode_kernel(szego_kernel(1, 3))),
+        "s": write(tmp_path, "s.json", encode_series(NcSeries.constant(1, [[0.5]]))),
+    }
+    code = main([arg.format(**files) for arg in command] + ["--sizes", sizes, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    given = tuple(int(s) for s in sizes.split(","))
+    assert json.loads(captured.out) == {"status": "input_error", "error": f"point sizes must be positive, got {given}"}
+    assert captured.err == f"ncrkhs {command[0]}: input_error\n"
+
+
+# a child's address space: enough to start the tool, far below what the inputs below ask for
+CHILD_BYTES = 2 << 30
+
+
+def run_capped(argv, cwd) -> subprocess.CompletedProcess:
+    """The tool run as ``python -m ncrkhs.cli ARGV`` in a child process capped at CHILD_BYTES."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_BYTES, CHILD_BYTES))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "ncrkhs.cli", *argv], preexec_fn=cap, env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+def assert_refused(proc, command: str, error: str) -> None:
+    """Exit 2 with an input_error payload whose error contains ``error``, and one summary line on stderr."""
+    assert proc.returncode == 2, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["status"] == "input_error" and error in payload["error"]
+    assert proc.stderr == f"ncrkhs {command}: input_error\n"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["extract-coeffs", "--series", "{s}", "--max-len", "13"],
+         "16383 words of length <= 13 over 2 letters exceed the limit of 2048"),
+        (["formal-factor", "--kernel", "{k}", "--L", "30"],
+         "2147483647 words of length <= 30 over 2 letters exceed the limit of 2048"),
+        (["formal-positivity", "--kernel", "{k}", "--L", "1", "--seed", "1"],
+         "2199023255551 words of length <= 40 over 2 letters exceed the limit of 2048"),
+    ],
+    ids=["extract-coeffs", "formal-factor", "formal-positivity"],
+)
+def test_exponential_word_lists_are_refused(tmp_path, argv, error):
+    files = {
+        "s": write(tmp_path, "s.json", encode_series(NcSeries(2, 1, 1, {(): [[1.0]], (2, 1): [[0.5]]}))),
+        "k": write(tmp_path, "k.json", encode_formal_kernel(FormalKernel(2, 1, {((), ()): np.eye(1)}, 40))),
+    }
+    assert_refused(run_capped([arg.format(**files) for arg in argv], tmp_path), argv[0], error)
+
+
+# each first allocation is over a pebibyte, which the allocator refuses outright
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kolmogorov", "--kernel", "{kol}", "--points", "1", "--sizes", "100000000"],
+        ["cp-certify", "--kernel", "{kol}", "--points", "1", "--sizes", "100000000"],
+        ["check-ncfun", "--series", "{s}", "--samples", "1", "--max-size", "100000000"],
+    ],
+    ids=["kolmogorov", "cp-certify", "check-ncfun"],
+)
+def test_a_refused_allocation_is_input_error(tmp_path, argv):
+    files = {
+        "kol": write(tmp_path, "kol.json", _KOLMOGOROV),
+        "s": write(tmp_path, "s.json", encode_series(NcSeries.constant(1, [[0.5]]))),
+    }
+    proc = run_capped([arg.format(**files) for arg in argv] + ["--seed", "1"], tmp_path)
+    assert_refused(proc, argv[0], "Unable to allocate")
 
 
 _SERIES = {"d": 1, "p": 1, "q": 1, "terms": []}

@@ -9,11 +9,12 @@ same terms in another order, so values agree to rounding: the bound is
 """
 
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
-from ncrkhs import series
+from ncrkhs import kernels, series
 from ncrkhs.core import EMPTY_WORD, MatrixTuple, kron, word_eval, words_up_to
 from ncrkhs.kernels import AlgebraSpec, KolmogorovKernel, cp_certificate, kolmogorov_at_sample, szego_kernel
 from ncrkhs.multipliers import contractive_containment
@@ -207,10 +208,11 @@ def test_nilpotent_evaluation_truncates_once_per_order(monkeypatch):
 
 @pytest.mark.parametrize("bound", [1 << 18, 1 << 20])
 def test_powers_held_stay_within_the_block_bytes(monkeypatch, bound):
-    # degree 12 in two letters: 8,191 trie nodes, 32 MiB of 16 x 16 powers
+    # degree 12 in two letters: 8,191 trie nodes, 32 MiB of 16 x 16 powers; the
+    # words in graded order, listed here since words_up_to stops at 2,048
     monkeypatch.setattr(series, "_BLOCK_BYTES", bound)
     rng = rng_from_seed(22)
-    f = series_on(rng, 2, 1, 1, words_up_to(2, 12))
+    f = series_on(rng, 2, 1, 1, [w for k in range(13) for w in product((1, 2), repeat=k)])
     evaluate(f, random_point(rng, 2, 1))  # builds the plan
     z = random_point(rng, 2, 16)
     tracemalloc.start()
@@ -375,6 +377,42 @@ def test_kolmogorov_at_sample_computes_one_factor_value_per_point(monkeypatch):
     misses = count_misses(monkeypatch)
     kolmogorov_at_sample(kernel, points)
     assert len(misses) == len(points)
+
+
+def test_kernel_evaluate_forms_two_fresh_points_of_one_size_in_one_walk(monkeypatch):
+    kernel = kolmogorov_kernel(16)
+    rng = rng_from_seed(17)
+    z, w, v = (random_point(rng, 2, n) for n in (3, 3, 2))
+    p = complex_gaussian(rng, 3, 3)
+    calls = []
+    values = series._values
+    monkeypatch.setattr(series, "_values", lambda f, points: calls.append([id(q) for q in points]) or values(f, points))
+    got = kernel.evaluate(z, w, p)
+    kernel.evaluate(z, v, complex_gaussian(rng, 3, 2))
+    assert calls == [[id(z), id(w)], [id(v)]]
+    # the same bits as from values formed one point at a time
+    zc, wc = MatrixTuple(z.coords), MatrixTuple(w.coords)
+    evaluate(kernel.h, zc)
+    evaluate(kernel.h, wc)
+    assert same_bits(got, kernel.evaluate(zc, wc, p))
+
+
+def test_each_point_keeps_one_read_only_entry_per_key():
+    kernel = kolmogorov_kernel(18)
+    h = kernel.h
+    rng = rng_from_seed(19)
+    z, w, zt = (random_point(rng, 2, n) for n in (2, 2, 3))
+    for _ in range(2):
+        evaluate(h, z)
+        factor_values(h, [w, z, w])
+        kernel.evaluate(z, w, np.eye(2))
+        total = kernels._direct_sum(z, zt)
+    assert kernels._direct_sum(z, zt) is total
+    assert evaluate(h, z) is factor_values(h, [w, z])[1]
+    for point, keys in ((z, [h, zt]), (w, [h]), (zt, [])):
+        assert [key for key, _ in point._values.values()] == keys
+    for point in (z, w):
+        assert not point._values[id(h)][1].flags.writeable
 
 
 def test_difference_kernel_computes_each_factor_once_per_point(monkeypatch):
