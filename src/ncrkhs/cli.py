@@ -465,10 +465,10 @@ def _outcome(args) -> tuple[str, str, int]:
     error's ``min_eig`` or ``residual``) overflowed to NaN or Infinity, which
     JSON cannot carry, is an input error too, and so is an allocation refused
     for its size (a :class:`MemoryError`, with numpy's message where numpy
-    raised it): the input asks for more memory than the process has.  numpy's overflow and invalid
-    warnings are silenced while the handler runs: the finiteness checks that
-    follow such an overflow raise :class:`InputError`, so the warning adds
-    only noise on stderr.
+    raised it): the input asks for more memory than the process has.
+    numpy's overflow and invalid warnings are silenced while the handler
+    runs: the finiteness checks that follow such an overflow raise
+    :class:`InputError`, so the warning adds only noise on stderr.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
