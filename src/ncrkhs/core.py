@@ -344,6 +344,21 @@ def psd_factor(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
+def pd_eigh(m: np.ndarray, tol: Tolerances, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs of a positive definite gramian ``m``: the one rule every gramian meets.
+
+    ``m`` must be Hermitian at ``eq_rel`` (else :class:`InputError` naming ``what``), and
+    its eigenvalues must exceed ``psd_floor * max(1, ||m||_2)`` (else :class:`NotPsd`).
+    """
+    if rel_err(frobenius(m - m.conj().T), frobenius(m)) > tol.eq_rel:
+        raise InputError(f"{what} must be Hermitian")
+    vals, vecs = np.linalg.eigh(hermitize(m, f"the {what}"))
+    floor = tol.psd_floor * max(1.0, float(np.max(np.abs(vals))))
+    if vals[0] <= floor:
+        raise NotPsd(float(vals[0]), floor)
+    return vals, vecs
+
+
 class PsdVerdict(NamedTuple):
     """Outcome of the PSD-floor test over a family of matrices."""
 

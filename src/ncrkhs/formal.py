@@ -124,8 +124,9 @@ def nilpotent_positivity_check(
 
     Evaluation is exact because the table is finitely supported; the sampled
     sizes are clamped to the nilpotency coverage max_len + 1.  The scaled
-    truncated free shift witnesses any negative direction of the truncated
-    moment matrix, so the verdict agrees with
+    truncated free shift at the longest stored word (0 for an empty table)
+    witnesses any negative direction of the truncated moment matrix, which
+    pads the one at that length with zeros, so the verdict agrees with
     :func:`is_formal_positive_truncated` for kernels exactly representable at
     this truncation.  The shift values come from the moment matrix
     (:func:`_shift_values`); the shift tuples are the witness points.
@@ -133,7 +134,7 @@ def nilpotent_positivity_check(
     _, sampled = sample_points(kernel, rng_from_seed(seed), n_points, sizes, NILPOTENT)
     kernel.precompute(sampled)
     verdict = psd_verdict([kernel.evaluate(z, z, np.eye(z.n)) for z in sampled] + _shift_values(kernel), tol)
-    shift = truncated_shift_tuple(kernel.d, kernel.max_len)
+    shift = truncated_shift_tuple(kernel.d, len(kernel.words[-1]) if kernel.words else 0)
     points = sampled + [shift.scaled(float(t)) for t in SHIFT_SCALES]
     description = {"sampler": "nilpotent+shift", "sizes": [z.n for z in points],
                    "shift_scales": list(SHIFT_SCALES)}
@@ -141,13 +142,13 @@ def nilpotent_positivity_check(
 
 
 def _shift_values(kernel: MomentKernel) -> list[np.ndarray]:
-    """K(tS, tS)(I) at the truncated free shift S for each t in SHIFT_SCALES, without F(tS).
+    """K(tS, tS)(I) at the truncated free shift S of the longest stored word for each t in SHIFT_SCALES, without F(tS).
 
     S^a S^b* maps e_{b.w} to e_{a.w}, so block (u, v) sums t^{|a|+|b|} K_{a,b} over
     the splits u = a.w, v = b.w: X = D_t M D_t + sum_j R_j X R_j* for the moment
     matrix M, D_t = diag(t^{|a|}) and R_j e_a = e_{a.j}, filled one length of u at a time.
     """
-    d, y, level = kernel.d, kernel.y_dim, kernel.max_len
+    d, y, level = kernel.d, kernel.y_dim, len(kernel.words[-1]) if kernel.words else 0
     lengths = np.array([len(w) for w in words_up_to(d, level)])
     n = len(lengths)
     moments = moment_matrix(kernel, level).reshape(n, y, n, y).transpose(0, 2, 1, 3)  # [u, v, r, s]

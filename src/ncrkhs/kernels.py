@@ -7,13 +7,13 @@ unital *-representation acts blockwise as ``a -> a (x) I_mult``.
 
 Every stored form is one factored form ``K(Z,W)(P) = F(Z) (P (x) C) F(W)*``
 (the Kolmogorov decomposition), with a factor series F and a middle matrix
-C fixed at construction:
+C fixed at construction and stored once, as the form's own array:
 
     form        F                                        C
-    moment      word indicator of the stored words a     moment matrix [K_{a,b}]
-                (coefficient e_a^T (x) I_y)
+    moment      word indicator of the stored words a     ``middle``, the moment matrix [K_{a,b}]
+                (coefficient e_a^T (x) I_y)              (``moments`` is derived from it)
     Kolmogorov  H                                        I_{r s}
-    Gram basis  stacked basis, columns ordered (c, i)    G^{-1}
+    Gram basis  stacked basis, columns ordered (c, i)    ``gram_inv``, G^{-1}
 
 A de Branges-Rovnyak kernel K - S K' S* is ``[F, S F'] (C (+) -C') [...]*``
 and a difference K - K' is ``[F, F'] (C (+) -C') [...]*``.  A certificate's
@@ -41,7 +41,6 @@ from .core import (
     InputError,
     MatrixTuple,
     MissingPair,
-    NotPsd,
     Record,
     Tolerances,
     TruncationRefused,
@@ -54,9 +53,9 @@ from .core import (
     direct_sum,
     frobenius,
     frozen,
-    hermitize,
     int_words,
     kron,
+    pd_eigh,
     psd_factor,
     psd_verdict,
     rel_err,
@@ -160,6 +159,7 @@ class FactoredKernel(KernelBase):
     algebra index outermost, for a D x D middle matrix C; so the columns of
     F(Z) run over (point, c, alpha) and P acts on (point, c), C on alpha.
     ``P (x) C`` is never formed: P and C are applied as two matrix products.
+    A read-only C is kept as given, so a form's own C is the one in ``terms``.
     Factor values come from :func:`ncrkhs.series.factor_values`: each point
     keeps its value, and the points of a sample that have none are evaluated
     one size at a time, by one walk per size; :meth:`evaluate` asks for F(Z)
@@ -182,7 +182,7 @@ class FactoredKernel(KernelBase):
         self.kind = kind
         self.tol = tol
         # a factor without columns contributes nothing
-        self.terms = tuple((f, frozen(c)) for f, c in terms if c.shape[0])
+        self.terms = tuple((f, frozen(c) if c.flags.writeable else c) for f, c in terms if c.shape[0])
 
     @property
     def default_sampler(self) -> str:
@@ -268,11 +268,11 @@ class MomentKernel(FactoredKernel):
     The finitely supported Hermitian table K_{a,b} is read two ways: formally,
     as a kernel over the free monoid (see :mod:`ncrkhs.formal`), and
     functionally, through :meth:`evaluate`.  Restricted to the scalar algebra.
-    ``words`` are the words the table stores (graded lex) and ``middle`` is
-    the moment matrix [K_{a,b}] over them, the C of the factored form whose
-    factor is their word indicator.  Evaluation is exact on jointly nilpotent
-    points whose nilpotency order is covered by ``max_len``; elsewhere it is
-    a truncation and must be requested explicitly.
+    It is held once: ``words`` (graded lex), the read-only mask ``stored`` of
+    the pairs given, and ``middle``, the moment matrix [K_{a,b}] over the words
+    and the very C of the factored form whose factor is their word indicator;
+    :attr:`moments` is derived from them.  Evaluation is exact at jointly
+    nilpotent points of order <= max_len + 1, elsewhere a truncation on request.
     """
 
     def __init__(self, d: int, y_dim: int, moments: Mapping[tuple, np.ndarray],
@@ -295,28 +295,45 @@ class MomentKernel(FactoredKernel):
             keys = list(seen)
         keys, block = sorted_table(keys, list(moments.values()), y_dim, y_dim,
                                    lambda key: (len(key[0]), key[0], len(key[1]), key[1]))
-        self.moments = dict(zip(keys, block))
-        self.words = tuple(sorted({w for pair in keys for w in pair}, key=word_key))
-        index = {w: i for i, w in enumerate(self.words)}
-        m = len(self.words)
+        words = tuple(sorted({w for pair in keys for w in pair}, key=word_key))
+        index = {w: i for i, w in enumerate(words)}
+        m = len(words)
+        rows = [index[wa] for wa, _ in keys]
+        cols = [index[wb] for _, wb in keys]
+        stored = np.zeros((m, m), dtype=bool)
+        stored[rows, cols] = True
         table = np.zeros((m, y_dim, m, y_dim), dtype=np.complex128)
-        if keys:
-            rows = [index[wa] for wa, _ in keys]
-            cols = [index[wb] for _, wb in keys]
-            table[rows, :, cols, :] = block
-        self._validate_hermitian(table, tol)
-        self.middle = frozen(table.reshape(m * y_dim, m * y_dim))
-        factor = WordIndicator(int(d), int(y_dim), self.words)
-        super().__init__(d, y_dim, AlgebraSpec(SCALAR), [(factor, self.middle)], int(max_len), tol, "moment")
+        table[rows, :, cols, :] = block
+        self._hold(d, y_dim, words, stored, table.reshape(m * y_dim, m * y_dim), max_len, tol)
 
-    def _validate_hermitian(self, table: np.ndarray, tol: Tolerances) -> None:
+    @classmethod
+    def _of_matrix(cls, d, y_dim, words, stored, middle, max_len, tol=DEFAULT_TOL) -> "MomentKernel":
+        """The kernel of ``middle`` over the graded ``words``, the pairs ``stored`` given; both kept, not copied."""
+        return cls.__new__(cls)._hold(d, y_dim, words, stored, middle, max_len, tol)
+
+    def _hold(self, d, y_dim, words, stored, middle, max_len, tol) -> "MomentKernel":
+        if max_len < 0:
+            raise InputError("max_len must be >= 0")
         # blockwise ||K_ab - K_ba*|| against the largest moment
+        table = middle.reshape(len(words), y_dim, len(words), y_dim)
         gap = frobenius(table - table.transpose(2, 3, 0, 1).conj(), axis=(1, 3))
         scale = np.max(frobenius(table, axis=(1, 3)), initial=0.0)
         bad = np.argwhere(rel_err(gap, scale) > tol.eq_rel)
         if bad.size:
             a, b = bad[0]
-            raise InputError(f"moment table is not Hermitian at pair {(self.words[a], self.words[b])}")
+            raise InputError(f"moment table is not Hermitian at pair {(words[a], words[b])}")
+        stored.setflags(write=False)
+        middle.setflags(write=False)
+        self.words, self.stored, self.middle = words, stored, middle
+        factor = WordIndicator(int(d), int(y_dim), words)
+        super().__init__(d, y_dim, AlgebraSpec(SCALAR), [(factor, middle)], int(max_len), tol, "moment")
+        return self
+
+    @property
+    def moments(self) -> dict[tuple[Word, Word], np.ndarray]:
+        """A new dict of the stored pairs (a, b), in graded order, to K_{a,b} as read-only views of ``middle``."""
+        blocks = self.middle.reshape(len(self.words), self.y_dim, len(self.words), self.y_dim)
+        return {(self.words[i], self.words[j]): blocks[i, :, j, :] for i, j in np.argwhere(self.stored).tolist()}
 
     # each form keeps evaluate in its own class body (perfbench/tracer.py times it there)
     evaluate = FactoredKernel.evaluate
@@ -345,7 +362,8 @@ class GramBasisKernel(FactoredKernel):
     The basis (nonempty, in_dim = k) is held as one series ``stacked`` whose
     coefficient column ``i*k + c`` is column ``c`` of ``f_i``.  The factor is
     ``stacked`` with its columns reordered once to ``(c, i)`` (the same
-    series when k = 1), and the middle matrix is C = G^{-1}.
+    series when k = 1), and the middle matrix C = G^{-1} is ``gram_inv`` itself.
+    ``gram`` must pass the gramian rule :func:`ncrkhs.core.pd_eigh`.
     """
 
     def __init__(self, algebra: AlgebraSpec, basis: Sequence[NcSeries], gram: np.ndarray,
@@ -356,12 +374,7 @@ class GramBasisKernel(FactoredKernel):
             if f.d != basis[0].d or f.out_dim != basis[0].out_dim or f.in_dim != algebra.k:
                 raise DimMismatch("basis functions must share d, out_dim and have in_dim = k")
         gram = as_cmatrix(gram, len(basis), len(basis))
-        if rel_err(frobenius(gram - gram.conj().T), frobenius(gram)) > tol.eq_rel:
-            raise InputError("gram matrix must be Hermitian")
-        vals = np.linalg.eigvalsh(hermitize(gram, "the gram matrix"))
-        floor = tol.psd_floor * max(1.0, float(np.max(np.abs(vals))))
-        if vals[0] <= floor:
-            raise NotPsd(float(vals[0]), floor)
+        pd_eigh(gram, tol, "gram matrix")
         self.basis = list(basis)
         d, y, k, size = basis[0].d, basis[0].out_dim, algebra.k, len(basis)
         words = {w for f in basis for w in f.support}
@@ -397,20 +410,22 @@ class CallableKernel(KernelBase):
 
 
 def szego_kernel(d: int, max_len: int, y_dim: int = 1) -> MomentKernel:
-    """Truncated Szego-type moment kernel: K_{a,b} = delta_{a,b} I."""
-    eye = np.eye(y_dim, dtype=np.complex128)
-    moments = {(w, w): eye for w in words_up_to(d, max_len)}
-    return MomentKernel(d, y_dim, moments, max_len)
+    """Truncated Szego-type moment kernel: K_{a,b} = delta_{a,b} I over every word of length <= max_len."""
+    words = tuple(words_up_to(d, max_len))
+    m = len(words)
+    return MomentKernel._of_matrix(d, y_dim, words, np.eye(m, dtype=bool),
+                                   np.eye(m * y_dim, dtype=np.complex128), max_len)
 
 
 def moment_kernel_from_factor(h: NcSeries, max_len: int) -> MomentKernel:
-    """Scalar-algebra moment table K_{a,b} = H_a H_b* of a Kolmogorov factor."""
-    moments = {}
-    for wa, ca in h.terms.items():
-        for wb, cb in h.terms.items():
-            if max(len(wa), len(wb)) <= max_len:
-                moments[(wa, wb)] = ca @ cb.conj().T
-    return MomentKernel(h.d, h.out_dim, moments, max_len)
+    """Scalar-algebra moment table K_{a,b} = H_a H_b* of a Kolmogorov factor, as one product H H*.
+
+    It holds the factor's words of length <= max_len, which come first in its graded support.
+    """
+    m = sum(len(w) <= max_len for w in h.terms)
+    stacked = np.array(list(h.terms.values())[:m], dtype=np.complex128).reshape(m * h.out_dim, h.in_dim)
+    return MomentKernel._of_matrix(h.d, h.out_dim, tuple(h.terms)[:m], np.ones((m, m), dtype=bool),
+                                   stacked @ stacked.conj().T, max_len)
 
 
 # ---------------------------------------------------------------------------

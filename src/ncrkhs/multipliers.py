@@ -31,6 +31,7 @@ from .core import (
     Tolerances,
     as_cmatrix,
     hermitize,
+    pd_eigh,
     rel_err,
     require_finite,
     word_key,
@@ -211,10 +212,8 @@ def adjoint_on_kernel_element(
 # Brangesian complements at finite dimension
 # ---------------------------------------------------------------------------
 
-def _sqrtm_hpd(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals, vecs = np.linalg.eigh(hermitize(g, "the gramian"))
-    if vals[0] <= 0:
-        raise InputError("gramian must be positive definite")
+def _sqrtm_hpd(g: np.ndarray, tol: Tolerances, what: str) -> tuple[np.ndarray, np.ndarray]:
+    vals, vecs = pd_eigh(g, tol, what)
     root = (vecs * np.sqrt(vals)) @ vecs.conj().T
     inv_root = (vecs / np.sqrt(vals)) @ vecs.conj().T
     return root, inv_root
@@ -239,8 +238,8 @@ class BrangesianDecomposition:
         self.gram_src = gram_src
         self.gram_tgt = gram_tgt
         self.tol = tol
-        root_s, inv_root_s = _sqrtm_hpd(gram_src)
-        root_t, inv_root_t = _sqrtm_hpd(gram_tgt)
+        root_s, inv_root_s = _sqrtm_hpd(gram_src, tol, "gramian gram_src")
+        root_t, inv_root_t = _sqrtm_hpd(gram_tgt, tol, "gramian gram_tgt")
         self._root_t, self._inv_root_t = root_t, inv_root_t
         self.a0 = root_t @ a @ inv_root_s
         require_finite(self.a0, "the normalized contraction")

@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -488,7 +489,7 @@ def assert_refused(proc, command: str, error: str) -> None:
          "16383 words of length <= 13 over 2 letters exceed the limit of 2048"),
         (["formal-factor", "--kernel", "{k}", "--L", "30"],
          "2147483647 words of length <= 30 over 2 letters exceed the limit of 2048"),
-        (["formal-positivity", "--kernel", "{k}", "--L", "1", "--seed", "1"],
+        (["formal-positivity", "--kernel", "{k}", "--L", "40", "--seed", "1"],
          "2199023255551 words of length <= 40 over 2 letters exceed the limit of 2048"),
     ],
     ids=["extract-coeffs", "formal-factor", "formal-positivity"],
@@ -499,6 +500,17 @@ def test_exponential_word_lists_are_refused(tmp_path, argv, error):
         "k": write(tmp_path, "k.json", encode_formal_kernel(FormalKernel(2, 1, {((), ()): np.eye(1)}, 40))),
     }
     assert_refused(run_capped([arg.format(**files) for arg in argv], tmp_path), argv[0], error)
+
+
+def test_formal_positivity_builds_its_shift_at_the_longest_stored_word(tmp_path):
+    # one stored moment, a declared max_len of 40: the moment route at L = 1 has 3 words, the shift 1
+    path = write(tmp_path, "k.json", encode_formal_kernel(FormalKernel(2, 1, {((), ()): np.eye(1)}, 40)))
+    proc = run_capped(["formal-positivity", "--kernel", path, "--L", "1", "--seed", "1"], tmp_path)
+    assert proc.returncode == 0, proc.stdout
+    payload = json.loads(proc.stdout)
+    assert payload["status"] == "ok" and payload["routes_agree"]
+    assert payload["moment_route"]["level"] == 1
+    assert payload["nilpotent_route"]["sample"]["sizes"] == [2, 3, 2, 1, 1, 1]
 
 
 # each first allocation is over a pebibyte, which the allocator refuses outright
@@ -656,7 +668,7 @@ _UNPAIRED_MOMENT = _moment_table(1, 1, {((), ()): 1e200, ((1,), (1,)): 1e200, ((
         (["brangesian", "--seed", "1", "--contraction", "{a}"],
          [_contraction(0.5 * np.eye(2), gram_src=np.diag([1e308, 1e-300]))]),
         (["brangesian", "--seed", "1", "--contraction", "{a}"],
-         [_contraction(np.diag([1e300, 0.0]), gram_tgt=np.diag([1e200, 1.0]))]),
+         [_contraction(np.diag([1e300, 0.0]), gram_tgt=np.diag([1e200, 1e200]))]),
         (["kernel-from-basis", "--model", "{a}"], [_HUGE_GRAM]),
         (["cp-certify", "--seed", "1", "--kernel", "{a}"], [{"form": "gram_basis", **_HUGE_GRAM}]),
         (["check-kernel", "--seed", "1", "--kernel", "{a}"],
@@ -699,6 +711,36 @@ def test_huge_finite_norms_do_not_overflow(tmp_path, capsys, argv, file, code, e
     got, payload = run(capsys, [arg.format(a=path) for arg in argv])
     assert got == code
     assert payload.get("error") == error
+
+
+# one gramian rule (core.pd_eigh): a brangesian gramian gets the outcome of a Gram-basis kernel's gram matrix
+_NOT_PSD_TINY = "matrix is not PSD: min eigenvalue 1.000000e-300 below floor -1.000000e-09"
+
+
+@pytest.mark.parametrize(
+    "gram, code, brangesian_error, basis_error",
+    [
+        ([[1.0, 0.5], [0.0, 1.0]], 2, "gramian gram_src must be Hermitian", "gram matrix must be Hermitian"),
+        (np.diag([1.0, 1e-300]), 3, _NOT_PSD_TINY, _NOT_PSD_TINY),
+    ],
+    ids=["non-hermitian", "below-the-floor"],
+)
+def test_brangesian_gramians_meet_the_gram_basis_rule(tmp_path, capsys, gram, code, brangesian_error, basis_error):
+    contraction = write(tmp_path, "c.json", _contraction(0.5 * np.eye(2), gram_src=gram))
+    got, payload = run(capsys, ["brangesian", "--seed", "1", "--contraction", contraction])
+    assert (got, payload["error"]) == (code, brangesian_error)
+    got, payload = run(capsys, ["kernel-from-basis", "--model", write(tmp_path, "m.json", _gram_basis(gram))])
+    assert (got, payload["error"]) == (code, basis_error)
+
+
+def test_tol_psd_reaches_the_brangesian_gramian_floor(tmp_path, capsys):
+    # below a floor of 1e-310 the gramian diag(1, 1e-300) is accepted, and the contraction is tested:
+    # 0.5 I normalized by its inverse square root has norm 5e149
+    contraction = write(tmp_path, "c.json", _contraction(0.5 * np.eye(2), gram_src=np.diag([1.0, 1e-300])))
+    got, payload = run(capsys, ["brangesian", "--seed", "1", "--contraction", contraction, "--tol-psd", "1e-310"])
+    assert got == 3 and payload["status"] == "certificate_failed"
+    norm = float(re.fullmatch(r"operator norm (\S+) exceeds 1", payload["error"]).group(1))
+    assert abs(norm - 5e149) <= 1e-12 * 5e149
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])

@@ -268,7 +268,8 @@ EXACT = {"szego-d1", "szego-d2", "szego-d3", "szego-y2", "max-len-0", "empty"}
 @pytest.mark.parametrize("name", sorted(SHIFT_CASES))
 def test_shift_values_match_evaluation_at_the_shift(name):
     kernel = SHIFT_CASES[name]()
-    shift = truncated_shift_tuple(kernel.d, kernel.max_len)
+    # the shift is built at the longest stored word, not at max_len
+    shift = truncated_shift_tuple(kernel.d, max(map(len, kernel.words), default=0))
     values = _shift_values(kernel)
     assert len(values) == len(SHIFT_SCALES)
     for t, got in zip(SHIFT_SCALES, values):
@@ -278,3 +279,22 @@ def test_shift_values_match_evaluation_at_the_shift(name):
             assert np.array_equal(got, want), t
         else:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), t
+
+
+@pytest.mark.parametrize("name, level", [("sparse", 2), ("empty", 0), ("max-len-0", 0), ("szego-d2", 3)])
+def test_the_witness_shift_is_built_at_the_longest_stored_word(name, level):
+    kernel = SHIFT_CASES[name]()
+    cert = nilpotent_positivity_check(kernel, seed=3)
+    size = len(words_up_to(kernel.d, level))
+    assert [z.n for z in cert.points[-len(SHIFT_SCALES):]] == [size] * len(SHIFT_SCALES)
+    # the moment matrix at max_len pads the one at the level with zeros, so the verdict is the moment route's
+    assert cert.passed == is_formal_positive_truncated(kernel, kernel.max_len)[0]
+
+
+def test_a_table_declaring_far_more_than_it_stores_is_checked_at_its_words():
+    kernel = FormalKernel(2, 1, {((), ()): [[1.0]]}, 40)
+    cert = nilpotent_positivity_check(kernel, seed=1)
+    assert cert.passed
+    assert [z.n for z in cert.points[-len(SHIFT_SCALES):]] == [1] * len(SHIFT_SCALES)
+    bad = FormalKernel(2, 1, {((), ()): [[1.0]], ((1,), (1,)): [[-1.0]]}, 40)
+    assert not nilpotent_positivity_check(bad, seed=1).passed

@@ -324,3 +324,65 @@ def test_containment_of_stacked_factors():
     w = nilpotent_tuple(rng, 2, 3)
     p = complex_gaussian(rng, 2, 3)
     np.testing.assert_allclose(diff.evaluate(z, w, p), extra.evaluate(z, w, p), atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# one positive-definite gramian rule (core.pd_eigh) for every consumer
+# ---------------------------------------------------------------------------
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from ncrkhs.core import DEFAULT_TOL, NotPsd  # noqa: E402
+from ncrkhs.kernels import GramBasisKernel  # noqa: E402
+from ncrkhs.multipliers import BrangesianDecomposition  # noqa: E402
+
+# gramian kind -> the verdict every consumer must reach
+GRAMIAN_KINDS = {
+    "hermitian-pd": "ok",
+    "just-above-the-floor": "ok",
+    "just-below-the-floor": "NotPsd",
+    "indefinite": "NotPsd",
+    "non-hermitian": "InputError",
+}
+
+
+def _gramian(rng, kind: str, n: int) -> np.ndarray:
+    """A random n x n gramian of ``kind``; the floor cases sit a factor 2 from the default floor."""
+    q, _ = np.linalg.qr(complex_gaussian(rng, n, n))
+    vals = rng.uniform(0.5, 2.0, n) * 10.0 ** rng.uniform(-2.0, 2.0)
+    floor = DEFAULT_TOL.psd_floor * max(1.0, float(vals.max()))
+    vals[0] = {"just-above-the-floor": 2.0 * floor, "just-below-the-floor": 0.5 * floor,
+               "indefinite": -vals[0]}.get(kind, vals[0])
+    g = (q * vals) @ q.conj().T
+    g = (g + g.conj().T) / 2.0
+    if kind == "non-hermitian":
+        g = g + 1e-6 * float(vals.max()) * np.triu(complex_gaussian(rng, n, n), 1)
+    return g
+
+
+def _verdict(build) -> tuple:
+    """("ok",), ("NotPsd", min_eig, floor) or ("InputError",) for one consumer of a gramian."""
+    try:
+        build()
+    except NotPsd as err:
+        return ("NotPsd", err.min_eig, err.floor)
+    except InputError:
+        return ("InputError",)
+    return ("ok",)
+
+
+@pytest.mark.parametrize("kind", sorted(GRAMIAN_KINDS))
+@settings(max_examples=10)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+def test_every_gramian_consumer_reaches_the_same_verdict(kind, seed, n):
+    g = _gramian(rng_from_seed(seed), kind, n)
+    basis = [NcSeries.monomial(1, (1,) * i, [[1.0]]) for i in range(n)]
+    zero = np.zeros((n, n))
+    verdicts = {
+        "gram basis": _verdict(lambda: GramBasisKernel(AlgebraSpec(), basis, g)),
+        "model": _verdict(lambda: RkhsModel(AlgebraSpec(), basis, g)),
+        "brangesian source": _verdict(lambda: BrangesianDecomposition(zero, gram_src=g)),
+        "brangesian target": _verdict(lambda: BrangesianDecomposition(zero, gram_tgt=g)),
+    }
+    assert {v[0] for v in verdicts.values()} == {GRAMIAN_KINDS[kind]}, verdicts
+    assert len(set(verdicts.values())) == 1, verdicts
