@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ncrkhs
 from ncrkhs.core import words_up_to
 from ncrkhs.kernels import (
     AlgebraSpec,
@@ -27,7 +28,7 @@ from ncrkhs.sampling import complex_gaussian, nilpotent_tuple, rng_from_seed
 from ncrkhs.serialize import decode_kernel, encode_kernel
 from ncrkhs.series import NcSeries
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + os.sep + "src"
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(ncrkhs.__file__)))
 
 
 def sparse_table(rng, d: int, y: int, max_len: int) -> dict:
@@ -135,7 +136,8 @@ def test_the_factor_table_matches_the_pairwise_products(out_dim, in_dim, d, degr
     assert k.max_len == max_len and all(len(w) <= max_len for w in k.words)
 
 
-# a cap far below the pairwise table's 0.8 GiB, and above the one product's 0.2 GiB
+# built pair by pair this table peaks at about 0.8 GiB of address space, as one product at
+# about 0.2 GiB (VmPeak with one BLAS thread, numpy loaded)
 CAP_BYTES = 512 << 20
 
 _FULL_SUPPORT = """

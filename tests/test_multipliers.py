@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ncrkhs.core import DimMismatch, InputError, NotContraction, NotInTarget
-from ncrkhs.kernels import AlgebraSpec, CallableKernel, KolmogorovKernel, MomentKernel, szego_kernel
+from ncrkhs.core import DEFAULT_TOL, DimMismatch, InputError, NotContraction, NotInTarget, NotPsd
+from ncrkhs.kernels import AlgebraSpec, CallableKernel, GramBasisKernel, KolmogorovKernel, MomentKernel, szego_kernel
 from ncrkhs.multipliers import (
+    BrangesianDecomposition,
     Multiplier,
     adjoint_on_kernel_element,
     apply_multiplier,
@@ -329,12 +331,6 @@ def test_containment_of_stacked_factors():
 # ---------------------------------------------------------------------------
 # one positive-definite gramian rule (core.pd_eigh) for every consumer
 # ---------------------------------------------------------------------------
-
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from ncrkhs.core import DEFAULT_TOL, NotPsd  # noqa: E402
-from ncrkhs.kernels import GramBasisKernel  # noqa: E402
-from ncrkhs.multipliers import BrangesianDecomposition  # noqa: E402
 
 # gramian kind -> the verdict every consumer must reach
 GRAMIAN_KINDS = {
