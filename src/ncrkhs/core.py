@@ -45,12 +45,17 @@ class NonSquare(NcrkhsError):
 
 
 class NotPsd(NcrkhsError):
-    """Matrix fails the positive-semidefinite floor."""
+    """Matrix fails the positive-semidefinite floor.
 
-    def __init__(self, min_eig: float, floor: float):
+    ``floor`` is the floor's magnitude; the text names the threshold the
+    smallest eigenvalue failed, ``tested``, which is ``-floor`` unless given.
+    """
+
+    def __init__(self, min_eig: float, floor: float, tested: float | None = None):
         self.min_eig = float(min_eig)
         self.floor = float(floor)
-        super().__init__(f"matrix is not PSD: min eigenvalue {min_eig:.6e} below floor {-floor:.6e}")
+        tested = -floor if tested is None else tested
+        super().__init__(f"matrix is not PSD: min eigenvalue {min_eig:.6e} below floor {tested:.6e}")
 
 
 class LetterOutOfRange(NcrkhsError):
@@ -203,9 +208,9 @@ OVERLAP_CUT = 1.0 - 1e-9
 NORM_UNDERFLOW = float(np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps)
 # words_up_to lists at most this many words.  Their count N grows as d^L,
 # and what is built over them (the truncated free shift, moment and Gram
-# matrices) is dense in N, 16 N^2 bytes a matrix: extract-coeffs at d = 2,
-# L = 10 (2,047 words) takes 35 s and 812 MB on one Xeon core, and each
-# further length quadruples every matrix.
+# matrices) is dense in N, 16 N^2 bytes a matrix: the shift at d = 2,
+# L = 10 (2,047 words) holds 134 MB of coordinates, and each further length
+# quadruples every matrix.
 _MAX_WORDS = 2048
 
 
@@ -236,18 +241,23 @@ def _stacked(mats) -> np.ndarray | None:
     return block if np.isfinite(block).all() else None
 
 
-def sorted_table(keys: Sequence, mats: Sequence, rows: int, cols: int, sort_key) -> tuple[list, np.ndarray]:
-    """The keys ordered by ``sort_key``, and their ``as_cmatrix(mat, rows, cols)`` in that order.
+def checked_stack(mats: Sequence, rows: int, cols: int) -> np.ndarray:
+    """``as_cmatrix(mat, rows, cols)`` of each matrix, in order, as one new (len(mats), rows, cols) array.
 
-    The matrices are converted and checked as one stacked array, returned
-    read-only with shape (len(keys), rows, cols).  Only when that check
-    fails is each matrix checked on its own, in the order given, so that the
-    first bad one raises its own :func:`as_cmatrix` error.
+    The matrices are converted and checked as one stacked array.  Only when
+    that check fails is each matrix checked on its own, in the order given,
+    so that the first bad one raises its own :func:`as_cmatrix` error.
     """
     block = _stacked(mats)
     if block is None or block.shape != (len(mats), rows, cols):
         checked = [as_cmatrix(m, rows, cols) for m in mats]
         block = np.array(checked, dtype=np.complex128).reshape(len(mats), rows, cols)
+    return block
+
+
+def sorted_table(keys: Sequence, mats: Sequence, rows: int, cols: int, sort_key) -> tuple[list, np.ndarray]:
+    """The keys ordered by ``sort_key``, and their :func:`checked_stack` in that order, read-only."""
+    block = checked_stack(mats, rows, cols)
     ranks = list(map(sort_key, keys))
     order = sorted(range(len(keys)), key=ranks.__getitem__)
     if order != list(range(len(order))):
@@ -355,7 +365,7 @@ def pd_eigh(m: np.ndarray, tol: Tolerances, what: str) -> tuple[np.ndarray, np.n
     vals, vecs = np.linalg.eigh(hermitize(m, f"the {what}"))
     floor = tol.psd_floor * max(1.0, float(np.max(np.abs(vals))))
     if vals[0] <= floor:
-        raise NotPsd(float(vals[0]), floor)
+        raise NotPsd(float(vals[0]), floor, tested=floor)
     return vals, vecs
 
 

@@ -50,6 +50,7 @@ from .core import (
     cached_at,
     check_intertwiner,
     check_positive,
+    checked_stack,
     direct_sum,
     frobenius,
     frozen,
@@ -59,7 +60,6 @@ from .core import (
     psd_factor,
     psd_verdict,
     rel_err,
-    sorted_table,
     spec_norm,
     validate_word,
     word_key,
@@ -293,8 +293,7 @@ class MomentKernel(FactoredKernel):
                     raise InputError(f"duplicate moment pair {key}")
                 seen[key] = None
             keys = list(seen)
-        keys, block = sorted_table(keys, list(moments.values()), y_dim, y_dim,
-                                   lambda key: (len(key[0]), key[0], len(key[1]), key[1]))
+        block = checked_stack(list(moments.values()), y_dim, y_dim)
         words = tuple(sorted({w for pair in keys for w in pair}, key=word_key))
         index = {w: i for i, w in enumerate(words)}
         m = len(words)

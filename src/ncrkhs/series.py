@@ -26,6 +26,12 @@ of a :class:`WordIndicator` (a moment table's factor), writing each block of
 powers into its words' column blocks instead of summing one-hot
 coefficients.
 
+The same walk applies f(Z) to a block ``X (x) I_q`` without forming a
+power, at O(n^2 r) per trie node instead of O(n^3) (:func:`_series_action`):
+``Z^{j.u} X = Z_j (Z^u X)`` walks the suffix trie of the support.
+Coefficient extraction reads only the empty-word column of the value at the
+truncated free shift, so it takes this action.
+
 The joint nilpotency order (:func:`nilpotency_order`) follows the descending
 flag ``V_{L+1} = sum_j Z_j V_L`` through one factor per length, extended by
 one product with the stacked adjoint coordinates and recompressed by a QR,
@@ -39,7 +45,9 @@ a test (:attr:`MatrixTuple.strictly_triangular`); the nilpotent sampler's
 points and the truncated free shift are such tuples.  A caller that only
 asks whether the order is at most some length walks the flag no further:
 :func:`evaluate_on_nilpotent` walks at most ``deg f`` lengths at such a
-point, and a truncated kernel tests none of size <= max_len + 1.
+point, and a truncated kernel tests none of size <= max_len + 1.  The
+truncated free shift carries its order, max_len + 1, and walks no flag
+at all when ``eq_rel < 1`` (:func:`truncated_shift_tuple`).
 """
 
 from __future__ import annotations
@@ -100,6 +108,13 @@ class NcSeries(Record):
     def _plan(self) -> "_Plan":
         """The evaluation plan of the support, built on the first evaluation."""
         return _Plan(self.d, list(self.terms))
+
+    @cached_property
+    def _suffixes(self) -> tuple["_Plan", list[int]]:
+        """The plan of the reversed support (its suffix trie) and each plan word's index in ``terms``, built once."""
+        words = list(self.terms)
+        order = sorted(range(len(words)), key=lambda i: word_key(words[i][::-1]))
+        return _Plan(self.d, [words[i][::-1] for i in order]), order
 
     @cached_property
     def _truncations(self) -> dict[int, "NcSeries"]:
@@ -207,6 +222,23 @@ def _series_values(f: NcSeries, coords: np.ndarray) -> np.ndarray:
     return acc.reshape(b, n, n, p, q).transpose(0, 1, 3, 2, 4).reshape(b, n * p, n * q)
 
 
+def _series_action(f: NcSeries, coords: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """f(Z)(X (x) I_q) = sum_w Z^w X (x) f_w at each point of ``coords``, X = x[i] of B x n x r, as B x (n p) x (r q).
+
+    The walk applies the powers to X over the suffix trie instead of forming
+    them (:func:`_power_blocks`), and each block meets its words'
+    coefficients in one ``(n r, m) @ (m, p q)`` product per point.
+    """
+    b, n, r, p, q = len(coords), coords.shape[-1], x.shape[-1], f.out_dim, f.in_dim
+    plan, order = f._suffixes
+    coeffs = f._coeffs.reshape(len(f.terms), p * q)[order]
+    # acc[point, (a, c), (s, t)] = sum_w (Z^w X)[a, c] f_w[s, t]
+    acc = np.zeros((b, n * r, p * q), dtype=np.complex128)
+    for i, j, applied in _power_blocks(plan, coords, x):
+        acc += np.matmul(applied.transpose(0, 1, 3, 2).reshape(b, n * r, j - i), coeffs[i:j])
+    return acc.reshape(b, n, r, p, q).transpose(0, 1, 3, 2, 4).reshape(b, n * p, r * q)
+
+
 class _Plan:
     """The prefix trie of a support, level by level; it depends on the words alone.
 
@@ -266,19 +298,20 @@ class _Plan:
         return caps
 
 
-# Bytes of n x n powers that the walk holds per point, whatever the degree.
-# Level k is taken in blocks of at most caps[k] nodes, the level widths
+# Bytes of trie nodes (n x n powers, or n x r applied blocks) that the walk
+# holds per point, whatever the degree, or one n x n matrix where that is
+# more.  Level k is taken in blocks of at most caps[k] nodes, the level widths
 # scaled to this in total, and the walk holds at most one block per level:
-# within this, plus one power on each level whose share is below one node,
+# within this, plus one node on each level whose share is below one node,
 # and a gathered copy of at most one block at a time.  The caps depend on n
-# alone, so a point's blocks, and the order in which its value is summed,
-# are the same whatever batch it is walked in; a batch holds as many points
-# as fit in these bytes together (:func:`_values`).
+# and r alone, so a point's blocks, and the order in which its value is
+# summed, are the same whatever batch it is walked in; a batch holds as many
+# points as fit in these bytes together (:func:`_values`).
 _BLOCK_BYTES = 1 << 20
 
 
-def _power_blocks(plan: _Plan, coords: np.ndarray):
-    """(i, j, P): P[:, r] = Z^w at each point for the (i + r)-th support word w in graded order, block by block.
+def _power_blocks(plan: _Plan, coords: np.ndarray, x: np.ndarray | None = None):
+    """(i, j, P): P[:, r] = Z^w at each point for the (i + r)-th word w of ``plan``, block by block.
 
     ``coords`` stacks the coordinates of B points of one size, B x d x n x n,
     and P is B x (j - i) x n x n.  The walk is depth-first over blocks: a
@@ -290,6 +323,13 @@ def _power_blocks(plan: _Plan, coords: np.ndarray):
     else one product of each child's parent with its letter, so no power is
     formed for a word outside the prefix closure.
 
+    Given ``x`` (B x n x r), the walk applies the powers instead, over the
+    plan of the reversed words (the suffix trie): P is B x n x (j - i) x r
+    with P[:, :, r] = Z^w X, and child j.u is Z_j (Z^u X)
+    (:func:`_left_children`).  A node holds n r entries instead of n^2, so
+    a block of ``_BLOCK_BYTES``, or of one n x n matrix where that is more,
+    spans many nodes, and a level is a few wide products with each Z_j.
+
     Each point's powers are laid out alike whatever B is: gathers use
     ``take``, since fancy indexing lays out its result by B.  So every
     product of a point takes the same BLAS path, and its powers and value
@@ -299,19 +339,24 @@ def _power_blocks(plan: _Plan, coords: np.ndarray):
         return
     b, n = len(coords), coords.shape[-1]
     depth, parent, rows, start = plan.depth, plan.parent, plan.rows, plan.start
-    caps = plan.caps(_BLOCK_BYTES // (16 * max(n * n, 1)))
+    if x is None:
+        axis, grow, node = 1, _children, n * n
+        powers = np.eye(n, dtype=np.complex128)[None, None].repeat(b, axis=0)
+    else:
+        axis, grow, node, powers = 2, _left_children, n * x.shape[-1], x[:, :, None]
+    caps = plan.caps(max(_BLOCK_BYTES, 16 * n * n) // (16 * max(node, 1)))
     # the blocks whose children are not all formed, one per level at most:
     # [level, powers, first node, next child, last child + 1]
     held: list[list] = []
-    k, lo, powers = 0, 0, np.eye(n, dtype=np.complex128)[None, None].repeat(b, axis=0)
+    k, lo = 0, 0
     while True:
-        hi = lo + powers.shape[1]
+        hi = lo + powers.shape[axis]
         if rows[k] is None:
             yield start[k] + lo, start[k] + hi, powers
         elif rows[k]:
             r0, r1 = bisect_left(rows[k], lo), bisect_left(rows[k], hi)
             if r0 < r1:
-                yield start[k] + r0, start[k] + r1, powers.take([r - lo for r in rows[k][r0:r1]], axis=1)
+                yield start[k] + r0, start[k] + r1, powers.take([r - lo for r in rows[k][r0:r1]], axis=axis)
         if k < depth:
             c0, c1 = bisect_left(parent[k], lo), bisect_left(parent[k], hi)
             if c0 < c1:
@@ -323,7 +368,7 @@ def _power_blocks(plan: _Plan, coords: np.ndarray):
         if c == c1:
             held.pop()
         block[3] = c
-        lo, powers, k = c0, _children(plan, k, parents, first, c0, c, coords), k + 1
+        lo, powers, k = c0, grow(plan, k, parents, first, c0, c, coords), k + 1
 
 
 def _children(plan: _Plan, k: int, powers: np.ndarray, lo: int, c0: int, c1: int, coords: np.ndarray) -> np.ndarray:
@@ -337,6 +382,23 @@ def _children(plan: _Plan, k: int, powers: np.ndarray, lo: int, c0: int, c1: int
         # every child of parents p0..p1-1, in order: P_i Z_j at [:, i, j]
         return np.matmul(powers[:, p0 - lo:p1 - lo, None], coords[:, None]).reshape(b, (p1 - p0) * d, n, n)
     return np.matmul(powers.take([parent[c] - lo for c in range(c0, c1)], axis=1), coords.take(letter[c0:c1], axis=1))
+
+
+def _left_children(plan: _Plan, k: int, applied: np.ndarray, lo: int, c0: int, c1: int,
+                   coords: np.ndarray) -> np.ndarray:
+    """Z_j (Z^u X) for the nodes c0..c1-1 of level k + 1, each the reversed word u.j, by one product per letter j.
+
+    ``applied`` holds level k's from node lo on, B x n x nodes x r; the
+    children of letter j are Z_j times their parents' n x (nodes r) block.
+    """
+    parent, letter = plan.parent[k], plan.letter[k]
+    b, n, r = len(coords), coords.shape[-1], applied.shape[-1]
+    out = np.empty((b, n, c1 - c0, r), dtype=np.complex128)
+    for j in sorted(set(letter[c0:c1])):
+        cs = [c for c in range(c1 - c0) if letter[c0 + c] == j]
+        block = applied.take([parent[c0 + c] - lo for c in cs], axis=2).reshape(b, n, len(cs) * r)
+        out[:, :, cs] = np.matmul(coords[:, j], block).reshape(b, n, len(cs), r)
+    return out
 
 
 class WordIndicator(Record):
@@ -558,11 +620,20 @@ def evaluate_on_nilpotent(f: NcSeries, z: MatrixTuple, tol: Tolerances = DEFAULT
 
     Only an order L <= deg f truncates, so at a strictly triangular point
     (:attr:`~ncrkhs.core.MatrixTuple.strictly_triangular`), which has an
-    order, the flag walk stops after ``deg f`` lengths.  Any other point
-    takes the full test, which raises :class:`NotNilpotent` where there is
-    no order.
+    order, the flag walk stops after ``deg f`` lengths.  A truncated free
+    shift carries its order, which holds at every ``eq_rel < 1``
+    (:func:`truncated_shift_tuple`), and walks no flag there.  Any other
+    point takes the full test, which raises :class:`NotNilpotent` where
+    there is no order.
     """
-    if z.strictly_triangular:
+    return evaluate(_truncated_at(f, z, tol), z)
+
+
+def _truncated_at(f: NcSeries, z: MatrixTuple, tol: Tolerances) -> NcSeries:
+    """The series :func:`evaluate_on_nilpotent` evaluates at z: f without its words of length >= z's order."""
+    if isinstance(z, _TruncatedShift) and tol.eq_rel < 1:
+        order = z.order
+    elif z.strictly_triangular:
         order = _flag_orders([z], tol, f.degree)[0]
     else:
         order = nilpotency_order(z, tol)
@@ -572,12 +643,20 @@ def evaluate_on_nilpotent(f: NcSeries, z: MatrixTuple, tol: Tolerances = DEFAULT
         if order not in f._truncations:
             f._truncations[order] = truncate(f, order - 1)
         f = f._truncations[order]
-    return evaluate(f, z)
+    return f
 
 
 # ---------------------------------------------------------------------------
 # coefficient extraction via the truncated free shift
 # ---------------------------------------------------------------------------
+
+class _TruncatedShift(MatrixTuple):
+    """A truncated free shift, which carries its nilpotency order ``order`` = max_len + 1."""
+
+    def __init__(self, coords: tuple[np.ndarray, ...], order: int):
+        super().__init__(coords)
+        self._set(order=order)
+
 
 def truncated_shift_tuple(d: int, max_len: int) -> MatrixTuple:
     """Left creation operators on the span of words of length <= max_len.
@@ -586,6 +665,15 @@ def truncated_shift_tuple(d: int, max_len: int) -> MatrixTuple:
     (and to 0 when the result exceeds max_len).  Jointly nilpotent of order
     max_len + 1; evaluating a series here exposes all coefficients of
     degree <= max_len as blocks.
+
+    The point carries that order, and :func:`evaluate_on_nilpotent` takes it
+    without a flag walk whenever ``eq_rel < 1``, where the walk finds it too
+    (:func:`nilpotency_orders`): the coordinates are partial isometries, so
+    the walk's scale is 1, and at a length L <= max_len ``||c_L||_F^2``
+    counts the words of length L to max_len.  That is at least 1, exactly
+    so for d = 1, where c stays n x n and no QR is taken, and at least 2 for
+    d >= 2, more than rounding can take away.  At ``eq_rel >= 1`` the walk
+    runs, and may stop earlier.
     """
     words = words_up_to(d, max_len)
     index = {w: i for i, w in enumerate(words)}
@@ -597,17 +685,7 @@ def truncated_shift_tuple(d: int, max_len: int) -> MatrixTuple:
             if len(w) < max_len:
                 s[index[(j,) + w], i] = 1.0
         coords.append(s)
-    return MatrixTuple(tuple(coords))
-
-
-def _read_coefficients(
-    value: np.ndarray, words: list[Word], out_dim: int, in_dim: int
-) -> dict[Word, np.ndarray]:
-    coeffs = {}
-    for i, w in enumerate(words):
-        block = value[i * out_dim:(i + 1) * out_dim, 0:in_dim]
-        coeffs[w] = block
-    return coeffs
+    return _TruncatedShift(tuple(coords), max_len + 1)
 
 
 def extract_taylor_coefficients(
@@ -620,23 +698,33 @@ def extract_taylor_coefficients(
 ) -> NcSeries:
     """Recover the coefficients of an nc-function evaluator up to degree max_len.
 
-    The evaluator is probed on the truncated free shift; the block in word row
-    w, empty-word column equals the coefficient of w.  Reads from probes of
-    two adjacent sizes must agree, else :class:`InconsistentEvaluator`.
+    The evaluator is probed on the truncated free shift S; the block in word
+    row w, empty-word column equals the coefficient of w, since S^w e_() is
+    e_w.  Only that column is read, so an evaluator that offers
+    ``action(z, x)``, its value at z applied to ``x (x) I_in_dim`` (as
+    :func:`functional_evaluator` does), is asked for it alone,
+    ``action(S, e_())``; any other callable is asked for its whole value.
+    Reads from probes of two adjacent sizes must agree, else
+    :class:`InconsistentEvaluator`.
     """
-    words = words_up_to(d, max_len)
-    value = np.asarray(evaluator(truncated_shift_tuple(d, max_len)), dtype=np.complex128)
-    expect = (len(words) * out_dim, len(words) * in_dim)
-    if value.shape != expect:
-        raise DimMismatch(f"evaluator returned shape {value.shape}, expected {expect}")
-    coeffs = _read_coefficients(value, words, out_dim, in_dim)
+    action = getattr(evaluator, "action", None)
 
+    def read(level: int) -> dict[Word, np.ndarray]:
+        words = words_up_to(d, level)
+        shift = truncated_shift_tuple(d, level)
+        if action is None:
+            value, cols = evaluator(shift), len(words) * in_dim
+        else:
+            value, cols = action(shift, np.eye(len(words), 1)), in_dim
+        value = np.asarray(value, dtype=np.complex128)
+        if value.shape != (len(words) * out_dim, cols):
+            raise DimMismatch(f"evaluator returned shape {value.shape}, expected {(len(words) * out_dim, cols)}")
+        return {w: value[i * out_dim:(i + 1) * out_dim, 0:in_dim] for i, w in enumerate(words)}
+
+    coeffs = read(max_len)
     if max_len >= 1:
-        small_words = words_up_to(d, max_len - 1)
-        small = np.asarray(evaluator(truncated_shift_tuple(d, max_len - 1)), dtype=np.complex128)
-        small_coeffs = _read_coefficients(small, small_words, out_dim, in_dim)
         scale_v = max(frobenius(c) for c in coeffs.values())
-        for w, c in small_coeffs.items():
+        for w, c in read(max_len - 1).items():
             if rel_err(frobenius(c - coeffs[w]), scale_v) > tol.eq_rel:
                 raise InconsistentEvaluator(f"coefficient of {w} disagrees across probe sizes")
 
@@ -644,9 +732,21 @@ def extract_taylor_coefficients(
 
 
 def functional_evaluator(f: NcSeries, tol: Tolerances = DEFAULT_TOL) -> Callable[[MatrixTuple], np.ndarray]:
-    """The nilpotent-domain evaluator Z -> sum_w Z^w (x) f_w of a series."""
+    """The nilpotent-domain evaluator Z -> sum_w Z^w (x) f_w of a series.
+
+    It also offers ``action(z, x)``, its value at z times ``x (x) I_q`` for
+    an n x r block x, over the same truncation and without forming a power
+    (:func:`_series_action`).
+    """
 
     def ev(z: MatrixTuple) -> np.ndarray:
         return evaluate_on_nilpotent(f, z, tol)
 
+    def action(z: MatrixTuple, x) -> np.ndarray:
+        g = _truncated_at(f, z, tol)
+        if z.d != f.d:
+            raise DimMismatch(f"series over {f.d} variables evaluated at a {z.d}-tuple")
+        return _series_action(g, z.stacked[None], as_cmatrix(x, z.n)[None])[0]
+
+    ev.action = action
     return ev

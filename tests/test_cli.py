@@ -714,7 +714,7 @@ def test_huge_finite_norms_do_not_overflow(tmp_path, capsys, argv, file, code, e
 
 
 # one gramian rule (core.pd_eigh): a brangesian gramian gets the outcome of a Gram-basis kernel's gram matrix
-_NOT_PSD_TINY = "matrix is not PSD: min eigenvalue 1.000000e-300 below floor -1.000000e-09"
+_NOT_PSD_TINY = "matrix is not PSD: min eigenvalue 1.000000e-300 below floor 1.000000e-09"
 
 
 @pytest.mark.parametrize(
