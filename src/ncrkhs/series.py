@@ -325,7 +325,7 @@ def _power_blocks(plan: _Plan, coords: np.ndarray, x: np.ndarray | None = None):
 
     Given ``x`` (B x n x r), the walk applies the powers instead, over the
     plan of the reversed words (the suffix trie): P is B x n x (j - i) x r
-    with P[:, :, r] = Z^w X, and child j.u is Z_j (Z^u X)
+    with P[:, :, t] = Z^w X for the (i + t)-th word, and child j.u is Z_j (Z^u X)
     (:func:`_left_children`).  A node holds n r entries instead of n^2, so
     a block of ``_BLOCK_BYTES``, or of one n x n matrix where that is more,
     spans many nodes, and a level is a few wide products with each Z_j.
@@ -386,7 +386,7 @@ def _children(plan: _Plan, k: int, powers: np.ndarray, lo: int, c0: int, c1: int
 
 def _left_children(plan: _Plan, k: int, applied: np.ndarray, lo: int, c0: int, c1: int,
                    coords: np.ndarray) -> np.ndarray:
-    """Z_j (Z^u X) for the nodes c0..c1-1 of level k + 1, each the reversed word u.j, by one product per letter j.
+    """Z^{j.u} X = Z_j (Z^u X) for the nodes c0..c1-1 of level k + 1 of a suffix trie, by one product per letter j.
 
     ``applied`` holds level k's from node lo on, B x n x nodes x r; the
     children of letter j are Z_j times their parents' n x (nodes r) block.
