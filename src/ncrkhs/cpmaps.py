@@ -22,12 +22,14 @@ from .core import (
     DimMismatch,
     InputError,
     NotCp,
+    NotPsd,
     Tolerances,
     as_cmatrix,
     frobenius,
     frozen,
     hermitize,
     kron,
+    psd_factor,
     psd_verdict,
     rel_err,
     spec_norm,
@@ -140,8 +142,6 @@ def stinespring(phi: CpMap, tol: Tolerances | None = None) -> StinespringDilatio
     one multiplicity slot per Kraus operator, so the reconstruction is exact
     to rounding.  Raises :class:`NotCp` with the offending eigenvalue.
     """
-    from .core import NotPsd, psd_factor
-
     tol = tol or phi.tol
     k, m = phi.k, phi.m
     c = choi(phi)

@@ -38,7 +38,7 @@ from .core import (
     require_finite,
 )
 from .kernels import AlgebraSpec, GramBasisKernel, KolmogorovKernel
-from .series import AxiomReport, NcSeries, evaluate
+from .series import AxiomReport, NcSeries, evaluate, linear_combination
 
 
 class RkhsModel:
@@ -68,7 +68,6 @@ class RkhsModel:
         self.y_dim = kernel.y_dim
         self.tol = tol
         self.gram_full = frozen(kron(self.gram, np.eye(k)))
-        self.gram_full_inv = frozen(np.linalg.inv(self.gram_full))
         self._kernel = kernel
 
     # -- structure ---------------------------------------------------------
@@ -147,7 +146,7 @@ def kernel_element_coefficients(m: RkhsModel, w: MatrixTuple, v, y) -> np.ndarra
     """Coefficients of K_{W,v,y}: (G (x) I_k)^{-1} applied to the evaluation data.
 
     v is a row over the algebra (k x (m k) encoded); the expansion coefficients
-    are sums of (G^{-1})_{ji} (f_i(W)(v*))* y terms.
+    are sums of (G^{-1})_{ji} (f_i(W)(v*))* y terms: vec(G^{-1} V), V the S x k data.
     """
     k = m.algebra.k
     v = as_cmatrix(v, k, w.n * k)
@@ -155,7 +154,7 @@ def kernel_element_coefficients(m: RkhsModel, w: MatrixTuple, v, y) -> np.ndarra
     if y.shape[0] != w.n * m.y_dim:
         raise DimMismatch(f"y must lie in Y^{w.n}")
     e = point_evaluation(m, w, v.conj().T)
-    return m.gram_full_inv @ (e.conj().T @ y)
+    return (m._kernel.gram_inv @ (e.conj().T @ y).reshape(m.n_basis, k)).reshape(-1)
 
 
 def reproducing_check(m: RkhsModel, coeffs, w: MatrixTuple, v, y,
@@ -196,8 +195,6 @@ def orthonormalized(m: RkhsModel) -> RkhsModel:
     """Model with the basis Gram-Schmidt-ed against G (new gramian = I)."""
     chol = np.linalg.cholesky(np.asarray(m.gram))
     transform = np.linalg.inv(chol).conj().T  # columns express new basis in old
-    from .series import linear_combination
-
     new_basis = [
         linear_combination(m.basis, transform[:, i]) for i in range(m.n_basis)
     ]

@@ -27,10 +27,11 @@ powers into its words' column blocks instead of summing one-hot
 coefficients.
 
 The same walk applies f(Z) to a block ``X (x) I_q`` without forming a
-power, at O(n^2 r) per trie node instead of O(n^3) (:func:`_series_action`):
-``Z^{j.u} X = Z_j (Z^u X)`` walks the suffix trie of the support.
-Coefficient extraction reads only the empty-word column of the value at the
-truncated free shift, so it takes this action.
+power, at O(r n^2) per trie node instead of O(n^3) (:func:`_series_action`):
+each node holds a row block ``Y Z^w``, Y = I for values, and the rows
+``(Z^w X)^T`` are the walk over the suffix trie at the transposed point
+from Y = X^T.  Coefficient extraction reads only the empty-word column of
+the value at the truncated free shift, so it takes this action.
 
 The joint nilpotency order (:func:`nilpotency_order`) follows the descending
 flag ``V_{L+1} = sum_j Z_j V_L`` through one factor per length, extended by
@@ -67,11 +68,14 @@ from .core import (
     MatrixTuple,
     NotNilpotent,
     Record,
+    ShapeMismatch,
     Tolerances,
     Word,
     as_cmatrix,
     cached_at,
     check_intertwiner,
+    direct_sum,
+    direct_sum_matrices,
     frobenius,
     int_words,
     kron,
@@ -177,8 +181,6 @@ def multiply(f: NcSeries, g: NcSeries) -> NcSeries:
     Compatible with evaluation: ``evaluate(multiply(f, g), Z) =
     evaluate(f, Z) @ evaluate(g, Z)``.
     """
-    from .core import ShapeMismatch
-
     if f.d != g.d:
         raise DimMismatch("series over different alphabets")
     if f.in_dim != g.out_dim:
@@ -207,36 +209,34 @@ def evaluate(f: NcSeries, z: MatrixTuple) -> np.ndarray:
 
 
 def _series_values(f: NcSeries, coords: np.ndarray) -> np.ndarray:
-    """sum_w Z^w (x) f_w at each point of ``coords`` (B x d x n x n), as a B x (n p) x (n q) array.
-
-    Each block of powers ``Z^w`` from the trie walk meets its words'
-    coefficients in one ``(n^2, m) @ (m, p q)`` product per point, summed
-    into an accumulator that is transposed once into the Kronecker layout.
-    """
+    """sum_w Z^w (x) f_w at each point of ``coords`` (B x d x n x n), as a B x (n p) x (n q) array."""
     b, n, p, q = len(coords), coords.shape[-1], f.out_dim, f.in_dim
-    coeffs = f._coeffs.reshape(len(f.terms), p * q)
     # acc[point, (a, b), (s, t)] = sum_w Z^w[a, b] f_w[s, t]
-    acc = np.zeros((b, n * n, p * q), dtype=np.complex128)
-    for i, j, powers in _power_blocks(f._plan, coords):
-        acc += np.matmul(powers.reshape(b, j - i, n * n).transpose(0, 2, 1), coeffs[i:j])
+    acc = _summed(_power_blocks(f._plan, coords), f._coeffs.reshape(len(f.terms), p * q), b, n * n)
     return acc.reshape(b, n, n, p, q).transpose(0, 1, 3, 2, 4).reshape(b, n * p, n * q)
 
 
 def _series_action(f: NcSeries, coords: np.ndarray, x: np.ndarray) -> np.ndarray:
     """f(Z)(X (x) I_q) = sum_w Z^w X (x) f_w at each point of ``coords``, X = x[i] of B x n x r, as B x (n p) x (r q).
 
-    The walk applies the powers to X over the suffix trie instead of forming
-    them (:func:`_power_blocks`), and each block meets its words'
-    coefficients in one ``(n r, m) @ (m, p q)`` product per point.
+    No power is formed: ``(Z^w X)^T = X^T Z_{w_1}^T ... Z_{w_k}^T`` for
+    w = w_k ... w_1 is the row walk (:func:`_power_blocks`) over the reversed
+    words, at the transposed point and from ``X^T``.
     """
     b, n, r, p, q = len(coords), coords.shape[-1], x.shape[-1], f.out_dim, f.in_dim
     plan, order = f._suffixes
-    coeffs = f._coeffs.reshape(len(f.terms), p * q)[order]
-    # acc[point, (a, c), (s, t)] = sum_w (Z^w X)[a, c] f_w[s, t]
-    acc = np.zeros((b, n * r, p * q), dtype=np.complex128)
-    for i, j, applied in _power_blocks(plan, coords, x):
-        acc += np.matmul(applied.transpose(0, 1, 3, 2).reshape(b, n * r, j - i), coeffs[i:j])
-    return acc.reshape(b, n, r, p, q).transpose(0, 1, 3, 2, 4).reshape(b, n * p, r * q)
+    rows = _power_blocks(plan, coords.transpose(0, 1, 3, 2), x.transpose(0, 2, 1))
+    # acc[point, (c, a), (s, t)] = sum_w (Z^w X)[a, c] f_w[s, t]
+    acc = _summed(rows, f._coeffs.reshape(len(f.terms), p * q)[order], b, r * n)
+    return acc.reshape(b, r, n, p, q).transpose(0, 2, 3, 1, 4).reshape(b, n * p, r * q)
+
+
+def _summed(blocks, coeffs: np.ndarray, b: int, size: int) -> np.ndarray:
+    """sum_w P_w c_w over the walk's blocks, B x size x (p q): one ``(size, m) @ (m, p q)`` product per block."""
+    acc = np.zeros((b, size, coeffs.shape[1]), dtype=np.complex128)
+    for i, j, rows in blocks:
+        acc += np.matmul(rows.reshape(b, j - i, size).transpose(0, 2, 1), coeffs[i:j])
+    return acc
 
 
 class _Plan:
@@ -298,69 +298,58 @@ class _Plan:
         return caps
 
 
-# Bytes of trie nodes (n x n powers, or n x r applied blocks) that the walk
-# holds per point, whatever the degree, or one n x n matrix where that is
-# more.  Level k is taken in blocks of at most caps[k] nodes, the level widths
-# scaled to this in total, and the walk holds at most one block per level:
-# within this, plus one node on each level whose share is below one node,
-# and a gathered copy of at most one block at a time.  The caps depend on n
-# and r alone, so a point's blocks, and the order in which its value is
-# summed, are the same whatever batch it is walked in; a batch holds as many
-# points as fit in these bytes together (:func:`_values`).
+# Bytes of trie nodes (r x n row blocks) that the walk holds per point,
+# whatever the degree, or one n x n matrix where that is more.  Level k is
+# taken in blocks of at most caps[k] nodes, the level widths scaled to this in
+# total, and the walk holds at most one block per level: within this, plus
+# one node on each level whose share is below one node, and a gathered copy
+# of at most one block at a time.  The caps depend on n and r alone, so a
+# point's blocks, and the order in which its value is summed, are the same
+# whatever batch it is walked in; a batch holds as many points as fit in
+# these bytes together (:func:`_values`).
 _BLOCK_BYTES = 1 << 20
 
 
-def _power_blocks(plan: _Plan, coords: np.ndarray, x: np.ndarray | None = None):
-    """(i, j, P): P[:, r] = Z^w at each point for the (i + r)-th word w of ``plan``, block by block.
+def _power_blocks(plan: _Plan, coords: np.ndarray, start: np.ndarray | None = None):
+    """(i, j, P): P[:, t] = Y Z^w at each point for the (i + t)-th word w of ``plan``, block by block.
 
     ``coords`` stacks the coordinates of B points of one size, B x d x n x n,
-    and P is B x (j - i) x n x n.  The walk is depth-first over blocks: a
-    block of level k yields its support words, then its children are formed
-    in chunks of at most ``caps[k + 1]`` nodes, and each chunk is walked as a
+    and ``start`` their r x n row blocks Y, B x r x n, the identity unless
+    given, so P is B x (j - i) x r x n and by default holds the powers Z^w.
+    The walk is depth-first over blocks: a block of level k yields its
+    support words, then its children are formed in chunks of at most
+    ``caps[k + 1]`` nodes (:func:`_children`), and each chunk is walked as a
     block of level k + 1 before the next is formed.  A block is let go once
-    its last chunk is formed.  A chunk that holds every child of its parents
-    is one batched product of their powers with the stacked coordinates, and
-    else one product of each child's parent with its letter, so no power is
-    formed for a word outside the prefix closure.
+    its last chunk is formed, and no node is formed for a word outside the
+    prefix closure.
 
-    Given ``x`` (B x n x r), the walk applies the powers instead, over the
-    plan of the reversed words (the suffix trie): P is B x n x (j - i) x r
-    with P[:, :, t] = Z^w X for the (i + t)-th word, and child j.u is Z_j (Z^u X)
-    (:func:`_left_children`).  A node holds n r entries instead of n^2, so
-    a block of ``_BLOCK_BYTES``, or of one n x n matrix where that is more,
-    spans many nodes, and a level is a few wide products with each Z_j.
-
-    Each point's powers are laid out alike whatever B is: gathers use
+    Each point's nodes are laid out alike whatever B is: gathers use
     ``take``, since fancy indexing lays out its result by B.  So every
-    product of a point takes the same BLAS path, and its powers and value
+    product of a point takes the same BLAS path, and its blocks and value
     are bitwise the same in any batch.
     """
     if plan.depth < 0:
         return
     b, n = len(coords), coords.shape[-1]
-    depth, parent, rows, start = plan.depth, plan.parent, plan.rows, plan.start
-    if x is None:
-        axis, grow, node = 1, _children, n * n
-        powers = np.eye(n, dtype=np.complex128)[None, None].repeat(b, axis=0)
-    else:
-        axis, grow, node, powers = 2, _left_children, n * x.shape[-1], x[:, :, None]
-    caps = plan.caps(max(_BLOCK_BYTES, 16 * n * n) // (16 * max(node, 1)))
+    depth, parent, rows, start_at = plan.depth, plan.parent, plan.rows, plan.start
+    nodes = (np.eye(n, dtype=np.complex128)[None].repeat(b, axis=0) if start is None else start)[:, None]
+    caps = plan.caps(max(_BLOCK_BYTES, 16 * n * n) // (16 * max(nodes.shape[2] * n, 1)))
     # the blocks whose children are not all formed, one per level at most:
-    # [level, powers, first node, next child, last child + 1]
+    # [level, nodes, first node, next child, last child + 1]
     held: list[list] = []
     k, lo = 0, 0
     while True:
-        hi = lo + powers.shape[axis]
+        hi = lo + nodes.shape[1]
         if rows[k] is None:
-            yield start[k] + lo, start[k] + hi, powers
+            yield start_at[k] + lo, start_at[k] + hi, nodes
         elif rows[k]:
             r0, r1 = bisect_left(rows[k], lo), bisect_left(rows[k], hi)
             if r0 < r1:
-                yield start[k] + r0, start[k] + r1, powers.take([r - lo for r in rows[k][r0:r1]], axis=axis)
+                yield start_at[k] + r0, start_at[k] + r1, nodes.take([r - lo for r in rows[k][r0:r1]], axis=1)
         if k < depth:
             c0, c1 = bisect_left(parent[k], lo), bisect_left(parent[k], hi)
             if c0 < c1:
-                held.append([k, powers, lo, c0, c1])
+                held.append([k, nodes, lo, c0, c1])
         if not held:
             return
         k, parents, first, c0, c1 = block = held[-1]
@@ -368,37 +357,32 @@ def _power_blocks(plan: _Plan, coords: np.ndarray, x: np.ndarray | None = None):
         if c == c1:
             held.pop()
         block[3] = c
-        lo, powers, k = c0, grow(plan, k, parents, first, c0, c, coords), k + 1
+        lo, nodes, k = c0, _children(plan, k, parents, first, c0, c, coords), k + 1
 
 
-def _children(plan: _Plan, k: int, powers: np.ndarray, lo: int, c0: int, c1: int, coords: np.ndarray) -> np.ndarray:
-    """The powers of nodes c0..c1-1 of level k + 1; ``powers`` holds level k's from node lo on."""
+def _children(plan: _Plan, k: int, nodes: np.ndarray, lo: int, c0: int, c1: int, coords: np.ndarray) -> np.ndarray:
+    """The row blocks Y Z^w Z_j of nodes c0..c1-1 of level k + 1; ``nodes`` holds level k's from node lo on.
+
+    Square nodes (powers) take one broadcast product for whole families, else
+    one product per child; other nodes one product per letter j, their
+    parents' rows stacked times Z_j, so Z_j is read once, not once per node.
+    """
     parent, letter = plan.parent[k], plan.letter[k]
     if c1 - c0 == 1:
-        return (powers[:, parent[c0] - lo] @ coords[:, letter[c0]])[:, None]
+        return (nodes[:, parent[c0] - lo] @ coords[:, letter[c0]])[:, None]
     b, d, n = coords.shape[:3]
+    if nodes.shape[2] != n:
+        out = np.empty((b, c1 - c0) + nodes.shape[2:], dtype=np.complex128)
+        for j in sorted(set(letter[c0:c1])):
+            cs = [c for c in range(c1 - c0) if letter[c0 + c] == j]
+            stacked = nodes.take([parent[c0 + c] - lo for c in cs], axis=1)
+            out[:, cs] = np.matmul(stacked.reshape(b, len(cs) * nodes.shape[2], n), coords[:, j]).reshape(stacked.shape)
+        return out
     p0, p1 = parent[c0], parent[c1 - 1] + 1
     if c1 - c0 == d * (p1 - p0):
         # every child of parents p0..p1-1, in order: P_i Z_j at [:, i, j]
-        return np.matmul(powers[:, p0 - lo:p1 - lo, None], coords[:, None]).reshape(b, (p1 - p0) * d, n, n)
-    return np.matmul(powers.take([parent[c] - lo for c in range(c0, c1)], axis=1), coords.take(letter[c0:c1], axis=1))
-
-
-def _left_children(plan: _Plan, k: int, applied: np.ndarray, lo: int, c0: int, c1: int,
-                   coords: np.ndarray) -> np.ndarray:
-    """Z^{j.u} X = Z_j (Z^u X) for the nodes c0..c1-1 of level k + 1 of a suffix trie, by one product per letter j.
-
-    ``applied`` holds level k's from node lo on, B x n x nodes x r; the
-    children of letter j are Z_j times their parents' n x (nodes r) block.
-    """
-    parent, letter = plan.parent[k], plan.letter[k]
-    b, n, r = len(coords), coords.shape[-1], applied.shape[-1]
-    out = np.empty((b, n, c1 - c0, r), dtype=np.complex128)
-    for j in sorted(set(letter[c0:c1])):
-        cs = [c for c in range(c1 - c0) if letter[c0 + c] == j]
-        block = applied.take([parent[c0 + c] - lo for c in cs], axis=2).reshape(b, n, len(cs) * r)
-        out[:, :, cs] = np.matmul(coords[:, j], block).reshape(b, n, len(cs), r)
-    return out
+        return np.matmul(nodes[:, p0 - lo:p1 - lo, None], coords[:, None]).reshape(b, (p1 - p0) * d, n, n)
+    return np.matmul(nodes.take([parent[c] - lo for c in range(c0, c1)], axis=1), coords.take(letter[c0:c1], axis=1))
 
 
 class WordIndicator(Record):
@@ -514,8 +498,6 @@ def check_respects_direct_sums(
 
     ``evaluator`` overrides the series evaluation (used for negative controls).
     """
-    from .core import direct_sum, direct_sum_matrices
-
     ev = evaluator if evaluator is not None else (lambda point: evaluate(f, point))
 
     def violations():
@@ -709,7 +691,7 @@ def extract_taylor_coefficients(
     """
     action = getattr(evaluator, "action", None)
 
-    def read(level: int) -> dict[Word, np.ndarray]:
+    def read(level: int) -> tuple[list[Word], np.ndarray]:
         words = words_up_to(d, level)
         shift = truncated_shift_tuple(d, level)
         if action is None:
@@ -719,16 +701,18 @@ def extract_taylor_coefficients(
         value = np.asarray(value, dtype=np.complex128)
         if value.shape != (len(words) * out_dim, cols):
             raise DimMismatch(f"evaluator returned shape {value.shape}, expected {(len(words) * out_dim, cols)}")
-        return {w: value[i * out_dim:(i + 1) * out_dim, 0:in_dim] for i, w in enumerate(words)}
+        return words, value[:, :in_dim].reshape(len(words), out_dim, in_dim)
 
-    coeffs = read(max_len)
+    words, coeffs = read(max_len)
     if max_len >= 1:
-        scale_v = max(frobenius(c) for c in coeffs.values())
-        for w, c in read(max_len - 1).items():
-            if rel_err(frobenius(c - coeffs[w]), scale_v) > tol.eq_rel:
-                raise InconsistentEvaluator(f"coefficient of {w} disagrees across probe sizes")
+        # the words up to max_len - 1 come first in graded order
+        _, short = read(max_len - 1)
+        scale_v = np.max(frobenius(coeffs, axis=(1, 2)))
+        bad = np.flatnonzero(rel_err(frobenius(short - coeffs[:len(short)], axis=(1, 2)), scale_v) > tol.eq_rel)
+        if bad.size:
+            raise InconsistentEvaluator(f"coefficient of {words[bad[0]]} disagrees across probe sizes")
 
-    return NcSeries(d, out_dim, in_dim, {w: c for w, c in coeffs.items() if c.any()})
+    return NcSeries(d, out_dim, in_dim, {w: c for w, c in zip(words, coeffs) if c.any()})
 
 
 def functional_evaluator(f: NcSeries, tol: Tolerances = DEFAULT_TOL) -> Callable[[MatrixTuple], np.ndarray]:

@@ -1,12 +1,14 @@
 """The action walk: a series' value applied to a block, and extraction through it.
 
 ``functional_evaluator(f).action(z, x)`` is ``f(Z)(X (x) I_q)`` over the
-truncation :func:`evaluate_on_nilpotent` uses, formed over the suffix trie
-without forming a power.  The reference is the full value times
-``kron(X, I_q)``; the walk sums the same terms in another order, so they
-agree to rounding (1e-12 relative in the Frobenius norm).  At the truncated
-free shift each read coefficient is one exact product, so extraction through
-the action has the bits of extraction through the full value.
+truncation :func:`evaluate_on_nilpotent` uses, formed without a power: the
+value's trie walk over the reversed words, at the transposed point and
+from ``X^T``, carries the rows ``(Z^w X)^T``.  The reference is the full
+value times ``kron(X, I_q)``; the walk sums the same terms in another order,
+so they agree to rounding (1e-12 relative in the Frobenius norm).  At the
+truncated free shift each read coefficient is one exact product, so
+extraction through the action has the bits of extraction through the full
+value.
 """
 
 import json
@@ -135,6 +137,22 @@ def test_extraction_asks_only_for_the_action_and_compares_both_probes():
 
     with pytest.raises(InconsistentEvaluator, match=r"coefficient of \(\) disagrees across probe sizes"):
         extract_taylor_coefficients(Flaky(), 2, 2, 1, 1)
+
+    # a drift only at a later word, or at two words, names the first in graded order
+    for drift, first in [([(2,)], r"\(2,\)"), ([(2,), (1,)], r"\(1,\)"), ([(1, 1), (2,), ()], r"\(\)")]:
+
+        class Drifting(Flaky):
+            def action(self, z, x):
+                self.calls += 1
+                words = words_up_to(2, 2 if z.n == 7 else 1)
+                value = np.ones((z.n, x.shape[1]), dtype=complex)
+                for w in drift:
+                    if w in words:
+                        value[words.index(w), 0] = self.calls
+                return value
+
+        with pytest.raises(InconsistentEvaluator, match=rf"coefficient of {first} disagrees across probe sizes"):
+            extract_taylor_coefficients(Drifting(), 2, 2, 1, 1)
 
     class Wide(Flaky):
         def action(self, z, x):

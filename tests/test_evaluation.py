@@ -276,6 +276,13 @@ def test_batched_values_equal_per_point_evaluation(case):
         # a fresh copy of the point is walked alone
         assert same_bits(value, evaluate(f, MatrixTuple(z.coords)))
         assert close(value, naive(f, z))
+    # the action of each point, X with 1 to 3 columns, is bitwise the same alone and in a batch of its size
+    for n, r in product(sorted(set(BATCH_SIZES)), (1, 2, 3)):
+        coords = np.array([z.stacked for z in points if z.n == n])
+        x = np.array([complex_gaussian(rng, n, r) for _ in coords])
+        batch = series._series_action(f, coords, x)
+        for i in range(len(coords)):
+            assert same_bits(batch[i], series._series_action(f, coords[i:i + 1], x[i:i + 1])[0])
 
 
 @pytest.mark.parametrize("words", [words_up_to(2, 3), [(2, 1), (), (1, 1, 2), (2,)], [MONOMIAL_20, (1,)]],

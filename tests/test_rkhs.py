@@ -356,3 +356,7 @@ def test_stacked_basis_matches_per_basis_loops(k):
     assert _close(point_evaluation(m, w, u), _reference_point_evaluation(m, w, u))
     assert _close(m.apply_element(c, w, u), _reference_apply_element(m, c, w, u))
     assert _close(m.evaluate_element(c, w), _reference_evaluate_element(m, c, w))
+    # the kernel element through G^{-1} alone, against a solve with the full gramian G (x) I_k
+    v, y = complex_gaussian(rng, k, 3 * k), complex_gaussian(rng, 3 * y_dim, 1)[:, 0]
+    want = np.linalg.solve(m.gram_full, point_evaluation(m, w, v.conj().T).conj().T @ y)
+    assert np.linalg.norm(kernel_element_coefficients(m, w, v, y) - want) <= 1e-12 * np.linalg.norm(want)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from ncrkhs.core import (
     kron,
     validate_word,
     word_key,
+    words_up_to,
     zero_tuple,
 )
 from ncrkhs.sampling import complex_gaussian, nilpotent_tuple, random_similarity, rng_from_seed
@@ -241,6 +244,21 @@ def test_extract_inconsistent_evaluator_rejected():
 
     with pytest.raises(InconsistentEvaluator):
         extract_taylor_coefficients(flaky, 2, 2, 1, 1)
+
+    # a drift only at a later word, or at two words, names the first in graded order
+    for drift, first in [([(2,)], "(2,)"), ([(2,), (1,)], "(1,)"), ([(2,), ()], "()")]:
+        calls["n"] = 0
+
+        def drifting(point):
+            calls["n"] += 1
+            words = words_up_to(2, 2 if point.n == 7 else 1)
+            value = np.ones((point.n, point.n), dtype=complex)
+            for w in drift:
+                value[words.index(w), 0] = calls["n"]
+            return value
+
+        with pytest.raises(InconsistentEvaluator, match=re.escape(f"coefficient of {first} disagrees")):
+            extract_taylor_coefficients(drifting, 2, 2, 1, 1)
 
 
 def test_series_algebra_helpers():
