@@ -255,17 +255,6 @@ def checked_stack(mats: Sequence, rows: int, cols: int) -> np.ndarray:
     return block
 
 
-def sorted_table(keys: Sequence, mats: Sequence, rows: int, cols: int, sort_key) -> tuple[list, np.ndarray]:
-    """The keys ordered by ``sort_key``, and their :func:`checked_stack` in that order, read-only."""
-    block = checked_stack(mats, rows, cols)
-    ranks = list(map(sort_key, keys))
-    order = sorted(range(len(keys)), key=ranks.__getitem__)
-    if order != list(range(len(order))):
-        block = block[order]
-    block.setflags(write=False)
-    return [keys[i] for i in order], block
-
-
 def frozen(m: np.ndarray) -> np.ndarray:
     out = np.array(m, dtype=np.complex128, copy=True)
     out.setflags(write=False)
@@ -466,8 +455,8 @@ def word_key(w: Word) -> tuple[int, Word]:
     return (len(w), w)
 
 
-def words_up_to(d: int, max_len: int) -> list[Word]:
-    """All words of length <= max_len in graded lexicographic order; at most ``_MAX_WORDS`` of them."""
+def word_count(d: int, max_len: int) -> int:
+    """The number of words of length <= max_len over d letters; an input error beyond ``_MAX_WORDS``."""
     if d < 1:
         raise InputError("alphabet size d must be >= 1")
     if max_len < 0:
@@ -477,6 +466,12 @@ def words_up_to(d: int, max_len: int) -> list[Word]:
     if count > _MAX_WORDS:
         many = count if d == 1 or max_len <= 64 else f"more than {count}"
         raise InputError(f"{many} words of length <= {max_len} over {d} letters exceed the limit of {_MAX_WORDS}")
+    return count
+
+
+def words_up_to(d: int, max_len: int) -> list[Word]:
+    """All words of length <= max_len in graded lexicographic order; at most ``_MAX_WORDS`` of them."""
+    word_count(d, max_len)
     out: list[Word] = [EMPTY_WORD]
     layer: list[Word] = [EMPTY_WORD]
     for _ in range(max_len):

@@ -31,6 +31,7 @@ evaluated exactly.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -62,7 +63,6 @@ from .core import (
     rel_err,
     spec_norm,
     validate_word,
-    word_key,
     words_up_to,
 )
 from .sampling import (
@@ -293,8 +293,17 @@ class MomentKernel(FactoredKernel):
                     raise InputError(f"duplicate moment pair {key}")
                 seen[key] = None
             keys = list(seen)
-        block = checked_stack(list(moments.values()), y_dim, y_dim)
-        words = tuple(sorted({w for pair in keys for w in pair}, key=word_key))
+        self._table(d, y_dim, keys, checked_stack(list(moments.values()), y_dim, y_dim), max_len, tol)
+
+    @classmethod
+    def _of_table(cls, d, y_dim, keys, block, max_len, tol=DEFAULT_TOL) -> "MomentKernel":
+        """The kernel of the distinct checked word pairs ``keys``, K_{keys[i]} = ``block[i]`` (finite complex128)."""
+        return cls.__new__(cls)._table(d, y_dim, keys, block, max_len, tol)
+
+    def _table(self, d, y_dim, keys, block, max_len, tol) -> "MomentKernel":
+        words = tuple(sorted(sorted(set(chain.from_iterable(keys))), key=len))  # graded order
+        if words and len(words[-1]) > max_len:
+            raise InputError(f"a moment word exceeds max_len={max_len}")
         index = {w: i for i, w in enumerate(words)}
         m = len(words)
         rows = [index[wa] for wa, _ in keys]
@@ -303,7 +312,7 @@ class MomentKernel(FactoredKernel):
         stored[rows, cols] = True
         table = np.zeros((m, y_dim, m, y_dim), dtype=np.complex128)
         table[rows, :, cols, :] = block
-        self._hold(d, y_dim, words, stored, table.reshape(m * y_dim, m * y_dim), max_len, tol)
+        return self._hold(d, y_dim, words, stored, table.reshape(m * y_dim, m * y_dim), max_len, tol)
 
     @classmethod
     def _of_matrix(cls, d, y_dim, words, stored, middle, max_len, tol=DEFAULT_TOL) -> "MomentKernel":

@@ -6,10 +6,13 @@ dumper renders floats with 17 significant digits so that identical inputs
 and seeds produce byte-identical payloads.
 
 Each table (a matrix's entries, a series' terms, a moment table) is
-decoded in one array pass: the decoders read every coefficient of a table
-into one numpy array and leave the letters to one pass of the series or
-kernel.  Only input that pass does not accept is walked entry by entry,
-which names the bad entry.
+converted once, end to end: the decoders read every coefficient of a
+table into one numpy array, check the letters of all its words in one
+pass, and hand those keys and that array to the series' or kernel's
+constructor core, which keeps the array (sorting it only when the words
+are out of graded order) instead of checking and stacking it again.
+Only input that pass does not accept is walked entry by entry, which
+names the bad entry.
 
 The dumper also takes numpy arrays, each rendered as the matrix object that
 :func:`encode_matrix` builds, and formats every float of a payload, those of
@@ -26,6 +29,7 @@ so reading a series or a cp map runs no kernel code.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any
@@ -35,11 +39,11 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     InputError,
-    LetterOutOfRange,
     MatrixTuple,
     Tolerances,
     _integral,
     as_cmatrix,
+    int_words,
     validate_word,
 )
 
@@ -59,43 +63,66 @@ def _layout(obj: Any, text: list[str], numbers: list) -> None:
 
     The floats go to ``numbers`` in document order: a Python float as it
     is, an array's entries as one float64 array of [re, im] pairs.
-    Literal text has its ``%`` doubled.
+    Literal text has its ``%`` doubled.  The kind of an object of a plain
+    type is looked up by its exact type; only a subclass, such as a numpy
+    scalar, walks the ``isinstance`` chain of :func:`_kind`.
     """
-    if obj is None:
-        text.append("null")
-    elif obj is True:
-        text.append("true")
-    elif obj is False:
-        text.append("false")
-    elif isinstance(obj, str):
-        text.append(json.dumps(obj).replace("%", "%%"))
-    elif isinstance(obj, (int, np.integer)):
-        text.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        text.append("%.17g")
-        numbers.append(float(obj))
-    elif isinstance(obj, dict):
+    kind = _KINDS.get(type(obj)) or _kind(obj)
+    if kind is dict:
         text.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            text.append(("," if i else "") + json.dumps(str(key)).replace("%", "%%") + ":")
+        sep = ""
+        for key, value in obj.items():
+            text.append(sep + _key_text(key))
+            sep = ","
             _layout(value, text, numbers)
         text.append("}")
-    elif isinstance(obj, (list, tuple)) and set(map(type, obj)) == {int}:
+    elif kind is list and set(map(type, obj)) == {int}:
         text.append("[" + ",".join(map(str, obj)) + "]")  # a word, in one join
-    elif isinstance(obj, (list, tuple)):
+    elif kind is list:
         text.append("[")
         for i, value in enumerate(obj):
             if i:
                 text.append(",")
             _layout(value, text, numbers)
         text.append("]")
-    elif isinstance(obj, np.ndarray) and obj.ndim in (1, 2) and obj.dtype.kind in "biufc":
+    elif kind is float:
+        text.append("%.17g")
+        numbers.append(float(obj))
+    elif kind is str:
+        text.append(json.dumps(obj).replace("%", "%%"))
+    elif kind is int:
+        text.append(str(int(obj)))
+    elif kind is bool:
+        text.append("true" if obj else "false")
+    elif kind is type(None):
+        text.append("null")
+    elif obj.ndim in (1, 2) and obj.dtype.kind in "biufc":
         # the object encode_matrix builds: a 1-D array is a column, entries are complex
         rows, cols = obj.shape if obj.ndim == 2 else (obj.shape[0], 1)
         text.append(f'{{"rows":{rows},"cols":{cols},"data":[' + ",".join(["[%.17g,%.17g]"] * obj.size) + "]}")
         numbers.append(np.ascontiguousarray(obj, dtype=np.complex128).reshape(-1).view(np.float64))
     else:
         raise InputError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+# the kind _layout renders each plain type as
+_KINDS: dict[type, type] = {dict: dict, list: list, tuple: list, float: float, str: str, int: int,
+                            bool: bool, type(None): type(None), np.ndarray: np.ndarray}
+
+
+def _kind(obj: Any) -> type:
+    """The kind of an object whose type is not in ``_KINDS``: the first plain type it is an instance of."""
+    for kinds, kind in ((str, str), ((int, np.integer), int), ((float, np.floating), float), (dict, dict),
+                        ((list, tuple), list), (np.ndarray, np.ndarray)):
+        if isinstance(obj, kinds):
+            return kind
+    raise InputError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _key_text(key) -> str:
+    """``"key":`` as the dumper writes a dict key, ``%`` doubled; payloads repeat a few field names."""
+    return json.dumps(str(key)).replace("%", "%%") + ":"
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -175,16 +202,17 @@ def decode_matrix(data, where: str = "matrix") -> np.ndarray:
     return pairs.astype(np.float64, copy=False).view(np.complex128).reshape(rows, cols)
 
 
-def _decode_table(items, word_fields: tuple[str, ...], rows: int, cols: int, build):
-    """``build({key: coefficient})`` from an array of table entries read in one pass, or None.
+def _decode_table(items, word_fields: tuple[str, ...], rows: int, cols: int, d: int, build):
+    """``build(keys, block)`` from an array of table entries read in one pass, or None.
 
     A key is the entry's word, or its tuple of words when ``word_fields``
-    names more than one; the coefficients are read-only views into one
-    (len(items), rows, cols) array.  None, for the caller to walk the
-    entries one by one and name the bad one, unless every entry is an object
-    whose words are arrays and whose ``coeff`` is a finite numeric rows x
-    cols matrix, no key repeats, and ``build`` (the series or kernel, which
-    checks the letters in one pass) accepts the table.
+    names more than one; ``block`` is the read-only (len(items), rows, cols)
+    array of the coefficients, which ``build`` (the series' or kernel's
+    constructor core) keeps.  None, for the caller to walk the entries one
+    by one and name the bad one, unless every entry is an object whose words
+    are arrays of ints in 1..d and whose ``coeff`` is a finite numeric rows x
+    cols matrix, no key repeats, and ``build`` accepts the table.  An empty
+    table takes the walk too.
     """
     if type(items) is not list or set(map(type, items)) != {dict}:
         return None
@@ -207,15 +235,20 @@ def _decode_table(items, word_fields: tuple[str, ...], rows: int, cols: int, bui
     if (pairs.dtype.kind not in "biuf" or pairs.shape != (len(items), rows * cols, 2)
             or not np.isfinite(pairs).all()):
         return None
-    block = pairs.astype(np.float64, copy=False).view(np.complex128).reshape(len(items), rows, cols)
+    # the letters of every field, checked in one pass
+    flat = int_words(chain.from_iterable(words), d)
+    if flat is None:
+        return None
+    m = len(items)
+    keys = list(zip(*(flat[i * m:(i + 1) * m] for i in range(len(word_fields))))) if len(word_fields) > 1 else flat
+    if len(set(keys)) < m:
+        return None
+    block = pairs.astype(np.float64, copy=False).view(np.complex128).reshape(m, rows, cols)
     block.setflags(write=False)
-    keys = list(zip(*(map(tuple, w) for w in words))) if len(words) > 1 else list(map(tuple, words[0]))
     try:
-        table = dict(zip(keys, block))
-        return build(table) if len(table) == len(keys) else None
-    # an unhashable or bad letter, or a table ``build`` rejects: the walk
-    # names the entry, or raises the same error again
-    except (TypeError, InputError, LetterOutOfRange):
+        return build(keys, block)
+    # a table ``build`` rejects: the walk raises the same error again
+    except InputError:
         return None
 
 
@@ -296,7 +329,8 @@ def decode_series(data, where: str = "series") -> NcSeries:
     d = decode_int(data, "d", where)
     p = decode_int(data, "p", where)
     q = decode_int(data, "q", where)
-    series = _decode_table(data.get("terms"), ("word",), p, q, lambda terms: NcSeries(d, p, q, terms))
+    series = _decode_table(data.get("terms"), ("word",), p, q, d,
+                           lambda words, block: NcSeries._of_table(d, p, q, words, block))
     if series is not None:
         return series
     terms = {}
@@ -337,8 +371,8 @@ def _decode_moment_kernel(data, where: str, tol: Tolerances) -> MomentKernel:
     d = decode_int(data, "d", where)
     y_dim = decode_int(data, "y_dim", where)
     max_len = decode_int(data, "max_len", where)
-    kernel = _decode_table(data.get("moments", []), ("row_word", "col_word"), y_dim, y_dim,
-                           lambda moments: MomentKernel(d, y_dim, moments, max_len, tol))
+    kernel = _decode_table(data.get("moments", []), ("row_word", "col_word"), y_dim, y_dim, d,
+                           lambda keys, block: MomentKernel._of_table(d, y_dim, keys, block, max_len, tol))
     if kernel is not None:
         return kernel
     moments = {}

@@ -48,7 +48,13 @@ asks whether the order is at most some length walks the flag no further:
 :func:`evaluate_on_nilpotent` walks at most ``deg f`` lengths at such a
 point, and a truncated kernel tests none of size <= max_len + 1.  The
 truncated free shift carries its order, max_len + 1, and walks no flag
-at all when ``eq_rel < 1`` (:func:`truncated_shift_tuple`).
+at all when ``eq_rel < 1`` (:func:`truncated_shift_tuple`).  Nor does a
+strictly triangular point of size n > deg f whose superdiagonal settles
+the question: row n - 1 - L of a length-L product holds one product of
+superdiagonal entries, so those products bound the walk's norm at L from
+below, and where that bound is above twice eq_rel (a rounding margin
+derived in :func:`_chain_clears`) at every L <= deg f, the point has no
+order within deg f and nothing is truncated, as the walk would decide.
 """
 
 from __future__ import annotations
@@ -74,14 +80,15 @@ from .core import (
     as_cmatrix,
     cached_at,
     check_intertwiner,
+    checked_stack,
     direct_sum,
     direct_sum_matrices,
     frobenius,
     int_words,
     kron,
     rel_err,
-    sorted_table,
     validate_word,
+    word_count,
     word_key,
     words_up_to,
 )
@@ -105,8 +112,25 @@ class NcSeries(Record):
                     raise InputError(f"duplicate word {word}")
                 seen[word] = None
             words = list(seen)
-        words, block = sorted_table(words, list(terms.values()), out_dim, in_dim, word_key)
+        self._table(d, out_dim, in_dim, words, checked_stack(list(terms.values()), out_dim, in_dim))
+
+    @classmethod
+    def _of_table(cls, d: int, out_dim: int, in_dim: int, words: list[Word], block: np.ndarray) -> "NcSeries":
+        """The series of distinct checked ``words`` (d, out_dim, in_dim >= 1), coefficients ``block[i]``.
+
+        ``block`` is finite complex128, len(words) x out_dim x in_dim; it is
+        kept, not copied, when the words come in graded order.
+        """
+        return cls.__new__(cls)._table(d, out_dim, in_dim, words, block)
+
+    def _table(self, d: int, out_dim: int, in_dim: int, words: list[Word], block: np.ndarray) -> "NcSeries":
+        ranks = list(zip(map(len, words), words))  # the graded key, built in C
+        order = sorted(range(len(words)), key=ranks.__getitem__)
+        if order != list(range(len(order))):
+            words, block = [words[i] for i in order], block[order]
+        block.setflags(write=False)
         self._set(d=d, out_dim=out_dim, in_dim=in_dim, terms=dict(zip(words, block)), _coeffs=block)
+        return self
 
     @cached_property
     def _plan(self) -> "_Plan":
@@ -602,21 +626,28 @@ def evaluate_on_nilpotent(f: NcSeries, z: MatrixTuple, tol: Tolerances = DEFAULT
 
     Only an order L <= deg f truncates, so at a strictly triangular point
     (:attr:`~ncrkhs.core.MatrixTuple.strictly_triangular`), which has an
-    order, the flag walk stops after ``deg f`` lengths.  A truncated free
-    shift carries its order, which holds at every ``eq_rel < 1``
-    (:func:`truncated_shift_tuple`), and walks no flag there.  Any other
-    point takes the full test, which raises :class:`NotNilpotent` where
-    there is no order.
+    order, the flag walk stops after ``deg f`` lengths, and it is not
+    walked at all where the superdiagonal chain bound clears 2 eq_rel at
+    every length up to deg f < n (:func:`_chain_clears`, which derives that
+    margin from the walk's rounding): then no order <= deg f exists and f
+    is evaluated whole.  A truncated free shift carries its order, which
+    holds at every ``eq_rel < 1`` (:func:`truncated_shift_tuple`), and walks
+    no flag there.  Any other point takes the full test, which raises
+    :class:`NotNilpotent` where there is no order.
     """
     return evaluate(_truncated_at(f, z, tol), z)
 
 
 def _truncated_at(f: NcSeries, z: MatrixTuple, tol: Tolerances) -> NcSeries:
-    """The series :func:`evaluate_on_nilpotent` evaluates at z: f without its words of length >= z's order."""
+    """The series :func:`evaluate_on_nilpotent` evaluates at z: f without its words of length >= z's order.
+
+    The order comes from the shift itself, from the chain bound (none
+    within deg f, see :func:`_chain_clears`) or from the flag walk.
+    """
     if isinstance(z, _TruncatedShift) and tol.eq_rel < 1:
         order = z.order
     elif z.strictly_triangular:
-        order = _flag_orders([z], tol, f.degree)[0]
+        order = None if _chain_clears(z, tol, f.degree) else _flag_orders([z], tol, f.degree)[0]
     else:
         order = nilpotency_order(z, tol)
     # truncate only when words go, so the point keeps the value under f itself,
@@ -626,6 +657,56 @@ def _truncated_at(f: NcSeries, z: MatrixTuple, tol: Tolerances) -> NcSeries:
             f._truncations[order] = truncate(f, order - 1)
         f = f._truncations[order]
     return f
+
+
+# The chain bound of _chain_clears stands for the flag walk only when it is
+# above eq_rel by this factor: the two differ by a relative O(L d n^2 u).
+_CHAIN_MARGIN = 2.0
+
+
+def _chain_clears(z: MatrixTuple, tol: Tolerances, length: int) -> bool:
+    """True when the flag walk at a strictly triangular z would find no order <= ``length``, shown without it.
+
+    At a strictly upper triangular point, row n - 1 - L of a length-L
+    product Z^w has one nonzero entry, its last, and that entry is one
+    product of superdiagonal entries, so over the words of length L those
+    rows have the norm P_L = prod_{m = n-1-L}^{n-2} rho_m with
+    rho_m^2 = sum_j |(Z_j)_{m,m+1}|^2.  In the walk of
+    :func:`nilpotency_orders` that row is column n - 1 - L of c_L, scaled
+    by s^-L, and s = max(1, max_j ||Z_j||_2) is at most
+    S = max(1, max_j ||Z_j||_F), so ||c_L||_F >= P_L / S^L.  A strictly lower
+    triangular point is the same read from the top: row and column L, and
+    rho_m^2 = sum_j |(Z_j)_{m+1,m}|^2 for m < L.
+
+    Rounding.  The columns of c_L beyond that one (before it, for a lower
+    point) are exact zeros, so each entry of that column is formed from a
+    single product, to a relative sqrt(5) u (u = 2^-53), and the Householder
+    QR keeps a column's norm to a relative O(d n^2 u) (it is columnwise
+    backward stable: Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 2002, Thm 19.4).  The walk's computed ||c_L||_F
+    and this function's computed P_L / S^L therefore differ by a relative
+    delta = O(L d n^2 u), as long as both stay above the smallest normal
+    double, which they do when eq_rel does and the bound clears.  delta is
+    far below 1/2 at any size that fits in memory, so a bound above
+    ``_CHAIN_MARGIN`` = 2 times eq_rel at every L <= ``length`` puts the
+    walk's norm above eq_rel at each of those lengths.
+
+    Only the one row is used: the chain entries of the other rows bound
+    ||c_L|| too, but the walk forms their columns as sums, whose rounding
+    is not relative to the chain.  False whenever the bound does not clear,
+    and for ``length >= n``, where the point has an order.
+    """
+    n = z.n
+    if length < 1:
+        return True
+    if length >= n or tol.eq_rel < np.finfo(np.float64).tiny:
+        return False
+    s, i = z.stacked, np.arange(n - 1)
+    scale = max(1.0, float(np.max(frobenius(s, axis=(1, 2)))))
+    # rho_m in the order the chain meets them; one of the two is all zeros
+    above = np.hypot.reduce(np.abs(s[:, i, i + 1]), axis=0)[::-1]
+    below = np.hypot.reduce(np.abs(s[:, i + 1, i]), axis=0)
+    return bool(np.all(np.cumprod((above + below)[:length] / scale) > _CHAIN_MARGIN * tol.eq_rel))
 
 
 # ---------------------------------------------------------------------------
@@ -656,17 +737,18 @@ def truncated_shift_tuple(d: int, max_len: int) -> MatrixTuple:
     so for d = 1, where c stays n x n and no QR is taken, and at least 2 for
     d >= 2, more than rounding can take away.  At ``eq_rel >= 1`` the walk
     runs, and may stop earlier.
+
+    In graded order the r-th word w of length k has index i = start_k + r,
+    and j.w is the ((j - 1) d^k + r)-th word of length k + 1, whose index
+    is i + j d^k; so coordinate j holds a 1 at (i + j d^k, i) for each word
+    shorter than max_len, and the words shorter than max_len are the first.
     """
-    words = words_up_to(d, max_len)
-    index = {w: i for i, w in enumerate(words)}
-    m = len(words)
-    coords = []
-    for j in range(1, d + 1):
-        s = np.zeros((m, m), dtype=np.complex128)
-        for w, i in index.items():
-            if len(w) < max_len:
-                s[index[(j,) + w], i] = 1.0
-        coords.append(s)
+    m = word_count(d, max_len)
+    shorter = np.arange(m - d ** max_len)
+    # d^len(w) for each word shorter than max_len
+    power = np.repeat(d ** np.arange(max_len), d ** np.arange(max_len))
+    coords = np.zeros((d, m, m), dtype=np.complex128)
+    coords[np.arange(d)[:, None], shorter + np.arange(1, d + 1)[:, None] * power, shorter] = 1.0
     return _TruncatedShift(tuple(coords), max_len + 1)
 
 
