@@ -641,8 +641,8 @@ def evaluate_on_nilpotent(f: NcSeries, z: MatrixTuple, tol: Tolerances = DEFAULT
 def _truncated_at(f: NcSeries, z: MatrixTuple, tol: Tolerances) -> NcSeries:
     """The series :func:`evaluate_on_nilpotent` evaluates at z: f without its words of length >= z's order.
 
-    The order comes from the shift itself, from the chain bound (none
-    within deg f, see :func:`_chain_clears`) or from the flag walk.
+    At a strictly triangular z the flag walk runs only where the superdiagonal
+    chain bound does not clear 2 eq_rel, a rounding margin :func:`_chain_clears` derives.
     """
     if isinstance(z, _TruncatedShift) and tol.eq_rel < 1:
         order = z.order
