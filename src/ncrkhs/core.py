@@ -504,6 +504,10 @@ class MatrixTuple(Record):
                 if c.shape != (n, n):
                     raise DimMismatch("all coordinates must be square of the same size")
             block = np.array(coords)
+        self._hold(block)
+
+    def _hold(self, block: np.ndarray) -> None:
+        """Keep the finite complex128 d x n x n ``block`` itself, made read-only, as this point's coordinates."""
         block.setflags(write=False)
         self._set(coords=tuple(block), stacked=block, _values={})
 

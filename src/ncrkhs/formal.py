@@ -89,15 +89,19 @@ def formal_kolmogorov_truncated(
 ) -> FormalFactorization:
     """Factor the truncated moment matrix; row blocks become the coefficients H_a.
 
-    The factor rank is the dimension of the truncated space H(K).
+    The nonzero row blocks, chosen in one pass, are kept as one block by the
+    series.  The factor rank is the dimension of the truncated space H(K).
     """
     words = words_up_to(kernel.d, max_len)
     y = kernel.y_dim
     m = moment_matrix(kernel, max_len)
     f = psd_factor(m, tol)
     rank = f.shape[1]
-    terms = {w: h_w for w, h_w in zip(words, f.reshape(len(words), y, rank)) if h_w.any()}
-    h = NcSeries(kernel.d, y, max(rank, 1), terms if rank else {})
+    # rank 0 gives the zero series
+    block = f.reshape(len(words), y, rank)
+    kept = np.flatnonzero(block.any(axis=(1, 2)))
+    h = (NcSeries._of_table(kernel.d, y, rank, [words[i] for i in kept], block[kept]) if rank
+         else NcSeries(kernel.d, y, 1, {}))
     # blockwise ||(M - F F*)_{ab}|| / max(1, ||M_{ab}||), maximized over word pairs
     blocks = (len(words), y, len(words), y)
     diff = frobenius((m - f @ f.conj().T).reshape(blocks), axis=(1, 3))

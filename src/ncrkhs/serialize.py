@@ -17,10 +17,12 @@ names the bad entry.
 The dumper also takes numpy arrays, each rendered as the matrix object that
 :func:`encode_matrix` builds, and formats every float of a payload, those of
 its arrays included, with one format call.  The CLI therefore hands it the
-arrays themselves.  The public ``encode_*`` functions keep returning
-JSON-native objects (lists of Python floats); they and the CLI build each
-file form with the same private builder, which takes the matrix leaf as an
-argument.
+arrays themselves.  An array holding many exact zeros (a signed
+permutation, a block triangular value) writes them as the literal ``0``
+that ``%.17g`` would print, and formats only its nonzero floats.  The
+public ``encode_*`` functions keep returning JSON-native objects (lists of
+Python floats); they and the CLI build each file form with the same private
+builder, which takes the matrix leaf as an argument.
 
 The codec of an object kind imports that kind's module when it is called,
 so reading a series or a cp map runs no kernel code.
@@ -66,6 +68,14 @@ def _layout(obj: Any, text: list[str], numbers: list) -> None:
     Literal text has its ``%`` doubled.  The kind of an object of a plain
     type is looked up by its exact type; only a subclass, such as a numpy
     scalar, walks the ``isinstance`` chain of :func:`_kind`.
+
+    An array with at least ``_ZERO_LITERALS`` exact-zero floats is written
+    pair by pair from the four templates of ``_PAIRS``, a zero as the literal
+    ``0`` (which ``%.17g`` also prints for 0.0 and, after the dumper adds
+    0.0, for -0.0), and only its nonzero floats become slots; NaN and
+    Infinity are nonzero, so they still reach the finiteness check.  Below
+    that count the template lookup costs more than the slots it saves, and
+    the array keeps one slot per float.
     """
     kind = _KINDS.get(type(obj)) or _kind(obj)
     if kind is dict:
@@ -99,11 +109,26 @@ def _layout(obj: Any, text: list[str], numbers: list) -> None:
     elif obj.ndim in (1, 2) and obj.dtype.kind in "biufc":
         # the object encode_matrix builds: a 1-D array is a column, entries are complex
         rows, cols = obj.shape if obj.ndim == 2 else (obj.shape[0], 1)
-        text.append(f'{{"rows":{rows},"cols":{cols},"data":[' + ",".join(["[%.17g,%.17g]"] * obj.size) + "]}")
-        numbers.append(np.ascontiguousarray(obj, dtype=np.complex128).reshape(-1).view(np.float64))
+        values = np.ascontiguousarray(obj, dtype=np.complex128).reshape(-1).view(np.float64)
+        # an array of fewer floats cannot hold _ZERO_LITERALS zeros, so it is not counted
+        if values.size >= _ZERO_LITERALS and values.size - np.count_nonzero(values) >= _ZERO_LITERALS:
+            nonzero = values != 0
+            pairs = nonzero.reshape(-1, 2)
+            data = ",".join(_PAIRS[2 * pairs[:, 0] + pairs[:, 1]].tolist())
+            values = values[nonzero]
+        else:
+            data = ",".join(["[%.17g,%.17g]"] * obj.size)
+        text.append(f'{{"rows":{rows},"cols":{cols},"data":[' + data + "]}")
+        numbers.append(values)
     else:
         raise InputError(f"cannot serialize object of type {type(obj).__name__}")
 
+
+# the exact-zero floats from which an array writes its zeros as literals: below
+# this count the per-pair template lookup costs more than the "%.17g" slots it saves
+_ZERO_LITERALS = 32
+# an [re, im] pair's template, indexed by 2 * (re != 0) + (im != 0)
+_PAIRS = np.array(["[0,0]", "[0,%.17g]", "[%.17g,0]", "[%.17g,%.17g]"], dtype=object)
 
 # the kind _layout renders each plain type as
 _KINDS: dict[type, type] = {dict: dict, list: list, tuple: list, float: float, str: str, int: int,

@@ -714,10 +714,13 @@ def _chain_clears(z: MatrixTuple, tol: Tolerances, length: int) -> bool:
 # ---------------------------------------------------------------------------
 
 class _TruncatedShift(MatrixTuple):
-    """A truncated free shift, which carries its nilpotency order ``order`` = max_len + 1."""
+    """A truncated free shift, which carries its nilpotency order ``order`` = max_len + 1.
 
-    def __init__(self, coords: tuple[np.ndarray, ...], order: int):
-        super().__init__(coords)
+    It keeps the d x m x m block it was built in, not a copy of it.
+    """
+
+    def __init__(self, block: np.ndarray, order: int):
+        self._hold(block)
         self._set(order=order)
 
 
@@ -749,7 +752,7 @@ def truncated_shift_tuple(d: int, max_len: int) -> MatrixTuple:
     power = np.repeat(d ** np.arange(max_len), d ** np.arange(max_len))
     coords = np.zeros((d, m, m), dtype=np.complex128)
     coords[np.arange(d)[:, None], shorter + np.arange(1, d + 1)[:, None] * power, shorter] = 1.0
-    return _TruncatedShift(tuple(coords), max_len + 1)
+    return _TruncatedShift(coords, max_len + 1)
 
 
 def extract_taylor_coefficients(
