@@ -4,7 +4,7 @@ The exit code follows the payload's ``status`` through ``EXIT_CODES``.
 Every randomized subcommand requires --seed; identical inputs and seed produce
 byte-identical payloads (floats at 17 significant digits).  The human-readable
 summary goes to stderr; stdout carries exactly one JSON document (or nothing
-when --out redirects it to a file).
+when --out redirects it to a file, or an input error when --out cannot be written).
 
 Positivity results are certificates over a seeded sample: a failure is a
 reproducible disproof witness, a pass is evidence (complete only on nilpotent
@@ -83,6 +83,10 @@ def _load(path: str, where: str):
             return json.load(fh)
     except FileNotFoundError as exc:
         raise InputError(f"{where}: file not found: {path}") from exc
+    except OSError as exc:  # a directory, an unreadable file, ...
+        raise InputError(f"{where}: cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{where}: not UTF-8 text at byte {exc.start}: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{where}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
@@ -501,7 +505,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     text, status, code = _outcome(args)
-    _emit(text, args)
+    try:
+        _emit(text, args)
+    except OSError as exc:  # an --out that cannot be written is an input error, reported on stdout
+        status, code = "input_error", EXIT_CODES["input_error"]
+        print(dumps_canonical({"status": status, "error": f"--out: cannot write {args.out}: {exc.strerror}"}))
     print(f"ncrkhs {args.command}: {status}", file=sys.stderr)
     return code
 

@@ -15,7 +15,8 @@ C fixed at construction and stored once, as the form's own array:
     Kolmogorov  H                                        I_{r s}
     Gram basis  stacked basis, columns ordered (c, i)    ``gram_inv``, G^{-1}
 
-A de Branges-Rovnyak kernel K - S K' S* is ``[F, S F'] (C (+) -C') [...]*``
+A de Branges-Rovnyak kernel K - S K' S* is ``[F, S F'] (C (+) -C') [...]*``,
+where S F' is taken through its values S(Z) F'(Z), never as a product series,
 and a difference K - K' is ``[F, F'] (C (+) -C') [...]*``.  A certificate's
 block matrix ``[K(Z_i, Z_j)(X_i X_j*)]_{ij}`` is one product per factor,
 ``A (I (x) C) A*`` with ``A = vstack_i F(Z_i)(X_i (x) I)``: N factor values
@@ -428,14 +429,18 @@ def szego_kernel(d: int, max_len: int, y_dim: int = 1) -> MomentKernel:
 
 
 def moment_kernel_from_factor(h: NcSeries, max_len: int) -> MomentKernel:
-    """Scalar-algebra moment table K_{a,b} = H_a H_b* of a Kolmogorov factor, as one product H H*.
+    """Scalar-algebra moment table K_{a,b} = H_a H_b* of a Kolmogorov factor, as one product G = H H*.
 
     It holds the factor's words of length <= max_len, which come first in its graded support.
+    G is Hermitian only to rounding; (G + G*)/2 is exactly Hermitian, since floating-point
+    addition commutes, so the table skips the Hermitian test of :meth:`MomentKernel._hold`.
     """
     m = sum(len(w) <= max_len for w in h.terms)
     stacked = np.array(list(h.terms.values())[:m], dtype=np.complex128).reshape(m * h.out_dim, h.in_dim)
-    return MomentKernel._of_matrix(h.d, h.out_dim, tuple(h.terms)[:m], np.ones((m, m), dtype=bool),
-                                   stacked @ stacked.conj().T, max_len)
+    middle = stacked @ stacked.conj().T
+    middle += middle.conj().T
+    middle /= 2
+    return MomentKernel._of_matrix(h.d, h.out_dim, tuple(h.terms)[:m], np.ones((m, m), dtype=bool), middle, max_len)
 
 
 # ---------------------------------------------------------------------------

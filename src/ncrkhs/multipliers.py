@@ -152,27 +152,24 @@ def multiplier_matrix(
 
 
 def _minus(kernel: KernelBase, other: KernelBase, s: NcSeries | None = None) -> FactoredKernel:
-    """K - S K' S* (K - K' without S) as [F, S F'] (C (+) -C') [F, S F']*, S F' by series multiplication.
+    """K - S K' S* (K - K' without S) as [F, G] (C (+) -C') [F, G]*, G(Z) = S(Z) F'(Z) (or F'(Z)).
 
-    Both parts are exact only where both kernels are, so the result keeps the
-    shorter truncation (``max_len`` and ``tol``) of the two.
+    S F' is the factor :class:`~ncrkhs.series.Multiplied`.  Both parts are exact
+    only where both kernels are, so the result keeps the shorter truncation (``max_len``, ``tol``).
     """
     from .kernels import FactoredKernel
-    from .series import WordIndicator, multiply
+    from .series import Multiplied
 
     if not (isinstance(kernel, FactoredKernel) and isinstance(other, FactoredKernel)):
         raise InputError("de Branges-Rovnyak and difference kernels need factored kernels")
-    moved = [
-        (f if s is None else multiply(s, f.as_series() if isinstance(f, WordIndicator) else f), -c)
-        for f, c in other.terms
-    ]
+    moved = [(f if s is None else Multiplied(s, f), -c) for f, c in other.terms]
     exact = min((kernel, other), key=lambda k: np.inf if k.max_len is None else k.max_len)
     return FactoredKernel(kernel.d, kernel.y_dim, kernel.algebra, kernel.terms + tuple(moved),
                           exact.max_len, exact.tol, "difference" if s is None else "de Branges-Rovnyak")
 
 
 def dbr_kernel(mult: Multiplier) -> FactoredKernel:
-    """The kernel K(Z,W)(P) - S(Z) K'(Z,W)(P) S(W)*."""
+    """The kernel K(Z,W)(P) - S(Z) K'(Z,W)(P) S(W)*, S taken through its values S(Z) and S(W)."""
     return _minus(mult.target, mult.source, mult.s)
 
 

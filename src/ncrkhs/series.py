@@ -23,8 +23,8 @@ Each point keeps its finished value (:func:`ncrkhs.core.cached_at`), so a
 series is evaluated once per point however often a kernel or certificate
 asks for it; returned values are read-only.  The same walk gives the value
 of a :class:`WordIndicator` (a moment table's factor), writing each block of
-powers into its words' column blocks instead of summing one-hot
-coefficients.
+powers into its words' column blocks instead of summing one-hot coefficients;
+the factor S F' (:class:`Multiplied`) is the product of the two kept values.
 
 The same walk applies f(Z) to a block ``X (x) I_q`` without forming a
 power, at O(r n^2) per trie node instead of O(n^3) (:func:`_series_action`):
@@ -431,21 +431,20 @@ class WordIndicator(Record):
         """The plan of the words' trie."""
         return _Plan(self.d, [self.words[i] for i in self._order])
 
-    def as_series(self) -> NcSeries:
-        """The same function as an :class:`NcSeries` (one-hot coefficients)."""
-        m = len(self.words)
-        eye = np.eye(m * self.y_dim, dtype=np.complex128)
-        return NcSeries(self.d, self.y_dim, m * self.y_dim, {
-            w: eye[i * self.y_dim:(i + 1) * self.y_dim] for i, w in enumerate(self.words)
-        })
+
+class Multiplied(Record):
+    """The factor S F' of a de Branges-Rovnyak kernel, F' any kernel factor: its value at Z is S(Z) F'(Z)."""
+
+    def __init__(self, s: NcSeries, f):
+        self._set(d=s.d, s=s, f=f)
 
 
-def factor_values(f: NcSeries | WordIndicator, points: Sequence[MatrixTuple]) -> list[np.ndarray]:
+def factor_values(f: NcSeries | WordIndicator | Multiplied, points: Sequence[MatrixTuple]) -> list[np.ndarray]:
     """The value of a series or kernel factor at each point, read-only.
 
     Each point keeps its value (:func:`ncrkhs.core.cached_at`), so f is
-    evaluated once per point; the points that hold none are evaluated
-    together, by one walk per size (:func:`_values`).
+    evaluated once per point; the points that hold none are evaluated together,
+    by one walk per size, or as S(Z) F'(Z) from kept values (:func:`_values`).
     """
     for z in points:
         if z.d != f.d:
@@ -453,8 +452,10 @@ def factor_values(f: NcSeries | WordIndicator, points: Sequence[MatrixTuple]) ->
     return cached_at(points, f, lambda missing: _values(f, missing))
 
 
-def _values(f: NcSeries | WordIndicator, points: Sequence[MatrixTuple]) -> list[np.ndarray]:
-    """f at each point: the points of one size stacked on a batch axis, one walk per batch of them."""
+def _values(f: NcSeries | WordIndicator | Multiplied, points: Sequence[MatrixTuple]) -> list[np.ndarray]:
+    """f at each point: one walk per batch of points of one size stacked on a batch axis; S F' from kept values."""
+    if isinstance(f, Multiplied):
+        return [s @ g for s, g in zip(factor_values(f.s, points), factor_values(f.f, points))]
     walk = _series_values if isinstance(f, NcSeries) else _word_blocks
     out: list = [None] * len(points)
     for (_, n, _), members in _by_size(points).items():

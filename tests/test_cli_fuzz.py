@@ -13,6 +13,10 @@ Every run must end with an exit code the README lists, print one JSON
 document without NaN or Infinity, and leave no traceback.  A second sweep
 sets every integer option of every subcommand to 0 and to -1 on the valid
 inputs, with the same demands; -1 is never a valid count, size or seed.
+A third sweep replaces each input file by a directory, by the valid payload
+encoded as UTF-16 (not UTF-8 text) and by a file that cannot be opened, and
+points --out at a missing folder and at a directory: each run exits 2 with
+an input_error payload on stdout that names the option and the path.
 """
 
 import argparse
@@ -168,7 +172,7 @@ def _run(capsys, argv, label):
     assert cli.EXIT_CODES[payload["status"]] == code, label
     # stderr holds the summary line alone: no traceback and no warning
     assert captured.err == f"ncrkhs {argv[0]}: {payload['status']}\n", (label, captured.err)
-    return code
+    return code, payload
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -182,7 +186,7 @@ def test_damaged_inputs_give_typed_outcomes(tmp_path, capsys, command):
     def argv():
         return [command, *options, *[part for flag, path in paths.items() for part in (f"--{flag}", str(path))]]
 
-    assert _run(capsys, argv(), "valid inputs") == 0
+    assert _run(capsys, argv(), "valid inputs")[0] == 0
     rng = np.random.default_rng([sorted(COMMANDS).index(command), 2016])
     for flag, payload in files.items():
         valid = paths[flag]
@@ -216,5 +220,45 @@ def test_integer_options_out_of_range_give_typed_outcomes(tmp_path, capsys, comm
                 changed[changed.index(option) + 1] = value
             else:
                 changed += [option, value]
-            code = _run(capsys, [command, *changed, *paths], f"{option} {value}")
+            code, _ = _run(capsys, [command, *changed, *paths], f"{option} {value}")
             assert value == "0" or code == 2, (option, value)
+
+
+def _refused(capsys, argv, label, option, path):
+    code, payload = _run(capsys, argv, label)
+    assert (code, payload["status"]) == (2, "input_error"), (label, payload)
+    assert payload["error"].startswith(f"{option}: ") and str(path) in payload["error"], (label, payload)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_unreadable_inputs_and_an_unwritable_out_give_input_errors(tmp_path, capsys, monkeypatch, command):
+    options, files = COMMANDS[command]
+    paths = {}
+    for flag, payload in files.items():
+        paths[flag] = tmp_path / f"{flag}.json"
+        paths[flag].write_text(json.dumps(payload))
+
+    def argv(*extra):
+        return [command, *options, *[part for flag, path in paths.items() for part in (f"--{flag}", str(path))],
+                *extra]
+
+    locked = tmp_path / "locked.json"
+    locked.write_text("{}")
+
+    def open_unless_locked(path, *args, **kwargs):
+        if str(path) == str(locked):
+            raise PermissionError(13, "Permission denied", str(path))
+        return open(path, *args, **kwargs)
+    monkeypatch.setattr(cli, "open", open_unless_locked, raising=False)
+
+    for flag, payload in files.items():
+        valid = paths[flag]
+        utf16 = tmp_path / f"{flag}-utf16.json"
+        utf16.write_bytes(json.dumps(payload).encode("utf-16"))
+        for kind, path in (("directory", tmp_path), ("utf-16", utf16), ("unreadable", locked)):
+            paths[flag] = path
+            _refused(capsys, argv(), f"--{flag} {kind}", flag, path)
+        paths[flag] = valid
+    for kind, out in (("missing folder", tmp_path / "missing" / "out.json"), ("directory", tmp_path)):
+        _refused(capsys, argv("--out", str(out)), f"--out {kind}", "--out", out)
+    assert not (tmp_path / "missing").exists()

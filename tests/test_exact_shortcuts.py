@@ -2,7 +2,8 @@
 
 An exactly Hermitian moment table has every blockwise gap exactly zero, so
 ``MomentKernel`` builds it without the blockwise norms of its Hermitian test;
-any other table takes the test, with its refusal text.  The truncated free
+any other table takes the test, with its refusal text.  A Kolmogorov factor's
+table ``moment_kernel_from_factor`` is built exactly Hermitian, so it skips them.  The truncated free
 shift keeps the one block it builds as its coordinates, so its peak memory is
 about that block.
 """
@@ -15,10 +16,10 @@ import pytest
 
 from ncrkhs import kernels
 from ncrkhs.core import InputError, Tolerances, words_up_to
-from ncrkhs.kernels import MomentKernel, szego_kernel
+from ncrkhs.kernels import MomentKernel, moment_kernel_from_factor, szego_kernel
 from ncrkhs.sampling import complex_gaussian, rng_from_seed
 from ncrkhs.serialize import decode_kernel, encode_kernel
-from ncrkhs.series import truncated_shift_tuple
+from ncrkhs.series import NcSeries, truncated_shift_tuple
 
 
 @pytest.fixture
@@ -58,6 +59,23 @@ def test_an_exactly_hermitian_table_is_built_without_frobenius(kernel, frobenius
     assert frobenius_calls == []
     for k in rebuilt:
         assert k.words == kernel.words and k.middle.tobytes() == middle.tobytes()
+
+
+@pytest.mark.parametrize("d, max_len, y, rank", [(2, 3, 1, 2), (2, 2, 2, 3), (3, 2, 1, 1), (1, 4, 3, 2)])
+def test_a_factor_table_is_exactly_hermitian_and_built_without_frobenius(d, max_len, y, rank, frobenius_calls):
+    rng = rng_from_seed([2612, d, y])
+    words = words_up_to(d, max_len + 1)  # the longest words lie beyond the table
+    h = NcSeries(d, y, rank, {w: complex_gaussian(rng, y, rank) for w in words})
+    frobenius_calls.clear()
+    kernel = moment_kernel_from_factor(h, max_len)
+    assert frobenius_calls == []
+    middle = kernel.middle
+    assert np.array_equal(middle, middle.conj().T) and not np.diag(middle).imag.any()
+    # against the plain product H H*, which is Hermitian only to rounding
+    stacked = np.vstack([h.terms[w] for w in kernel.words])
+    product = stacked @ stacked.conj().T
+    assert np.abs(middle - product).max() <= 1e-15 * np.abs(product).max()
+    assert kernel.words == tuple(w for w in h.terms if len(w) <= max_len) and kernel.stored.all()
 
 
 @pytest.mark.parametrize("gap", [1e-12, 1e-11, 5e-11])

@@ -5,7 +5,9 @@ The references are test-local loops over the definitions:
 - a kernel value is the per-word sum  sum_{a,b} sum_{i,j} (Z^a e_i e_j* W^b*) (x) phi_ab(P_ij)
   over the blocks P_ij of the argument, with phi_ab(p) = p K_ab for a moment table,
   H_a (p (x) I) H_b* for a Kolmogorov factor and sum_ij (G^-1)_ij f_i,a p f_j,b* for a
-  Gram basis; a de Branges-Rovnyak or difference kernel adds its parts' sums;
+  Gram basis; a de Branges-Rovnyak or difference kernel adds its parts' sums, S K' S*
+  with the concatenated words u a, v b and phi = S_u phi'_ab S_v* (nested for the kernel
+  of a de Branges-Rovnyak kernel);
 - a certificate matrix is the N^2 block matrix of kernel values.
 
 Sums run in another order, so values agree to rounding: 1e-12 relative.
@@ -135,6 +137,11 @@ def cases(rng):
                             random_psd(rng, 3) + np.eye(3))
     s = series(rng, 2, 2, [(), (2,)])
     s_mom = series(rng, 2, 2, [(1,)])
+    s_gram = series(rng, 2, 2, [(), (1,), (2, 1)])
+    s_mom2 = series(rng, 2, 2, [(), (2,), (1, 2), (2, 2, 1)])
+    s_outer = series(rng, 2, 2, [(1,), (1, 2)])
+    inner = dbr_kernel(Multiplier(s, kol, kol))
+    inner_pairs = kolmogorov_pairs(kol) + multiplied(s, kolmogorov_pairs(kol))
     return [
         ("moment", mom, moment_pairs(mom), True),
         ("kolmogorov-k1", kol, kolmogorov_pairs(kol), False),
@@ -148,6 +155,14 @@ def cases(rng):
         ("difference-gram-k2", difference_kernel(kol2, gram2), gram_pairs(gram2) + negated(kolmogorov_pairs(kol2)),
          False),
         ("difference-moment", difference_kernel(mom2, mom), moment_pairs(mom) + negated(moment_pairs(mom2)), True),
+        # S of degree >= 1 on a Gram basis with k = 2, S of degree 3 on a moment table, and
+        # the kernel of a de Branges-Rovnyak kernel, whose moved factor is S_outer (S F')
+        ("dbr-gram-k2", dbr_kernel(Multiplier(s_gram, gram2, kol2)),
+         kolmogorov_pairs(kol2) + multiplied(s_gram, gram_pairs(gram2)), False),
+        ("dbr-moment-degree3", dbr_kernel(Multiplier(s_mom2, mom2, mom)),
+         moment_pairs(mom) + multiplied(s_mom2, moment_pairs(mom2)), True),
+        ("dbr-of-dbr", dbr_kernel(Multiplier(s_outer, inner, kol)),
+         kolmogorov_pairs(kol) + multiplied(s_outer, inner_pairs), False),
     ]
 
 

@@ -12,7 +12,9 @@ For points Z, W of sizes n, m and an argument P in A^{n x m}:
 
 Each form is rebuilt from the drawn seed: moment tables (indefinite, evaluated
 at nilpotent points their order covers), Kolmogorov factors, Gram bases for
-k = 1 and k = 2, de Branges-Rovnyak kernels and difference kernels.
+k = 1 and k = 2, de Branges-Rovnyak kernels (on Kolmogorov, Gram and moment
+sources, with S of degree up to 3, and of a de Branges-Rovnyak kernel) and
+difference kernels.
 """
 
 import numpy as np
@@ -84,8 +86,14 @@ FORMS = {
         random_series(rng, 1, 1, [(), (2,)]), moment(rng), moment(rng))),
     "difference-gram-k2": lambda rng: difference_kernel(gram_basis(rng, k=2), kolmogorov(rng, k=2)),
     "difference-moment": lambda rng: difference_kernel(moment(rng), moment(rng)),
+    "dbr-gram-k2": lambda rng: dbr_kernel(Multiplier(
+        random_series(rng, 2, 2, [(), (1,), (2, 1)]), gram_basis(rng, k=2), kolmogorov(rng, k=2))),
+    "dbr-moment-degree3": lambda rng: dbr_kernel(Multiplier(
+        random_series(rng, 1, 1, [(), (2,), (1, 2), (2, 2, 1)]), moment(rng), moment(rng))),
+    "dbr-of-dbr": lambda rng: dbr_kernel(Multiplier(
+        random_series(rng, 2, 2, [(1,), (1, 2)]), FORMS["dbr-kolmogorov"](rng), kolmogorov(rng))),
 }
-ON_MOMENT_TABLES = {"moment-y1", "moment-y2", "dbr-moment", "difference-moment"}
+ON_MOMENT_TABLES = {"moment-y1", "moment-y2", "dbr-moment", "difference-moment", "dbr-moment-degree3"}
 
 
 def draw_case(form, seed, n_points):

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncrkhs import cli, series
 from ncrkhs.core import DEFAULT_TOL, DimMismatch, InputError, NotContraction, NotInTarget, NotPsd
 from ncrkhs.kernels import AlgebraSpec, CallableKernel, GramBasisKernel, KolmogorovKernel, MomentKernel, szego_kernel
 from ncrkhs.multipliers import (
@@ -17,7 +20,8 @@ from ncrkhs.multipliers import (
     multiplier_matrix,
 )
 from ncrkhs.rkhs import RkhsModel, kernel_element_coefficients, sigma_matrix
-from ncrkhs.sampling import complex_gaussian, nilpotent_tuple, rng_from_seed
+from ncrkhs.sampling import complex_gaussian, nilpotent_tuple, random_psd, rng_from_seed
+from ncrkhs.serialize import encode_kernel, encode_series
 from ncrkhs.series import NcSeries, evaluate
 
 SZEGO = szego_kernel(1, max_len=3)
@@ -382,3 +386,61 @@ def test_every_gramian_consumer_reaches_the_same_verdict(kind, seed, n):
     }
     assert {v[0] for v in verdicts.values()} == {GRAMIAN_KINDS[kind]}, verdicts
     assert len(set(verdicts.values())) == 1, verdicts
+
+
+# ---------------------------------------------------------------------------
+# S enters a de Branges-Rovnyak kernel through its values S(Z) only
+# ---------------------------------------------------------------------------
+
+def _series(rng, p, q, words, scale=1.0):
+    return NcSeries(2, p, q, {w: scale * complex_gaussian(rng, p, q) for w in words})
+
+
+def _full_table(rng, words):
+    a = complex_gaussian(rng, len(words), len(words))
+    m = (a + a.conj().T) / 2
+    return MomentKernel(2, 1, {(u, v): [[m[i, j]]] for i, u in enumerate(words) for j, v in enumerate(words)}, 3)
+
+
+@pytest.fixture
+def no_multiply(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("series.multiply called")
+    monkeypatch.setattr(series, "multiply", refuse)
+
+
+@pytest.mark.parametrize("source", ["kolmogorov", "gram", "moment", "dbr-of-dbr"])
+def test_contractivity_certificate_never_multiplies_series(source, no_multiply):
+    rng = rng_from_seed([26, len(source)])
+    words = [(), (1,), (2,), (2, 1)]
+    kol = KolmogorovKernel(AlgebraSpec(), _series(rng, 1, 2, words), s=2)
+    s = _series(rng, 1, 1, [(), (1,), (1, 2)], 0.1)  # degree 2
+    sampler = "gaussian"
+    if source == "gram":
+        basis = [_series(rng, 1, 1, words[:i + 2]) for i in range(3)]
+        mult = Multiplier(s, GramBasisKernel(AlgebraSpec(), basis, random_psd(rng, 3) + np.eye(3)), kol)
+    elif source == "moment":
+        mult, sampler = Multiplier(s, _full_table(rng, words), _full_table(rng, words)), "nilpotent"
+    elif source == "dbr-of-dbr":
+        mult = Multiplier(s, dbr_kernel(Multiplier(_series(rng, 1, 1, [(), (2,)], 0.5), kol, kol)), kol)
+    else:
+        mult = Multiplier(s, kol, kol)
+    cert = contractivity_certificate(mult, n_points=4, sizes=(1, 2, 3), seed=7, sampler=sampler)
+    assert np.isfinite(cert.min_eig)
+
+
+def test_multiplier_check_through_the_cli_never_multiplies_series(tmp_path, capsys, no_multiply):
+    rng = rng_from_seed(27)
+    kol = KolmogorovKernel(AlgebraSpec(), _series(rng, 1, 2, [(), (1,), (2, 1)]), s=2)
+    files = {"source": encode_kernel(kol), "target": encode_kernel(kol),
+             "s": encode_series(_series(rng, 1, 1, [(), (1,), (2, 1), (1, 2, 2)], 0.1))}
+    argv = ["multiplier-check", "--points", "3", "--sizes", "2,3", "--seed", "5"]
+    for flag, payload in files.items():
+        (tmp_path / f"{flag}.json").write_text(json.dumps(payload))
+        argv += [f"--{flag}", str(tmp_path / f"{flag}.json")]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["status"] in ("ok", "certificate_failed"), payload
+    assert code == cli.EXIT_CODES[payload["status"]]
+    assert captured.err == f"ncrkhs multiplier-check: {payload['status']}\n"

@@ -28,7 +28,7 @@ from ncrkhs.kernels import (
     szego_kernel,
 )
 from ncrkhs.multipliers import Multiplier
-from ncrkhs.series import AxiomReport, NcSeries, WordIndicator
+from ncrkhs.series import AxiomReport, Multiplied, NcSeries, WordIndicator
 
 
 def test_tolerances_defaults_validation_and_equality():
@@ -76,6 +76,8 @@ def _records():
     yield z, "stacked"
     yield f, "terms"
     yield WordIndicator(1, 1, ((),)), "words"
+    yield Multiplied(f, WordIndicator(1, 1, ((),))), "s"
+    yield Multiplied(f, f), "f"
     yield KernelElement(kernel, z, np.ones((1, 2)), np.ones(2)), "v"
     yield KernelAxiomSamples(), "hermitian"
     yield Multiplier(f, kernel, kernel), "s"
