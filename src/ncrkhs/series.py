@@ -435,7 +435,7 @@ class WordIndicator(Record):
 class Multiplied(Record):
     """The factor S F' of a de Branges-Rovnyak kernel, F' any kernel factor: its value at Z is S(Z) F'(Z)."""
 
-    def __init__(self, s: NcSeries, f):
+    def __init__(self, s: NcSeries, f: NcSeries | WordIndicator | Multiplied):
         self._set(d=s.d, s=s, f=f)
 
 
