@@ -3,7 +3,8 @@
 One moment table (MomentKernel) is both the formal kernel and the nc kernel
 it induces on nilpotent points.  Truncated moment positivity is complete for
 kernels supported within the truncation; the nilpotent route checks the same
-table through evaluation, with scaled truncated shifts as universal witnesses.
+table through evaluation, with the free shift compressed to the stored words'
+suffixes as a universal witness: at the vacuum its value is the table itself.
 """
 
 import numpy as np
@@ -30,7 +31,8 @@ a = NcSeries(2, 1, 1, {(): [[1.0]], (1,): [[1.0]]})
 b = NcSeries(2, 1, 1, {(): [[1.0]], (2,): [[1.0]]})
 print("product support:", [list(w) for w in multiply(a, b).support])
 
-# the Szego formal kernel has the identity moment matrix
+# the Szego formal kernel has the identity moment matrix (moment_matrix pads
+# a table to every word; the routes below read only the stored words)
 szego = szego_kernel(d=1, max_len=2)
 print("\nSzego moment matrix at L=2:")
 print(moment_matrix(szego, 2).real)
@@ -45,7 +47,7 @@ gram_kernel = moment_kernel_from_factor(h, 2)
 print("\nGram-built kernel positive at L=0,1,2:",
       [is_formal_positive_truncated(gram_kernel, level)[0] for level in range(3)])
 
-# a planted negative direction fails both routes; the scaled shift witnesses it
+# a planted negative direction fails both routes; the compressed shift witnesses it
 moments = dict(gram_kernel.moments)
 moments[((1,), (1,))] = moments.get(((1,), (1,)), np.zeros((1, 1))) - 10.0 * np.eye(1)
 planted = MomentKernel(2, 1, moments, 2)

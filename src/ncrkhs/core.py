@@ -175,7 +175,7 @@ class Value(Record):
 # ---------------------------------------------------------------------------
 
 class Tolerances(Value):
-    """Numerical policy shared by all checks.
+    """Numerical policy shared by all checks; both values finite and strictly positive.
 
     eq_rel     relative Frobenius threshold for equality of matrices
     psd_floor  minimum-eigenvalue floor, relative to max(1, ||m||_2)
@@ -183,8 +183,8 @@ class Tolerances(Value):
 
     def __init__(self, eq_rel: float = 1e-10, psd_floor: float = 1e-9):
         for name, value in (("eq_rel", eq_rel), ("psd_floor", psd_floor)):
-            if not value > 0:
-                raise InputError(f"tolerance {name} must be strictly positive")
+            if not 0 < value < np.inf:
+                raise InputError(f"tolerance {name} must be finite and strictly positive")
         self._set(eq_rel=eq_rel, psd_floor=psd_floor)
 
 
@@ -455,17 +455,17 @@ def word_key(w: Word) -> tuple[int, Word]:
     return (len(w), w)
 
 
-def word_count(d: int, max_len: int) -> int:
-    """The number of words of length <= max_len over d letters; an input error beyond ``_MAX_WORDS``."""
+def word_count(d: int, max_len: int, limit: int | None = _MAX_WORDS) -> int:
+    """The number of words of length <= max_len over d letters (that at 64 beyond it); an input error beyond ``limit``."""
     if d < 1:
         raise InputError("alphabet size d must be >= 1")
     if max_len < 0:
         raise InputError(f"word length bound must be >= 0, got {max_len}")
     # (d^(L+1) - 1)/(d - 1), formed exactly up to L = 64 only, so a huge L costs nothing
     count = max_len + 1 if d == 1 else (d ** (min(max_len, 64) + 1) - 1) // (d - 1)
-    if count > _MAX_WORDS:
+    if limit is not None and count > limit:
         many = count if d == 1 or max_len <= 64 else f"more than {count}"
-        raise InputError(f"{many} words of length <= {max_len} over {d} letters exceed the limit of {_MAX_WORDS}")
+        raise InputError(f"{many} words of length <= {max_len} over {d} letters exceed the limit of {limit}")
     return count
 
 

@@ -3,17 +3,19 @@
 A formal kernel is a Hermitian word-indexed moment table, held by
 :class:`~ncrkhs.kernels.MomentKernel`.  Truncated positivity (the moment
 matrix over words of length <= L) is a necessary condition in general and is
-complete for kernels supported within the truncation; the nilpotent-point
-route checks the same table through functional evaluation, with the
-truncated free shift as a universal witness whose value is a suffix sum of
-the moment matrix.  Convolution of formal series
-is :func:`ncrkhs.series.multiply`, and a series acts on nilpotent tuples
-through :func:`ncrkhs.series.functional_evaluator`.
+complete for kernels supported within the truncation.  Both the test and
+the factor read that matrix's block at the stored words, never listing the
+others.  The nilpotent-point route checks the table through functional
+evaluation, with the free shift compressed to the stored words' suffixes
+as a universal witness: at the vacuum its value is the table itself.
+Convolution of formal series is :func:`ncrkhs.series.multiply`, and a
+series acts on nilpotent tuples through
+:func:`ncrkhs.series.functional_evaluator`.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,15 +23,18 @@ from .core import (
     DEFAULT_TOL,
     Tolerances,
     TruncationTooShort,
+    Word,
     frobenius,
     psd_factor,
     psd_verdict,
     rel_err,
+    word_count,
+    word_key,
     words_up_to,
 )
 from .kernels import CpCertificate, MomentKernel, sample_points
 from .sampling import NILPOTENT, rng_from_seed
-from .series import NcSeries, multiply, truncate, truncated_shift_tuple
+from .series import NcSeries, compressed_shift, multiply, truncate
 
 
 # ---------------------------------------------------------------------------
@@ -49,30 +54,47 @@ def convolve_truncated(f: NcSeries, g: NcSeries, max_len: int) -> tuple[NcSeries
 # ---------------------------------------------------------------------------
 
 def moment_matrix(kernel: MomentKernel, max_len: int) -> np.ndarray:
-    """Hermitian block matrix of K_{a,b} over words of length <= max_len (graded lex).
+    """Hermitian block matrix of K_{a,b} over all words of length <= max_len (graded lex).
 
-    It is the kernel's middle matrix C, placed at its words among all words.
+    A padded view of the stored block (:func:`_stored_block`) among every
+    word, so it lists them all; the routes below read the stored block alone.
+    """
+    words, block, _ = _stored_block(kernel, max_len)
+    return _placed(block, words, words_up_to(kernel.d, max_len), kernel.y_dim)
+
+
+def _stored_block(kernel: MomentKernel, max_len: int) -> tuple[tuple[Word, ...], np.ndarray, int]:
+    """The stored words of length <= max_len, their principal block of ``kernel.middle``, and how many words are missing.
+
+    The stored words are graded, so these come first.  The moment matrix at
+    max_len is this block padded with zero rows and columns at the missing
+    words, so its eigenvalues are the block's and, if a word is missing, 0.
     """
     if max_len > kernel.max_len:
-        raise TruncationTooShort(
-            f"moment matrix at L={max_len} exceeds stored truncation {kernel.max_len}"
-        )
-    index = {w: i for i, w in enumerate(words_up_to(kernel.d, max_len))}
-    y = kernel.y_dim
-    # the kernel's words are graded lex too, so those of length <= max_len come first
-    kept = [index[w] for w in kernel.words if len(w) <= max_len]
-    m = len(kernel.words)
-    middle = kernel.middle.reshape(m, y, m, y)[:len(kept), :, :len(kept), :]
-    out = np.zeros((len(index), y, len(index), y), dtype=np.complex128)
-    out[np.ix_(kept, range(y), kept, range(y))] = middle
-    return out.reshape(len(index) * y, len(index) * y)
+        raise TruncationTooShort(f"moment matrix at L={max_len} exceeds stored truncation {kernel.max_len}")
+    n = sum(len(w) <= max_len for w in kernel.words)
+    block = kernel.middle[:n * kernel.y_dim, :n * kernel.y_dim]
+    return kernel.words[:n], block, word_count(kernel.d, max_len, limit=None) - n
+
+
+def _placed(block: np.ndarray, stored: Sequence[Word], words: Sequence[Word], y: int) -> np.ndarray:
+    """``block``, the table at the graded words ``stored``, placed on the graded ``words`` holding them; zero elsewhere."""
+    index = {w: i for i, w in enumerate(words)}
+    kept = [index[w] for w in stored]
+    out = np.zeros((len(words), y, len(words), y), dtype=np.complex128)
+    out[np.ix_(kept, range(y), kept, range(y))] = block.reshape(len(kept), y, len(kept), y)
+    return out.reshape(len(words) * y, len(words) * y)
 
 
 def is_formal_positive_truncated(
     kernel: MomentKernel, max_len: int, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[bool, float]:
-    """PSD-floor eigencheck of the truncated moment matrix; returns (passed, min_eig)."""
-    verdict = psd_verdict([moment_matrix(kernel, max_len)], tol)
+    """PSD-floor eigencheck of the truncated moment matrix; returns (passed, min_eig).
+
+    It tests the stored block, with one zero row and column if a word is missing: the eigenvalue 0.
+    """
+    _, block, missing = _stored_block(kernel, max_len)
+    verdict = psd_verdict([np.pad(block, (0, min(missing, 1)))], tol)
     return verdict.passed, verdict.min_eig
 
 
@@ -89,12 +111,14 @@ def formal_kolmogorov_truncated(
 ) -> FormalFactorization:
     """Factor the truncated moment matrix; row blocks become the coefficients H_a.
 
-    The nonzero row blocks, chosen in one pass, are kept as one block by the
-    series.  The factor rank is the dimension of the truncated space H(K).
+    Only the stored block is factored: the padded matrix has the same
+    nonzero eigenpairs, with zero rows at the missing words, so the error is
+    taken over the stored blocks.  The nonzero row blocks, chosen in one
+    pass, are kept as one block by the series.  The factor rank is the
+    dimension of the truncated space H(K).
     """
-    words = words_up_to(kernel.d, max_len)
+    words, m, _ = _stored_block(kernel, max_len)
     y = kernel.y_dim
-    m = moment_matrix(kernel, max_len)
     f = psd_factor(m, tol)
     rank = f.shape[1]
     # rank 0 gives the zero series
@@ -105,17 +129,13 @@ def formal_kolmogorov_truncated(
     # blockwise ||(M - F F*)_{ab}|| / max(1, ||M_{ab}||), maximized over word pairs
     blocks = (len(words), y, len(words), y)
     diff = frobenius((m - f @ f.conj().T).reshape(blocks), axis=(1, 3))
-    err = float(np.max(rel_err(diff, frobenius(m.reshape(blocks), axis=(1, 3)))))
+    err = float(np.max(rel_err(diff, frobenius(m.reshape(blocks), axis=(1, 3))), initial=0.0))
     return FormalFactorization(h, rank, err)
 
 
 # ---------------------------------------------------------------------------
 # nilpotent-point positivity with the shift-tuple witness
 # ---------------------------------------------------------------------------
-
-# scales of the truncated free shift added to every nilpotent positivity check
-SHIFT_SCALES = (1.0, 2.0, 4.0)
-
 
 def nilpotent_positivity_check(
     kernel: MomentKernel,
@@ -124,47 +144,22 @@ def nilpotent_positivity_check(
     sizes=(2, 3),
     tol: Tolerances = DEFAULT_TOL,
 ) -> CpCertificate:
-    """Eigencheck K(Z,Z)(I) over sampled nilpotent points plus scaled shift tuples.
+    """Eigencheck K(Z,Z)(I) over sampled nilpotent points, and K(T,T)(e_() e_()*) at one shift T.
 
     Evaluation is exact because the table is finitely supported; the sampled
-    sizes are clamped to the nilpotency coverage max_len + 1.  The scaled
-    truncated free shift at the longest stored word (0 for an empty table)
-    witnesses any negative direction of the truncated moment matrix, which
-    pads the one at that length with zeros, so the verdict agrees with
-    :func:`is_formal_positive_truncated` for kernels exactly representable at
-    this truncation.  The shift values come from the moment matrix
-    (:func:`_shift_values`); the shift tuples are the witness points.
+    sizes are clamped to the nilpotency coverage max_len + 1.  T, the last
+    point, is the free shift compressed to W, the stored words and all their
+    suffixes (at most 1 + sum |a| words; :func:`compressed_shift`).  T^a e_()
+    is e_a for a in W, so K(T,T)(e_() e_()*) = sum_{a,b} e_a e_b* (x) K_{a,b}
+    is the table placed on W, formed so without F(T): its eigenvalues are
+    the stored block's and zeros, so the verdict agrees with
+    :func:`is_formal_positive_truncated` at the longest stored word.
     """
     _, sampled = sample_points(kernel, rng_from_seed(seed), n_points, sizes, NILPOTENT)
     kernel.precompute(sampled)
-    verdict = psd_verdict([kernel.evaluate(z, z, np.eye(z.n)) for z in sampled] + _shift_values(kernel), tol)
-    shift = truncated_shift_tuple(kernel.d, len(kernel.words[-1]) if kernel.words else 0)
-    points = sampled + [shift.scaled(float(t)) for t in SHIFT_SCALES]
-    description = {"sampler": "nilpotent+shift", "sizes": [z.n for z in points],
-                   "shift_scales": list(SHIFT_SCALES)}
+    words = sorted({()} | {w[i:] for w in kernel.words for i in range(len(w))}, key=word_key)
+    vacuum = _placed(kernel.middle, kernel.words, words, kernel.y_dim)
+    verdict = psd_verdict([kernel.evaluate(z, z, np.eye(z.n)) for z in sampled] + [vacuum], tol)
+    points = sampled + [compressed_shift(kernel.d, words)]
+    description = {"sampler": "nilpotent+shift", "sizes": [z.n for z in points]}
     return CpCertificate(verdict.passed, verdict.min_eig, description, seed, verdict.witness, tuple(points))
-
-
-def _shift_values(kernel: MomentKernel) -> list[np.ndarray]:
-    """K(tS, tS)(I) at the truncated free shift S of the longest stored word for each t in SHIFT_SCALES, without F(tS).
-
-    S^a S^b* maps e_{b.w} to e_{a.w}, so block (u, v) sums t^{|a|+|b|} K_{a,b} over
-    the splits u = a.w, v = b.w: X = D_t M D_t + sum_j R_j X R_j* for the moment
-    matrix M, D_t = diag(t^{|a|}) and R_j e_a = e_{a.j}, filled one length of u at a time.
-    """
-    d, y, level = kernel.d, kernel.y_dim, len(kernel.words[-1]) if kernel.words else 0
-    lengths = np.array([len(w) for w in words_up_to(d, level)])
-    n = len(lengths)
-    moments = moment_matrix(kernel, level).reshape(n, y, n, y).transpose(0, 2, 1, 3)  # [u, v, r, s]
-    # in graded lex order, word i followed by letter j + 1 is word 1 + d i + j
-    child = 1 + d * np.arange((n - 1) // d)[:, None] + np.arange(d)
-    values = []
-    for t in SHIFT_SCALES:
-        weight = t ** lengths
-        x = weight[:, None, None, None] * moments * weight[None, :, None, None]
-        lo, hi = 0, 1  # the words of one length
-        for _ in range(level):
-            x[child[lo:hi, None, :], child] += x[lo:hi, :len(child), None]
-            lo, hi = 1 + d * lo, 1 + d * hi
-        values.append(x.transpose(0, 2, 1, 3).reshape(n * y, n * y))
-    return values

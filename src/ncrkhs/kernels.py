@@ -278,8 +278,7 @@ class MomentKernel(FactoredKernel):
 
     def __init__(self, d: int, y_dim: int, moments: Mapping[tuple, np.ndarray],
                  max_len: int, tol: Tolerances = DEFAULT_TOL):
-        if max_len < 0:
-            raise InputError("max_len must be >= 0")
+        _check_sizes(y_dim, max_len)
         rows = int_words([wa for wa, _ in moments], d)
         cols = int_words([wb for _, wb in moments], d)
         keys = None if rows is None or cols is None else list(zip(rows, cols))
@@ -321,8 +320,7 @@ class MomentKernel(FactoredKernel):
         return cls.__new__(cls)._hold(d, y_dim, words, stored, middle, max_len, tol)
 
     def _hold(self, d, y_dim, words, stored, middle, max_len, tol) -> "MomentKernel":
-        if max_len < 0:
-            raise InputError("max_len must be >= 0")
+        _check_sizes(y_dim, max_len)
         # blockwise ||K_ab - K_ba*|| against the largest moment; an exactly Hermitian
         # (finite) table has every gap exactly zero, so it skips the test
         if not np.array_equal(middle, middle.conj().T):
@@ -348,6 +346,14 @@ class MomentKernel(FactoredKernel):
 
     # each form keeps evaluate in its own class body (perfbench/tracer.py times it there)
     evaluate = FactoredKernel.evaluate
+
+
+def _check_sizes(y_dim: int, max_len: int) -> None:
+    """A moment table has a max_len >= 0 and 1 x 1 blocks at least, as a series has nonempty coefficients."""
+    if max_len < 0:
+        raise InputError("max_len must be >= 0")
+    if y_dim < 1:
+        raise InputError(f"moment blocks must be at least 1 x 1, got y_dim={y_dim}")
 
 
 class KolmogorovKernel(FactoredKernel):

@@ -19,7 +19,8 @@ The dumper also takes numpy arrays, each rendered as the matrix object that
 its arrays included, with one format call.  The CLI therefore hands it the
 arrays themselves.  An array holding many exact zeros (a signed
 permutation, a block triangular value) writes them as the literal ``0``
-that ``%.17g`` would print, and formats only its nonzero floats.  The
+that ``%.17g`` would print, and formats only its nonzero floats; the floats
+of all such arrays in a payload are classified in one pass.  The
 public ``encode_*`` functions keep returning JSON-native objects (lists of
 Python floats); they and the CLI build each file form with the same private
 builder, which takes the matrix leaf as an argument.
@@ -65,9 +66,7 @@ def _layout(obj: Any, text: list[str], numbers: list) -> None:
 
     The floats go to ``numbers`` in document order: a Python float as it
     is, an array's entries as one float64 array of [re, im] pairs.
-    Literal text has its ``%`` doubled.  The kind of an object of a plain
-    type is looked up by its exact type; only a subclass, such as a numpy
-    scalar, walks the ``isinstance`` chain of :func:`_kind`.
+    Literal text has its ``%`` doubled.
 
     An array with at least ``_ZERO_LITERALS`` exact-zero floats is written
     pair by pair from the four templates of ``_PAIRS``, a zero as the literal
@@ -75,7 +74,42 @@ def _layout(obj: Any, text: list[str], numbers: list) -> None:
     0.0, for -0.0), and only its nonzero floats become slots; NaN and
     Infinity are nonzero, so they still reach the finiteness check.  Below
     that count the template lookup costs more than the slots it saves, and
-    the array keeps one slot per float.
+    the array keeps one slot per float.  The floats of all such arrays are
+    classified last, in one pass: every pair is looked up at once, or, where
+    nonzero floats are rare, a pair is "[0,0]" but for theirs.
+    """
+    literal: list[tuple[int, int, int]] = []
+    _append(obj, text, numbers, literal)
+    if not literal:
+        return
+    many = len(literal) > 1
+    flat = np.concatenate([numbers[at] for _, at, _ in literal]) if many else numbers[literal[0][1]]
+    nonzero = flat != 0
+    kept = flat[nonzero]
+    codes = 2 * nonzero[0::2] + nonzero[1::2]
+    # below one nonzero float in 16, a Python loop over their pairs beats a lookup of every pair
+    if 16 * kept.size > flat.size:
+        pieces = _PAIRS[codes].tolist()
+    else:
+        pieces = ["[0,0]"] * len(codes)
+        shown = np.flatnonzero(codes)
+        for i, piece in zip(shown.tolist(), _PAIRS[codes[shown]].tolist()):
+            pieces[i] = piece
+    p = k = 0  # the pieces and kept floats written so far
+    for slot, at, left in literal:
+        n = numbers[at].size // 2
+        text[slot] = ",".join(pieces[p:p + n] if many else pieces)
+        numbers[at] = kept[k:k + left] if many else kept
+        p, k = p + n, k + left
+
+
+def _append(obj: Any, text: list[str], numbers: list, literal: list[tuple[int, int, int]]) -> None:
+    """:func:`_layout` but for the data of the arrays that write zero literals.
+
+    Such an array leaves in ``literal`` the place of its data in ``text``, of
+    its floats in ``numbers``, and their nonzero count.  The kind of an
+    object of a plain type is looked up by its exact type; only a subclass,
+    such as a numpy scalar, walks the ``isinstance`` chain of :func:`_kind`.
     """
     kind = _KINDS.get(type(obj)) or _kind(obj)
     if kind is dict:
@@ -84,7 +118,7 @@ def _layout(obj: Any, text: list[str], numbers: list) -> None:
         for key, value in obj.items():
             text.append(sep + _key_text(key))
             sep = ","
-            _layout(value, text, numbers)
+            _append(value, text, numbers, literal)
         text.append("}")
     elif kind is list and set(map(type, obj)) == {int}:
         text.append("[" + ",".join(map(str, obj)) + "]")  # a word, in one join
@@ -93,7 +127,7 @@ def _layout(obj: Any, text: list[str], numbers: list) -> None:
         for i, value in enumerate(obj):
             if i:
                 text.append(",")
-            _layout(value, text, numbers)
+            _append(value, text, numbers, literal)
         text.append("]")
     elif kind is float:
         text.append("%.17g")
@@ -110,15 +144,13 @@ def _layout(obj: Any, text: list[str], numbers: list) -> None:
         # the object encode_matrix builds: a 1-D array is a column, entries are complex
         rows, cols = obj.shape if obj.ndim == 2 else (obj.shape[0], 1)
         values = np.ascontiguousarray(obj, dtype=np.complex128).reshape(-1).view(np.float64)
+        head = f'{{"rows":{rows},"cols":{cols},"data":['
         # an array of fewer floats cannot hold _ZERO_LITERALS zeros, so it is not counted
-        if values.size >= _ZERO_LITERALS and values.size - np.count_nonzero(values) >= _ZERO_LITERALS:
-            nonzero = values != 0
-            pairs = nonzero.reshape(-1, 2)
-            data = ",".join(_PAIRS[2 * pairs[:, 0] + pairs[:, 1]].tolist())
-            values = values[nonzero]
+        if values.size >= _ZERO_LITERALS and values.size - (left := np.count_nonzero(values)) >= _ZERO_LITERALS:
+            literal.append((len(text) + 1, len(numbers), left))
+            text += [head, "", "]}"]
         else:
-            data = ",".join(["[%.17g,%.17g]"] * obj.size)
-        text.append(f'{{"rows":{rows},"cols":{cols},"data":[' + data + "]}")
+            text.append(head + ",".join(["[%.17g,%.17g]"] * obj.size) + "]}")
         numbers.append(values)
     else:
         raise InputError(f"cannot serialize object of type {type(obj).__name__}")
@@ -174,8 +206,12 @@ def dumps_canonical(obj: Any) -> str:
 # ---------------------------------------------------------------------------
 
 def decode_complex(data, where: str = "scalar") -> complex:
+    """[re, im] as a complex number; each part a JSON number, not a string or a boolean."""
     if not isinstance(data, (list, tuple)) or len(data) != 2:
         raise InputError(f"{where}: complex scalar must be a two-element [re, im] array")
+    for part in data:
+        if isinstance(part, (str, bool)):
+            raise InputError(f"{where}: complex scalar part {json.dumps(part)} is not a number")
     try:
         return complex(float(data[0]), float(data[1]))
     except OverflowError as exc:
@@ -220,7 +256,7 @@ def decode_matrix(data, where: str = "matrix") -> np.ndarray:
         pairs = np.array(entries)
     except (ValueError, OverflowError):
         pairs = None
-    if (pairs is None or pairs.dtype.kind not in "biuf" or pairs.shape != (rows * cols, 2)
+    if (pairs is None or pairs.dtype.kind not in "iuf" or pairs.shape != (rows * cols, 2)
             or not np.isfinite(pairs).all()):
         values = [decode_complex(e, where) for e in entries]
         return as_cmatrix(np.array(values, dtype=np.complex128).reshape(rows, cols))
@@ -257,7 +293,7 @@ def _decode_table(items, word_fields: tuple[str, ...], rows: int, cols: int, d: 
         pairs = np.array(data)
     except (ValueError, OverflowError):
         return None
-    if (pairs.dtype.kind not in "biuf" or pairs.shape != (len(items), rows * cols, 2)
+    if (pairs.dtype.kind not in "iuf" or pairs.shape != (len(items), rows * cols, 2)
             or not np.isfinite(pairs).all()):
         return None
     # the letters of every field, checked in one pass

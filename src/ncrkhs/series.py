@@ -47,8 +47,8 @@ points and the truncated free shift are such tuples.  A caller that only
 asks whether the order is at most some length walks the flag no further:
 :func:`evaluate_on_nilpotent` walks at most ``deg f`` lengths at such a
 point, and a truncated kernel tests none of size <= max_len + 1.  The
-truncated free shift carries its order, max_len + 1, and walks no flag
-at all when ``eq_rel < 1`` (:func:`truncated_shift_tuple`).  Nor does a
+compressed free shift carries its order, one more than its longest word,
+and walks no flag when ``eq_rel < 1`` (:func:`compressed_shift`).  Nor does a
 strictly triangular point of size n > deg f whose superdiagonal settles
 the question: row n - 1 - L of a length-L product holds one product of
 superdiagonal entries, so those products bound the walk's norm at L from
@@ -631,8 +631,8 @@ def evaluate_on_nilpotent(f: NcSeries, z: MatrixTuple, tol: Tolerances = DEFAULT
     walked at all where the superdiagonal chain bound clears 2 eq_rel at
     every length up to deg f < n (:func:`_chain_clears`, which derives that
     margin from the walk's rounding): then no order <= deg f exists and f
-    is evaluated whole.  A truncated free shift carries its order, which
-    holds at every ``eq_rel < 1`` (:func:`truncated_shift_tuple`), and walks
+    is evaluated whole.  A compressed free shift carries its order, which
+    holds at every ``eq_rel < 1`` (:func:`compressed_shift`), and walks
     no flag there.  Any other point takes the full test, which raises
     :class:`NotNilpotent` where there is no order.
     """
@@ -715,45 +715,49 @@ def _chain_clears(z: MatrixTuple, tol: Tolerances, length: int) -> bool:
 # ---------------------------------------------------------------------------
 
 class _TruncatedShift(MatrixTuple):
-    """A truncated free shift, which carries its nilpotency order ``order`` = max_len + 1.
+    """A compressed free shift, built as one block: coordinate ``letters[i]`` maps e_{cols[i]} to e_{rows[i]}.
 
-    It keeps the d x m x m block it was built in, not a copy of it.
+    It keeps that block, and carries its nilpotency order ``order``.
     """
 
-    def __init__(self, block: np.ndarray, order: int):
+    def __init__(self, d: int, m: int, letters, rows, cols, order: int):
+        block = np.zeros((d, m, m), dtype=np.complex128)
+        block[letters, rows, cols] = 1.0
         self._hold(block)
         self._set(order=order)
 
 
 def truncated_shift_tuple(d: int, max_len: int) -> MatrixTuple:
-    """Left creation operators on the span of words of length <= max_len.
+    """:func:`compressed_shift` to all words of length <= max_len, which exposes every coefficient up to max_len.
 
-    Coordinate j maps the basis vector of w to the basis vector of j.w
-    (and to 0 when the result exceeds max_len).  Jointly nilpotent of order
-    max_len + 1; evaluating a series here exposes all coefficients of
-    degree <= max_len as blocks.
-
-    The point carries that order, and :func:`evaluate_on_nilpotent` takes it
-    without a flag walk whenever ``eq_rel < 1``, where the walk finds it too
-    (:func:`nilpotency_orders`): the coordinates are partial isometries, so
-    the walk's scale is 1, and at a length L <= max_len ``||c_L||_F^2``
-    counts the words of length L to max_len.  That is at least 1, exactly
-    so for d = 1, where c stays n x n and no QR is taken, and at least 2 for
-    d >= 2, more than rounding can take away.  At ``eq_rel >= 1`` the walk
-    runs, and may stop earlier.
-
-    In graded order the r-th word w of length k has index i = start_k + r,
-    and j.w is the ((j - 1) d^k + r)-th word of length k + 1, whose index
-    is i + j d^k; so coordinate j holds a 1 at (i + j d^k, i) for each word
-    shorter than max_len, and the words shorter than max_len are the first.
+    The r-th word w of length k has index i = start_k + r in graded order,
+    and j.w is the ((j - 1) d^k + r)-th word of length k + 1, of index
+    i + j d^k: coordinate j holds a 1 at (i + j d^k, i) for each of the
+    first words, those shorter than max_len.
     """
     m = word_count(d, max_len)
     shorter = np.arange(m - d ** max_len)
     # d^len(w) for each word shorter than max_len
     power = np.repeat(d ** np.arange(max_len), d ** np.arange(max_len))
-    coords = np.zeros((d, m, m), dtype=np.complex128)
-    coords[np.arange(d)[:, None], shorter + np.arange(1, d + 1)[:, None] * power, shorter] = 1.0
-    return _TruncatedShift(coords, max_len + 1)
+    letters = np.arange(d)[:, None]
+    return _TruncatedShift(d, m, letters, shorter + (letters + 1) * power, shorter, max_len + 1)
+
+
+def compressed_shift(d: int, words: Sequence[Word]) -> MatrixTuple:
+    """The free shift compressed to the span of ``words``: suffix closed, graded, the empty word first.
+
+    Coordinate j maps e_w to e_{j.w} when j.w is a word, else to 0, so
+    Z^a e_() is e_a for a word a and 0 for any other: the point is jointly
+    nilpotent of order one more than its longest word.  It carries that
+    order, which :func:`evaluate_on_nilpotent` takes without a flag walk when
+    ``eq_rel < 1``, where the walk finds it too (:func:`nilpotency_orders`):
+    the coordinates are partial isometries, so the walk's scale is 1, and at
+    a length L up to the longest word ``||c_L||_F^2`` counts the words of
+    length >= L, at least 1 (kept by QR to rounding).
+    """
+    index = {w: i for i, w in enumerate(words)}
+    return _TruncatedShift(d, len(words), [w[0] - 1 for w in words[1:]], range(1, len(words)),
+                           [index[w[1:]] for w in words[1:]], len(words[-1]) + 1)
 
 
 def extract_taylor_coefficients(

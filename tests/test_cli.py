@@ -487,30 +487,47 @@ def assert_refused(proc, command: str, error: str) -> None:
     [
         (["extract-coeffs", "--series", "{s}", "--max-len", "13"],
          "16383 words of length <= 13 over 2 letters exceed the limit of 2048"),
-        (["formal-factor", "--kernel", "{k}", "--L", "30"],
-         "2147483647 words of length <= 30 over 2 letters exceed the limit of 2048"),
-        (["formal-positivity", "--kernel", "{k}", "--L", "40", "--seed", "1"],
-         "2199023255551 words of length <= 40 over 2 letters exceed the limit of 2048"),
     ],
-    ids=["extract-coeffs", "formal-factor", "formal-positivity"],
+    ids=["extract-coeffs"],
 )
 def test_exponential_word_lists_are_refused(tmp_path, argv, error):
     files = {
         "s": write(tmp_path, "s.json", encode_series(NcSeries(2, 1, 1, {(): [[1.0]], (2, 1): [[0.5]]}))),
-        "k": write(tmp_path, "k.json", encode_formal_kernel(FormalKernel(2, 1, {((), ()): np.eye(1)}, 40))),
     }
     assert_refused(run_capped([arg.format(**files) for arg in argv], tmp_path), argv[0], error)
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["formal-factor", "--kernel", "{k}", "--L", "30"],
+         {"status": "ok", "rank": 1, "reconstruction_error": 0.0,
+          "h": {"d": 2, "p": 1, "q": 1, "terms": [{"word": [], "coeff": {"rows": 1, "cols": 1, "data": [[1, 0]]}}]}}),
+        (["formal-positivity", "--kernel", "{k}", "--L", "40", "--seed", "1"],
+         {"status": "ok", "seed": 1, "moment_route": {"passed": True, "min_eig": 0.0, "level": 40},
+          "nilpotent_route": {"passed": True, "min_eig": 1.0, "seed": 1,
+                              "sample": {"sampler": "nilpotent+shift", "sizes": [2, 3, 2, 1]}},
+          "routes_agree": True}),
+    ],
+    ids=["formal-factor", "formal-positivity"],
+)
+def test_formal_routes_read_only_the_stored_words(tmp_path, argv, want):
+    # 2^31 - 1 and 2^41 - 1 words up to L: the routes read the one stored word, and count the rest as zeros
+    k = write(tmp_path, "k.json", encode_formal_kernel(FormalKernel(2, 1, {((), ()): np.eye(1)}, 40)))
+    proc = run_capped([arg.format(k=k) for arg in argv], tmp_path)
+    assert proc.returncode == 0 and proc.stderr == f"ncrkhs {argv[0]}: ok\n", proc.stderr
+    assert json.loads(proc.stdout) == want
+
+
 def test_formal_positivity_builds_its_shift_at_the_longest_stored_word(tmp_path):
-    # one stored moment, a declared max_len of 40: the moment route at L = 1 has 3 words, the shift 1
+    # one stored moment, a declared max_len of 40: the moment route at L = 1 has 3 words, the shift 1 (once)
     path = write(tmp_path, "k.json", encode_formal_kernel(FormalKernel(2, 1, {((), ()): np.eye(1)}, 40)))
     proc = run_capped(["formal-positivity", "--kernel", path, "--L", "1", "--seed", "1"], tmp_path)
     assert proc.returncode == 0, proc.stdout
     payload = json.loads(proc.stdout)
     assert payload["status"] == "ok" and payload["routes_agree"]
     assert payload["moment_route"]["level"] == 1
-    assert payload["nilpotent_route"]["sample"]["sizes"] == [2, 3, 2, 1, 1, 1]
+    assert payload["nilpotent_route"]["sample"]["sizes"] == [2, 3, 2, 1]
 
 
 # each first allocation is over a pebibyte, which the allocator refuses outright

@@ -262,3 +262,69 @@ def test_unreadable_inputs_and_an_unwritable_out_give_input_errors(tmp_path, cap
     for kind, out in (("missing folder", tmp_path / "missing" / "out.json"), ("directory", tmp_path)):
         _refused(capsys, argv("--out", str(out)), f"--out {kind}", "--out", out)
     assert not (tmp_path / "missing").exists()
+
+
+def _valid_files(tmp_path, files):
+    paths = {}
+    for flag, payload in files.items():
+        paths[flag] = tmp_path / f"{flag}.json"
+        paths[flag].write_text(json.dumps(payload))
+    return paths
+
+
+def _argv(command, options, paths, *extra):
+    return [command, *options, *[part for flag, path in paths.items() for part in (f"--{flag}", str(path))], *extra]
+
+
+def _input_error(capsys, argv, label, text):
+    code, payload = _run(capsys, argv, label)
+    assert (code, payload["status"]) == (2, "input_error") and text in payload["error"], (label, payload)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_tolerances_that_are_not_finite_and_positive_give_input_errors(tmp_path, capsys, command):
+    # 1e999 parses as infinity, and an infinite floor would pass every PSD test; -inf is given as --flag=-inf
+    options, files = COMMANDS[command]
+    paths = _valid_files(tmp_path, files)
+    for flag, name in (("--tol-eq", "eq_rel"), ("--tol-psd", "psd_floor")):
+        for value in ("inf", "-inf", "nan", "1e999"):
+            _input_error(capsys, _argv(command, options, paths, f"{flag}={value}"), f"{flag} {value}",
+                         f"tolerance {name} must be finite and strictly positive")
+
+
+# a moment table of 0 x 0 blocks, in the moment and the formal file form
+EMPTY_BLOCKS = {"form": "moment", "formal": True, "d": 1, "y_dim": 0, "max_len": 2, "moments": [
+    {"row_word": [], "col_word": [], "coeff": {"rows": 0, "cols": 0, "data": []}}]}
+KERNEL_FILES = sorted((command, flag) for command, (_, files) in COMMANDS.items()
+                      for flag, payload in files.items() if "form" in payload or "formal" in payload)
+
+
+@pytest.mark.parametrize("command, flag", KERNEL_FILES, ids=[f"{c}-{f}" for c, f in KERNEL_FILES])
+def test_a_table_of_empty_blocks_gives_an_input_error(tmp_path, capsys, command, flag):
+    options, files = COMMANDS[command]
+    paths = _valid_files(tmp_path, files)
+    paths[flag] = tmp_path / "empty-blocks.json"
+    paths[flag].write_text(json.dumps(EMPTY_BLOCKS))
+    _input_error(capsys, _argv(command, options, paths), f"--{flag} y_dim 0",
+                 "moment blocks must be at least 1 x 1, got y_dim=0")
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_string_and_boolean_complex_parts_give_input_errors(tmp_path, capsys, command):
+    # one entry a pair of numeric strings, or every entry a pair of booleans: neither is read as a number
+    options, files = COMMANDS[command]
+    paths = _valid_files(tmp_path, files)
+    rng = np.random.default_rng([sorted(COMMANDS).index(command), 27])
+    for flag, payload in files.items():
+        valid = paths[flag]
+        entries = sorted({path[:-1] for path, _, is_entry in _leaves(payload) if is_entry})
+        damaged = {
+            "string": _set(payload, _pick(rng, entries), [" 1.5 ", "0"]),
+            "boolean": json.loads(json.dumps(payload), object_hook=lambda node: {
+                **node, "data": [[True, False]] * len(node["data"])} if "data" in node else node),
+        }
+        for kind, doc in damaged.items():
+            paths[flag] = tmp_path / f"{flag}-{kind}.json"
+            paths[flag].write_text(json.dumps(doc))
+            _input_error(capsys, _argv(command, options, paths), f"--{flag} {kind}", "is not a number")
+        paths[flag] = valid

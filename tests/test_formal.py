@@ -7,8 +7,6 @@ from ncrkhs.formal import (
     formal_kolmogorov_truncated,
     is_formal_positive_truncated,
     moment_matrix,
-    SHIFT_SCALES,
-    _shift_values,
     nilpotent_positivity_check,
 )
 from ncrkhs.kernels import (
@@ -17,7 +15,7 @@ from ncrkhs.kernels import (
     szego_kernel as szego_formal_kernel,
 )
 from ncrkhs.sampling import complex_gaussian, nilpotent_tuple, random_similarity, rng_from_seed
-from ncrkhs.series import NcSeries, extract_taylor_coefficients, truncated_shift_tuple
+from ncrkhs.series import NcSeries, extract_taylor_coefficients
 from ncrkhs.series import functional_evaluator as functional_from_series
 from ncrkhs.series import multiply as convolve
 from ncrkhs.core import zero_tuple
@@ -212,7 +210,7 @@ def test_zero_kernel_passes():
 
 
 def test_positivity_check_forms_no_value_at_the_shift_size(monkeypatch):
-    # the shift values come from the moment matrix: no factor value or nilpotency test at size N;
+    # the shift's value is the table placed on its words: no factor value or nilpotency test at size |W|;
     # of the sampled points, only one that is not strictly triangular is tested
     from ncrkhs import formal, kernels
 
@@ -235,8 +233,8 @@ def test_positivity_check_forms_no_value_at_the_shift_size(monkeypatch):
     monkeypatch.setattr(kernels, "nilpotency_orders",
                         lambda zs, tol: order_sizes.extend(z.n for z in zs) or nilpotency_orders(zs, tol))
     cert = nilpotent_positivity_check(kernel, seed=1)
-    assert cert.passed and cert.points[-4] is dense
-    assert [z.n for z in cert.points[-3:]] == [size] * 3
+    assert cert.passed and cert.points[-2] is dense
+    assert cert.points[-1].n == size
     assert factor_sizes and max(factor_sizes) <= kernel.max_len + 1 < size
     assert order_sizes == [dense.n]
 
@@ -261,32 +259,44 @@ SHIFT_CASES = {
     "max-len-0": lambda: FormalKernel(2, 2, {((), ()): [[2.0, 1.0], [1.0, 2.0]]}, 0),
     "empty": lambda: FormalKernel(2, 1, {}, 2),
 }
-# tables whose shift values are sums of integers, so every summation order is exact
-EXACT = {"szego-d1", "szego-d2", "szego-d3", "szego-y2", "max-len-0", "empty"}
+
+
+def _suffix_closure(kernel):
+    return sorted({()} | {w[i:] for w in kernel.words for i in range(len(w))}, key=lambda w: (len(w), w))
+
+
+def _tested_matrices(monkeypatch, kernel, **kwargs):
+    """The certificate of nilpotent_positivity_check and the matrices its verdict tested."""
+    from ncrkhs import formal
+
+    seen = []
+    psd_verdict = formal.psd_verdict
+    monkeypatch.setattr(formal, "psd_verdict", lambda mats, tol: psd_verdict(seen.extend(mats) or seen, tol))
+    return nilpotent_positivity_check(kernel, **kwargs), seen
 
 
 @pytest.mark.parametrize("name", sorted(SHIFT_CASES))
-def test_shift_values_match_evaluation_at_the_shift(name):
+def test_shift_values_match_evaluation_at_the_shift(monkeypatch, name):
+    # the shift's value is K(T,T)(e_() e_()*) at the free shift compressed to the stored words' suffixes
     kernel = SHIFT_CASES[name]()
-    # the shift is built at the longest stored word, not at max_len
-    shift = truncated_shift_tuple(kernel.d, max(map(len, kernel.words), default=0))
-    values = _shift_values(kernel)
-    assert len(values) == len(SHIFT_SCALES)
-    for t, got in zip(SHIFT_SCALES, values):
-        z = shift.scaled(t)
-        want = kernel.evaluate(z, z, np.eye(z.n))
-        if name in EXACT:
-            assert np.array_equal(got, want), t
-        else:
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), t
+    cert, tested = _tested_matrices(monkeypatch, kernel, seed=2)
+    shift = cert.points[-1]
+    assert shift.n == len(_suffix_closure(kernel)) and shift.d == kernel.d
+    vacuum = np.zeros((shift.n, shift.n))
+    vacuum[0, 0] = 1.0
+    want = kernel.evaluate(shift, shift, vacuum)
+    # one nonzero product per entry, so evaluation through F(T) is exact
+    assert np.array_equal(tested[-1], want)
+    assert len(tested) == len(cert.points)
 
 
 @pytest.mark.parametrize("name, level", [("sparse", 2), ("empty", 0), ("max-len-0", 0), ("szego-d2", 3)])
 def test_the_witness_shift_is_built_at_the_longest_stored_word(name, level):
     kernel = SHIFT_CASES[name]()
     cert = nilpotent_positivity_check(kernel, seed=3)
-    size = len(words_up_to(kernel.d, level))
-    assert [z.n for z in cert.points[-len(SHIFT_SCALES):]] == [size] * len(SHIFT_SCALES)
+    shift = cert.points[-1]
+    assert shift.n == len(_suffix_closure(kernel)) and shift.order == level + 1
+    assert [z.n for z in cert.points[:-1]] == cert.sample_description["sizes"][:-1]
     # the moment matrix at max_len pads the one at the level with zeros, so the verdict is the moment route's
     assert cert.passed == is_formal_positive_truncated(kernel, kernel.max_len)[0]
 
@@ -295,6 +305,6 @@ def test_a_table_declaring_far_more_than_it_stores_is_checked_at_its_words():
     kernel = FormalKernel(2, 1, {((), ()): [[1.0]]}, 40)
     cert = nilpotent_positivity_check(kernel, seed=1)
     assert cert.passed
-    assert [z.n for z in cert.points[-len(SHIFT_SCALES):]] == [1] * len(SHIFT_SCALES)
+    assert cert.points[-1].n == 1
     bad = FormalKernel(2, 1, {((), ()): [[1.0]], ((1,), (1,)): [[-1.0]]}, 40)
     assert not nilpotent_positivity_check(bad, seed=1).passed

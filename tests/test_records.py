@@ -36,10 +36,10 @@ def test_tolerances_defaults_validation_and_equality():
     assert Tolerances() == DEFAULT_TOL and hash(Tolerances()) == hash(DEFAULT_TOL)
     assert Tolerances(psd_floor=1e-6) != DEFAULT_TOL
     assert repr(Tolerances()) == "Tolerances(eq_rel=1e-10, psd_floor=1e-09)"
-    for bad in (0.0, -1.0, float("nan")):
-        with pytest.raises(InputError, match="^tolerance eq_rel must be strictly positive$"):
+    for bad in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InputError, match="^tolerance eq_rel must be finite and strictly positive$"):
             Tolerances(eq_rel=bad)
-        with pytest.raises(InputError, match="^tolerance psd_floor must be strictly positive$"):
+        with pytest.raises(InputError, match="^tolerance psd_floor must be finite and strictly positive$"):
             Tolerances(1e-10, bad)
 
 

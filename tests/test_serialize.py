@@ -149,6 +149,9 @@ def test_non_integer_fields_and_letters_raise_input_error(value):
 def _reference_complex(entry, where):
     if not isinstance(entry, (list, tuple)) or len(entry) != 2:
         raise InputError(f"{where}: complex scalar must be a two-element [re, im] array")
+    for part in entry:
+        if isinstance(part, (str, bool)):
+            raise InputError(f"{where}: complex scalar part {json.dumps(part)} is not a number")
     try:
         return complex(float(entry[0]), float(entry[1]))
     except OverflowError as exc:
@@ -157,16 +160,40 @@ def _reference_complex(entry, where):
         raise InputError(f"{where}: non-numeric complex scalar") from exc
 
 
-def _reference_matrix(data, where="matrix"):
+def _booleans_read_as_numbers(coeffs, rows, cols):
+    """True when numpy reads the data of ``coeffs``, rows x cols matrices, as one finite numeric array.
+
+    A boolean among such numbers is read as 0 or 1, the one documented
+    exception to the refusal of booleans: the decoder reads a table as one
+    array and does not scan its types.
+    """
+    try:
+        if any((c["rows"], c["cols"]) != (rows, cols) or type(c["data"]) is not list for c in coeffs):
+            return False
+        pairs = np.array([c["data"] for c in coeffs])
+    except (KeyError, TypeError, ValueError, OverflowError):  # not a table of matrices
+        return False
+    return pairs.dtype.kind in "iuf" and pairs.shape == (len(coeffs), rows * cols, 2) and np.isfinite(pairs).all()
+
+
+def _unbooled(coeff):
+    """``coeff`` with each boolean part read as 0 or 1."""
+    return {**coeff, "data": [[int(x) if isinstance(x, bool) else x for x in e] for e in coeff["data"]]}
+
+
+def _reference_matrix(data, where="matrix", in_numeric_table=False):
     """One [re, im] pair at a time, then one finiteness check; rows, cols and length are valid here."""
+    if in_numeric_table or _booleans_read_as_numbers([data], data["rows"], data["cols"]):
+        data = _unbooled(data)
     values = [_reference_complex(e, where) for e in data["data"]]
     return as_cmatrix(np.array(values, dtype=np.complex128).reshape(data["rows"], data["cols"]))
 
 
 def _reference_series(data, where="series"):
     terms = {}
+    numeric = _booleans_read_as_numbers([item["coeff"] for item in data["terms"]], data["p"], data["q"])
     for i, item in enumerate(data["terms"]):
-        coeff = _reference_matrix(item["coeff"], f"{where}.terms[{i}].coeff")
+        coeff = _reference_matrix(item["coeff"], f"{where}.terms[{i}].coeff", numeric)
         terms[tuple(item["word"])] = as_cmatrix(coeff, data["p"], data["q"])
     return dict(sorted(terms.items(), key=lambda kv: word_key(kv[0])))
 
@@ -285,9 +312,24 @@ def _walk_series(data, where="series"):
 
 
 def _walk_moments(data, where="kernel"):
-    """Pair by pair, as every moment table was decoded before tables were batched."""
+    """Pair by pair, as every moment table was decoded before tables were batched.
+
+    A boolean among the numbers of a table that numpy reads as one finite
+    numeric array is read as 0 or 1 (:func:`_booleans_read_as_numbers`),
+    when the table is valid so read: the batched path takes it whole.
+    """
+    items = data["moments"]
+    if _booleans_read_as_numbers([item.get("coeff") for item in items], data["y_dim"], data["y_dim"]):
+        try:
+            return _walk_moment_items(data, [{**item, "coeff": _unbooled(item["coeff"])} for item in items], where)
+        except InputError:
+            pass
+    return _walk_moment_items(data, items, where)
+
+
+def _walk_moment_items(data, items, where):
     moments = {}
-    for i, item in enumerate(data["moments"]):
+    for i, item in enumerate(items):
         at = f"{where}.moments[{i}]"
         wa = decode_word(item.get("row_word"), data["d"], f"{at}.row_word")
         wb = decode_word(item.get("col_word"), data["d"], f"{at}.col_word")

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from ncrkhs import serialize
-from ncrkhs.core import DEFAULT_TOL, InputError, psd_factor, words_up_to
-from ncrkhs.formal import formal_kolmogorov_truncated, moment_matrix
+from ncrkhs.core import DEFAULT_TOL, InputError, psd_factor
+from ncrkhs.formal import formal_kolmogorov_truncated
 from ncrkhs.kernels import MomentKernel, moment_kernel_from_factor, szego_kernel
 from ncrkhs.sampling import complex_gaussian, rng_from_seed
 from ncrkhs.serialize import dumps_canonical
@@ -139,10 +139,13 @@ def test_a_non_finite_number_beside_zeros_raises_todays_error(bad, where, part):
 # ---------------------------------------------------------------------------
 
 def dict_built_factor(kernel: MomentKernel, max_len: int) -> NcSeries:
-    """``h`` as :func:`formal_kolmogorov_truncated` built it before: a dict of the nonzero row blocks, stacked again."""
-    words = words_up_to(kernel.d, max_len)
+    """``h`` as :func:`formal_kolmogorov_truncated` built it before: a dict of the nonzero row blocks, stacked again.
+
+    Both factor the moment matrix's block at the stored words of length <= max_len.
+    """
+    words = [w for w in kernel.words if len(w) <= max_len]
     y = kernel.y_dim
-    f = psd_factor(moment_matrix(kernel, max_len), DEFAULT_TOL)
+    f = psd_factor(kernel.middle[:len(words) * y, :len(words) * y], DEFAULT_TOL)
     rank = f.shape[1]
     terms = {w: h_w for w, h_w in zip(words, f.reshape(len(words), y, rank)) if h_w.any()}
     return NcSeries(kernel.d, y, max(rank, 1), terms if rank else {})

@@ -20,9 +20,10 @@ stdout differs it prints the field whose floats drift most, with their
 largest relative difference (each float measured against the largest
 magnitude in that top-level field) and absolute difference, then the
 largest relative difference over all keys.  Floats may drift; everything else
-must not, so it exits 1 and names the first mismatch if an exit code, a
-string (a status, an error text), a boolean, an integer (a rank, a size, a
-seed) or the shape of a payload differs.
+must not: it names every place where an exit code, a string (a status, an
+error text), a boolean, an integer (a rank, a size, a seed) or the shape of
+a payload (a field set, a list length, a type) differs, in every key, and
+then exits 1 if there was any.
 """
 
 import argparse
@@ -41,36 +42,40 @@ from ncrkhs.cli import main  # noqa: E402
 from workloads import WORKLOADS, build  # noqa: E402
 
 
-def numbers(a, b, where):
-    """(where, x, y) for each pair of floats at the same place in two JSON values.
+def compare(a, b, where, floats, shapes):
+    """Collect the pairs of floats at the same place in two JSON values, and every other difference.
 
-    Raises ValueError naming the first place where anything else differs.
+    ``floats`` gets (where, x, y) for each pair; ``shapes`` gets a line for
+    each place where anything else differs: a field set, a list length, a
+    type or a value that is not a float.  The common fields and entries of
+    such a place are compared on.
     """
     if isinstance(a, float) or isinstance(b, float):
-        if type(a) not in (int, float) or type(b) not in (int, float):
-            raise ValueError(f"{where}: {a!r} against {b!r}")
-        yield where, a, b
+        if type(a) in (int, float) and type(b) in (int, float):
+            floats.append((where, a, b))
+        else:
+            shapes.append(f"{where}: {a!r} against {b!r}")
     elif isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
-            raise ValueError(f"{where}: fields {sorted(a)} against {sorted(b)}")
-        for key in a:
-            yield from numbers(a[key], b[key], f"{where}.{key}")
+            shapes.append(f"{where}: fields {sorted(a)} against {sorted(b)}")
+        for key in [k for k in a if k in b]:
+            compare(a[key], b[key], f"{where}.{key}", floats, shapes)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            raise ValueError(f"{where}: {len(a)} entries against {len(b)}")
+            shapes.append(f"{where}: {len(a)} entries against {len(b)}")
         for i, (x, y) in enumerate(zip(a, b)):
-            yield from numbers(x, y, f"{where}[{i}]")
+            compare(x, y, f"{where}[{i}]", floats, shapes)
     elif type(a) is not type(b) or a != b:
-        raise ValueError(f"{where}: {a!r} against {b!r}")
+        shapes.append(f"{where}: {a!r} against {b!r}")
 
 
-def drift(a, b) -> tuple[float, float, str]:
-    """(relative, absolute difference, field) for the field of two payloads whose floats drift most.
+def drift(floats) -> tuple[float, float, str]:
+    """(relative, absolute difference, field) for the top-level field whose floats drift most.
 
     Each float is measured against the largest magnitude in its top-level field.
     """
     fields: dict[str, list[tuple[float, float]]] = {}
-    for where, x, y in numbers(a, b, ""):
+    for where, x, y in floats:
         fields.setdefault(where.split(".")[1].split("[")[0], []).append((x, y))
     worst = (0.0, 0.0, "")
     for field, pairs in fields.items():
@@ -105,26 +110,29 @@ if args.keep is not None:
 if args.rel is not None:
     with open(args.rel, encoding="utf-8") as fh:
         reference = json.load(fh)
-    if payloads.keys() != reference.keys():
-        print(f"job keys differ: {sorted(payloads.keys() ^ reference.keys())}")
-        sys.exit(1)
+    changed = False
+    for key in sorted(payloads.keys() ^ reference.keys()):
+        print(f"{key}: only in {'this checkout' if key in payloads else 'the kept payloads'}")
+        changed = True
     worst = 0.0
-    for key in sorted(payloads):
+    for key in sorted(payloads.keys() & reference.keys()):
         (code, text), (ref_code, ref_text) = payloads[key], reference[key]
         if code != ref_code:
             print(f"{key}: exit code {code} against {ref_code}")
-            sys.exit(1)
+            changed = True
         if text == ref_text:
             continue
-        try:
-            rel, gap, field = drift(json.loads(text), json.loads(ref_text))
-        except ValueError as err:
-            print(f"{key}{err}")
-            sys.exit(1)
+        floats, shapes = [], []
+        compare(json.loads(text), json.loads(ref_text), "", floats, shapes)
+        for line in shapes:
+            print(f"{key}{line}")
+        changed = changed or bool(shapes)
+        rel, gap, field = drift(floats)
         worst = max(worst, rel)
-        print(f"{key} {field}: relative {rel:.2e}, absolute {gap:.2e}")
+        if field or not shapes:
+            print(f"{key} {field}: relative {rel:.2e}, absolute {gap:.2e}")
     print(f"largest relative difference {worst:.2e}")
-    sys.exit(0)
+    sys.exit(1 if changed else 0)
 if args.against is None:
     print(json.dumps(digests, indent=1, sort_keys=True))
     sys.exit(0)
