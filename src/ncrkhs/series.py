@@ -26,6 +26,20 @@ of a :class:`WordIndicator` (a moment table's factor), writing each block of
 powers into its words' column blocks instead of summing one-hot coefficients;
 the factor S F' (:class:`Multiplied`) is the product of the two kept values.
 
+Where it pays, a series' words are split (:func:`_series_values`, after
+Paterson and Stockmeyer, *SIAM J. Comput.* 2, 1973): a word w longer than a
+suffix length s is u.v with |v| = s, so Z^w = Z^u Z^v.  The walk over the
+words of length <= s and the suffixes v keeps the powers Z^v; then one
+product forms G_u = sum_v Z^v (x) f_uv for a block of prefixes u, and one
+stacked product adds sum_u (Z^u (x) I_p) G_u, with the Z^u from a walk over
+the first deg f - s levels of the trie.  At d = 2, degree 8 and s = 5 that
+is 76 powers and 14 stacked products of p q powers' cost instead of 511
+powers.  s is chosen per support and point size by a cost model of
+multiply-adds and call overheads (:func:`_cheapest`); s = deg f is the walk
+itself, taken where the split does not pay, as at desk-scale certificate
+factors.  The split's tables, its kept powers and both walks' blocks share
+``_BLOCK_BYTES``.
+
 The same walk applies f(Z) to a block ``X (x) I_q`` without forming a
 power, at O(r n^2) per trie node instead of O(n^3) (:func:`_series_action`):
 each node holds a row block ``Y Z^w``, Y = I for values, and the rows
@@ -61,6 +75,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
+from itertools import accumulate, islice
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -149,6 +164,11 @@ class NcSeries(Record):
         """The truncations made for nilpotent points, by nilpotency order."""
         return {}
 
+    @cached_property
+    def _splits(self) -> dict:
+        """The splits of the value built (:class:`_Split`) by suffix length s, and the s chosen by (n, bytes)."""
+        return {}
+
     def coefficient(self, w) -> np.ndarray:
         word = validate_word(w, self.d)
         c = self.terms.get(word)
@@ -233,11 +253,36 @@ def evaluate(f: NcSeries, z: MatrixTuple) -> np.ndarray:
 
 
 def _series_values(f: NcSeries, coords: np.ndarray) -> np.ndarray:
-    """sum_w Z^w (x) f_w at each point of ``coords`` (B x d x n x n), as a B x (n p) x (n q) array."""
+    """sum_w Z^w (x) f_w at each point of ``coords`` (B x d x n x n), as a B x (n p) x (n q) array.
+
+    Split at the suffix length s chosen for n (:func:`_split`): the short walk
+    sums the words of length <= s and keeps the suffixes' powers Z^v, then
+    each block of prefixes u adds sum_u (Z^u (x) I_p) G_u, G_u = sum_v Z^v (x)
+    f_uv.  At s = deg f this is the walk alone.
+    """
     b, n, p, q = len(coords), coords.shape[-1], f.out_dim, f.in_dim
-    # acc[point, (a, b), (s, t)] = sum_w Z^w[a, b] f_w[s, t]
-    acc = _summed(_power_blocks(f._plan, coords), f._coeffs.reshape(len(f.terms), p * q), b, n * n)
+    split = _split(f, n)
+    kept = np.empty((b, split.width, n, n), dtype=np.complex128)
+    # acc[point, (a, b), (s, t)] = sum_{|w| <= s} Z^w[a, b] f_w[s, t]
+    acc = _summed(_keep(_power_blocks(split.short, coords), kept, len(split.coeffs) - split.width),
+                  split.coeffs, b, n * n)
+    if split.prefixes is not None:
+        suffixes = kept.reshape(b, split.width, n * n).transpose(0, 2, 1)
+        acc = acc.reshape(b, n, n * p * q)
+        for i, j, heads in _power_blocks(split.prefixes, coords):
+            # G[point, (u, c), (b, s, t)] = sum_v Z^v[c, b] f_uv[s, t]
+            g = np.matmul(suffixes, split.mix[:, i * p * q:j * p * q])
+            g = g.reshape(b, n * n, j - i, p * q).transpose(0, 2, 1, 3).reshape(b, (j - i) * n, n * p * q)
+            acc += np.matmul(heads.transpose(0, 2, 1, 3).reshape(b, n, (j - i) * n), g)
     return acc.reshape(b, n, n, p, q).transpose(0, 1, 3, 2, 4).reshape(b, n * p, n * q)
+
+
+def _keep(blocks, kept: np.ndarray, first: int):
+    """The walk's blocks, passed on once the powers of its words first, first + 1, ... are copied into ``kept``."""
+    for i, j, powers in blocks:
+        if i >= first:
+            kept[:, i - first:j - first] = powers
+        yield i, j, powers
 
 
 def _series_action(f: NcSeries, coords: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -310,6 +355,10 @@ class _Plan:
                 self.parent.append([bisect_left(level, w[:-1]) for w in below])
                 self.letter.append([w[-1] - 1 for w in below])
 
+    # What an evaluation holds beside the walk's nodes: bytes, powers per
+    # point, and the bytes held per node walked, in nodes (:class:`_Split`).
+    beside = (0, 0, 1)
+
     def caps(self, share: int) -> list[int]:
         """The most nodes of each level in one block, ``share`` nodes over all levels."""
         d, width = self.d, self.width
@@ -321,16 +370,37 @@ class _Plan:
                 caps[k] -= caps[k] % d  # whole families
         return caps
 
+    def head(self, depth: int, rows: list | None = None) -> "_Plan":
+        """The trie's levels 0 to ``depth`` as a plan whose words are the nodes ``rows``, by default this plan's."""
+        head = object.__new__(type(self))
+        head.d, head.depth, head.width = self.d, depth, self.width[:depth + 1]
+        head.rows = self.rows[:depth + 1] if rows is None else rows
+        head.size = sum(head.width)
+        head.start = list(accumulate((m if r is None else len(r) for m, r in zip(head.width, head.rows)), initial=0))
+        head.parent, head.letter = self.parent[:depth], self.letter[:depth]
+        return head
+
+    def codes(self) -> list[np.ndarray]:
+        """Each level's nodes as integers: their 0-based letters as digits base d, the first letter leading."""
+        d, codes = self.d, [np.zeros(1, dtype=np.int64)]
+        for k in range(self.depth):
+            if self.width[k + 1] == d ** (k + 1):  # every word of the length
+                codes.append(np.arange(self.width[k + 1], dtype=np.int64))
+            else:
+                codes.append(codes[k][self.parent[k]] * d + np.array(self.letter[k]))
+        return codes
+
 
 # Bytes of trie nodes (r x n row blocks) that the walk holds per point,
 # whatever the degree, or one n x n matrix where that is more.  Level k is
 # taken in blocks of at most caps[k] nodes, the level widths scaled to this in
 # total, and the walk holds at most one block per level: within this, plus
 # one node on each level whose share is below one node, and a gathered copy
-# of at most one block at a time.  The caps depend on n and r alone, so a
-# point's blocks, and the order in which its value is summed, are the same
-# whatever batch it is walked in; a batch holds as many points as fit in
-# these bytes together (:func:`_values`).
+# of at most one block at a time.  A split's two walks share what its tables
+# and kept powers leave of these bytes (:attr:`_Plan.beside`).  The caps
+# depend on n, r and the plan alone, so a point's blocks, and the order in
+# which its value is summed, are the same whatever batch it is walked in; a
+# batch holds as many points as fit in these bytes together (:func:`_values`).
 _BLOCK_BYTES = 1 << 20
 
 
@@ -357,7 +427,9 @@ def _power_blocks(plan: _Plan, coords: np.ndarray, start: np.ndarray | None = No
     b, n = len(coords), coords.shape[-1]
     depth, parent, rows, start_at = plan.depth, plan.parent, plan.rows, plan.start
     nodes = (np.eye(n, dtype=np.complex128)[None].repeat(b, axis=0) if start is None else start)[:, None]
-    caps = plan.caps(max(_BLOCK_BYTES, 16 * n * n) // (16 * max(nodes.shape[2] * n, 1)))
+    fixed, kept, weight = plan.beside  # what the evaluation holds beside the walk
+    share = ((max(_BLOCK_BYTES, 16 * n * n) - fixed) // (16 * max(nodes.shape[2] * n, 1)) - kept) // weight
+    caps = plan.caps(max(share, 1))
     # the blocks whose children are not all formed, one per level at most:
     # [level, nodes, first node, next child, last child + 1]
     held: list[list] = []
@@ -409,6 +481,122 @@ def _children(plan: _Plan, k: int, nodes: np.ndarray, lo: int, c0: int, c1: int,
     return np.matmul(nodes.take([parent[c] - lo for c in range(c0, c1)], axis=1), coords.take(letter[c0:c1], axis=1))
 
 
+class _Split:
+    """f's words split at suffix length s, w = u.v with |v| = s where |w| > s: the plans and tables of its value.
+
+    ``short`` is the plan of the words of length <= s and the suffixes v, in
+    graded order; ``coeffs`` holds f_w on its rows of support words and
+    zeros on the others, and its last level, ``width`` words, holds the
+    suffixes.  The prefixes u are the nodes of levels 1 to deg f - s of f's
+    plan (``prefixes``), and ``mix[v, u]`` = f_uv, zero where uv is not in
+    the support.  Each word's u and v come from the level codes of f's plan
+    (:meth:`_Plan.codes`): v is a longer word's code mod d^s, u the node of
+    its code div d^s.  At s = deg f there is no longer word: ``short`` is
+    f's plan, ``coeffs`` f's coefficients, and the value is the walk's.
+
+    ``size`` is the powers held per point when nothing is blocked; the two
+    walks' blocks share the bytes left beside the tables and the suffixes'
+    powers, the prefixes' walk per node with that node's G_u and stacked
+    copy (:attr:`_Plan.beside`).
+    """
+
+    def __init__(self, f: NcSeries, s: int):
+        plan, d = f._plan, f.d
+        coeffs = f._coeffs.reshape(len(f.terms), f.out_dim * f.in_dim)
+        if s >= plan.depth:
+            self.short, self.coeffs, self.width, self.prefixes, self.size = plan, coeffs, 0, None, plan.size
+            return
+        codes, base = plan.codes(), d ** s
+        at = [c if rows is None else c[rows] for c, rows in zip(codes, plan.rows)]  # support words by length
+        longer = range(s + 1, plan.depth + 1)
+        level = _distinct(np.concatenate([at[s]] + [_distinct(at[k] % base) for k in longer]))
+        prefixes = plan.head(plan.depth - s, [[]] + [None] * (plan.depth - s))
+        top, end = plan.start[s], plan.start[s + 1]
+        if plan.rows[s] is None and len(level) == plan.width[s]:
+            # the suffixes are f's own words of length s: the short words are f's plan to depth s
+            self.short, self.coeffs = plan.head(s), coeffs[:end]
+        else:
+            self.coeffs = np.zeros((top + len(level), coeffs.shape[1]), dtype=np.complex128)
+            self.coeffs[:top] = coeffs[:top]
+            self.coeffs[top + np.searchsorted(level, at[s])] = coeffs[top:end]
+            digits = level[:, None] // d ** np.arange(s - 1, -1, -1) % d + 1
+            self.short = _Plan(d, list(islice(f.terms, top)) + list(map(tuple, digits.tolist())))
+        self.mix = np.zeros((len(level), prefixes.size - 1, coeffs.shape[1]), dtype=np.complex128)
+        for k in longer:  # a level at a time, to hold one level's indices
+            heads = np.searchsorted(codes[k - s], at[k] // base) + prefixes.start[k - s]
+            self.mix[np.searchsorted(level, at[k] % base), heads] = coeffs[plan.start[k]:plan.start[k] + len(at[k])]
+        self.mix = self.mix.reshape(len(level), -1)
+        self.width, self.prefixes = len(level), prefixes
+        held = self.coeffs.nbytes + self.mix.nbytes
+        # a prefix node is held with its G_u, G_u's reordered copy and its stacked copy
+        weight = 2 * coeffs.shape[1] + 2
+        self.short.beside, prefixes.beside = (held, self.width, 1), (held, self.width, weight)
+        self.size = self.short.size + self.width + weight * (prefixes.size - 1)
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of ``codes`` (all >= 0), sorted."""
+    codes = np.sort(codes)
+    return codes[np.diff(codes, prepend=-1) != 0]
+
+
+def _split(f: NcSeries, n: int) -> _Split:
+    """The split of f's value at points of size n: s by :func:`_cheapest`, each split built once."""
+    key = (n, _BLOCK_BYTES)
+    s = f._splits.get(key)
+    if s is None:
+        s = f._splits[key] = _cheapest(f, n)
+    if s not in f._splits:
+        f._splits[s] = _Split(f, s)
+    return f._splits[s]
+
+
+# The cost model's overheads in multiply-adds, fitted to timings of both
+# routes at d <= 3, degree <= 8, n = 2 to 32 on one core, which does about
+# 3.3 multiply-adds per ns: each node of a batched product costs n^3 +
+# _NODE_MACS (0.3 us), each level of prefixes _LEVEL_MACS (10 us) more than
+# a level of the walk for its three more calls, and a split _SPLIT_MACS
+# (40 us) for its build, charged to every evaluation, and its second walk.
+_NODE_MACS = 1 << 10
+_LEVEL_MACS = 1 << 15
+_SPLIT_MACS = 1 << 17
+
+# Bytes per node of f's plan that building a split holds beside its tables:
+# the level codes and one level's indices (measured: 21-31).
+_INDEX_BYTES = 32
+
+
+def _cheapest(f: NcSeries, n: int) -> int:
+    """The suffix length s whose split costs the fewest multiply-adds at size n, deg f for the walk.
+
+    The walk forms every node of f's plan and sums every word, n^2 p q
+    each.  A split at s < deg f forms at most min(d^k, words of length >= k)
+    short nodes on each level k <= s and the prefix nodes, adds n^3 p q per
+    prefix for sum_u (Z^u (x) I_p) G_u, and n^2 p q per short row and per
+    entry of ``mix`` for the G_u.  It is taken only where its tables and
+    suffix powers leave room within ``_BLOCK_BYTES`` for a block of one
+    prefix.
+    """
+    plan, d, pq, depth = f._plan, f.d, f.out_dim * f.in_dim, f._plan.depth
+    unit, node = 16 * n * n, n ** 3 + _NODE_MACS
+    best, cost = depth, node * (plan.size - 1) + n * n * pq * len(f.terms)
+    if n < 2 or d ** depth >= 1 << 62:  # 1 x 1 products cost about a third of _NODE_MACS
+        return best
+    longer = list(accumulate(reversed([m if rows is None else len(rows) for m, rows in zip(plan.width, plan.rows)])))
+    longer.reverse()  # longer[k]: the words of length >= k
+    short = 0
+    for s in range(1, depth):
+        level, heads = min(d ** s, longer[s]), sum(plan.width[1:depth - s + 1])
+        short += level
+        rows = plan.start[s] + level + level * heads
+        room = (max(_BLOCK_BYTES, unit) - 16 * pq * rows) // unit - level
+        here = (node * (short + heads) + n ** 3 * pq * heads + n * n * pq * rows
+                + _LEVEL_MACS * (depth - s) + _SPLIT_MACS)
+        if room >= 2 * pq + 2 and 16 * pq * rows + _INDEX_BYTES * plan.size <= _BLOCK_BYTES and here < cost:
+            best, cost = s, here
+    return best
+
+
 class WordIndicator(Record):
     """The series sum_a z^a (e_a^T (x) I_y) over distinct ``words``.
 
@@ -453,14 +641,16 @@ def factor_values(f: NcSeries | WordIndicator | Multiplied, points: Sequence[Mat
 
 
 def _values(f: NcSeries | WordIndicator | Multiplied, points: Sequence[MatrixTuple]) -> list[np.ndarray]:
-    """f at each point: one walk per batch of points of one size stacked on a batch axis; S F' from kept values."""
+    """f at each point: one (split) walk per batch of points of one size on a batch axis; S F' from kept values."""
     if isinstance(f, Multiplied):
         return [s @ g for s, g in zip(factor_values(f.s, points), factor_values(f.f, points))]
     walk = _series_values if isinstance(f, NcSeries) else _word_blocks
     out: list = [None] * len(points)
     for (_, n, _), members in _by_size(points).items():
-        # as many points as hold the whole trie's powers within _BLOCK_BYTES
-        batch = max(1, _BLOCK_BYTES // (16 * max(n * n, 1) * max(f._plan.size, 1)))
+        # as many points as hold the powers of the whole trie, or of the split, within _BLOCK_BYTES
+        split = _split(f, n) if isinstance(f, NcSeries) else None
+        held, size = (split.short.beside[0], split.size) if split else (0, f._plan.size)
+        batch = max(1, (_BLOCK_BYTES - held) // (16 * max(n * n, 1) * max(size, 1)))
         for lo in range(0, len(members), batch):
             chunk = members[lo:lo + batch]
             for i, value in zip(chunk, walk(f, np.array([points[i].stacked for i in chunk]))):
@@ -645,6 +835,8 @@ def _truncated_at(f: NcSeries, z: MatrixTuple, tol: Tolerances) -> NcSeries:
     At a strictly triangular z the flag walk runs only where the superdiagonal
     chain bound does not clear 2 eq_rel, a rounding margin :func:`_chain_clears` derives.
     """
+    if z.d != f.d:
+        raise DimMismatch(f"series over {f.d} variables evaluated at a {z.d}-tuple")
     if isinstance(z, _TruncatedShift) and tol.eq_rel < 1:
         order = z.order
     elif z.strictly_triangular:
@@ -817,10 +1009,7 @@ def functional_evaluator(f: NcSeries, tol: Tolerances = DEFAULT_TOL) -> Callable
         return evaluate_on_nilpotent(f, z, tol)
 
     def action(z: MatrixTuple, x) -> np.ndarray:
-        g = _truncated_at(f, z, tol)
-        if z.d != f.d:
-            raise DimMismatch(f"series over {f.d} variables evaluated at a {z.d}-tuple")
-        return _series_action(g, z.stacked[None], as_cmatrix(x, z.n)[None])[0]
+        return _series_action(_truncated_at(f, z, tol), z.stacked[None], as_cmatrix(x, z.n)[None])[0]
 
     ev.action = action
     return ev

@@ -73,6 +73,25 @@ def test_nilp_eval_and_extract(tmp_path, capsys):
     assert [1] in words
 
 
+@pytest.mark.parametrize("point", [
+    pytest.param(MatrixTuple((np.array([[0.5]]),) * 3), id="1x1-not-nilpotent"),
+    pytest.param(MatrixTuple(tuple(np.triu(np.full((4, 4), 0.5 + j), 1) for j in range(3))), id="4x4-nilpotent"),
+])
+@pytest.mark.parametrize("command", ["eval", "nilp-eval"])
+def test_a_point_over_other_variables_is_refused_before_any_nilpotency_test(tmp_path, capsys, monkeypatch,
+                                                                            command, point):
+    from ncrkhs import series
+    walks = []
+    monkeypatch.setattr(series, "_flag_orders", lambda *args: walks.append(args))
+    monkeypatch.setattr(series, "_chain_clears", lambda *args: walks.append(args))
+    f = NcSeries(2, 1, 1, {(): [[1.0]], (1, 2): [[2.0]]})
+    argv = [command, "--series", write(tmp_path, "f.json", encode_series(f)),
+            "--point", write(tmp_path, "z.json", encode_tuple(point))]
+    code, payload = run(capsys, argv)
+    assert code == 2 and payload == {"status": "input_error", "error": "series over 2 variables evaluated at a 3-tuple"}
+    assert walks == []
+
+
 def test_extract_keeps_a_coefficient_whose_norm_underflows(tmp_path, capsys):
     f = NcSeries(1, 1, 1, {(): [[1.0]], (1,): [[1e-170]], (1, 1): [[0.5]]})
     series_path = write(tmp_path, "f.json", encode_series(f))

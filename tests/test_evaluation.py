@@ -13,12 +13,13 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncrkhs import kernels, series
-from ncrkhs.core import EMPTY_WORD, MatrixTuple, kron, word_eval, words_up_to
+from ncrkhs.core import EMPTY_WORD, MatrixTuple, direct_sum, direct_sum_matrices, kron, word_eval, words_up_to
 from ncrkhs.kernels import AlgebraSpec, KolmogorovKernel, cp_certificate, kolmogorov_at_sample, szego_kernel
 from ncrkhs.multipliers import contractive_containment
-from ncrkhs.sampling import complex_gaussian, rng_from_seed
+from ncrkhs.sampling import complex_gaussian, random_similarity, rng_from_seed
 from ncrkhs.series import (
     NcSeries,
     WordIndicator,
@@ -436,3 +437,163 @@ def test_difference_kernel_computes_each_factor_once_per_point(monkeypatch):
     assert cert.passed
     assert len(misses) == 2 * 5
 
+
+
+# ---------------------------------------------------------------------------
+# the split w = u.v at suffix length s (Paterson-Stockmeyer)
+# ---------------------------------------------------------------------------
+
+def walked(f: NcSeries, z: MatrixTuple) -> np.ndarray:
+    """A copy of the value before the split: the walk over f's whole plan, each power summed against f_w."""
+    n, p, q = z.n, f.out_dim, f.in_dim
+    blocks = series._power_blocks(series._Plan(f.d, list(f.terms)), z.stacked[None])
+    acc = series._summed(blocks, f._coeffs.reshape(len(f.terms), p * q), 1, n * n)
+    return acc.reshape(n, n, p, q).transpose(0, 2, 1, 3).reshape(n * p, n * q)
+
+
+def split_value(f: NcSeries, z: MatrixTuple, s: int) -> np.ndarray:
+    """f's value at z split at suffix length s, whatever the cost model would choose."""
+    key = (z.n, series._BLOCK_BYTES)
+    f._splits[key] = s
+    try:
+        return series._series_values(f, z.stacked[None])[0]
+    finally:
+        del f._splits[key]
+
+
+def graded(d: int, low: int, high: int) -> list:
+    """Every word of length low..high over d letters, in graded order."""
+    return [w for k in range(low, high + 1) for w in product(range(1, d + 1), repeat=k)]
+
+
+# (d, p, q, support): full, sparse and monomial supports, supports without
+# short words, and p != q
+SPLIT_CASES = {
+    "d = 1 full degree 8": (1, 2, 1, graded(1, 0, 8)),
+    "d = 1 long words only": (1, 1, 3, graded(1, 5, 9)),
+    "d = 2 full degree 6": (2, 2, 2, graded(2, 0, 6)),
+    "d = 2 sparse": (2, 2, 3, [(), (2,), (1, 2, 1), (2, 2, 1, 1, 2), (1, 1, 1, 1, 2, 2), (2, 1, 2, 1, 2, 1, 1)]),
+    "d = 2 monomial": (2, 1, 1, [(2, 1, 1, 2, 1, 2, 2, 1)]),
+    "d = 2 long words only": (2, 1, 2, graded(2, 4, 6)),
+    "d = 3 full degree 4": (3, 3, 2, graded(3, 0, 4)),
+    "d = 3 sparse": (3, 1, 2, [(3,), (1, 3), (2, 2, 3, 1), (3, 1, 2, 2, 1), (1, 1, 3), (3, 3, 3, 3, 3)]),
+    "d = 3 long words only": (3, 2, 1, graded(3, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_every_split_matches_the_definition_and_the_walk(case, n):
+    d, p, q, words = SPLIT_CASES[case]
+    rng = rng_from_seed([41, n, sorted(SPLIT_CASES).index(case)])
+    f = series_on(rng, d, p, q, words)
+    z = random_point(rng, d, n)
+    want, walk = naive(f, z), walked(f, z)
+    assert close(walk, want)
+    for s in range(1, f.degree + 1):
+        got = split_value(f, z, s)
+        assert got.shape == (n * p, n * q)
+        assert close(got, want) and close(got, walk), s
+    assert same_bits(split_value(f, z, f.degree), walk)  # s = deg f is the walk
+    assert close(evaluate(f, z), want)
+
+
+# the cost model at the sizes the benchmark runs: degree-8 values at n = 8
+# and 32 split, desk-scale certificate factors (degree <= 5, n <= 4) walk
+@pytest.mark.parametrize("d, degree, p, q, n, splits", [
+    (2, 8, 2, 2, 32, True), (2, 8, 2, 2, 8, True), (3, 8, 1, 1, 32, True), (2, 6, 2, 2, 16, True),
+    (2, 4, 1, 2, 4, False), (2, 5, 1, 3, 4, False), (2, 3, 1, 1, 32, False), (1, 8, 2, 2, 32, False),
+    (2, 8, 2, 2, 2, True), (2, 8, 2, 2, 1, False), (2, 8, 2, 2, 0, False),
+])
+def test_the_cost_model_splits_where_it_saves_products(d, degree, p, q, n, splits):
+    f = series_on(rng_from_seed(42), d, p, q, graded(d, 0, degree))
+    s = series._cheapest(f, n)
+    assert (s < degree) == splits
+    assert 1 <= s <= degree
+
+
+def test_split_values_are_bitwise_the_same_alone_and_in_a_batch():
+    rng = rng_from_seed(43)
+    f = series_on(rng, 2, 2, 3, graded(2, 0, 7))
+    points = [random_point(rng, 2, n) for n in (16, 24, 16, 24, 16, 8)]
+    values = factor_values(f, points)
+    assert all(series._split(f, n).prefixes is not None for n in (8, 16, 24))
+    for z, value in zip(points, values):
+        assert same_bits(value, evaluate(f, MatrixTuple(z.coords)))
+        assert close(value, naive(f, z))
+
+
+def test_each_split_is_built_once_per_series_and_suffix_length(monkeypatch):
+    built = []
+    split = series._Split
+
+    def counted(f, s):
+        built.append((id(f), s))
+        return split(f, s)
+
+    monkeypatch.setattr(series, "_Split", counted)
+    rng = rng_from_seed(44)
+    f, g = (series_on(rng, 2, 2, 2, graded(2, 0, 8)) for _ in range(2))
+    sizes = (32, 8, 32, 1, 16, 8, 1)
+    for n in sizes:
+        for h in (f, g):
+            evaluate(h, random_point(rng, 2, n))
+    want = list(dict.fromkeys(series._cheapest(f, n) for n in sizes))
+    assert len(want) > 1  # the walk and a split
+    assert built == [(id(h), s) for s in want for h in (f, g)]
+
+
+@pytest.mark.parametrize("n, bound, splits", [(32, 1 << 20, True), (32, 1 << 19, True), (16, 1 << 18, False)])
+def test_split_powers_held_stay_within_the_block_bytes(monkeypatch, n, bound, splits):
+    # d = 3, degree 8: 9,841 terms; the walk would form 9,841 powers.  At the
+    # smallest bound the split's tables and build indices leave no room.
+    monkeypatch.setattr(series, "_BLOCK_BYTES", bound)
+    rng = rng_from_seed(45)
+    f = series_on(rng, 3, 1, 1, graded(3, 0, 8))
+    evaluate(f, random_point(rng, 3, 1))  # builds f's plan
+    z = random_point(rng, 3, n)
+    z.stacked  # noqa: B018 - the point's stacked coordinates, built outside the trace
+    tracemalloc.start()
+    try:
+        value = evaluate(f, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (series._split(f, n).prefixes is not None) == splits
+    # beside the bound: the value, its accumulator and one product's
+    # temporary, and the batch's copy of the point
+    assert peak <= bound + 3 * value.nbytes + z.stacked.nbytes
+    assert close(value, walked(f, z))
+
+
+def random_words(rng, d: int, degree: int) -> list:
+    """Up to 40 distinct random words of length <= degree."""
+    lengths = rng.integers(0, degree + 1, size=int(rng.integers(1, 41)))
+    return list(dict.fromkeys(tuple(int(a) for a in rng.integers(1, d + 1, size=k)) for k in lengths))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 3), degree=st.integers(0, 8), full=st.booleans(),
+       n=st.integers(1, 16), m=st.integers(1, 16), p=st.integers(1, 2), q=st.integers(1, 3), data=st.data())
+def test_values_respect_direct_sums_and_similarities(seed, d, degree, full, n, m, p, q, data):
+    # F(Z (+) W) = F(Z) (+) F(W) and F(S Z S^-1) = (S (x) I_p) F(Z) (S^-1 (x) I_q), at the chosen
+    # split and forced to the walk and to a split: both sides of the crossover, at sizes up to 32.
+    # A wrong split is still an nc polynomial, so the routes are also held to each other.
+    rng = rng_from_seed(seed)
+    f = series_on(rng, d, p, q, graded(d, 0, degree) if full and d ** degree <= 512 else random_words(rng, d, degree))
+    s = data.draw(st.integers(1, max(f.degree, 1)), label="s")
+    routes = [lambda x: evaluate(f, x)]
+    if f.degree >= 1:
+        routes += [lambda x: split_value(f, x, f.degree), lambda x: split_value(f, x, s)]
+    z, w = random_point(rng, d, n), random_point(rng, d, m)
+    zw = direct_sum([z, w])
+    sim = random_similarity(rng, n + m)
+    inv = np.linalg.inv(sim)
+    zt = MatrixTuple(tuple(sim @ c @ inv for c in zw.coords))
+    bound = 1e-12 * np.linalg.cond(sim) ** 2
+    for value in routes:
+        whole = value(zw)
+        assert close(whole, routes[-1](zw))  # the routes agree
+        assert np.linalg.norm(whole - direct_sum_matrices([value(z), value(w)])) <= REL * np.linalg.norm(whole)
+        moved = kron(sim, np.eye(p)) @ whole @ kron(inv, np.eye(q))
+        assert np.linalg.norm(value(zt) - moved) <= bound * max(np.linalg.norm(moved), 1e-300)
