@@ -166,7 +166,7 @@ class NcSeries(Record):
 
     @cached_property
     def _splits(self) -> dict:
-        """The splits of the value built (:class:`_Split`) by suffix length s, and the s chosen by (n, bytes)."""
+        """The splits of the value built (:class:`_Split`), by suffix length s and by the (n, bytes) that chose them."""
         return {}
 
     def coefficient(self, w) -> np.ndarray:
@@ -262,10 +262,12 @@ def _series_values(f: NcSeries, coords: np.ndarray) -> np.ndarray:
     """
     b, n, p, q = len(coords), coords.shape[-1], f.out_dim, f.in_dim
     split = _split(f, n)
-    kept = np.empty((b, split.width, n, n), dtype=np.complex128)
+    blocks = _power_blocks(split.short, coords)
+    if split.prefixes is not None:
+        kept = np.empty((b, split.width, n, n), dtype=np.complex128)
+        blocks = _keep(blocks, kept, len(split.coeffs) - split.width)
     # acc[point, (a, b), (s, t)] = sum_{|w| <= s} Z^w[a, b] f_w[s, t]
-    acc = _summed(_keep(_power_blocks(split.short, coords), kept, len(split.coeffs) - split.width),
-                  split.coeffs, b, n * n)
+    acc = _summed(blocks, split.coeffs, b, n * n)
     if split.prefixes is not None:
         suffixes = kept.reshape(b, split.width, n * n).transpose(0, 2, 1)
         acc = acc.reshape(b, n, n * p * q)
@@ -543,12 +545,13 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
 def _split(f: NcSeries, n: int) -> _Split:
     """The split of f's value at points of size n: s by :func:`_cheapest`, each split built once."""
     key = (n, _BLOCK_BYTES)
-    s = f._splits.get(key)
-    if s is None:
-        s = f._splits[key] = _cheapest(f, n)
-    if s not in f._splits:
-        f._splits[s] = _Split(f, s)
-    return f._splits[s]
+    split = f._splits.get(key)
+    if split is None:
+        s = _cheapest(f, n)
+        if s not in f._splits:
+            f._splits[s] = _Split(f, s)
+        split = f._splits[key] = f._splits[s]
+    return split
 
 
 # The cost model's overheads in multiply-adds, fitted to timings of both
@@ -580,7 +583,7 @@ def _cheapest(f: NcSeries, n: int) -> int:
     plan, d, pq, depth = f._plan, f.d, f.out_dim * f.in_dim, f._plan.depth
     unit, node = 16 * n * n, n ** 3 + _NODE_MACS
     best, cost = depth, node * (plan.size - 1) + n * n * pq * len(f.terms)
-    if n < 2 or d ** depth >= 1 << 62:  # 1 x 1 products cost about a third of _NODE_MACS
+    if n < 2 or cost <= _SPLIT_MACS or d ** depth >= 1 << 62:  # 1 x 1 products cost about a third of _NODE_MACS
         return best
     longer = list(accumulate(reversed([m if rows is None else len(rows) for m, rows in zip(plan.width, plan.rows)])))
     longer.reverse()  # longer[k]: the words of length >= k

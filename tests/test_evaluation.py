@@ -454,7 +454,7 @@ def walked(f: NcSeries, z: MatrixTuple) -> np.ndarray:
 def split_value(f: NcSeries, z: MatrixTuple, s: int) -> np.ndarray:
     """f's value at z split at suffix length s, whatever the cost model would choose."""
     key = (z.n, series._BLOCK_BYTES)
-    f._splits[key] = s
+    f._splits[key] = series._Split(f, s)
     try:
         return series._series_values(f, z.stacked[None])[0]
     finally:
