@@ -511,7 +511,10 @@ class _Split:
         codes, base = plan.codes(), d ** s
         at = [c if rows is None else c[rows] for c, rows in zip(codes, plan.rows)]  # support words by length
         longer = range(s + 1, plan.depth + 1)
-        level = _distinct(np.concatenate([at[s]] + [_distinct(at[k] % base) for k in longer]))
+        seen = np.zeros(base, dtype=bool)  # the suffixes and words of length s, by code
+        for k in range(s, plan.depth + 1):
+            seen[at[k] % base] = True
+        level = np.flatnonzero(seen)
         prefixes = plan.head(plan.depth - s, [[]] + [None] * (plan.depth - s))
         top, end = plan.start[s], plan.start[s + 1]
         if plan.rows[s] is None and len(level) == plan.width[s]:
@@ -536,12 +539,6 @@ class _Split:
         self.size = self.short.size + self.width + weight * (prefixes.size - 1)
 
 
-def _distinct(codes: np.ndarray) -> np.ndarray:
-    """The distinct values of ``codes`` (all >= 0), sorted."""
-    codes = np.sort(codes)
-    return codes[np.diff(codes, prepend=-1) != 0]
-
-
 def _split(f: NcSeries, n: int) -> _Split:
     """The split of f's value at points of size n: s by :func:`_cheapest`, each split built once."""
     key = (n, _BLOCK_BYTES)
@@ -557,12 +554,14 @@ def _split(f: NcSeries, n: int) -> _Split:
 # The cost model's overheads in multiply-adds, fitted to timings of both
 # routes at d <= 3, degree <= 8, n = 2 to 32 on one core, which does about
 # 3.3 multiply-adds per ns: each node of a batched product costs n^3 +
-# _NODE_MACS (0.3 us), each level of prefixes _LEVEL_MACS (10 us) more than
-# a level of the walk for its three more calls, and a split _SPLIT_MACS
-# (40 us) for its build, charged to every evaluation, and its second walk.
+# _NODE_MACS (0.3 us), and each level of prefixes _LEVEL_MACS (10 us) more
+# than a level of the walk for its three more calls.  A split costs
+# _SPLIT_MACS (240 us) more, charged to every evaluation since a series is
+# often evaluated at one size once: its build and this model took 160 us
+# for 511 terms inside the CLI's eval (80 us alone), and its second walk.
 _NODE_MACS = 1 << 10
 _LEVEL_MACS = 1 << 15
-_SPLIT_MACS = 1 << 17
+_SPLIT_MACS = 3 << 18
 
 # Bytes per node of f's plan that building a split holds beside its tables:
 # the level codes and one level's indices (measured: 21-31).
@@ -578,12 +577,16 @@ def _cheapest(f: NcSeries, n: int) -> int:
     prefix for sum_u (Z^u (x) I_p) G_u, and n^2 p q per short row and per
     entry of ``mix`` for the G_u.  It is taken only where its tables and
     suffix powers leave room within ``_BLOCK_BYTES`` for a block of one
-    prefix.
+    prefix, and its build's indices fit there too.  At n = 1, where a node
+    costs about a third of _NODE_MACS, where the walk's nodes beyond one per
+    level cost less than a split's overheads, and where codes would pass
+    int64, the walk is taken without a look at the splits.
     """
     plan, d, pq, depth = f._plan, f.d, f.out_dim * f.in_dim, f._plan.depth
     unit, node = 16 * n * n, n ** 3 + _NODE_MACS
     best, cost = depth, node * (plan.size - 1) + n * n * pq * len(f.terms)
-    if n < 2 or cost <= _SPLIT_MACS or d ** depth >= 1 << 62:  # 1 x 1 products cost about a third of _NODE_MACS
+    # a split forms a node per level at least, sums every word and has a level of prefixes
+    if n < 2 or node * (plan.size - 1 - depth) <= _SPLIT_MACS + _LEVEL_MACS or d ** depth >= 1 << 62:
         return best
     longer = list(accumulate(reversed([m if rows is None else len(rows) for m, rows in zip(plan.width, plan.rows)])))
     longer.reverse()  # longer[k]: the words of length >= k
@@ -595,7 +598,8 @@ def _cheapest(f: NcSeries, n: int) -> int:
         room = (max(_BLOCK_BYTES, unit) - 16 * pq * rows) // unit - level
         here = (node * (short + heads) + n ** 3 * pq * heads + n * n * pq * rows
                 + _LEVEL_MACS * (depth - s) + _SPLIT_MACS)
-        if room >= 2 * pq + 2 and 16 * pq * rows + _INDEX_BYTES * plan.size <= _BLOCK_BYTES and here < cost:
+        built = 16 * pq * rows + _INDEX_BYTES * plan.size + d ** s  # tables, indices and a flag per suffix
+        if room >= 2 * pq + 2 and built <= _BLOCK_BYTES and here < cost:
             best, cost = s, here
     return best
 
