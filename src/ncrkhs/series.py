@@ -35,10 +35,10 @@ stacked product adds sum_u (Z^u (x) I_p) G_u, with the Z^u from a walk over
 the first deg f - s levels of the trie.  At d = 2, degree 8 and s = 5 that
 is 76 powers and 14 stacked products of p q powers' cost instead of 511
 powers.  s is chosen per support and point size by a cost model of
-multiply-adds and call overheads (:func:`_cheapest`); s = deg f is the walk
-itself, taken where the split does not pay, as at desk-scale certificate
-factors.  The split's tables, its kept powers and both walks' blocks share
-``_BLOCK_BYTES``.
+multiply-adds, call overheads and the split's build (:func:`_cheapest`);
+s = deg f is the walk itself, taken where the split does not pay, as at
+desk-scale certificate factors and at n <= 10 for degree 8.  The split's
+tables, its kept powers and both walks' blocks share ``_BLOCK_BYTES``.
 
 The same walk applies f(Z) to a block ``X (x) I_q`` without forming a
 power, at O(r n^2) per trie node instead of O(n^3) (:func:`_series_action`):
