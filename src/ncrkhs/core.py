@@ -201,8 +201,6 @@ SOLVE_SLACK = 100
 RANGE_SLACK = 1e3
 # singular values and defect values at or below this are exact zeros
 RANK_CUT = 1e-13
-# an eigenvalue of P_M P_H P_M above this marks a direction in both ranges
-OVERLAP_CUT = 1.0 - 1e-9
 # a Frobenius norm below this may have lost digits to entries whose squares
 # underflow (sqrt(tiny) / eps, about 6.7e-139); frobenius recomputes it scaled
 NORM_UNDERFLOW = float(np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps)

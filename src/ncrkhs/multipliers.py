@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    OVERLAP_CUT,
     RANGE_SLACK,
     RANK_CUT,
     SOLVE_SLACK,
@@ -30,7 +29,6 @@ from .core import (
     Record,
     Tolerances,
     as_cmatrix,
-    hermitize,
     pd_eigh,
     rel_err,
     require_finite,
@@ -221,47 +219,39 @@ class BrangesianDecomposition:
 
     Works in the coordinates induced by the source/target gramians; ``decompose``
     realizes the unique norm-minimizing split h = iota iota* h + (I - iota iota*) h.
-    All range projections and pseudo-inverses come from one SVD of the
-    normalized contraction so that numerically-zero directions are cut exactly.
+    With A0 = U S V* the SVD of the normalized contraction, (I - A0 A0*)^{1/2} = U D U*
+    and V's columns are orthonormal, so both range projections and both pull-back
+    norms are diagonal in U: everything is read off u* x0, S and D, whose values at
+    or below ``RANK_CUT`` are cut to exact zeros.
     """
 
     def __init__(self, a: np.ndarray, gram_src=None, gram_tgt=None,
                  tol: Tolerances = DEFAULT_TOL):
         a = as_cmatrix(a)
         n_tgt, n_src = a.shape
+        if not (n_tgt and n_src):
+            raise InputError(f"a contraction must be at least 1 x 1, got {n_tgt} x {n_src}")
         gram_src = np.eye(n_src) if gram_src is None else as_cmatrix(gram_src, n_src, n_src)
         gram_tgt = np.eye(n_tgt) if gram_tgt is None else as_cmatrix(gram_tgt, n_tgt, n_tgt)
-        self.a = a
-        self.gram_src = gram_src
-        self.gram_tgt = gram_tgt
         self.tol = tol
-        root_s, inv_root_s = _sqrtm_hpd(gram_src, tol, "gramian gram_src")
+        _, inv_root_s = _sqrtm_hpd(gram_src, tol, "gramian gram_src")
         root_t, inv_root_t = _sqrtm_hpd(gram_tgt, tol, "gramian gram_tgt")
         self._root_t, self._inv_root_t = root_t, inv_root_t
         self.a0 = root_t @ a @ inv_root_s
         require_finite(self.a0, "the normalized contraction")
 
-        u, svals, vh = np.linalg.svd(self.a0)
-        norm = float(svals[0]) if svals.size else 0.0
+        u, svals, _ = np.linalg.svd(self.a0)
+        norm = float(svals[0])
         if norm > 1.0 + tol.psd_floor:
             raise NotContraction(f"operator norm {norm:.6f} exceeds 1")
         self.operator_norm = norm
-        s_full = np.zeros(n_tgt)
-        s_full[: svals.size] = np.clip(svals, 0.0, 1.0)
-        s_cut = s_full.copy()
+        s_cut = np.zeros(n_tgt)
+        s_cut[: svals.size] = np.clip(svals, 0.0, 1.0)
         s_cut[s_cut <= RANK_CUT] = 0.0
         defect = np.clip(1.0 - s_cut**2, 0.0, None)
         defect[defect <= RANK_CUT] = 0.0
         droot = np.sqrt(defect)
-
-        inv_s = np.where(s_cut > 0, 1.0 / np.where(s_cut > 0, s_cut, 1.0), 0.0)
-        inv_droot = np.where(droot > 0, 1.0 / np.where(droot > 0, droot, 1.0), 0.0)
-        r = min(n_src, n_tgt)
-        self._defect_root = (u * droot) @ u.conj().T
-        self._a0_pinv = (vh.conj().T[:, :r] * inv_s[:r]) @ u[:, :r].conj().T
-        self._defect_pinv = (u * inv_droot) @ u.conj().T
-        self._proj_m = (u * (s_cut > 0)) @ u.conj().T
-        self._proj_h = (u * (droot > 0)) @ u.conj().T
+        self._u, self._s_cut, self._droot = u, s_cut, droot
 
         self.m_range_basis = self._inv_root_t @ u[:, s_cut > 0]
         self.h_range_basis = self._inv_root_t @ u[:, droot > 0]
@@ -273,7 +263,7 @@ class BrangesianDecomposition:
         Feeding it back as a contraction realizes the double complement: its
         H-space is M_A with the same pull-back norm.
         """
-        return self._defect_root
+        return (self._u * self._droot) @ self._u.conj().T
 
     # -- norms ---------------------------------------------------------------
 
@@ -281,20 +271,24 @@ class BrangesianDecomposition:
         h0 = self._root_t @ np.asarray(h, dtype=np.complex128).reshape(-1)
         return float(np.linalg.norm(h0))
 
-    def _member_norm(self, x, pinv0: np.ndarray, proj: np.ndarray, label: str) -> float:
+    def _member_norm(self, x, scale: np.ndarray, label: str) -> float:
+        """|(u* x0) / scale| over scale > 0, after the test that u* x0 vanishes where scale = 0."""
         x0 = self._root_t @ np.asarray(x, dtype=np.complex128).reshape(-1)
-        gap = float(np.linalg.norm(proj @ x0 - x0))
+        # u* x0 as conj(x0* u): u.T is a view, so only the vectors are conjugated
+        coords = (x0.conj() @ self._u).conj()
+        inside = scale > 0
+        gap = float(np.linalg.norm(coords[~inside]))
         if rel_err(gap, float(np.linalg.norm(x0))) > self.tol.eq_rel * RANGE_SLACK:
             raise InputError(f"vector is not in {label} (distance {gap:.3e})")
-        return float(np.linalg.norm(pinv0 @ x0))
+        return float(np.linalg.norm(coords[inside] / scale[inside]))
 
     def norm_m(self, x) -> float:
         """Pull-back norm on M_A = Ran A."""
-        return self._member_norm(x, self._a0_pinv, self._proj_m, "Ran A")
+        return self._member_norm(x, self._s_cut, "Ran A")
 
     def norm_h(self, x) -> float:
         """Pull-back norm on H_A = Ran (I - A A*)^{1/2}."""
-        return self._member_norm(x, self._defect_pinv, self._proj_h, "Ran (I - A A*)^{1/2}")
+        return self._member_norm(x, self._droot, "Ran (I - A A*)^{1/2}")
 
     # -- the canonical split ---------------------------------------------------
 
@@ -314,11 +308,10 @@ class BrangesianDecomposition:
 
         Shifting the split along these directions keeps both parts in their
         spaces; the canonical split minimizes the cost over all such shifts.
+        P_M P_H P_M = U diag(s > 0 and D > 0) U*, so its eigenvalue-1 eigenspace
+        is spanned by those columns of U.
         """
-        prod = self._proj_m @ self._proj_h @ self._proj_m
-        vals, vecs = np.linalg.eigh(hermitize(prod, "the range overlap"))
-        keep = vals > OVERLAP_CUT
-        return self._inv_root_t @ vecs[:, keep]
+        return self._inv_root_t @ self._u[:, (self._s_cut > 0) & (self._droot > 0)]
 
 
 def brangesian_complement(a, gram_src=None, gram_tgt=None,

@@ -241,6 +241,14 @@ def test_brangesian_subcommand(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0), (0, 0)])
+def test_brangesian_refuses_an_empty_contraction(tmp_path, capsys, shape):
+    path = write(tmp_path, "a.json", {"a": encode_matrix(np.zeros(shape))})
+    code, payload = run(capsys, ["brangesian", "--contraction", path, "--seed", "2"])
+    assert (code, payload["status"]) == (2, "input_error")
+    assert payload["error"] == f"a contraction must be at least 1 x 1, got {shape[0]} x {shape[1]}"
+
+
 def test_containment_subcommand(tmp_path, capsys):
     szego = szego_kernel(1, 3)
     half = MomentKernel(1, 1, {key: 0.5 * val for key, val in szego.moments.items()}, 3)

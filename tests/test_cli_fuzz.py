@@ -328,3 +328,35 @@ def test_string_and_boolean_complex_parts_give_input_errors(tmp_path, capsys, co
             paths[flag].write_text(json.dumps(doc))
             _input_error(capsys, _argv(command, options, paths), f"--{flag} {kind}", "is not a number")
         paths[flag] = valid
+
+
+def _matrices(node, path=()):
+    """(path, matrix) for every encoded matrix, an object with rows, cols and data."""
+    if isinstance(node, dict) and {"rows", "cols", "data"} <= node.keys():
+        yield path, node
+        return
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in children:
+        yield from _matrices(value, path + (key,))
+
+
+# case -> (subcommand, options, {file flag: valid payload}); the contraction without gram_src also
+# reaches a rows x 0 matrix a, which the fixture's 2 x 2 gram_src stops at a dimension mismatch
+ZERO_SIZE_CASES = {command: (command, *COMMANDS[command]) for command in COMMANDS}
+ZERO_SIZE_CASES["brangesian-ungrammed"] = ("brangesian", COMMANDS["brangesian"][0],
+                                           {"contraction": {"a": CONTRACTION["a"]}})
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_SIZE_CASES))
+def test_zero_size_matrices_give_typed_outcomes(tmp_path, capsys, case):
+    # each matrix of each input file in turn replaced by a 0 x 0, a 0 x cols and a rows x 0 matrix
+    command, options, files = ZERO_SIZE_CASES[case]
+    paths = _valid_files(tmp_path, files)
+    for flag, payload in files.items():
+        valid = paths[flag]
+        for at, matrix in _matrices(payload):
+            for rows, cols in ((0, 0), (0, matrix["cols"]), (matrix["rows"], 0)):
+                paths[flag] = tmp_path / f"{flag}-{rows}x{cols}.json"
+                paths[flag].write_text(json.dumps(_set(payload, at, {"rows": rows, "cols": cols, "data": []})))
+                _run(capsys, _argv(command, options, paths), f"--{flag} {'.'.join(map(str, at))} {rows} x {cols}")
+        paths[flag] = valid

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncrkhs import cli, series
-from ncrkhs.core import DEFAULT_TOL, DimMismatch, InputError, NotContraction, NotInTarget, NotPsd
+from ncrkhs.core import (
+    DEFAULT_TOL, RANGE_SLACK, RANK_CUT, DimMismatch, InputError, NotContraction, NotInTarget, NotPsd, rel_err,
+)
 from ncrkhs.kernels import AlgebraSpec, CallableKernel, GramBasisKernel, KolmogorovKernel, MomentKernel, szego_kernel
 from ncrkhs.multipliers import (
     BrangesianDecomposition,
@@ -17,6 +19,7 @@ from ncrkhs.multipliers import (
     contractive_containment,
     contractivity_certificate,
     dbr_kernel,
+    _sqrtm_hpd,
     multiplier_matrix,
 )
 from ncrkhs.rkhs import RkhsModel, kernel_element_coefficients, sigma_matrix
@@ -444,3 +447,151 @@ def test_multiplier_check_through_the_cli_never_multiplies_series(tmp_path, caps
     assert payload["status"] in ("ok", "certificate_failed"), payload
     assert code == cli.EXIT_CODES[payload["status"]]
     assert captured.err == f"ncrkhs multiplier-check: {payload['status']}\n"
+
+
+# ---------------------------------------------------------------------------
+# The Brangesian complement read off its one SVD, against the projector form
+# ---------------------------------------------------------------------------
+
+class _ProjectorBrangesian:
+    """The Brangesian complement through dense projections, pseudo-inverses and an overlap eigensolve."""
+
+    def __init__(self, a, gram_src=None, gram_tgt=None, tol=DEFAULT_TOL):
+        n_tgt, n_src = a.shape
+        gram_src = np.eye(n_src) if gram_src is None else gram_src
+        gram_tgt = np.eye(n_tgt) if gram_tgt is None else gram_tgt
+        self.tol = tol
+        _, inv_root_s = _sqrtm_hpd(gram_src, tol, "gramian gram_src")
+        self._root_t, self._inv_root_t = _sqrtm_hpd(gram_tgt, tol, "gramian gram_tgt")
+        self.a0 = self._root_t @ a @ inv_root_s
+        u, svals, vh = np.linalg.svd(self.a0)
+        s_cut = np.zeros(n_tgt)
+        s_cut[: svals.size] = np.clip(svals, 0.0, 1.0)
+        s_cut[s_cut <= RANK_CUT] = 0.0
+        defect = np.clip(1.0 - s_cut**2, 0.0, None)
+        defect[defect <= RANK_CUT] = 0.0
+        droot = np.sqrt(defect)
+        inv_s = np.where(s_cut > 0, 1.0 / np.where(s_cut > 0, s_cut, 1.0), 0.0)
+        inv_droot = np.where(droot > 0, 1.0 / np.where(droot > 0, droot, 1.0), 0.0)
+        r = min(n_src, n_tgt)
+        self.defect_root = (u * droot) @ u.conj().T
+        self._a0_pinv = (vh.conj().T[:, :r] * inv_s[:r]) @ u[:, :r].conj().T
+        self._defect_pinv = (u * inv_droot) @ u.conj().T
+        self._proj_m = (u * (s_cut > 0)) @ u.conj().T
+        self._proj_h = (u * (droot > 0)) @ u.conj().T
+        self.m_range_basis = self._inv_root_t @ u[:, s_cut > 0]
+        self.h_range_basis = self._inv_root_t @ u[:, droot > 0]
+
+    def _member_norm(self, x, pinv0, proj, label):
+        x0 = self._root_t @ x
+        gap = float(np.linalg.norm(proj @ x0 - x0))
+        if rel_err(gap, float(np.linalg.norm(x0))) > self.tol.eq_rel * RANGE_SLACK:
+            raise InputError(f"vector is not in {label} (distance {gap:.3e})")
+        return float(np.linalg.norm(pinv0 @ x0))
+
+    def norm_m(self, x):
+        return self._member_norm(x, self._a0_pinv, self._proj_m, "Ran A")
+
+    def norm_h(self, x):
+        return self._member_norm(x, self._defect_pinv, self._proj_h, "Ran (I - A A*)^{1/2}")
+
+    def decompose(self, h):
+        h0 = self._root_t @ h
+        k0 = self.a0 @ (self.a0.conj().T @ h0)
+        return self._inv_root_t @ k0, self._inv_root_t @ (h0 - k0)
+
+    def feasible_perturbation_basis(self):
+        prod = self._proj_m @ self._proj_h @ self._proj_m
+        vals, vecs = np.linalg.eigh((prod + prod.conj().T) / 2)
+        return self._inv_root_t @ vecs[:, vals > 1.0 - 1e-9]
+
+
+def _unitary(rng, n):
+    return np.linalg.qr(complex_gaussian(rng, n, n))[0]
+
+
+def _norm_or_refusal(norm, x):
+    """The norm, or the refusal's text up to its distance and the distance."""
+    try:
+        return norm(x)
+    except InputError as err:
+        text, distance = str(err).split(" (distance ")
+        return text, float(distance.rstrip(")"))
+
+
+def _same(got, want):
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and got[0] == want[0], (got, want)
+        assert got[1] == pytest.approx(want[1], rel=1e-6, abs=1e-300), (got, want)
+    else:
+        assert not isinstance(got, tuple), (got, want)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300), (got, want)
+
+
+def _projector(basis):
+    return basis @ basis.conj().T
+
+
+# a singular value of A0: generic, exactly 0, exactly 1 (an isometric direction) or at the rank cut
+SINGULAR = st.one_of(st.floats(0.05, 0.95), st.sampled_from([0.0, 1.0, RANK_CUT]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.lists(SINGULAR, min_size=6, max_size=6),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_brangesian_read_off_the_svd_matches_the_projector_form(n_tgt, n_src, singular, grams, seed):
+    rng = rng_from_seed(seed)
+    k = min(n_tgt, n_src)
+    a0 = (_unitary(rng, n_tgt)[:, :k] * np.array(singular[:k])) @ _unitary(rng, n_src)[:, :k].conj().T
+    gram_src = gram_tgt = None
+    a = a0
+    if grams:
+        gram_src, gram_tgt = random_psd(rng, n_src) + 0.5 * np.eye(n_src), random_psd(rng, n_tgt) + 0.5 * np.eye(n_tgt)
+        root_s, _ = _sqrtm_hpd(gram_src, DEFAULT_TOL, "gram_src")
+        _, inv_root_t = _sqrtm_hpd(gram_tgt, DEFAULT_TOL, "gram_tgt")
+        a = inv_root_t @ a0 @ root_s
+    try:
+        want = _ProjectorBrangesian(a, gram_src, gram_tgt)
+    except NotPsd:
+        with pytest.raises(NotPsd):
+            BrangesianDecomposition(a, gram_src, gram_tgt)
+        return
+    got = BrangesianDecomposition(a, gram_src, gram_tgt)
+
+    for name in ("m_range_basis", "h_range_basis"):
+        assert getattr(got, name).shape == getattr(want, name).shape, name
+    overlap, overlap_want = got.feasible_perturbation_basis(), want.feasible_perturbation_basis()
+    assert overlap.shape == overlap_want.shape
+    scale = max(1.0, np.linalg.norm(want._inv_root_t, 2) ** 2)
+    assert np.linalg.norm(_projector(overlap) - _projector(overlap_want)) <= 1e-10 * scale
+    for left, right in (*zip(got.decompose(a[:, 0]), want.decompose(a[:, 0])), (got.defect_root, want.defect_root)):
+        assert np.linalg.norm(left - right) <= 1e-12 * max(np.linalg.norm(right), 1e-300)
+
+    # members of each range, with unit coordinates along every kept direction, and vectors at random
+    members = [want.m_range_basis @ complex_gaussian(rng, want.m_range_basis.shape[1], 1)[:, 0],
+               want.h_range_basis @ complex_gaussian(rng, want.h_range_basis.shape[1], 1)[:, 0],
+               complex_gaussian(rng, n_tgt, 1)[:, 0]]
+    for x in members:
+        for norm in ("norm_m", "norm_h"):
+            _same(_norm_or_refusal(getattr(got, norm), x), _norm_or_refusal(getattr(want, norm), x))
+
+
+def test_brangesian_overlap_and_norms_run_no_eigensolve(monkeypatch):
+    rng = rng_from_seed(30)
+    a = random_rank2_strict_contraction(rng)
+    dec = brangesian_complement(a)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert dec.feasible_perturbation_basis().shape == (5, 2)
+    x = a @ complex_gaussian(rng, 5, 1)[:, 0]
+    assert dec.norm_m(x) > 0 and dec.norm_h(x) > 0
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0), (0, 0)])
+@pytest.mark.parametrize("grams", [False, True])
+def test_brangesian_refuses_an_empty_contraction(shape, grams):
+    gram_src, gram_tgt = (np.eye(shape[1]), np.eye(shape[0])) if grams else (None, None)
+    with pytest.raises(InputError, match=f"a contraction must be at least 1 x 1, got {shape[0]} x {shape[1]}"):
+        BrangesianDecomposition(np.zeros(shape), gram_src, gram_tgt)
