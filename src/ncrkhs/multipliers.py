@@ -274,8 +274,8 @@ class BrangesianDecomposition:
     def _member_norm(self, x, scale: np.ndarray, label: str) -> float:
         """|(u* x0) / scale| over scale > 0, after the test that u* x0 vanishes where scale = 0."""
         x0 = self._root_t @ np.asarray(x, dtype=np.complex128).reshape(-1)
-        # u* x0 as conj(x0* u): u.T is a view, so only the vectors are conjugated
-        coords = (x0.conj() @ self._u).conj()
+        # only moduli are read, so conj(u* x0) = x0* u serves, and only x0 is conjugated
+        coords = x0.conj() @ self._u
         inside = scale > 0
         gap = float(np.linalg.norm(coords[~inside]))
         if rel_err(gap, float(np.linalg.norm(x0))) > self.tol.eq_rel * RANGE_SLACK:

@@ -17,6 +17,8 @@ A third sweep replaces each input file by a directory, by the valid payload
 encoded as UTF-16 (not UTF-8 text) and by a file that cannot be opened, and
 points --out at a missing folder and at a directory: each run exits 2 with
 an input_error payload on stdout that names the option and the path.
+A fourth sweep replaces each matrix of each input file in turn by a 0 x 0,
+a 0 x cols and a rows x 0 matrix, with the demands of the first.
 """
 
 import argparse
