@@ -251,7 +251,9 @@ class BrangesianDecomposition:
         defect = np.clip(1.0 - s_cut**2, 0.0, None)
         defect[defect <= RANK_CUT] = 0.0
         droot = np.sqrt(defect)
-        self._u, self._s_cut, self._droot = u, s_cut, droot
+        # the pull-back norms weigh u* x0 by these reciprocals, which are 0 off each range
+        self._inv_s, self._inv_droot = (np.divide(1.0, v, out=np.zeros(n_tgt), where=v > 0) for v in (s_cut, droot))
+        self._u, self._droot = u, droot
 
         self.m_range_basis = self._inv_root_t @ u[:, s_cut > 0]
         self.h_range_basis = self._inv_root_t @ u[:, droot > 0]
@@ -271,24 +273,23 @@ class BrangesianDecomposition:
         h0 = self._root_t @ np.asarray(h, dtype=np.complex128).reshape(-1)
         return float(np.linalg.norm(h0))
 
-    def _member_norm(self, x, scale: np.ndarray, label: str) -> float:
-        """|(u* x0) / scale| over scale > 0, after the test that u* x0 vanishes where scale = 0."""
+    def _member_norm(self, x, inverse: np.ndarray, label: str) -> float:
+        """|(u* x0) * inverse|, after the test that u* x0 vanishes where inverse = 0 (off the range)."""
         x0 = self._root_t @ np.asarray(x, dtype=np.complex128).reshape(-1)
         # only moduli are read, so conj(u* x0) = x0* u serves, and only x0 is conjugated
         coords = x0.conj() @ self._u
-        inside = scale > 0
-        gap = float(np.linalg.norm(coords[~inside]))
+        gap = float(np.linalg.norm(coords[inverse == 0]))
         if rel_err(gap, float(np.linalg.norm(x0))) > self.tol.eq_rel * RANGE_SLACK:
             raise InputError(f"vector is not in {label} (distance {gap:.3e})")
-        return float(np.linalg.norm(coords[inside] / scale[inside]))
+        return float(np.linalg.norm(coords * inverse))
 
     def norm_m(self, x) -> float:
         """Pull-back norm on M_A = Ran A."""
-        return self._member_norm(x, self._s_cut, "Ran A")
+        return self._member_norm(x, self._inv_s, "Ran A")
 
     def norm_h(self, x) -> float:
         """Pull-back norm on H_A = Ran (I - A A*)^{1/2}."""
-        return self._member_norm(x, self._droot, "Ran (I - A A*)^{1/2}")
+        return self._member_norm(x, self._inv_droot, "Ran (I - A A*)^{1/2}")
 
     # -- the canonical split ---------------------------------------------------
 
@@ -311,7 +312,7 @@ class BrangesianDecomposition:
         P_M P_H P_M = U diag(s > 0 and D > 0) U*, so its eigenvalue-1 eigenspace
         is spanned by those columns of U.
         """
-        return self._inv_root_t @ self._u[:, (self._s_cut > 0) & (self._droot > 0)]
+        return self._inv_root_t @ self._u[:, (self._inv_s > 0) & (self._droot > 0)]
 
 
 def brangesian_complement(a, gram_src=None, gram_tgt=None,
