@@ -9,6 +9,7 @@ reversal of the stored tuple.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -308,6 +309,9 @@ def hermitize(m: np.ndarray, what: str) -> np.ndarray:
     return h
 
 
+_NON_FINITE = "an equality test met a non-finite norm (the computation overflowed)"
+
+
 def rel_err(diff, scale):
     """``diff / max(1, scale)``, elementwise for arrays: the one relative test.
 
@@ -315,8 +319,13 @@ def rel_err(diff, scale):
     in ``diff`` or ``scale`` is an overflowed norm, against which no check
     can fail, so it raises :class:`InputError`.
     """
+    if isinstance(diff, float) and isinstance(scale, float):
+        # Python and numpy float scalars: the quotient of the array path, without its dispatch
+        if not (math.isfinite(diff) and math.isfinite(scale)):
+            raise InputError(_NON_FINITE)
+        return diff / max(1.0, scale)
     if not (np.all(np.isfinite(diff)) and np.all(np.isfinite(scale))):
-        raise InputError("an equality test met a non-finite norm (the computation overflowed)")
+        raise InputError(_NON_FINITE)
     return diff / np.maximum(1.0, scale)
 
 
@@ -521,12 +530,39 @@ class MatrixTuple(Record):
     def strictly_triangular(self) -> bool:
         """True when every coordinate is exactly strictly upper triangular, or every one strictly lower.
 
-        Such a point is jointly nilpotent of order <= max(n, 1) at any
-        tolerance (see :func:`ncrkhs.series.nilpotency_orders`).  The test
-        is exact and made once per point.
+        Such a point is jointly nilpotent, of order at most
+        :attr:`structural_order` <= max(n, 1) at any tolerance.  The test is
+        exact and made once per point.
         """
         s = self.stacked
         return np.array_equal(s, np.triu(s, 1)) or np.array_equal(s, np.tril(s, -1))
+
+    @cached_property
+    def structural_order(self) -> int | None:
+        """One more than the longest chain of nonzero entries at a :attr:`strictly_triangular` point; else None.
+
+        A chain of length L is i_0, ..., i_L with each (i_k, i_{k+1}) in the
+        coordinates' union support.  Entry (i, j) of a product of L
+        coordinates sums over the chains of length L from i to j, so past the
+        longest chain every product is zero; in floating point too, while the
+        entries stay finite, since each computed entry is a sum of terms with
+        an exact zero factor.  So the words at least this long add nothing to
+        a series' value but rounding order, at any tolerance.  This is
+        Levitzki's theorem read combinatorially (Radjavi and Rosenthal,
+        *Simultaneous Triangularization*, 2000): the order bounds the joint
+        nilpotency order, and is it unless chains cancel.  One boolean
+        vector-by-matrix step per length finds it: the rows starting a chain
+        of length L + 1 have an entry in a column starting one of length L.
+        At least 1, as for the zero tuple; made once per point.
+        """
+        if not self.strictly_triangular:
+            return None
+        support = np.any(self.stacked, axis=0).astype(np.float64)
+        live, order = np.ones(self.n), 0
+        while live.any():
+            # the counts stay 0 or 1, so no sum rounds to zero
+            live, order = np.minimum(support @ live, 1.0), order + 1
+        return max(order, 1)
 
     def coord(self, letter: int) -> np.ndarray:
         """Coordinate for a 1-based letter."""

@@ -169,9 +169,9 @@ class FactoredKernel(KernelBase):
     A kernel built from a moment table keeps its ``max_len``: it is exact only
     at jointly nilpotent points of order <= max_len + 1, and refuses other
     points unless a truncation is asked for.  A strictly triangular point
-    of size <= max_len + 1 is inside without a test; the others are tested
-    at ``tol``, the points of one size together, and keep their orders in
-    their memos.  ``kind`` names the kernel in that refusal.
+    is judged by its structural order, without a numerical test; the others
+    are tested at ``tol``, the points of one size together, and keep their
+    orders in their memos.  ``kind`` names the kernel in that refusal.
     """
 
     def __init__(self, d: int, y_dim: int, algebra: AlgebraSpec, terms,
@@ -190,10 +190,7 @@ class FactoredKernel(KernelBase):
         return GAUSSIAN if self.max_len is None else NILPOTENT
 
     def _check_domain(self, points: Sequence[MatrixTuple]) -> None:
-        """Raise :class:`TruncationRefused` if K is only a truncation at one of ``points``.
-
-        Only the points that :meth:`_orders` tests can be refused.
-        """
+        """Raise :class:`TruncationRefused` if K is only a truncation at one of ``points``."""
         if self.max_len is None:
             return
         # words of length >= order vanish at a point, so the stored support
@@ -205,15 +202,17 @@ class FactoredKernel(KernelBase):
             )
 
     def _orders(self, points: Sequence[MatrixTuple]) -> list[int | None]:
-        """The nilpotency orders at ``tol`` of the ``points`` that need a test, in order.
+        """The nilpotency order of each of ``points``, None where it has none.
 
-        A point of size n <= max_len + 1 that is strictly triangular
-        (:attr:`~ncrkhs.core.MatrixTuple.strictly_triangular`) has order
-        <= max(n, 1), so it is inside the domain and is left out.  Each other
-        point keeps its order, so it is tested once per tolerance.
+        A strictly triangular point, of any size, takes its
+        :attr:`~ncrkhs.core.MatrixTuple.structural_order`, past which every
+        word vanishes exactly, so the kernel is exact at such a point it
+        admits.  Each other point is tested at ``tol`` and keeps its order,
+        so it is tested once per tolerance.
         """
-        tested = [z for z in points if z.n > self.max_len + 1 or not z.strictly_triangular]
-        return cached_at(tested, self.tol, lambda missing: nilpotency_orders(missing, self.tol))
+        walked = iter(cached_at([z for z in points if z.structural_order is None], self.tol,
+                                lambda missing: nilpotency_orders(missing, self.tol)))
+        return [next(walked) if z.structural_order is None else z.structural_order for z in points]
 
     def precompute(self, points):
         """Test the domain at ``points`` and form every factor's value there, one size at a time.

@@ -53,22 +53,20 @@ one product with the stacked adjoint coordinates and recompressed by a QR,
 so it costs O(d n^4) however many words there are; a jointly nilpotent tuple
 is one that is simultaneously strictly upper-triangularizable.  The points
 of one size are tested together, one batched product and QR per length
-(:func:`nilpotency_orders`).  A tuple that is already triangular in its own
-basis, every coordinate exactly strictly upper triangular or every one
-exactly strictly lower, is jointly nilpotent of order <= max(n, 1) without
-a test (:attr:`MatrixTuple.strictly_triangular`); the nilpotent sampler's
-points and the truncated free shift are such tuples.  A caller that only
-asks whether the order is at most some length walks the flag no further:
-:func:`evaluate_on_nilpotent` walks at most ``deg f`` lengths at such a
-point, and a truncated kernel tests none of size <= max_len + 1.  The
-compressed free shift carries its order, one more than its longest word,
-and walks no flag when ``eq_rel < 1`` (:func:`compressed_shift`).  Nor does a
-strictly triangular point of size n > deg f whose superdiagonal settles
-the question: row n - 1 - L of a length-L product holds one product of
-superdiagonal entries, so those products bound the walk's norm at L from
-below, and where that bound is above twice eq_rel (a rounding margin
-derived in :func:`_chain_clears`) at every L <= deg f, the point has no
-order within deg f and nothing is truncated, as the walk would decide.
+(:func:`nilpotency_orders`).  That order is a numerical judgement: a length
+counts as vanishing once its products are below ``eq_rel``, which a point
+that is not nilpotent but decays fast passes too.  So it decides only
+whether a point is accepted; no word is dropped on its strength.  Every
+series is finitely supported, so an accepted point takes its whole value
+(:func:`evaluate_on_nilpotent`), except at a point already triangular in
+its own basis, every coordinate exactly strictly upper triangular or every
+one exactly strictly lower (:attr:`MatrixTuple.strictly_triangular`).
+There the structural order, one more than the longest chain of nonzero
+entries of the coordinates' union support, makes every longer product
+exactly zero in floating point (:attr:`MatrixTuple.structural_order`), so
+the words that long are dropped and the value is unchanged.  The nilpotent
+sampler's points and the compressed free shift are such points; the shift
+carries its order, one more than its longest word (:func:`compressed_shift`).
 """
 
 from __future__ import annotations
@@ -783,21 +781,10 @@ def nilpotency_orders(points: Sequence[MatrixTuple], tol: Tolerances = DEFAULT_T
     arithmetic, each step's product makes one more column of ``c`` exactly
     zero, the QR keeps zero columns zero, and so ``c`` is zero by L = n.
     """
-    return _flag_orders(points, tol)
-
-
-def _flag_orders(points: Sequence[MatrixTuple], tol: Tolerances, bound: int | None = None) -> list[int | None]:
-    """:func:`nilpotency_orders`, walking at most ``bound`` lengths: None where a point has no order within them.
-
-    A point's steps are those of the full walk, so an order the bounded walk
-    finds is the point's order.
-    """
     out: list[int | None] = [None] * len(points)
     for (d, n, _), members in _by_size(points).items():
         # a 0 x 0 point has order 1, like the zero tuple
-        last = max(n, 1) if bound is None else min(max(n, 1), bound)
-        if last < 1:
-            continue
+        last = max(n, 1)
         coords = np.array([points[i].stacked for i in members])
         b = len(members)
         scale = np.maximum(1.0, np.max(np.linalg.svd(coords, compute_uv=False), axis=(1, 2), initial=0.0))
@@ -820,93 +807,38 @@ def _flag_orders(points: Sequence[MatrixTuple], tol: Tolerances, bound: int | No
 
 
 def evaluate_on_nilpotent(f: NcSeries, z: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Exact evaluation on a jointly nilpotent tuple: only words of length < L survive.
+    """f(Z) at a jointly nilpotent tuple; raises :class:`NotNilpotent` at any other.
 
-    Only an order L <= deg f truncates, so at a strictly triangular point
-    (:attr:`~ncrkhs.core.MatrixTuple.strictly_triangular`), which has an
-    order, the flag walk stops after ``deg f`` lengths, and it is not
-    walked at all where the superdiagonal chain bound clears 2 eq_rel at
-    every length up to deg f < n (:func:`_chain_clears`, which derives that
-    margin from the walk's rounding): then no order <= deg f exists and f
-    is evaluated whole.  A compressed free shift carries its order, which
-    holds at every ``eq_rel < 1`` (:func:`compressed_shift`), and walks
-    no flag there.  Any other point takes the full test, which raises
-    :class:`NotNilpotent` where there is no order.
+    At a :attr:`~ncrkhs.core.MatrixTuple.strictly_triangular` point, which is
+    nilpotent, f is truncated below the point's
+    :attr:`~ncrkhs.core.MatrixTuple.structural_order`, whose words add exact
+    zeros.  Any other point is accepted or refused by
+    :func:`nilpotency_order` at ``tol``, a numerical judgement, and f is
+    evaluated whole there.  So an accepted value equals :func:`evaluate`'s,
+    to rounding.
     """
     return evaluate(_truncated_at(f, z, tol), z)
 
 
 def _truncated_at(f: NcSeries, z: MatrixTuple, tol: Tolerances) -> NcSeries:
-    """The series :func:`evaluate_on_nilpotent` evaluates at z: f without its words of length >= z's order.
+    """The series :func:`evaluate_on_nilpotent` evaluates at z: f without the words that vanish exactly there.
 
-    At a strictly triangular z the flag walk runs only where the superdiagonal
-    chain bound does not clear 2 eq_rel, a rounding margin :func:`_chain_clears` derives.
+    Those are the words of length >= z's structural order at a strictly
+    triangular z, and none elsewhere, where z passes the nilpotency test or
+    is refused.
     """
     if z.d != f.d:
         raise DimMismatch(f"series over {f.d} variables evaluated at a {z.d}-tuple")
-    if isinstance(z, _TruncatedShift) and tol.eq_rel < 1:
-        order = z.order
-    elif z.strictly_triangular:
-        order = None if _chain_clears(z, tol, f.degree) else _flag_orders([z], tol, f.degree)[0]
-    else:
-        order = nilpotency_order(z, tol)
-    # truncate only when words go, so the point keeps the value under f itself,
-    # and once per order, so a truncation's plan and values are kept with f
-    if order is not None and f.degree >= order:
+    order = z.structural_order
+    if order is None:
+        nilpotency_order(z, tol)  # raises NotNilpotent where z is refused
+    elif f.degree >= order:
+        # truncate only when words go, so the point keeps the value under f itself,
+        # and once per order, so a truncation's plan and values are kept with f
         if order not in f._truncations:
             f._truncations[order] = truncate(f, order - 1)
         f = f._truncations[order]
     return f
-
-
-# The chain bound of _chain_clears stands for the flag walk only when it is
-# above eq_rel by this factor: the two differ by a relative O(L d n^2 u).
-_CHAIN_MARGIN = 2.0
-
-
-def _chain_clears(z: MatrixTuple, tol: Tolerances, length: int) -> bool:
-    """True when the flag walk at a strictly triangular z would find no order <= ``length``, shown without it.
-
-    At a strictly upper triangular point, row n - 1 - L of a length-L
-    product Z^w has one nonzero entry, its last, and that entry is one
-    product of superdiagonal entries, so over the words of length L those
-    rows have the norm P_L = prod_{m = n-1-L}^{n-2} rho_m with
-    rho_m^2 = sum_j |(Z_j)_{m,m+1}|^2.  In the walk of
-    :func:`nilpotency_orders` that row is column n - 1 - L of c_L, scaled
-    by s^-L, and s = max(1, max_j ||Z_j||_2) is at most
-    S = max(1, max_j ||Z_j||_F), so ||c_L||_F >= P_L / S^L.  A strictly lower
-    triangular point is the same read from the top: row and column L, and
-    rho_m^2 = sum_j |(Z_j)_{m+1,m}|^2 for m < L.
-
-    Rounding.  The columns of c_L beyond that one (before it, for a lower
-    point) are exact zeros, so each entry of that column is formed from a
-    single product, to a relative sqrt(5) u (u = 2^-53), and the Householder
-    QR keeps a column's norm to a relative O(d n^2 u) (it is columnwise
-    backward stable: Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., 2002, Thm 19.4).  The walk's computed ||c_L||_F
-    and this function's computed P_L / S^L therefore differ by a relative
-    delta = O(L d n^2 u), as long as both stay above the smallest normal
-    double, which they do when eq_rel does and the bound clears.  delta is
-    far below 1/2 at any size that fits in memory, so a bound above
-    ``_CHAIN_MARGIN`` = 2 times eq_rel at every L <= ``length`` puts the
-    walk's norm above eq_rel at each of those lengths.
-
-    Only the one row is used: the chain entries of the other rows bound
-    ||c_L|| too, but the walk forms their columns as sums, whose rounding
-    is not relative to the chain.  False whenever the bound does not clear,
-    and for ``length >= n``, where the point has an order.
-    """
-    n = z.n
-    if length < 1:
-        return True
-    if length >= n or tol.eq_rel < np.finfo(np.float64).tiny:
-        return False
-    s, i = z.stacked, np.arange(n - 1)
-    scale = max(1.0, float(np.max(frobenius(s, axis=(1, 2)))))
-    # rho_m in the order the chain meets them; one of the two is all zeros
-    above = np.hypot.reduce(np.abs(s[:, i, i + 1]), axis=0)[::-1]
-    below = np.hypot.reduce(np.abs(s[:, i + 1, i]), axis=0)
-    return bool(np.all(np.cumprod((above + below)[:length] / scale) > _CHAIN_MARGIN * tol.eq_rel))
 
 
 # ---------------------------------------------------------------------------
@@ -916,14 +848,15 @@ def _chain_clears(z: MatrixTuple, tol: Tolerances, length: int) -> bool:
 class _TruncatedShift(MatrixTuple):
     """A compressed free shift, built as one block: coordinate ``letters[i]`` maps e_{cols[i]} to e_{rows[i]}.
 
-    It keeps that block, and carries its nilpotency order ``order``.
+    It keeps that block, and its structural order ``order``, which it knows
+    without the walk: it is strictly lower triangular.
     """
 
     def __init__(self, d: int, m: int, letters, rows, cols, order: int):
         block = np.zeros((d, m, m), dtype=np.complex128)
         block[letters, rows, cols] = 1.0
         self._hold(block)
-        self._set(order=order)
+        self._set(strictly_triangular=True, structural_order=order)
 
 
 def truncated_shift_tuple(d: int, max_len: int) -> MatrixTuple:
@@ -947,12 +880,11 @@ def compressed_shift(d: int, words: Sequence[Word]) -> MatrixTuple:
 
     Coordinate j maps e_w to e_{j.w} when j.w is a word, else to 0, so
     Z^a e_() is e_a for a word a and 0 for any other: the point is jointly
-    nilpotent of order one more than its longest word.  It carries that
-    order, which :func:`evaluate_on_nilpotent` takes without a flag walk when
-    ``eq_rel < 1``, where the walk finds it too (:func:`nilpotency_orders`):
-    the coordinates are partial isometries, so the walk's scale is 1, and at
-    a length L up to the longest word ``||c_L||_F^2`` counts the words of
-    length >= L, at least 1 (kept by QR to rounding).
+    nilpotent of order one more than its longest word.  The words are
+    graded, so every coordinate is strictly lower triangular, and the
+    longest chain of its support runs from e_() to a longest word: that
+    order is its :attr:`~ncrkhs.core.MatrixTuple.structural_order`, which
+    it carries from the start.
     """
     index = {w: i for i, w in enumerate(words)}
     return _TruncatedShift(d, len(words), [w[0] - 1 for w in words[1:]], range(1, len(words)),

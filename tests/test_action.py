@@ -29,12 +29,11 @@ from ncrkhs.sampling import complex_gaussian, nilpotent_tuple, rng_from_seed
 from ncrkhs.serialize import decode_series, encode_series
 from ncrkhs.series import (
     NcSeries,
-    _flag_orders,
     evaluate,
     evaluate_on_nilpotent,
     extract_taylor_coefficients,
     functional_evaluator,
-    truncate,
+    nilpotency_orders,
     truncated_shift_tuple,
 )
 
@@ -167,8 +166,8 @@ def test_extraction_asks_only_for_the_action_and_compares_both_probes():
 @pytest.mark.parametrize("max_len", range(6))
 def test_the_shift_carries_the_order_the_flag_walk_finds(d, max_len, eq_rel):
     shift = truncated_shift_tuple(d, max_len)
-    assert shift.order == max_len + 1
-    assert _flag_orders([shift], Tolerances(eq_rel=eq_rel)) == [shift.order]
+    assert shift.structural_order == max_len + 1 == fresh(shift).structural_order
+    assert nilpotency_orders([shift], Tolerances(eq_rel=eq_rel)) == [shift.structural_order]
 
 
 # d = 1, max_len = 5: the walk's order at each tolerance
@@ -176,19 +175,19 @@ ORDERS = {1e-10: 6, 1 - 2**-52: 6, 1.0: 5, 2.0: 2}
 
 
 @pytest.mark.parametrize("eq_rel", ORDERS)
-def test_the_shift_walks_the_flag_only_at_eq_rel_of_one_or_more(monkeypatch, eq_rel):
+def test_the_shift_walks_no_flag_at_any_eq_rel(monkeypatch, eq_rel):
     calls = []
-    walk = series._flag_orders
-    monkeypatch.setattr(series, "_flag_orders", lambda *args: calls.append(args) or walk(*args))
+    walk = series.nilpotency_orders
+    monkeypatch.setattr(series, "nilpotency_orders", lambda *args: calls.append(args) or walk(*args))
     tol = Tolerances(eq_rel=eq_rel)
     f = random_series(rng_from_seed(71), 1, 5, 1, 2, True)
     shift = truncated_shift_tuple(1, 5)
     ev = functional_evaluator(f, tol)
     value, applied = ev(shift), ev.action(shift, np.eye(shift.n, 2))
-    assert len(calls) == (2 if eq_rel >= 1 else 0)
-    order = ORDERS[eq_rel]
-    assert walk([fresh(shift)], tol) == [order]
-    want = evaluate(truncate(f, order - 1) if f.degree >= order else f, fresh(shift))
+    assert calls == []
+    # at eq_rel >= 1 the walk's order falls below the shift's; no word is dropped on it
+    assert walk([fresh(shift)], tol) == [ORDERS[eq_rel]]
+    want = evaluate(f, fresh(shift))
     assert same_bits(value, want)
     assert np.linalg.norm(applied - want[:, :4]) <= REL * np.linalg.norm(want[:, :4])
 

@@ -82,8 +82,8 @@ def test_a_point_over_other_variables_is_refused_before_any_nilpotency_test(tmp_
                                                                             command, point):
     from ncrkhs import series
     walks = []
-    monkeypatch.setattr(series, "_flag_orders", lambda *args: walks.append(args))
-    monkeypatch.setattr(series, "_chain_clears", lambda *args: walks.append(args))
+    monkeypatch.setattr(series, "nilpotency_orders", lambda *args: walks.append(args))
+    monkeypatch.setattr(MatrixTuple, "structural_order", property(lambda z: walks.append(z)))
     f = NcSeries(2, 1, 1, {(): [[1.0]], (1, 2): [[2.0]]})
     argv = [command, "--series", write(tmp_path, "f.json", encode_series(f)),
             "--point", write(tmp_path, "z.json", encode_tuple(point))]

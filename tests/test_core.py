@@ -84,8 +84,10 @@ def test_min_eig_nonsquare_rejected():
 
 @pytest.mark.parametrize(
     "diff, scale",
-    [(1.0, np.inf), (np.array([0.0, np.nan]), 1.0)],
-    ids=["infinite-scale", "nan-array-diff"],
+    [(1.0, np.inf), (np.array([0.0, np.nan]), 1.0), (np.nan, 1.0), (1.0, -np.inf), (np.float64(np.inf), 0.5),
+     (np.float64(1.0), np.float64(np.nan)), (-np.inf, np.float64(2.0)), (np.float32(np.nan), 1.0)],
+    ids=["infinite-scale", "nan-array-diff", "nan-float-diff", "minus-infinite-float-scale",
+         "infinite-numpy-diff", "nan-numpy-scale", "minus-infinite-float-diff", "nan-float32-diff"],
 )
 def test_rel_err_rejects_non_finite_norms(diff, scale):
     with pytest.raises(InputError, match="overflow"):
@@ -95,6 +97,36 @@ def test_rel_err_rejects_non_finite_norms(diff, scale):
 def test_rel_err_is_elementwise_on_arrays():
     np.testing.assert_array_equal(rel_err(np.array([0.5, 4.0]), 2.0), [0.25, 2.0])
     assert rel_err(0.5, 0.1) == 0.5
+
+
+def array_rel_err(diff, scale):
+    """rel_err as its array path computes it, for every input: the reference for the scalar path."""
+    if not (np.all(np.isfinite(diff)) and np.all(np.isfinite(scale))):
+        raise InputError("an equality test met a non-finite norm (the computation overflowed)")
+    return diff / np.maximum(1.0, scale)
+
+
+SCALARS = [0.0, -0.0, 0.3, 1.0, 2.5, 1e-300, 5e-324, 1e300, -4.0, np.float64(0.7), np.float64(1e10),
+           3, np.int64(5), np.array(0.9)]
+
+
+@pytest.mark.parametrize("scale", SCALARS + [np.array([0.5, 3.0])])
+@pytest.mark.parametrize("diff", SCALARS)
+def test_rel_err_of_scalars_has_the_array_paths_bits(diff, scale):
+    got, want = rel_err(diff, scale), array_rel_err(diff, scale)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got, dtype=np.float64).tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", [float, np.float64, np.array])
+def test_rel_err_refuses_what_the_array_path_refuses_with_its_text(bad, kind):
+    for diff, scale in ((kind(bad), 1.0), (0.5, kind(bad)), (kind(bad), kind(bad))):
+        with pytest.raises(InputError) as got:
+            rel_err(diff, scale)
+        with pytest.raises(InputError) as want:
+            array_rel_err(diff, scale)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -295,7 +295,7 @@ def test_the_witness_shift_is_built_at_the_longest_stored_word(name, level):
     kernel = SHIFT_CASES[name]()
     cert = nilpotent_positivity_check(kernel, seed=3)
     shift = cert.points[-1]
-    assert shift.n == len(_suffix_closure(kernel)) and shift.order == level + 1
+    assert shift.n == len(_suffix_closure(kernel)) and shift.structural_order == level + 1
     assert [z.n for z in cert.points[:-1]] == cert.sample_description["sizes"][:-1]
     # the moment matrix at max_len pads the one at the level with zeros, so the verdict is the moment route's
     assert cert.passed == is_formal_positive_truncated(kernel, kernel.max_len)[0]

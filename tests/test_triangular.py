@@ -1,13 +1,13 @@
-"""The strictly triangular certificate and the bounded flag walk.
+"""The strictly triangular certificate, domain verdicts and evaluation on nilpotent points.
 
 A point whose coordinates are all exactly strictly upper triangular, or all
 exactly strictly lower, is jointly nilpotent of order <= max(n, 1).  A
-truncated kernel accepts such a point of size <= max_len + 1 without a
-numerical test, and :func:`evaluate_on_nilpotent` walks the flag there only
-as far as the series degree.  The references are the rules without the
-certificate: the domain verdict ``order is not None and order <= max_len + 1``
-from the full numerical order, and :func:`full_order_value`, a test-local
-copy of the evaluation through the full order.
+truncated kernel judges such a point by its structural order, without a
+numerical test, and :func:`evaluate_on_nilpotent` drops there only the words
+at least that long, which vanish exactly; it takes every other point it
+accepts whole.  The references are the domain verdict
+``order is not None and order <= max_len + 1`` from the full numerical
+order, and :func:`full_order_value`, that evaluation on a fresh point.
 """
 
 import re
@@ -22,6 +22,8 @@ from ncrkhs.core import (
     NotNilpotent,
     Tolerances,
     TruncationRefused,
+    frobenius,
+    rel_err,
     words_up_to,
     zero_tuple,
 )
@@ -29,7 +31,6 @@ from ncrkhs.kernels import szego_kernel
 from ncrkhs.sampling import complex_gaussian, gaussian_tuple, nilpotent_tuple, random_similarity, rng_from_seed
 from ncrkhs.series import (
     NcSeries,
-    _flag_orders,
     evaluate,
     evaluate_on_nilpotent,
     nilpotency_order,
@@ -193,25 +194,18 @@ def test_batched_domain_verdicts_follow_the_order_rule(eq_rel):
 
 
 # ---------------------------------------------------------------------------
-# the bounded walk
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("bound", [0, 1, 2, 3, 5, 8])
-def test_the_bounded_walk_finds_exactly_the_orders_within_its_bound(bound):
-    points = list(domain_points())
-    full = nilpotency_orders([fresh(z) for z in points])
-    expect = [order if order is not None and order <= bound else None for order in full]
-    assert _flag_orders([fresh(z) for z in points], DEFAULT_TOL, bound) == expect
-
-
-# ---------------------------------------------------------------------------
 # evaluation on nilpotent points
 # ---------------------------------------------------------------------------
 
 def full_order_value(f: NcSeries, z: MatrixTuple, tol=DEFAULT_TOL) -> np.ndarray:
-    """The evaluation through the full order: a fresh truncation and a fresh point."""
-    order = nilpotency_order(fresh(z), tol)
-    return evaluate(truncate(f, order - 1) if f.degree >= order else f, fresh(z))
+    """f at a fresh copy of z: truncated below the structural order at a strictly triangular point,
+    whole at any other point the walk accepts; the walk's refusal elsewhere."""
+    z = fresh(z)
+    order = z.structural_order
+    if order is None:
+        nilpotency_order(z, tol)
+        return evaluate(f, z)
+    return evaluate(truncate(f, order - 1) if f.degree >= order else f, z)
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -255,14 +249,17 @@ def test_nilpotent_evaluation_matches_the_full_order_path(seed, d, n, kind, extr
         with pytest.raises(NotNilpotent, match=f"^{re.escape(str(refusal))}$"):
             evaluate_on_nilpotent(f, z)
         return
-    assert same_bits(evaluate_on_nilpotent(f, z), want)
+    got = evaluate_on_nilpotent(f, z)
+    assert same_bits(got, want)
+    whole = evaluate(f, fresh(z))
+    assert rel_err(frobenius(got - whole), frobenius(whole)) <= DEFAULT_TOL.eq_rel
 
 
 CASES = {
     "order below the degree": (jordan(3), 4),
     "order at the degree": (jordan(3), 3),
     "order above the degree": (jordan(3), 2),
-    # numerical order 2, exact order 3: only the walk's order truncates the length-2 word
+    # numerical order 2, exact order 3: the walk's order truncates nothing
     "numerical order at the degree": (MatrixTuple((np.diag([1.0, 1e-20], 1),)), 2),
     "lower, order at the degree": (MatrixTuple((np.diag([1.0, 1.0, 1.0], -1),)), 4),
     "shift": (truncated_shift_tuple(1, 3), 4),
@@ -281,12 +278,11 @@ def test_nilpotent_evaluation_matches_the_full_order_path_on_cases(name, form):
     assert same_bits(evaluate_on_nilpotent(f, fresh(z)), full_order_value(f, z))
 
 
-def test_the_truncation_at_a_numerical_order_changes_the_value():
-    # the case the bounded walk must not miss: stopping one length early keeps the word 11
+def test_a_numerical_order_at_the_degree_drops_no_word():
     z, degree = CASES["numerical order at the degree"]
     f = random_series(rng_from_seed(64), 1, degree)
     assert nilpotency_order(fresh(z)) == degree
-    assert not same_bits(evaluate(f, fresh(z)), evaluate_on_nilpotent(f, fresh(z)))
+    assert same_bits(evaluate(f, fresh(z)), evaluate_on_nilpotent(f, fresh(z)))
 
 
 def test_a_non_nilpotent_point_is_refused_with_the_same_text():
