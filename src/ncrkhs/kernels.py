@@ -169,9 +169,10 @@ class FactoredKernel(KernelBase):
     A kernel built from a moment table keeps its ``max_len``: it is exact only
     at jointly nilpotent points of order <= max_len + 1, and refuses other
     points unless a truncation is asked for.  A strictly triangular point
-    is judged by its structural order, without a numerical test; the others
-    are tested at ``tol``, the points of one size together, and keep their
-    orders in their memos.  ``kind`` names the kernel in that refusal.
+    of size <= max_len + 1 is inside without a test, and a larger one is
+    judged by its structural order; the others are tested at ``tol``, the
+    points of one size together, and keep their orders in their memos.
+    ``kind`` names the kernel in that refusal.
     """
 
     def __init__(self, d: int, y_dim: int, algebra: AlgebraSpec, terms,
@@ -190,7 +191,10 @@ class FactoredKernel(KernelBase):
         return GAUSSIAN if self.max_len is None else NILPOTENT
 
     def _check_domain(self, points: Sequence[MatrixTuple]) -> None:
-        """Raise :class:`TruncationRefused` if K is only a truncation at one of ``points``."""
+        """Raise :class:`TruncationRefused` if K is only a truncation at one of ``points``.
+
+        Only the points that :meth:`_orders` tests can be refused.
+        """
         if self.max_len is None:
             return
         # words of length >= order vanish at a point, so the stored support
@@ -202,17 +206,20 @@ class FactoredKernel(KernelBase):
             )
 
     def _orders(self, points: Sequence[MatrixTuple]) -> list[int | None]:
-        """The nilpotency order of each of ``points``, None where it has none.
+        """The nilpotency orders of the ``points`` that need one, in order.
 
-        A strictly triangular point, of any size, takes its
+        A strictly triangular point takes its
         :attr:`~ncrkhs.core.MatrixTuple.structural_order`, past which every
         word vanishes exactly, so the kernel is exact at such a point it
-        admits.  Each other point is tested at ``tol`` and keeps its order,
-        so it is tested once per tolerance.
+        admits; as that order is at most max(n, 1), a point of size
+        n <= max_len + 1 is inside and is left out.  Each other point is
+        tested at ``tol`` and keeps its order, so it is tested once per
+        tolerance.
         """
-        walked = iter(cached_at([z for z in points if z.structural_order is None], self.tol,
+        tested = [z for z in points if z.n > self.max_len + 1 or not z.strictly_triangular]
+        walked = iter(cached_at([z for z in tested if z.structural_order is None], self.tol,
                                 lambda missing: nilpotency_orders(missing, self.tol)))
-        return [next(walked) if z.structural_order is None else z.structural_order for z in points]
+        return [next(walked) if z.structural_order is None else z.structural_order for z in tested]
 
     def precompute(self, points):
         """Test the domain at ``points`` and form every factor's value there, one size at a time.

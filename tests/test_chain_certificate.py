@@ -12,7 +12,7 @@ import json
 import os
 import subprocess
 import sys
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -99,7 +99,7 @@ def test_the_walk_finds_no_order_beyond_the_structural_order(seed, d, n, lower, 
     walked = nilpotency_orders([z], Tolerances(eq_rel=eq_rel))[0]
     assert walked is not None and walked <= order
     # every product of that length is exact zeros, whatever the scale
-    for w in list(product(range(d), repeat=order))[:64]:
+    for w in islice(product(range(d), repeat=order), 64):
         p = np.eye(n, dtype=np.complex128)
         for letter in w:
             p = p @ z.coords[letter]

@@ -516,8 +516,7 @@ def test_one_point_outside_the_domain_is_refused_alone(monkeypatch):
     with pytest.raises(TruncationRefused, match=refusal):
         kernel.block_matrix(points, [complex_gaussian(rng, z.n, 2) for z in points])
     assert tested == [[dense[0], outside, dense[1]]]
-    # the strictly triangular points take their structural orders, the others the walk's
-    assert kernel._orders(points) == [3, nilpotency_order(dense[0]), None, 3, nilpotency_order(dense[1]), 2]
+    assert kernel._orders(points) == [nilpotency_order(dense[0]), None, nilpotency_order(dense[1])]
     # the other points keep their orders and are accepted without a new test
     kernel.block_matrix(inside, [complex_gaussian(rng, z.n, 2) for z in inside])
     assert len(tested) == 1
