@@ -209,12 +209,10 @@ class FactoredKernel(KernelBase):
         """The nilpotency orders of the ``points`` that need one, in order.
 
         A strictly triangular point takes its
-        :attr:`~ncrkhs.core.MatrixTuple.structural_order`, past which every
-        word vanishes exactly, so the kernel is exact at such a point it
-        admits; as that order is at most max(n, 1), a point of size
-        n <= max_len + 1 is inside and is left out.  Each other point is
-        tested at ``tol`` and keeps its order, so it is tested once per
-        tolerance.
+        :attr:`~ncrkhs.core.MatrixTuple.structural_order`, past which no word
+        survives, at most max(n, 1): one of size n <= max_len + 1 is inside
+        and is left out.  Each other point is tested at ``tol`` and keeps its
+        order, so it is tested once per tolerance.
         """
         tested = [z for z in points if z.n > self.max_len + 1 or not z.strictly_triangular]
         walked = iter(cached_at([z for z in tested if z.structural_order is None], self.tol,
